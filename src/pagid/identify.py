@@ -8,16 +8,23 @@ value.  Around them sit the set computations they rely on (``l0_sets``,
 and the adjustment criterion, single-pair causal-relation criteria, and the
 construction and verification of hedge witnesses for failed runs.
 
-Estimand trees use six node kinds: Base (a c-factor Q[C]), Marginalize,
+Estimands use six node kinds: Base (a c-factor Q[C]), Marginalize,
 Condition, OrderedProduct, BoxProduct (the assembly product evaluated along
 a fixed bucket order) and Compose (kernel composition over shared
-variables).  They serialize to a small prefix expression language.
+variables).  An estimand is a DAG, not a tree: each fixing step puts the
+estimand built so far into both of its arms, so one node object can be the
+child of several others.  Estimands serialize to a small prefix expression
+language.  A non-Base node used more than once prints once, as a binding of
+an outer ``(let ((%0 ...) (%1 ...)) body)`` form, and every use prints as
+its name; bindings come children first, so a binding refers only to names
+bound before it.  Every other node prints inline, so an estimand without
+shared subterms prints as a plain tree.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .graph import (
     ARROW,
@@ -41,7 +48,7 @@ from .manipulate import (
     manipulate,
     regime_id,
 )
-from .represent import canonical_isadmg, split_id, _witness_pool
+from .represent import canonical_isadmg, mag_of, split_id, _witness_pool
 from .separate import id_separated
 
 
@@ -60,6 +67,17 @@ def _graph_class(g: MixedGraph) -> GraphClass:
     if validate(g, GraphClass.MAG):
         return GraphClass.ADMG
     return GraphClass.MAG
+
+
+def _reading(g, cls: GraphClass | None):
+    """The graph and class an entry point works on.  Without a class, a
+    graph with explicit latent or selection nodes is read through its MAG,
+    so that those nodes are not ignored; an explicit class keeps the graph
+    as given."""
+    g = _plain(g)
+    if cls is None and (g.latents or g.selections):
+        g = mag_of(g)
+    return g, cls or _graph_class(g)
 
 
 def _check_sopag(p: MixedGraph):
@@ -90,6 +108,9 @@ class Base:
 class Marginalize:
     child: object
     over: frozenset
+    # Computed once, when built: a recursive property would walk shared
+    # subterms once per use, as if the estimand were a tree.
+    outputs: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.over <= self.child.outputs:
@@ -97,16 +118,14 @@ class Marginalize:
                 f"marginalizing {sorted(self.over)} outside "
                 f"{sorted(self.child.outputs)}"
             )
-
-    @property
-    def outputs(self) -> frozenset:
-        return self.child.outputs - self.over
+        object.__setattr__(self, "outputs", self.child.outputs - self.over)
 
 
 @dataclass(frozen=True)
 class Condition:
     child: object
     on: tuple
+    outputs: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not set(self.on) <= self.child.outputs:
@@ -114,22 +133,17 @@ class Condition:
                 f"conditioning on {list(self.on)} outside "
                 f"{sorted(self.child.outputs)}"
             )
-
-    @property
-    def outputs(self) -> frozenset:
-        return self.child.outputs - set(self.on)
+        object.__setattr__(self, "outputs", self.child.outputs - set(self.on))
 
 
 @dataclass(frozen=True)
 class OrderedProduct:
     children: tuple
+    outputs: frozenset = field(init=False, repr=False, compare=False)
 
-    @property
-    def outputs(self) -> frozenset:
-        out = frozenset()
-        for c in self.children:
-            out |= c.outputs
-        return out
+    def __post_init__(self):
+        outputs = frozenset().union(*(c.outputs for c in self.children))
+        object.__setattr__(self, "outputs", outputs)
 
 
 @dataclass(frozen=True)
@@ -338,9 +352,9 @@ def sidp(p, A, B, cls: GraphClass | None = None):
     Returns an estimand over A, or the FailCertificate of the first stuck
     leaf (left to right).  cls fixes how the graph is read; in particular,
     directed edges of a graph read as an ADMG carry no hidden-confounding
-    ambiguity."""
-    p = _plain(p)
-    cls = cls or _graph_class(p)
+    ambiguity.  Without cls, a graph with latent or selection nodes is read
+    through its MAG."""
+    p, cls = _reading(p, cls)
     _check_sopag(p)
     A, B = frozenset(A), frozenset(B)
     V = frozenset(p.outputs)
@@ -362,13 +376,12 @@ def scidp(p, A, B, C, cls: GraphClass | None = None):
     of X_B: move bucket slices of B into the conditioning set while the
     exchange rule allows it, move them back where the action-deletion rule
     allows it, then run sidp on what remains."""
-    p = _plain(p)
+    p, cls = _reading(p, cls)
     _check_sopag(p)
     A, B, C = frozenset(A), frozenset(B), frozenset(C)
     for x, y in itertools.combinations((A, B, C), 2):
         if x & y:
             raise ValueError(f"overlapping sets: {sorted(x & y)}")
-    cls = cls or _graph_class(p)
     V = set(p.outputs)
     part = buckets(p, V)
     D = set(p.induced(V - B).possible_anteriors(A | C))
@@ -429,12 +442,11 @@ def calculus_check(g, rule: int, A, B, C=(), D=(), cls=None) -> bool:
     """Whether a calculus rule applies: 1 inserts/deletes observations of B,
     2 exchanges actions on B with observations, 3 inserts/deletes actions
     on B; all relative to conditioning on C under hard manipulation of D."""
-    g = _plain(g)
+    g, cls = _reading(g, cls)
     A, B, C, D = (frozenset(s) for s in (A, B, C, D))
     _disjoint(A, B, C, D)
     if not A or not B:
         raise ValueError("A and B must be non-empty")
-    cls = cls or _graph_class(g)
     if rule == 1:
         mg = manipulate(g, (), sorted(D), cls)
         return id_separated(mg, sorted(A), sorted(B), sorted(C | D))
@@ -451,12 +463,11 @@ def adjustment_check(g, A, B, C=(), D=(), J0=(), J1=(), H=(), cls=None):
     of B and hard manipulation of D.  On success also return the adjustment
     estimand, summing the kernel of A given B, C and the adjustment set J
     against the kernel of J given C."""
-    g = _plain(g)
+    g, cls = _reading(g, cls)
     A, B, C, D, J0, J1, H = (frozenset(s) for s in (A, B, C, D, J0, J1, H))
     _disjoint(A, B, C, D, J0, J1, H)
     if not A or not B:
         raise ValueError("A and B must be non-empty")
-    cls = cls or _graph_class(g)
     J = J0 | J1
     mg = manipulate(g, sorted(B), sorted(D), cls)
     regimes = [regime_id(v) for v in sorted(B)]
@@ -487,13 +498,12 @@ SOME_YES = "SomeYes"
 def causal_relation(g, a: str, b: str, kind: str, cls=None) -> str:
     """Whether a single-pair causal relation is absent in every represented
     graph (AllNo) or present in at least one (SomeYes)."""
-    g = _plain(g)
+    g, cls = _reading(g, cls)
     if a == b:
         raise ValueError("need two distinct nodes")
     for v in (a, b):
         if not g.has_node(v):
             raise KeyError(v)
-    cls = cls or _graph_class(g)
     if kind == "sel_ancestor":
         arrow = any(ma is ARROW for _, ma, _, _ in g.edges_at(a))
         return ALL_NO if arrow else SOME_YES
@@ -516,9 +526,8 @@ def s_recoverability_check(g, A, B, cls=None) -> bool:
     """Whether the unselected interventional kernel is recoverable: the
     selected one must be identifiable and A must be id-separated, given B,
     from the arrowhead-free nodes after hard manipulation of B."""
-    g = _plain(g)
+    g, cls = _reading(g, cls)
     A, B = frozenset(A), frozenset(B)
-    cls = cls or _graph_class(g)
     if isinstance(sidp(g, A, B, cls), FailCertificate):
         return False
     free = [
@@ -853,8 +862,10 @@ def maximal_regime_separated(wit: MixedGraph, A, B):
 def hedge_witness(p, A, B, cert):
     """Hedge construction for a failed identification: a MAG represented by
     the input graph, a represented graph of that MAG, and a hedge in it for
-    the target pair extended by the non-separated selection nodes."""
-    p = _plain(p)
+    the target pair extended by the non-separated selection nodes.  A graph
+    with latent or selection nodes is read through its MAG, as sidp reads
+    it without a class."""
+    p, _cls = _reading(p, None)
     if not isinstance(cert, FailCertificate):
         raise ValueError("hedge witness needs a failure certificate")
     A, B = frozenset(A), frozenset(B)
@@ -916,30 +927,79 @@ def _names(xs) -> str:
     return "(" + " ".join(sorted(xs)) + ")"
 
 
-def format_estimand(e) -> str:
-    if isinstance(e, Base):
-        return f"(Q {_names(e.over)})"
-    if isinstance(e, Marginalize):
-        return f"(marg {_names(e.over)} {format_estimand(e.child)})"
-    if isinstance(e, Condition):
-        return f"(cond {_names(e.on)} {format_estimand(e.child)})"
+def _children(e) -> tuple:
+    if isinstance(e, (Marginalize, Condition)):
+        return (e.child,)
     if isinstance(e, OrderedProduct):
-        inner = " ".join(format_estimand(c) for c in e.children)
-        return f"(prod {inner})"
+        return e.children
     if isinstance(e, BoxProduct):
-        order = " ".join("(" + " ".join(bu) + ")" for bu in e.bucket_order)
-        return (
-            f"(box ({order}) {format_estimand(e.left)}"
-            f" {format_estimand(e.right)})"
-        )
+        return (e.left, e.right)
     if isinstance(e, Compose):
-        return (
-            f"(compose {_names(e.over)} {format_estimand(e.outer)}"
-            f" {format_estimand(e.inner)})"
-        )
+        return (e.outer, e.inner)
+    return ()
+
+
+def _postorder(e) -> list:
+    """The distinct node objects of an estimand, each after its children,
+    children left to right; iterative, since estimands can be deep."""
+    order, seen = [], set()
+    stack = [(e, False)]
+    while stack:
+        n, expanded = stack.pop()
+        if expanded:
+            order.append(n)
+        elif id(n) not in seen:
+            seen.add(id(n))
+            stack.append((n, True))
+            stack.extend((c, False) for c in reversed(_children(n)))
+    return order
+
+
+def format_estimand(e) -> str:
+    """Prefix expression of an estimand, or the text of a failure.  A
+    non-Base node used more than once prints once, as the binding
+    ``(%k expr)`` of an outer ``let`` form, numbered children first, and
+    each use prints as ``%k``; every other node prints inline.  An estimand
+    without shared subterms therefore prints as a plain tree."""
     if isinstance(e, (FailCertificate, ExchangeFail)):
         return str(e)
-    raise ValueError(f"not an estimand: {e!r}")
+    order = _postorder(e)
+    uses = {}
+    for n in order:
+        for c in _children(n):
+            uses[id(c)] = uses.get(id(c), 0) + 1
+    text, bindings = {}, []
+
+    def ref(c):
+        # a node used once is embedded once, so its text can go
+        return text.pop(id(c)) if uses[id(c)] == 1 else text[id(c)]
+
+    for n in order:
+        if isinstance(n, Base):
+            t = f"(Q {_names(n.over)})"
+        elif isinstance(n, Marginalize):
+            t = f"(marg {_names(n.over)} {ref(n.child)})"
+        elif isinstance(n, Condition):
+            t = f"(cond {_names(n.on)} {ref(n.child)})"
+        elif isinstance(n, OrderedProduct):
+            t = "(prod " + " ".join(ref(c) for c in n.children) + ")"
+        elif isinstance(n, BoxProduct):
+            buckets_text = " ".join(
+                "(" + " ".join(bu) + ")" for bu in n.bucket_order
+            )
+            t = f"(box ({buckets_text}) {ref(n.left)} {ref(n.right)})"
+        elif isinstance(n, Compose):
+            t = f"(compose {_names(n.over)} {ref(n.outer)} {ref(n.inner)})"
+        else:
+            raise ValueError(f"not an estimand: {n!r}")
+        if uses.get(id(n), 0) > 1 and not isinstance(n, Base):
+            name = f"%{len(bindings)}"
+            bindings.append(f"({name} {t})")
+            t = name
+        text[id(n)] = t
+    if not bindings:
+        return text[id(e)]
+    return "(let (" + " ".join(bindings) + ") " + text[id(e)] + ")"
 
 
 def _tokenize(text: str):
@@ -950,11 +1010,15 @@ class _Reader:
     def __init__(self, tokens):
         self.tokens = tokens
         self.pos = 0
+        self.bound = {}  # let-bound names and their nodes
 
-    def next(self) -> str:
+    def peek(self) -> str:
         if self.pos >= len(self.tokens):
             raise ValueError("unexpected end of expression")
-        tok = self.tokens[self.pos]
+        return self.tokens[self.pos]
+
+    def next(self) -> str:
+        tok = self.peek()
         self.pos += 1
         return tok
 
@@ -976,7 +1040,13 @@ class _Reader:
 
 
 def _parse_node(r: _Reader):
-    r.expect("(")
+    tok = r.next()
+    if tok.startswith("%"):
+        if tok not in r.bound:
+            raise ValueError(f"unbound name {tok!r}")
+        return r.bound[tok]
+    if tok != "(":
+        raise ValueError(f"expected '(', got {tok!r}")
     head = r.next()
     if head == "Q":
         node = Base(frozenset(r.names()))
@@ -988,13 +1058,13 @@ def _parse_node(r: _Reader):
         node = Condition(_parse_node(r), tuple(sorted(on)))
     elif head == "prod":
         children = []
-        while r.tokens[r.pos] != ")":
+        while r.peek() != ")":
             children.append(_parse_node(r))
         node = OrderedProduct(tuple(children))
     elif head == "box":
         r.expect("(")
         order = []
-        while r.tokens[r.pos] == "(":
+        while r.peek() == "(":
             order.append(r.names())
         r.expect(")")
         left = _parse_node(r)
@@ -1007,6 +1077,17 @@ def _parse_node(r: _Reader):
         outer = _parse_node(r)
         inner = _parse_node(r)
         node = Compose(outer, inner, tuple(sorted(over)))
+    elif head == "let":
+        r.expect("(")
+        while r.peek() == "(":
+            r.next()
+            name = r.next()
+            if not name.startswith("%") or name in r.bound:
+                raise ValueError(f"bad or repeated binding name {name!r}")
+            r.bound[name] = _parse_node(r)
+            r.expect(")")
+        r.expect(")")
+        node = _parse_node(r)
     else:
         raise ValueError(f"unknown estimand head {head!r}")
     r.expect(")")
@@ -1014,6 +1095,9 @@ def _parse_node(r: _Reader):
 
 
 def parse_estimand(text: str):
+    """Estimand or failure certificate from its printed form.  Reads both
+    the ``let`` form, giving each bound name one node object so that the
+    sharing is rebuilt, and plain trees."""
     text = text.strip()
     if text.startswith("FAIL"):
         return parse_certificate(text)

@@ -513,14 +513,23 @@ def ci_test(k: Kernel, A, B, C=()) -> bool:
 
 
 def eval_estimand(e, qv: Kernel, scm=None, zero_rows: str = "error") -> Kernel:
-    """Evaluate an estimand tree against the observational kernel Q[V].
+    """Evaluate an estimand against the observational kernel Q[V].
     When an SCM is supplied, base leaves other than Q[V] are computed from
-    it directly (useful for checking identities)."""
+    it directly (useful for checking identities).  Each distinct node is
+    evaluated once per call, however many nodes share it."""
     from . import identify as idf
 
     domains = qv.domains
+    # id(node) -> (node, kernel); holding the node keeps its id unique
+    memo = {}
 
     def ev(node) -> Kernel:
+        hit = memo.get(id(node))
+        if hit is None:
+            hit = memo[id(node)] = (node, ev_node(node))
+        return hit[1]
+
+    def ev_node(node) -> Kernel:
         if isinstance(node, idf.Base):
             if set(node.over) == set(qv.outputs):
                 return qv

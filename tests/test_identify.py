@@ -465,6 +465,39 @@ class TestSRecoverability:
         assert not s_recoverability_check(g, ["b"], [])
 
 
+class TestLatentSelectionReading:
+    """Without a class, explicit latent and selection nodes are read
+    through the graph's MAG rather than ignored."""
+
+    SELECTED = (
+        "node v0 output\nnode v1 output\nnode v2 output\nnode s0 selection\n"
+        "edge v2 --> v1\nedge v1 --> v0\nedge v0 --> s0\nedge v2 --> v0\n"
+    )
+    BOW = (
+        "node a output\nnode b output\nnode l latent\n"
+        "edge l --> a\nedge l --> b\nedge a --> b\n"
+    )
+
+    def test_selection_blocks_action_deletion(self):
+        g = parse_graph(self.SELECTED)
+        assert not calculus_check(g, 3, ["v1"], ["v0"])
+        cert = sidp(g, ["v1"], ["v0"])
+        assert isinstance(cert, FailCertificate)
+        mag, _wit, _h = hedge_witness(g, ["v1"], ["v0"], cert)
+        assert not mag.selections
+
+    def test_latent_bow_is_not_identified(self):
+        g = parse_graph(self.BOW)
+        cert = sidp(g, ["b"], ["a"])
+        assert isinstance(cert, FailCertificate)
+        mag, _wit, _h = hedge_witness(g, ["b"], ["a"], cert)
+        assert not mag.latents
+
+    def test_explicit_class_keeps_the_graph(self):
+        g = parse_graph(self.BOW)
+        assert not isinstance(sidp(g, ["b"], ["a"], ADMG), FailCertificate)
+
+
 class TestHedges:
     # the represented graph drawn next to the undirected four-cycle:
     # one cherry of the cycle is confounded, the rest splits off
