@@ -4,7 +4,6 @@ buckets, pc-components, regions, inducing paths, discriminating paths)."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 
 
@@ -30,30 +29,58 @@ INPUT, OUTPUT, LATENT, SELECTION = (
 )
 
 
-@dataclass(frozen=True)
-class Edge:
-    """Edge with one mark per endpoint, stored with a <= b lexicographically."""
+_set = object.__setattr__
 
-    a: str
-    mark_a: Mark = None  # type: ignore[assignment]
-    b: str = ""
-    mark_b: Mark = None  # type: ignore[assignment]
+
+class Edge:
+    """Edge with one mark per endpoint, stored with a <= b lexicographically.
+
+    Immutable.  The hash is computed once, when the edge is built, because
+    graph construction and set operations hash every edge many times.  Its
+    value is hash((a, mark_a, b, mark_b)): searches visit edges in set
+    order, which follows the hash, so answers depend on this value."""
+
+    __slots__ = ("a", "mark_a", "b", "mark_b", "_hash")
+
+    def __init__(self, a: str, mark_a: Mark = None, b: str = "",
+                 mark_b: Mark = None):
+        if a == b:
+            raise ValueError(f"self loop at {a}")
+        if a > b:
+            a, mark_a, b, mark_b = b, mark_b, a, mark_a
+        _set(self, "a", a)
+        _set(self, "mark_a", mark_a)
+        _set(self, "b", b)
+        _set(self, "mark_b", mark_b)
+        _set(self, "_hash", hash((a, mark_a, b, mark_b)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of an Edge")
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, Edge):
+            return NotImplemented
+        return self is other or self._hash == other._hash and (
+            self.a, self.mark_a, self.b, self.mark_b
+        ) == (other.a, other.mark_a, other.b, other.mark_b)
+
+    def __repr__(self):
+        return (
+            f"Edge(a={self.a!r}, mark_a={self.mark_a!r}, "
+            f"b={self.b!r}, mark_b={self.mark_b!r})"
+        )
+
+    def __reduce__(self):
+        return (Edge, (self.a, self.mark_a, self.b, self.mark_b))
 
     def sort_key(self):
         return (self.a, self.b, self.mark_a.value, self.mark_b.value)
 
     def __lt__(self, other: "Edge"):
         return self.sort_key() < other.sort_key()
-
-    def __post_init__(self):
-        if self.a == self.b:
-            raise ValueError(f"self loop at {self.a}")
-        if self.a > self.b:
-            a, ma, b, mb = self.a, self.mark_a, self.b, self.mark_b
-            object.__setattr__(self, "a", b)
-            object.__setattr__(self, "mark_a", mb)
-            object.__setattr__(self, "b", a)
-            object.__setattr__(self, "mark_b", ma)
 
     def mark_at(self, v: str) -> Mark:
         if v == self.a:
@@ -101,7 +128,7 @@ class MixedGraph:
     """Immutable mixed graph. Raw/ADMG graphs may carry parallel edges between
     a pair (e.g. both a --> b and a <-> b); MAG/PAG validation rejects that."""
 
-    __slots__ = ("_nodes", "_edges", "_adj", "_eat", "_anc", "_hash")
+    __slots__ = ("_nodes", "_edges", "_adj", "_eat", "_anc", "_problems", "_hash")
 
     def __init__(self, nodes: dict[str, NodeKind], edges=()):
         self._nodes = dict(sorted(nodes.items()))
@@ -121,6 +148,7 @@ class MixedGraph:
         self._adj = adj
         self._eat: dict[str, tuple] = {}
         self._anc: dict[str, frozenset[str]] = {}
+        self._problems: dict[GraphClass, tuple[str, ...]] = {}
         self._hash = None
 
     # -- basic accessors ---------------------------------------------------
@@ -215,21 +243,17 @@ class MixedGraph:
     def with_edges(self, extra) -> "MixedGraph":
         return MixedGraph(self._nodes, set(self._edges) | set(extra))
 
-    def without_edges(self, gone) -> "MixedGraph":
-        return MixedGraph(self._nodes, set(self._edges) - set(gone))
-
-    def with_nodes(self, extra: dict[str, NodeKind]) -> "MixedGraph":
-        nodes = dict(self._nodes)
-        nodes.update(extra)
-        return MixedGraph(nodes, self._edges)
-
-    def relabel_kinds(self, kinds: dict[str, NodeKind]) -> "MixedGraph":
-        nodes = dict(self._nodes)
-        for v, k in kinds.items():
-            if v not in nodes:
-                raise KeyError(v)
-            nodes[v] = k
-        return MixedGraph(nodes, self._edges)
+    def edit(self, kinds=None, drop=(), add=()) -> "MixedGraph":
+        """One new graph with the node kinds in ``kinds`` set (new ids add
+        nodes), the edges in ``drop`` removed and those in ``add`` added, in
+        that order.  Returns this graph when nothing changes."""
+        nodes = self._nodes
+        if kinds and any(nodes.get(v) is not k for v, k in kinds.items()):
+            nodes = {**nodes, **kinds}
+        edges = self._edges.difference(drop).union(add)
+        if nodes is self._nodes and edges == self._edges:
+            return self
+        return MixedGraph(nodes, edges)
 
     def induced(self, keep) -> "MixedGraph":
         keep = set(keep)
@@ -367,7 +391,16 @@ def _directed_cycle(g: MixedGraph) -> list[str] | None:
 
 
 def validate(g: MixedGraph, cls: GraphClass) -> list[str]:
-    """Check the invariants of the requested graph class; empty list = valid."""
+    """Check the invariants of the requested graph class; empty list = valid.
+    The problems are found once per graph and class, and each call gets
+    its own copy of the list."""
+    found = g._problems.get(cls)
+    if found is None:
+        found = g._problems[cls] = tuple(_problems(g, cls))
+    return list(found)
+
+
+def _problems(g: MixedGraph, cls: GraphClass) -> list[str]:
     bad: list[str] = []
     inputs = set(g.inputs)
     for e in g.edges:

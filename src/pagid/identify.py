@@ -42,7 +42,7 @@ from .graph import (
     validate,
 )
 from .manipulate import (
-    ManipulatedGraph,
+    _plain,
     hard_manipulate,
     is_visible,
     manipulate,
@@ -50,10 +50,6 @@ from .manipulate import (
 )
 from .represent import canonical_isadmg, mag_of, split_id, _witness_pool
 from .separate import id_separated
-
-
-def _plain(g) -> MixedGraph:
-    return g.graph if isinstance(g, ManipulatedGraph) else g
 
 
 def _graph_class(g: MixedGraph) -> GraphClass:
@@ -81,11 +77,7 @@ def _reading(g, cls: GraphClass | None):
 
 
 def _check_sopag(p: MixedGraph):
-    cls = _graph_class(p)
-    if cls is GraphClass.ADMG:
-        problems = validate(p, GraphClass.ADMG)
-    else:
-        problems = validate(p, cls)
+    problems = validate(p, _graph_class(p))
     if problems:
         raise ValueError("invalid input graph: " + "; ".join(problems))
 
@@ -93,21 +85,71 @@ def _check_sopag(p: MixedGraph):
 # -- estimand trees ----------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Base:
+@dataclass(frozen=True, eq=False)
+class _Node:
+    """Equality and hashing of the estimand node classes.  An estimand is a
+    DAG, so neither walks shared subterms once per use: the hash is
+    computed once, when a node is built, from its own fields and the
+    hashes of its children, and equality compares each pair of nodes at
+    most once per call."""
+
+    _hash: int = field(init=False, repr=False, compare=False)
+    _DATA = ()  # the fields besides the children, per class
+
+    def _data(self) -> tuple:
+        return tuple(getattr(self, f) for f in self._DATA)
+
+    def __post_init__(self):
+        kids = tuple(c._hash for c in _children(self))
+        object.__setattr__(
+            self, "_hash", hash((type(self).__name__, self._data(), kids))
+        )
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if self is other:
+            return True
+        if not isinstance(other, _Node):
+            return NotImplemented
+        seen = set()
+        stack = [(self, other)]
+        while stack:  # iterative: estimands can be deeper than the stack
+            x, y = stack.pop()
+            if x is y or (id(x), id(y)) in seen:
+                continue
+            if (
+                type(x) is not type(y)
+                or x._hash != y._hash
+                or x._data() != y._data()
+            ):
+                return False
+            kx, ky = _children(x), _children(y)
+            if len(kx) != len(ky):
+                return False
+            seen.add((id(x), id(y)))
+            stack.extend(zip(kx, ky))
+        return True
+
+
+@dataclass(frozen=True, eq=False)
+class Base(_Node):
     """The c-factor Q[C]: the kernel of X_C given everything else fixed."""
 
     over: frozenset
+    _DATA = ("over",)
 
     @property
     def outputs(self) -> frozenset:
         return self.over
 
 
-@dataclass(frozen=True)
-class Marginalize:
+@dataclass(frozen=True, eq=False)
+class Marginalize(_Node):
     child: object
     over: frozenset
+    _DATA = ("over",)
     # Computed once, when built: a recursive property would walk shared
     # subterms once per use, as if the estimand were a tree.
     outputs: frozenset = field(init=False, repr=False, compare=False)
@@ -119,12 +161,14 @@ class Marginalize:
                 f"{sorted(self.child.outputs)}"
             )
         object.__setattr__(self, "outputs", self.child.outputs - self.over)
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
-class Condition:
+@dataclass(frozen=True, eq=False)
+class Condition(_Node):
     child: object
     on: tuple
+    _DATA = ("on",)
     outputs: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -134,20 +178,22 @@ class Condition:
                 f"{sorted(self.child.outputs)}"
             )
         object.__setattr__(self, "outputs", self.child.outputs - set(self.on))
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
-class OrderedProduct:
+@dataclass(frozen=True, eq=False)
+class OrderedProduct(_Node):
     children: tuple
     outputs: frozenset = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         outputs = frozenset().union(*(c.outputs for c in self.children))
         object.__setattr__(self, "outputs", outputs)
+        super().__post_init__()
 
 
-@dataclass(frozen=True)
-class BoxProduct:
+@dataclass(frozen=True, eq=False)
+class BoxProduct(_Node):
     """Assembly product of two kernels, evaluated as a product of
     conditional factors along the stored bucket order."""
 
@@ -155,20 +201,22 @@ class BoxProduct:
     right: object
     d: frozenset
     bucket_order: tuple
+    _DATA = ("d", "bucket_order")
 
     @property
     def outputs(self) -> frozenset:
         return self.d
 
 
-@dataclass(frozen=True)
-class Compose:
+@dataclass(frozen=True, eq=False)
+class Compose(_Node):
     """Kernel composition: sum over the shared variables of the product of
     the outer and inner kernels."""
 
     outer: object
     inner: object
     over: tuple
+    _DATA = ("over",)
 
     @property
     def outputs(self) -> frozenset:
@@ -555,7 +603,7 @@ def _as_output_graph(g: MixedGraph) -> MixedGraph:
     """Selection nodes recast as outputs, so they can be manipulated and
     conditioned on like ordinary nodes."""
     sel = {s: OUTPUT for s in g.selections}
-    return g.relabel_kinds(sel) if sel else g
+    return g.edit(kinds=sel)
 
 
 def _is_cforest(g: MixedGraph, nodes, edges, R) -> bool:
@@ -845,18 +893,33 @@ def _direct_witness(m: MixedGraph, path):
 def maximal_regime_separated(wit: MixedGraph, A, B):
     """The largest subset D of the selection nodes whose regime indicators
     are id-separated from A given B and all selection nodes, after soft
-    manipulation of D and hard manipulation of B."""
+    manipulation of D and hard manipulation of B.
+
+    This is the set of selection nodes s that pass the test for D = {s}
+    alone, so it takes |S| tests, not 2^|S|.  D is separated exactly when
+    each {d} in D is:
+
+    - Read as an ADMG, soft manipulation of D adds only I__d --> d for each
+      d in D, and the hard manipulation of B is the same for every D.
+    - Every I__d is an input, so it is a connecting target, and a walk
+      ends at the first target it reaches.  I__d is therefore never inside
+      a walk; a walk to it is a walk to d and one step into I__d, and
+      whether that step is open depends only on how the walk reaches d.
+    - I__d has no parents, so it changes neither the ancestors nor the
+      possible ancestors of the conditioning set at any other node.
+
+    So the open walks that reach no regime node are the same for every D,
+    and D is connected exactly when such a walk reaches an input, or
+    reaches some d in D and can step into I__d."""
     go = _as_output_graph(wit)
-    S = sorted(wit.selections)
-    A, B = sorted(set(A)), sorted(set(B))
-    cond = sorted(set(B) | set(S))
-    for size in range(len(S), 0, -1):
-        for D in itertools.combinations(S, size):
-            mg = manipulate(go, list(D), B, GraphClass.ADMG)
-            regimes = [regime_id(v) for v in D]
-            if id_separated(mg, A, regimes, cond):
-                return frozenset(D)
-    return frozenset()
+    cond = set(B) | set(wit.selections)
+    return frozenset(
+        s
+        for s in wit.selections
+        if id_separated(
+            manipulate(go, [s], B, GraphClass.ADMG), A, [regime_id(s)], cond
+        )
+    )
 
 
 def hedge_witness(p, A, B, cert):

@@ -55,6 +55,11 @@ class ManipulatedGraph:
         return tuple(v for v in self.graph.inputs if v not in skip)
 
 
+def _plain(g) -> MixedGraph:
+    """The graph under a manipulation's bookkeeping, or g itself."""
+    return g.graph if isinstance(g, ManipulatedGraph) else g
+
+
 def as_manipulated(g, cls: GraphClass = GraphClass.MAG) -> ManipulatedGraph:
     if isinstance(g, ManipulatedGraph):
         return g
@@ -69,9 +74,7 @@ def _visible_cached(g: MixedGraph, a: str, b: str) -> bool:
 def is_visible(g: MixedGraph, a: str, b: str) -> bool:
     """Whether the directed edge a --> b is visible: its directedness is
     certified by an input origin or a qualifying non-adjacent witness."""
-    if isinstance(g, ManipulatedGraph):
-        g = g.graph
-    return _visible_cached(g, a, b)
+    return _visible_cached(_plain(g), a, b)
 
 
 def _check_regime_collision(g: MixedGraph):
@@ -85,7 +88,10 @@ def _check_regime_collision(g: MixedGraph):
 def soft_manipulate(g, D, cls: GraphClass | None = None) -> ManipulatedGraph:
     """Add a regime indicator I_d for each d in D with edges determined by
     the local structure around d (arrowheads, undirected edges, invisible
-    directed edges, circle marks)."""
+    directed edges, circle marks).  All indicators are read off the given
+    graph and added in one build; on a valid MAG or PAG that equals adding
+    them one at a time, as no indicator adds an arrowhead, undirected edge
+    or visibility witness that the edge it copies did not already add."""
     mg = as_manipulated(g, cls or _infer_class(g))
     if cls is None:
         cls = mg.base_class
@@ -95,6 +101,7 @@ def soft_manipulate(g, D, cls: GraphClass | None = None) -> ManipulatedGraph:
     existing = mg.regime_map
     new_regimes = list(mg.regime_nodes)
     new_soft = list(mg.soft_targets)
+    new_nodes, new_edges = {}, []
     for d in sorted(set(D)):
         if not graph.has_node(d):
             raise KeyError(d)
@@ -102,12 +109,13 @@ def soft_manipulate(g, D, cls: GraphClass | None = None) -> ManipulatedGraph:
             raise ValueError(f"soft target {d} is not an output node")
         if d in existing:
             continue
-        graph = _soft_one(graph, d, cls)
+        new_nodes[regime_id(d)] = INPUT
+        new_edges.extend(_soft_edges(graph, d, cls))
         existing[d] = regime_id(d)
         new_regimes.append((d, regime_id(d)))
         new_soft.append(d)
     return ManipulatedGraph(
-        graph=graph,
+        graph=graph.edit(kinds=new_nodes, add=new_edges),
         regime_nodes=tuple(new_regimes),
         hard_targets=mg.hard_targets,
         soft_targets=tuple(sorted(new_soft)),
@@ -115,13 +123,13 @@ def soft_manipulate(g, D, cls: GraphClass | None = None) -> ManipulatedGraph:
     )
 
 
-def _soft_one(g: MixedGraph, a: str, cls: GraphClass) -> MixedGraph:
+def _soft_edges(g: MixedGraph, a: str, cls: GraphClass) -> list[Edge]:
+    """The edges of the regime indicator of a in g."""
     ia = regime_id(a)
-    out = g.with_nodes({ia: INPUT})
-    new_edges = []
     if cls is GraphClass.ADMG:
-        return out.with_edges([Edge(ia, TAIL, a, ARROW)])
+        return [Edge(ia, TAIL, a, ARROW)]
 
+    new_edges = []
     arrow_into_a = any(ma is ARROW for _, ma, _, _ in g.edges_at(a))
     undirected_at_a = bool(g.undirected_neighbors(a))
     if arrow_into_a:
@@ -150,7 +158,7 @@ def _soft_one(g: MixedGraph, a: str, cls: GraphClass) -> MixedGraph:
         elif mb is CIRCLE and ma in (TAIL, CIRCLE):
             # a --o b or a o-o b
             new_edges.append(Edge(ia, TAIL, b, CIRCLE))
-    return out.with_edges(new_edges)
+    return new_edges
 
 
 def hard_manipulate(g, T, cls: GraphClass | None = None) -> ManipulatedGraph:
@@ -191,10 +199,8 @@ def hard_manipulate(g, T, cls: GraphClass | None = None) -> ManipulatedGraph:
                 ):
                     gone.add(e)
                     add.add(Edge(x, e.mark_at(x), y, TAIL))
-    graph = graph.without_edges(gone).with_edges(add)
-    graph = graph.relabel_kinds({t: INPUT for t in T})
     return ManipulatedGraph(
-        graph=graph,
+        graph=graph.edit(kinds=dict.fromkeys(T, INPUT), drop=gone, add=add),
         regime_nodes=mg.regime_nodes,
         hard_targets=tuple(sorted(set(mg.hard_targets) | tset)),
         soft_targets=mg.soft_targets,

@@ -33,12 +33,8 @@ from .graph import (
     inducing_path_exists,
     validate,
 )
-from .manipulate import ManipulatedGraph, is_visible, manipulate
+from .manipulate import _plain, is_visible, manipulate
 from . import separate
-
-
-def _plain(g) -> MixedGraph:
-    return g.graph if isinstance(g, ManipulatedGraph) else g
 
 
 def mag_of(a: MixedGraph) -> MixedGraph:

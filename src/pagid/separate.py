@@ -14,11 +14,7 @@ from __future__ import annotations
 from collections import deque
 
 from .graph import ARROW, CIRCLE, INPUT, OUTPUT, TAIL, MixedGraph
-from .manipulate import ManipulatedGraph
-
-
-def _graph_of(g) -> MixedGraph:
-    return g.graph if isinstance(g, ManipulatedGraph) else g
+from .manipulate import ManipulatedGraph, _plain
 
 
 def _regime_ids(g) -> set:
@@ -59,7 +55,7 @@ def _triple_open(
 def open_walk(g, A, B, C):
     """Shortest id-open walk from A to the connecting targets, as a list of
     (node, edge-to-next) steps ending with (node, None); None if separated."""
-    graph = _graph_of(g)
+    graph = _plain(g)
     regimes = _regime_ids(g)
     A = set(A)
     cond = set(C)
@@ -174,12 +170,12 @@ def _m_walk(graph: MixedGraph, A, B, C):
 
 
 def m_open_walk(g, A, B, C=()):
-    return _m_walk(_graph_of(g), A, B, C)
+    return _m_walk(_plain(g), A, B, C)
 
 
 def d_separated(g, A, B, C=()) -> bool:
     """Classical symmetric m-separation (no circle marks expected)."""
-    return _m_walk(_graph_of(g), A, B, C) is None
+    return _m_walk(_plain(g), A, B, C) is None
 
 
 def walk_nodes(walk):

@@ -1,6 +1,7 @@
 """Shared test utilities: random graph generation and slow reference
 implementations used as independent oracles for the fast library code."""
 
+import itertools
 import random
 
 from pagid.graph import (
@@ -204,3 +205,28 @@ def district_of(g, v):
                 seen.add(w)
                 frontier.append(w)
     return seen
+
+
+def regime_separated(wit: MixedGraph, A, B, D) -> bool:
+    """Whether the regime indicators of the selection nodes D are
+    id-separated from A given B and all selection nodes, after soft
+    manipulation of D and hard manipulation of B, read as an ADMG."""
+    from pagid.identify import _as_output_graph
+    from pagid.manipulate import manipulate, regime_id
+    from pagid.separate import id_separated
+
+    mg = manipulate(_as_output_graph(wit), sorted(D), sorted(B), GraphClass.ADMG)
+    cond = sorted(set(B) | set(wit.selections))
+    return id_separated(mg, sorted(A), [regime_id(d) for d in sorted(D)], cond)
+
+
+def maximal_regime_separated_bruteforce(wit: MixedGraph, A, B):
+    """Reference for ``identify.maximal_regime_separated``: the first
+    separated subset of the selection nodes, largest first, over all
+    2^|S| subsets."""
+    S = sorted(wit.selections)
+    for size in range(len(S), 0, -1):
+        for D in itertools.combinations(S, size):
+            if regime_separated(wit, A, B, D):
+                return frozenset(D)
+    return frozenset()

@@ -5,13 +5,12 @@ its arms, so estimands share subterms and grow as 2^(fixing steps) when
 walked as trees.  These tests check that the ``let`` form prints shared
 subterms once and reads back to the same estimand, that sizes stay small
 on chain, star and collider families, and that evaluation of the shared
-form matches the exact interventional kernel.
-
-Printed forms are compared rather than estimands: the generated dataclass
-``__eq__`` recurses through shared subterms as a tree.
+form matches the exact interventional kernel, and that equality and
+hashing of estimands visit each shared subterm once.
 """
 
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -55,6 +54,7 @@ def assert_round_trip(est, scm):
     text = format_estimand(est)
     back = parse_estimand(text)
     assert format_estimand(back) == text
+    assert back == est and hash(back) == hash(est)
     qv = oc.observational_kernel(scm)
     assert oc.eval_estimand(back, qv, scm) == oc.eval_estimand(est, qv, scm)
 
@@ -76,7 +76,7 @@ def small_admgs(draw):
 
 
 class TestRoundTrip:
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=60)
     @given(small_admgs(), st.sampled_from([None, ADMG]), st.integers(0, 2**16))
     def test_random_graphs(self, case, cls, seed):
         g, a, b = case
@@ -85,7 +85,7 @@ class TestRoundTrip:
             return
         assert_round_trip(est, oc.random_scm(g, random.Random(seed)))
 
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=10)
     @given(st.integers(2, 8), st.integers(0, 2**16))
     def test_chain_prefixes(self, n, seed):
         g = chain(n)
@@ -99,6 +99,15 @@ class TestScaling:
     def test_printed_size_at_24(self, family, cls):
         text = format_estimand(sidp(family(24), ["v1"], ["v0"], cls))
         assert len(text) <= 64 * 1024
+
+    def test_chain_20_compares_and_hashes_in_linear_time(self):
+        # equality and hashing that walked shared subterms as a tree took
+        # 0.145 s at n=16 and doubled per node
+        est = sidp(chain(20), ["v1"], ["v0"], ADMG)
+        start = time.perf_counter()
+        assert parse_estimand(format_estimand(est)) == est
+        hash(est)
+        assert time.perf_counter() - start < 0.5
 
     def test_chain_10_evaluates_to_the_interventional_kernel(self):
         g = chain(10)
@@ -143,6 +152,19 @@ class TestLetForm:
         )
         est = parse_estimand(text)
         assert est.children[0].child is est.children[1].child
+
+    def test_equality_is_structural(self):
+        text = format_estimand(sidp(chain(6), ["v1"], ["v0"], ADMG))
+        est, other = parse_estimand(text), parse_estimand(text)
+        assert est is not other and est == other
+        # the same estimand printed as a tree shares nothing, yet is equal
+        tree = parse_estimand(format_estimand(parse_estimand(CHAIN4_TREE)))
+        assert tree == parse_estimand(
+            format_estimand(sidp(chain(4), ["v1"], ["v0"], ADMG)))
+        # a change at the bottom of the shared DAG makes it unequal
+        changed = parse_estimand(text.replace("(Q (v0 v1 v2 v3 v4 v5))",
+                                              "(Q (v0 v1 v2 v3 v4 v5 v6))"))
+        assert changed != est
 
     def test_rejects_bad_bindings(self):
         for text in (

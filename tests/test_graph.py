@@ -8,6 +8,7 @@ from pagid.graph import (
     TAIL,
     Edge,
     GraphClass,
+    INPUT,
     MixedGraph,
     OUTPUT,
     ParseError,
@@ -95,6 +96,43 @@ class TestParsing:
             "node a output\nnode b output\nedge a --> b\nedge a <-> b\n"
         )
         assert len(g.edges_between("a", "b")) == 2
+
+
+class TestEdges:
+    def test_stored_in_order_with_the_tuple_hash(self):
+        e = Edge("b", ARROW, "a", TAIL)
+        assert (e.a, e.mark_a, e.b, e.mark_b) == ("a", TAIL, "b", ARROW)
+        # set iteration order, and so search order, follows this value
+        assert hash(e) == hash(("a", TAIL, "b", ARROW))
+        assert e == directed("a", "b") and e != bidirected("a", "b")
+
+    def test_immutable(self):
+        e = directed("a", "b")
+        with pytest.raises(AttributeError):
+            e.a = "c"
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ValueError):
+            Edge("a", TAIL, "a", ARROW)
+
+
+class TestEdit:
+    def test_kinds_drop_and_add_in_one_build(self):
+        g = chain_admg()
+        h = g.edit(
+            kinds={"a": INPUT, "x": INPUT},
+            drop=[bidirected("b", "c")],
+            add=[directed("x", "c")],
+        )
+        assert h.kind("a") is INPUT and h.kind("x") is INPUT
+        assert h.edges == {directed("a", "b"), directed("b", "c"),
+                           directed("x", "c")}
+        assert g == chain_admg()  # graphs are immutable
+
+    def test_no_change_returns_the_graph(self):
+        g = chain_admg()
+        assert g.edit() is g
+        assert g.edit(kinds={"a": OUTPUT}, add=[directed("a", "b")]) is g
 
 
 class TestValidate:

@@ -7,10 +7,14 @@ on the relevant graph, with the interventional kernel computed by
 truncated factorization as the independent reference.
 """
 
+import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pagid import graph as graph_mod
+from pagid import identify as idf
 from pagid.graph import (
     ARROW,
     CIRCLE,
@@ -50,7 +54,14 @@ from pagid.identify import (
     Hedge,
 )
 from pagid.represent import canonical_isadmg, mag_of
-from helpers import fixing_identifiable, district_of, kernel_matches, rand_isadmg
+from helpers import (
+    district_of,
+    fixing_identifiable,
+    kernel_matches,
+    maximal_regime_separated_bruteforce,
+    rand_isadmg,
+    regime_separated,
+)
 
 ADMG = GraphClass.ADMG
 
@@ -597,6 +608,91 @@ class TestHedges:
     def test_witness_needs_a_certificate(self):
         with pytest.raises(ValueError):
             hedge_witness(cycle4(), ["a"], ["b"], None)
+
+
+@st.composite
+def regime_cases(draw):
+    """A random isADMG witness with 2-5 outputs, 1-5 selection nodes and at
+    most one latent and one input node, with a non-empty A and a disjoint
+    B drawn from its outputs."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    wit = rand_isadmg(
+        rng,
+        n_out=draw(st.integers(2, 5)),
+        n_sel=draw(st.integers(1, 5)),
+        n_lat=draw(st.integers(0, 1)),
+        n_in=draw(st.integers(0, 1)),
+        p=draw(st.sampled_from([0.3, 0.5, 0.7])),
+    )
+    outs = wit.outputs
+    roles = draw(st.lists(st.sampled_from("-ab"), min_size=len(outs),
+                          max_size=len(outs)).filter(lambda r: "a" in r))
+    A = [v for v, r in zip(outs, roles) if r == "a"]
+    B = [v for v, r in zip(outs, roles) if r == "b"]
+    return wit, A, B
+
+
+class TestRegimeSearch:
+    @settings(max_examples=300)
+    @given(regime_cases())
+    def test_matches_the_subset_search(self, case):
+        wit, A, B = case
+        assert maximal_regime_separated(wit, A, B) == (
+            maximal_regime_separated_bruteforce(wit, A, B)
+        )
+
+    @settings(max_examples=100)
+    @given(regime_cases())
+    def test_separated_sets_are_closed_under_union(self, case):
+        wit, A, B = case
+        S = sorted(wit.selections)
+        family = [
+            frozenset(D)
+            for k in range(len(S) + 1)
+            for D in itertools.combinations(S, k)
+            if regime_separated(wit, A, B, D)
+        ]
+        for D1, D2 in itertools.combinations(family, 2):
+            assert D1 | D2 in family
+
+    def test_one_manipulation_per_selection_node(self, monkeypatch):
+        # s0..s4 hang off the target a and are not separated, s5..s9 hang
+        # off the treatment b and are; the subset search tried every set
+        # of six or more selection nodes before it got to the answer
+        text = "node a output\nnode b output\nedge b --> a\n"
+        for i in range(10):
+            text += f"node s{i} selection\nedge {'ab'[i >= 5]} --> s{i}\n"
+        wit = parse_graph(text)
+        calls = []
+        real = idf.manipulate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(idf, "manipulate", counted)
+        D = maximal_regime_separated(wit, ["a"], ["b"])
+        assert D == frozenset(f"s{i}" for i in range(5, 10))
+        assert len(calls) <= len(wit.selections)
+
+
+class TestValidationCache:
+    def test_each_class_is_validated_once_per_graph(self, monkeypatch):
+        g = backdoor()
+        seen = []
+        real = graph_mod._directed_cycle
+
+        def counted(h):
+            seen.append(h)
+            return real(h)
+
+        monkeypatch.setattr(graph_mod, "_directed_cycle", counted)
+        for _ in range(3):
+            sidp(g, ["b"], ["a"])
+            scidp(g, ["b"], ["a"], ["c"])
+            calculus_check(g, 2, ["b"], ["a"], ["c"])
+        # only the MAG reading is ever asked of g
+        assert sum(h is g for h in seen) == 1
 
 
 class TestSerialization:
