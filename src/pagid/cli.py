@@ -531,22 +531,6 @@ def random_scm_cmd(graph_file, seed, domain, no_positivity):
     click.echo(oc.format_scm(scm).rstrip("\n"))
 
 
-def _kernels_agree(got, want):
-    """Equality up to extra context variables the estimand carries along;
-    they must not affect the value."""
-    if set(want.outputs) != set(got.outputs):
-        return False
-    if not set(want.context) <= set(got.context):
-        return False
-    names = got.context + got.outputs
-    for ctx in oc._assignments(got.domains, got.context):
-        for out in oc._assignments(got.domains, got.outputs):
-            a = dict(zip(names, ctx + out))
-            if got.value(a) != want.value(a):
-                return False
-    return True
-
-
 @main.command("pipeline")
 @click.option("--scm", "scm_file", required=True,
               type=click.Path(exists=True, dir_okay=False))
@@ -575,7 +559,7 @@ def pipeline_cmd(scm_file, a_set, b_set, as_json):
             qv = oc.observational_kernel(scm)
             got = oc.eval_estimand(res, qv, scm)
             want = oc.interventional_kernel(scm, B, outputs=sorted(got.outputs))
-            match = _kernels_agree(got, want)
+            match = oc.kernels_agree(got, want)
             report.update({
                 "verdict": "MATCH" if match else "MISMATCH",
                 "estimand": format_estimand(res),

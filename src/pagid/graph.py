@@ -240,9 +240,6 @@ class MixedGraph:
 
     # -- structural edits (return new graphs) ------------------------------
 
-    def with_edges(self, extra) -> "MixedGraph":
-        return MixedGraph(self._nodes, set(self._edges) | set(extra))
-
     def edit(self, kinds=None, drop=(), add=()) -> "MixedGraph":
         """One new graph with the node kinds in ``kinds`` set (new ids add
         nodes), the edges in ``drop`` removed and those in ``add`` added, in
@@ -528,13 +525,6 @@ def buckets(g: MixedGraph, D) -> list[tuple[str, ...]]:
     for v in D:
         groups.setdefault(find(v), []).append(v)
     return [tuple(sorted(groups[r])) for r in sorted(groups)]
-
-
-def bucket_of(g: MixedGraph, D, b: str) -> tuple[str, ...]:
-    for bu in buckets(g, D):
-        if b in bu:
-            return bu
-    raise KeyError(b)
 
 
 def _is_visible(g: MixedGraph, a: str, b: str) -> bool:

@@ -42,6 +42,7 @@ from .graph import (
     validate,
 )
 from .manipulate import (
+    _infer_class,
     _plain,
     hard_manipulate,
     is_visible,
@@ -52,19 +53,6 @@ from .represent import canonical_isadmg, mag_of, split_id, _witness_pool
 from .separate import id_separated
 
 
-def _graph_class(g: MixedGraph) -> GraphClass:
-    """Class used for manipulations: ADMG when latent/selection nodes or
-    parallel edges are present, PAG when circles are, MAG otherwise."""
-    if g.latents or g.selections:
-        return GraphClass.ADMG
-    for e in g.edges:
-        if CIRCLE in (e.mark_a, e.mark_b):
-            return GraphClass.PAG
-    if validate(g, GraphClass.MAG):
-        return GraphClass.ADMG
-    return GraphClass.MAG
-
-
 def _reading(g, cls: GraphClass | None):
     """The graph and class an entry point works on.  Without a class, a
     graph with explicit latent or selection nodes is read through its MAG,
@@ -73,11 +61,11 @@ def _reading(g, cls: GraphClass | None):
     g = _plain(g)
     if cls is None and (g.latents or g.selections):
         g = mag_of(g)
-    return g, cls or _graph_class(g)
+    return g, cls or _infer_class(g)
 
 
 def _check_sopag(p: MixedGraph):
-    problems = validate(p, _graph_class(p))
+    problems = validate(p, _infer_class(p))
     if problems:
         raise ValueError("invalid input graph: " + "; ".join(problems))
 
@@ -313,7 +301,7 @@ def build_tree(C, p, cls: GraphClass | None = None) -> AssemblyTree:
     """Recursive region decomposition of C within p: split off the region of
     an eligible bucket, decompose both parts, and join."""
     p = _plain(p)
-    dv = (cls or _graph_class(p)) is GraphClass.ADMG
+    dv = (cls or _infer_class(p)) is GraphClass.ADMG
     C = frozenset(C)
     for bu in buckets(p, C):
         if frozenset(bu) == C:
@@ -371,7 +359,7 @@ def attach_kernel(tree: AssemblyTree, V, q, p, cls: GraphClass | None = None) ->
     bottom-up: leaves by iterated fixing, internal nodes by the assembly
     product of their children."""
     p = _plain(p)
-    dv = (cls or _graph_class(p)) is GraphClass.ADMG
+    dv = (cls or _infer_class(p)) is GraphClass.ADMG
     V = frozenset(V)
     out = {}
 
@@ -760,10 +748,11 @@ def _anterior_violation(p: MixedGraph, A, B):
     not a visible directed edge, as a node list; None if all such paths
     start with visible directed edges."""
     A, B = set(A), set(B)
+    blocked = B | set(p.inputs)  # an input has no ancestors
     for b in sorted(B):
         starts = []
         for w, mb, mw, e in p.edges_at(b):
-            if mb is ARROW or w in B:
+            if mb is ARROW or w in blocked:
                 continue
             if mb is TAIL and mw is ARROW and is_visible(p, b, w):
                 continue
@@ -784,7 +773,7 @@ def _anterior_violation(p: MixedGraph, A, B):
                     path.append(parent[path[-1]][0])
                 return list(reversed(path))
             for w, mv, _mw, e in p.edges_at(v):
-                if mv is ARROW or w in B or w == b or w in parent:
+                if mv is ARROW or w in blocked or w == b or w in parent:
                     continue
                 parent[w] = (v, e)
                 queue.append(w)
@@ -928,16 +917,14 @@ def hedge_witness(p, A, B, cert):
     the target pair extended by the non-separated selection nodes.  A graph
     with latent or selection nodes is read through its MAG, as sidp reads
     it without a class."""
-    p, _cls = _reading(p, None)
+    p, cls = _reading(p, None)
     if not isinstance(cert, FailCertificate):
         raise ValueError("hedge witness needs a failure certificate")
     A, B = frozenset(A), frozenset(B)
     V = set(p.outputs)
     if not (cert.C <= cert.T <= V):
         raise ValueError("certificate does not match the graph")
-    has_circles = any(
-        CIRCLE in (e.mark_a, e.mark_b) for e in p.edges
-    )
+    has_circles = cls is GraphClass.PAG
     viol = _anterior_violation(p, A, B)
     direct = None
     if viol is not None:

@@ -18,6 +18,7 @@ from .graph import (
     _is_visible,
     format_graph,
     parse_graph_with_headers,
+    validate,
 )
 
 REGIME_PREFIX = "I__"
@@ -49,11 +50,6 @@ class ManipulatedGraph:
     def regime_ids(self) -> tuple[str, ...]:
         return tuple(i for _, i in self.regime_nodes)
 
-    def original_inputs(self) -> tuple[str, ...]:
-        """Input nodes of the unmanipulated graph."""
-        skip = set(self.regime_ids) | set(self.hard_targets)
-        return tuple(v for v in self.graph.inputs if v not in skip)
-
 
 def _plain(g) -> MixedGraph:
     """The graph under a manipulation's bookkeeping, or g itself."""
@@ -77,12 +73,19 @@ def is_visible(g: MixedGraph, a: str, b: str) -> bool:
     return _visible_cached(_plain(g), a, b)
 
 
-def _check_regime_collision(g: MixedGraph):
-    for v in g.node_ids:
+def _check_unmanipulated(mg: ManipulatedGraph, cls: GraphClass):
+    """A graph entering its first manipulation must be valid under the
+    class it is manipulated as and keep clear of the regime-node names."""
+    if mg.regime_nodes or mg.hard_targets:
+        return
+    for v in mg.graph.node_ids:
         if v.startswith(REGIME_PREFIX):
             raise ValueError(
                 f"node id {v!r} collides with the regime-node namespace"
             )
+    problems = validate(mg.graph, cls)
+    if problems:
+        raise ValueError("invalid input graph: " + "; ".join(problems))
 
 
 def soft_manipulate(g, D, cls: GraphClass | None = None) -> ManipulatedGraph:
@@ -95,8 +98,7 @@ def soft_manipulate(g, D, cls: GraphClass | None = None) -> ManipulatedGraph:
     mg = as_manipulated(g, cls or _infer_class(g))
     if cls is None:
         cls = mg.base_class
-    if not mg.regime_nodes and not mg.hard_targets:
-        _check_regime_collision(mg.graph)
+    _check_unmanipulated(mg, cls)
     graph = mg.graph
     existing = mg.regime_map
     new_regimes = list(mg.regime_nodes)
@@ -167,8 +169,7 @@ def hard_manipulate(g, T, cls: GraphClass | None = None) -> ManipulatedGraph:
     mg = as_manipulated(g, cls or _infer_class(g))
     if cls is None:
         cls = mg.base_class
-    if not mg.regime_nodes and not mg.hard_targets:
-        _check_regime_collision(mg.graph)
+    _check_unmanipulated(mg, cls)
     graph = mg.graph
     T = sorted(set(T))
     for t in T:
@@ -219,12 +220,16 @@ def manipulate(g, D=(), T=(), cls: GraphClass | None = None) -> ManipulatedGraph
 
 
 def _infer_class(g) -> GraphClass:
+    """The class a graph is read as when none is given: a manipulation's
+    base class; ADMG with latent or selection nodes; PAG with circle marks;
+    MAG for a valid MAG; ADMG otherwise."""
     if isinstance(g, ManipulatedGraph):
         return g.base_class
-    for e in g.edges:
-        if CIRCLE in (e.mark_a, e.mark_b):
-            return GraphClass.PAG
-    return GraphClass.MAG
+    if g.latents or g.selections:
+        return GraphClass.ADMG
+    if any(CIRCLE in (e.mark_a, e.mark_b) for e in g.edges):
+        return GraphClass.PAG
+    return GraphClass.ADMG if validate(g, GraphClass.MAG) else GraphClass.MAG
 
 
 # -- serialization -----------------------------------------------------------

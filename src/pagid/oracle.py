@@ -263,20 +263,28 @@ class Kernel:
     def __eq__(self, other):
         if not isinstance(other, Kernel):
             return NotImplemented
-        if set(self.context) != set(other.context):
-            return False
-        if set(self.outputs) != set(other.outputs):
-            return False
-        names = self.context + self.outputs
-        for ctx in _assignments(self.domains, self.context):
-            for out in _assignments(self.domains, self.outputs):
-                a = dict(zip(names, ctx + out))
-                if self.value(a) != other.value(a):
-                    return False
-        return True
+        return set(self.context) == set(other.context) and kernels_agree(
+            self, other
+        )
 
     def __hash__(self):
-        return hash((self.context, self.outputs))
+        return hash((frozenset(self.context), frozenset(self.outputs)))
+
+
+def kernels_agree(got: Kernel, want: Kernel) -> bool:
+    """Whether got equals want on every assignment.  got may carry context
+    variables that want lacks, and must then not depend on them."""
+    if set(got.outputs) != set(want.outputs):
+        return False
+    if not set(want.context) <= set(got.context):
+        return False
+    names = got.context + got.outputs
+    for ctx in _assignments(got.domains, got.context):
+        for out in _assignments(got.domains, got.outputs):
+            a = dict(zip(names, ctx + out))
+            if got.value(a) != want.value(a):
+                return False
+    return True
 
 
 def kernel_product(kernels, domains, zero_rows: str = "error") -> Kernel:

@@ -111,7 +111,7 @@ def marginalize_latents(a: MixedGraph, drop=None) -> MixedGraph:
                 if e1.mark_at(l) is ARROW and e2.mark_at(l) is ARROW:
                     continue  # collider at the latent: nothing to splice
                 new_edges.append(Edge(x, mx, y, my))
-        a = a.without_nodes([l]).with_edges(new_edges)
+        a = a.without_nodes([l]).edit(add=new_edges)
     return a
 
 
@@ -227,7 +227,7 @@ def bidirected_witness(m: MixedGraph, a: str, b: str) -> MixedGraph:
         raise ValueError(f"no directed edge {a} --> {b}")
     if is_visible(m, a, b):
         raise ValueError(f"{a} --> {b} is visible; no bidirected witness")
-    w = canonical_isadmg(m).with_edges([Edge(a, ARROW, b, ARROW)])
+    w = canonical_isadmg(m).edit(add=[Edge(a, ARROW, b, ARROW)])
     assert mag_of(w) == m
     return w
 
@@ -266,7 +266,7 @@ def _witness_pool(m: MixedGraph):
     seen = set()
     for k in (1, 2):
         for combo in itertools.combinations(singles, k):
-            cand = base.with_edges(combo)
+            cand = base.edit(add=combo)
             if cand in seen:
                 continue
             seen.add(cand)

@@ -6,64 +6,24 @@ must be ancestors of it.  The asymmetric id-separation refines this for
 graphs with input and regime nodes: a walk counts as connecting when it
 ends in the second set, an input node, a regime node, or a hard target, and
 collider openings distinguish definite ancestry from potential ancestry
-depending on whether regime nodes take part in the triple.
+depending on whether regime nodes take part in the triple.  Both are one
+breadth-first walk search with a different rule for passing a node.
 """
 
 from __future__ import annotations
 
 from collections import deque
 
-from .graph import ARROW, CIRCLE, INPUT, OUTPUT, TAIL, MixedGraph
+from .graph import ARROW, CIRCLE, OUTPUT, TAIL
 from .manipulate import ManipulatedGraph, _plain
 
 
-def _regime_ids(g) -> set:
-    if isinstance(g, ManipulatedGraph):
-        return set(g.regime_ids)
-    return set()
-
-
-def _triple_open(
-    m_in,
-    m_out,
-    v,
-    prev_regime,
-    next_regime,
-    v_regime,
-    shielded,
-    cond,
-    anc_cond,
-    poan_cond,
-):
-    """Whether a walk may pass through v, entering with mark m_in at v and
-    leaving with mark m_out at v."""
-    if m_in is TAIL or m_out is TAIL:
-        return v not in cond
-    if m_in is CIRCLE and m_out is CIRCLE:
-        return v not in cond and not shielded
-    if m_in is ARROW and m_out is ARROW:
-        if prev_regime or next_regime or v_regime:
-            return v in poan_cond
-        return v in anc_cond
-    if m_in is CIRCLE and m_out is ARROW:
-        return prev_regime and v in poan_cond
-    if m_in is ARROW and m_out is CIRCLE:
-        return next_regime and v in poan_cond
-    return False
-
-
-def open_walk(g, A, B, C):
-    """Shortest id-open walk from A to the connecting targets, as a list of
-    (node, edge-to-next) steps ending with (node, None); None if separated."""
-    graph = _plain(g)
-    regimes = _regime_ids(g)
-    A = set(A)
-    cond = set(C)
-    targets = set(B) | {v for v in graph.node_ids if graph.kind(v) is INPUT}
-    anc_cond = graph.ancestors(cond)
-    cond_v = {c for c in cond if graph.has_node(c) and graph.kind(c) is OUTPUT}
-    poan_cond = graph.possible_ancestors(cond_v)
-
+def _walk(graph, A, targets, cond, passes):
+    """Shortest walk from A to a target outside cond, as a list of
+    (node, edge-to-next) steps ending with (node, None); None if there is
+    none.  passes(prev, m_in, v, m_out, w) decides whether a walk that
+    enters v from prev with mark m_in at v may leave it towards w with mark
+    m_out at v."""
     # state: (node, incoming edge or None at a start node)
     start_states = []
     for a in sorted(A):
@@ -75,30 +35,15 @@ def open_walk(g, A, B, C):
             return [(a, None)]
         start_states.append((a, None))
 
-    parent = {s: None for s in start_states}
+    parent = dict.fromkeys(start_states)
     queue = deque(start_states)
     while queue:
         state = queue.popleft()
         v, e_in = state
-        m_in = e_in.mark_at(v) if e_in is not None else None
-        prev = e_in.other(v) if e_in is not None else None
-        for w, m_v, _m_w, e_out in graph.edges_at(v):
-            if e_in is None:
-                ok = True
-            else:
-                ok = _triple_open(
-                    m_in,
-                    m_v,
-                    v,
-                    prev in regimes,
-                    w in regimes,
-                    v in regimes,
-                    graph.adjacent(prev, w),
-                    cond,
-                    anc_cond,
-                    poan_cond,
-                )
-            if not ok:
+        if e_in is not None:
+            prev, m_in = e_in.other(v), e_in.mark_at(v)
+        for w, m_out, _m_w, e_out in graph.edges_at(v):
+            if e_in is not None and not passes(prev, m_in, v, m_out, w):
                 continue
             nxt = (w, e_out)
             if nxt in parent:
@@ -106,16 +51,44 @@ def open_walk(g, A, B, C):
             parent[nxt] = state
             if w in targets and w not in cond:
                 walk = [(w, None)]
-                cur = nxt
-                while cur is not None:
-                    node, edge = cur
+                while nxt is not None:
+                    node, edge = nxt
                     if edge is not None:
                         walk.append((edge.other(node), edge))
-                    cur = parent[cur]
+                    nxt = parent[nxt]
                 walk.reverse()
                 return walk
             queue.append(nxt)
     return None
+
+
+def open_walk(g, A, B, C):
+    """Shortest id-open walk from A to the connecting targets, as a list of
+    (node, edge-to-next) steps ending with (node, None); None if separated."""
+    graph = _plain(g)
+    regimes = set(g.regime_ids) if isinstance(g, ManipulatedGraph) else set()
+    cond = set(C)
+    targets = set(B) | set(graph.inputs)
+    anc_cond = graph.ancestors(cond)
+    cond_v = {c for c in cond if graph.has_node(c) and graph.kind(c) is OUTPUT}
+    poan_cond = graph.possible_ancestors(cond_v)
+
+    def passes(prev, m_in, v, m_out, w):
+        if m_in is TAIL or m_out is TAIL:
+            return v not in cond
+        if m_in is CIRCLE and m_out is CIRCLE:
+            return v not in cond and not graph.adjacent(prev, w)
+        if m_in is ARROW and m_out is ARROW:
+            if prev in regimes or w in regimes or v in regimes:
+                return v in poan_cond
+            return v in anc_cond
+        if m_in is CIRCLE and m_out is ARROW:
+            return prev in regimes and v in poan_cond
+        if m_in is ARROW and m_out is CIRCLE:
+            return w in regimes and v in poan_cond
+        return False
+
+    return _walk(graph, A, targets, cond, passes)
 
 
 def id_separated(g, A, B, C=()) -> bool:
@@ -124,58 +97,23 @@ def id_separated(g, A, B, C=()) -> bool:
     return open_walk(g, A, B, C) is None
 
 
-def _m_walk(graph: MixedGraph, A, B, C):
-    """Shortest m-open walk between A and B given C, or None."""
-    A, B, cond = set(A), set(B), set(C)
-    anc_cond = graph.ancestors(cond)
-    start_states = []
-    for a in sorted(A):
-        if not graph.has_node(a):
-            raise KeyError(a)
-        if a in cond:
-            continue
-        if a in B:
-            return [(a, None)]
-        start_states.append((a, None))
-    parent = {s: None for s in start_states}
-    queue = deque(start_states)
-    while queue:
-        state = queue.popleft()
-        v, e_in = state
-        m_in = e_in.mark_at(v) if e_in is not None else None
-        for w, m_v, _m_w, e_out in graph.edges_at(v):
-            if e_in is not None:
-                collider = m_in is ARROW and m_v is ARROW
-                if collider:
-                    if v not in anc_cond:
-                        continue
-                elif v in cond:
-                    continue
-            nxt = (w, e_out)
-            if nxt in parent:
-                continue
-            parent[nxt] = state
-            if w in B and w not in cond:
-                walk = [(w, None)]
-                cur = nxt
-                while cur is not None:
-                    node, edge = cur
-                    if edge is not None:
-                        walk.append((edge.other(node), edge))
-                    cur = parent[cur]
-                walk.reverse()
-                return walk
-            queue.append(nxt)
-    return None
-
-
 def m_open_walk(g, A, B, C=()):
-    return _m_walk(_plain(g), A, B, C)
+    """Shortest m-open walk between A and B given C, or None."""
+    graph = _plain(g)
+    cond = set(C)
+    anc_cond = graph.ancestors(cond)
+
+    def passes(prev, m_in, v, m_out, w):
+        if m_in is ARROW and m_out is ARROW:
+            return v in anc_cond
+        return v not in cond
+
+    return _walk(graph, A, set(B), cond, passes)
 
 
 def d_separated(g, A, B, C=()) -> bool:
     """Classical symmetric m-separation (no circle marks expected)."""
-    return _m_walk(_plain(g), A, B, C) is None
+    return m_open_walk(g, A, B, C) is None
 
 
 def walk_nodes(walk):

@@ -156,24 +156,6 @@ def anteriors_oracle(g, X):
     )
 
 
-def kernel_matches(got, want):
-    """Whether got equals want after discarding context variables that got
-    carries but want does not (got must then not depend on them)."""
-    if set(want.context) - set(got.context):
-        return False
-    if set(got.outputs) != set(want.outputs):
-        return False
-    names = got.context + got.outputs
-    from pagid.oracle import _assignments
-
-    for ctx in _assignments(got.domains, got.context):
-        for out in _assignments(got.domains, got.outputs):
-            a = dict(zip(names, ctx + out))
-            if got.value(a) != want.value(a):
-                return False
-    return True
-
-
 def fixing_identifiable(g, S):
     """Independent check that the factor of S is reachable by iterated
     fixing in the directed-mixed graph g: repeatedly remove a node outside

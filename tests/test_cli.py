@@ -6,7 +6,8 @@ import pytest
 from click.testing import CliRunner
 
 from pagid.cli import main
-from pagid.graph import parse_graph
+from pagid.graph import ARROW, TAIL, parse_graph
+from pagid.manipulate import parse_manipulated
 from pagid.represent import mag_of
 from pagid import oracle as oc
 
@@ -21,6 +22,24 @@ BACKDOOR = (
 VISIBLE = (
     "node a output\nnode b output\nnode c1 output\n"
     "edge c1 <-> a\nedge a --> b\n"
+)
+# not a valid MAG: v0 <-> v2 with v0 an ancestor of v2
+NOT_MAG = (
+    "node v0 output\nnode v1 output\nnode v2 output\nnode v4 output\n"
+    "edge v0 <-> v2\nedge v0 --> v4\nedge v1 --> v2\nedge v1 <-> v4\n"
+    "edge v4 --> v2\n"
+)
+LATENT_BOW = (
+    "node a output\nnode b output\nnode l latent\n"
+    "edge l --> a\nedge l --> b\nedge a --> b\n"
+)
+# a PAG whose input node has --o edges
+INPUT_PAG = (
+    "node i0 input\nnode v0 output\nnode v1 output\nnode v2 output\n"
+    "node v3 output\nnode v4 output\n"
+    "edge i0 --o v0\nedge i0 --o v1\nedge i0 --> v3\nedge v0 o-o v1\n"
+    "edge v0 --o v2\nedge v0 --o v4\nedge v1 --> v3\nedge v2 o-o v4\n"
+    "edge v4 --> v3\n"
 )
 
 
@@ -110,6 +129,38 @@ class TestGraphCommands:
         assert r.exit_code == 0
         data = json.loads(r.output)
         assert data["soft"] == ["a"] and data["hard"] == []
+
+    @staticmethod
+    def regime_edges(output, targets):
+        g = parse_manipulated(output).graph
+        return {d: [(w, mi, mw) for w, mi, mw, _ in g.edges_at("I__" + d)]
+                for d in targets}
+
+    def test_manipulate_reads_a_graph_that_is_no_mag_as_admg(
+            self, runner, tmp_path):
+        f = write(tmp_path, "g.txt", NOT_MAG)
+        r = runner.invoke(main, ["manipulate", "--graph", f,
+                                 "--soft", "v0,v1,v4"])
+        assert r.exit_code == 0
+        assert self.regime_edges(r.output, ["v0", "v1", "v4"]) == {
+            d: [(d, TAIL, ARROW)] for d in ("v0", "v1", "v4")
+        }
+
+    def test_manipulate_rejects_a_graph_invalid_in_its_class(
+            self, runner, tmp_path):
+        f = write(tmp_path, "g.txt", NOT_MAG)
+        r = runner.invoke(main, ["manipulate", "--graph", f,
+                                 "--soft", "v0,v1,v4", "--class", "mag"])
+        assert r.exit_code == 2
+        assert "almost directed cycle" in r.output
+
+    def test_manipulate_reads_latent_graph_as_admg(self, runner, tmp_path):
+        f = write(tmp_path, "g.txt", LATENT_BOW)
+        r = runner.invoke(main, ["manipulate", "--graph", f, "--soft", "a"])
+        assert r.exit_code == 0
+        assert self.regime_edges(r.output, ["a"]) == {
+            "a": [("a", TAIL, ARROW)]
+        }
 
 
 class TestSep:
@@ -234,6 +285,13 @@ class TestIdentifyCommands:
         lines = r.output.splitlines()
         assert lines[0].startswith("FAIL")
         assert any(l.startswith("hedge: H={") for l in lines)
+
+    def test_hedge_witness_input_with_circle_edges(self, runner, tmp_path):
+        f = write(tmp_path, "g.txt", INPUT_PAG)
+        r = runner.invoke(main, ["hedge-witness", "--graph", f, "--a", "v3",
+                                 "--b", "v0"])
+        assert r.exit_code == 0
+        assert "hedge: H={v0,v1} H'={v1} R={v1}" in r.output.splitlines()
 
     def test_hedge_witness_identifiable(self, runner, tmp_path):
         f = write(tmp_path, "g.txt", VISIBLE)

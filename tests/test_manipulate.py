@@ -16,6 +16,7 @@ from pagid.graph import (
 )
 from pagid.manipulate import (
     ManipulatedGraph,
+    _infer_class,
     format_manipulated,
     hard_manipulate,
     is_visible,
@@ -287,3 +288,59 @@ class TestSerialization:
         assert back.graph == g.graph
         assert back.soft_targets == g.soft_targets
         assert back.hard_targets == g.hard_targets
+
+
+class TestClassInference:
+    """Without a class, a graph is manipulated as the class it is read as:
+    a manipulation's base class, ADMG with latent or selection nodes, PAG
+    with circle marks, MAG if it is a valid MAG, ADMG otherwise."""
+
+    BOW = (
+        "node a output\nnode b output\nnode l latent\n"
+        "edge l --> a\nedge l --> b\nedge a --> b\n"
+    )
+    # v0 <-> v2 with v0 an ancestor of v2
+    NOT_MAG = (
+        "node v0 output\nnode v1 output\nnode v2 output\nnode v4 output\n"
+        "edge v0 <-> v2\nedge v0 --> v4\nedge v1 --> v2\nedge v1 <-> v4\n"
+        "edge v4 --> v2\n"
+    )
+
+    def test_reading_rules(self):
+        bow, not_mag = parse_graph(self.BOW), parse_graph(self.NOT_MAG)
+        selected = parse_graph(
+            "node a output\nnode s selection\nedge a --> s\n"
+        )
+        pag = parse_graph("node a output\nnode b output\nedge a o-> b\n")
+        mag = parse_graph("node a output\nnode b output\nedge a --> b\n")
+        assert _infer_class(bow) is GraphClass.ADMG
+        assert _infer_class(selected) is GraphClass.ADMG
+        assert _infer_class(pag) is GraphClass.PAG
+        assert _infer_class(mag) is GraphClass.MAG
+        assert _infer_class(not_mag) is GraphClass.ADMG
+        assert _infer_class(soft_manipulate(mag, ["a"], GraphClass.ADMG)) is (
+            GraphClass.ADMG
+        )
+
+    def test_latent_graph_gains_only_the_regime_edge(self):
+        g = soft_manipulate(parse_graph(self.BOW), ["a"]).graph
+        assert [(w, mi, mw) for w, mi, mw, _ in g.edges_at("I__a")] == [
+            ("a", TAIL, ARROW)
+        ]
+
+    def test_graph_that_is_no_mag_is_manipulated_as_admg(self):
+        mg = manipulate(parse_graph(self.NOT_MAG), ["v0", "v1", "v4"])
+        assert mg.base_class is GraphClass.ADMG
+        for d in ("v0", "v1", "v4"):
+            assert [w for w, *_ in mg.graph.edges_at(regime_id(d))] == [d]
+
+    def test_invalid_graph_is_rejected_in_its_class(self):
+        g = parse_graph(self.NOT_MAG)
+        for op in (soft_manipulate, hard_manipulate):
+            with pytest.raises(ValueError, match="almost directed cycle"):
+                op(g, ["v0"], GraphClass.MAG)
+        with pytest.raises(ValueError, match="undirected edge"):
+            hard_manipulate(
+                parse_graph("node a output\nnode b output\nedge a --- b\n"),
+                ["a"], GraphClass.ADMG,
+            )

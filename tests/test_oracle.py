@@ -23,13 +23,14 @@ from pagid.oracle import (
     interventional_kernel,
     kernel_compose,
     kernel_product,
+    kernels_agree,
     observational_kernel,
     parse_scm,
     random_scm,
     _joint_full,
     _joint_ve,
 )
-from helpers import kernel_matches, rand_isadmg
+from helpers import rand_isadmg
 
 CHAIN_SCM = """
 var a
@@ -178,6 +179,34 @@ class TestKernelAlgebra:
         k2 = observational_kernel(chain()).condition(("a",))
         assert k1 == k2
         assert k1 != self.qv
+
+    def test_equal_kernels_hash_alike(self):
+        # the same kernel of c given a and b, with the context listed in
+        # either order
+        dom = {"a": 2, "b": 2, "c": 2}
+        p = {(0, 0): 1, (0, 1): 2, (1, 0): 3, (1, 1): 4}
+        rows = {
+            ctx: {(1,): Fraction(n, 5), (0,): Fraction(5 - n, 5)}
+            for ctx, n in p.items()
+        }
+        k1 = Kernel(("a", "b"), ("c",), dom, rows)
+        k2 = Kernel(("b", "a"), ("c",), dom,
+                    {(b, a): row for (a, b), row in rows.items()})
+        assert k1 == k2 and hash(k1) == hash(k2)
+        assert len({k1, k2}) == 1
+
+    def test_agreement_allows_unused_extra_context(self):
+        dom = {"a": 2, "b": 2}
+        half = {(0,): Fraction(1, 2), (1,): Fraction(1, 2)}
+        want = Kernel((), ("b",), dom, {(): half})
+        got = Kernel(("a",), ("b",), dom, {(0,): half, (1,): half})
+        assert kernels_agree(got, want)
+        assert not kernels_agree(want, got)
+        assert got != want
+        skewed = Kernel(("a",), ("b",), dom, {
+            (0,): half, (1,): {(0,): Fraction(1, 4), (1,): Fraction(3, 4)},
+        })
+        assert not kernels_agree(skewed, want)
 
     def test_check_rejects_bad_tables(self):
         with pytest.raises(ScmError):

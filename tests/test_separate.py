@@ -1,13 +1,18 @@
 """Tests for the separation criteria.
 
 The m-separation checker is validated against a slow simple-path
-enumeration.  The asymmetric criterion is validated on worked examples and
-against m-separation in the regimes where the two provably coincide.
+enumeration and against networkx d-separation.  The asymmetric criterion
+is validated on worked examples and against m-separation in the regimes
+where the two provably coincide.  Both searches are checked to return
+walks that are walks of the graph from A to a target.
 """
 
 import random
 
-from pagid.graph import ARROW, GraphClass, parse_graph
+import networkx as nx
+from hypothesis import given, settings, strategies as st
+
+from pagid.graph import ARROW, OUTPUT, TAIL, Edge, GraphClass, MixedGraph, parse_graph
 from pagid.manipulate import hard_manipulate, manipulate, soft_manipulate
 from pagid.represent import mag_of
 from pagid.separate import (
@@ -236,3 +241,97 @@ class TestIdReducesToMSep:
         assert open_walk(g, ["a"], ["b"], ["a"]) is None
         assert open_walk(g, ["a"], ["b"], ["b"]) is None
         assert walk_nodes(open_walk(g, ["a"], ["b"], [])) == ["a", "b"]
+
+
+@st.composite
+def admg_queries(draw):
+    """A random ADMG on 2-7 outputs, each pair joined by nothing (most
+    often), a directed edge up the node order, a bidirected edge, or both,
+    with disjoint A, B and C drawn from its nodes (A and B non-empty)."""
+    names = [f"v{i}" for i in range(draw(st.integers(2, 7)))]
+    edges = []
+    for i, x in enumerate(names):
+        for y in names[i + 1:]:
+            kind = draw(st.sampled_from(["", "", "", "", "d", "d", "b", "db"]))
+            if "d" in kind:
+                edges.append(Edge(x, TAIL, y, ARROW))
+            if "b" in kind:
+                edges.append(Edge(x, ARROW, y, ARROW))
+    g = MixedGraph(dict.fromkeys(names, OUTPUT), edges)
+    roles = draw(st.lists(st.sampled_from("-abc"), min_size=len(names),
+                          max_size=len(names))
+                 .filter(lambda r: "a" in r and "b" in r))
+    A, B, C = ([v for v, r in zip(names, roles) if r == k] for k in "abc")
+    return g, A, B, C
+
+
+def latent_projection_dag(g):
+    """The DAG that replaces each x <-> y of g with a fresh latent parent."""
+    dag = nx.DiGraph()
+    dag.add_nodes_from(g.node_ids)
+    for i, e in enumerate(sorted(g.edges, key=lambda e: e.sort_key())):
+        if e.mark_a is ARROW and e.mark_b is ARROW:
+            dag.add_edges_from([(f"L{i}", e.a), (f"L{i}", e.b)])
+        else:
+            tail = e.a if e.mark_a is TAIL else e.b
+            dag.add_edge(tail, e.other(tail))
+    return dag
+
+
+@st.composite
+def manipulated_queries(draw):
+    """A random isADMG read as an ADMG or through its MAG, soft manipulated
+    on some outputs and hard on others, with A, B and C drawn from the
+    nodes of the result."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = rand_isadmg(rng, n_out=draw(st.integers(2, 5)),
+                    n_sel=draw(st.integers(0, 1)),
+                    n_lat=draw(st.integers(0, 1)),
+                    n_in=draw(st.integers(0, 1)))
+    cls = draw(st.sampled_from([GraphClass.ADMG, GraphClass.MAG]))
+    if cls is GraphClass.MAG:
+        g = mag_of(g)
+    outs = g.outputs
+    acts = draw(st.lists(st.sampled_from("-st"), min_size=len(outs),
+                         max_size=len(outs)))
+    D = [v for v, r in zip(outs, acts) if r == "s"]
+    T = [v for v, r in zip(outs, acts) if r == "t"]
+    mg = manipulate(g, D, T, cls)
+    names = mg.graph.node_ids
+    roles = draw(st.lists(st.sampled_from("-abc"), min_size=len(names),
+                          max_size=len(names))
+                 .filter(lambda r: "a" in r and "b" in r))
+    A, B, C = ([v for v, r in zip(names, roles) if r == k] for k in "abc")
+    return mg, A, B, C
+
+
+def assert_walk(graph, walk, A, targets, C):
+    """walk starts in A, ends in a target, avoids C at both ends, and joins
+    each pair of consecutive nodes by the edge it reports."""
+    assert walk[0][0] in A and walk[0][0] not in C
+    assert walk[-1] == (walk[-1][0], None)
+    assert walk[-1][0] in targets and walk[-1][0] not in C
+    for (v, e), (w, _) in zip(walk, walk[1:]):
+        assert e in graph.edges and {e.a, e.b} == {v, w} and v != w
+
+
+class TestWalkSearch:
+    @settings(max_examples=300)
+    @given(admg_queries())
+    def test_d_separation_matches_networkx(self, case):
+        g, A, B, C = case
+        want = nx.is_d_separator(latent_projection_dag(g), set(A), set(B),
+                                 set(C))
+        assert d_separated(g, A, B, C) == want
+
+    @given(manipulated_queries())
+    def test_walks_are_walks_of_the_graph(self, case):
+        mg, A, B, C = case
+        graph = mg.graph
+        walk = open_walk(mg, A, B, C)
+        if walk is not None:
+            assert_walk(graph, walk, A, set(B) | set(graph.inputs), C)
+        walk = m_open_walk(mg, A, B, C)
+        assert (walk is None) == d_separated(mg, A, B, C)
+        if walk is not None:
+            assert_walk(graph, walk, A, B, C)
