@@ -544,7 +544,8 @@ def pipeline_cmd(scm_file, a_set, b_set, as_json):
         with open(scm_file) as fh:
             scm = oc.parse_scm(fh.read())
         A, B = _split(a_set), _split(b_set)
-        p = run_fci(distribution_oracle(scm))
+        orc = distribution_oracle(scm)
+        p = run_fci(orc)
         res = sidp(p, A, B)
         report = {"schema": 1, "graph": _graph_json(p)}
         if isinstance(res, FailCertificate):
@@ -556,8 +557,7 @@ def pipeline_cmd(scm_file, a_set, b_set, as_json):
                           "R": sorted(h.R)},
             })
         else:
-            qv = oc.observational_kernel(scm)
-            got = oc.eval_estimand(res, qv, scm)
+            got = oc.eval_estimand(res, orc.kernel, scm)
             want = oc.interventional_kernel(scm, B, outputs=sorted(got.outputs))
             match = oc.kernels_agree(got, want)
             report.update({

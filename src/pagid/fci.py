@@ -14,6 +14,7 @@ independence in a discrete model.
 from __future__ import annotations
 
 import itertools
+from fractions import Fraction
 
 from .graph import (
     ARROW,
@@ -108,36 +109,29 @@ class distribution_oracle(IndependenceOracle):
     def _input_invariant(self, ins, tgt, giv):
         """Whether the conditional of tgt given giv is the same for every
         value of the input variables ins (other inputs held fixed)."""
+        from . import oracle as oc
+
         k = self.kernel
-        idx = {v: i for i, v in enumerate(k.context)}
-        drop = [idx[v] for v in ins]
-        groups = {}
+        drop = {k.context.index(v) for v in ins}
+        pos = {v: i for i, v in enumerate(k.outputs)}
+        ig, it = [pos[v] for v in giv], [pos[v] for v in tgt]
+        seen = {}
         for ctx, row in k.table.items():
-            # conditional distribution of tgt given each giv assignment
+            # integer weights of tgt for each giv assignment
             joint = {}
-            for vals, p in row.items():
-                if not p:
+            for vals, w in oc._integer_row(row).items():
+                if not w:
                     continue
-                a = dict(zip(k.outputs, vals))
-                key = tuple(a[v] for v in giv)
-                sub = joint.setdefault(key, {})
-                t = tuple(a[v] for v in tgt)
-                sub[t] = sub.get(t, 0) + p
-            conds = {}
+                sub = joint.setdefault(tuple(vals[i] for i in ig), {})
+                t = tuple(vals[i] for i in it)
+                sub[t] = sub.get(t, 0) + w
+            reduced = tuple(v for i, v in enumerate(ctx) if i not in drop)
+            conds = seen.setdefault(reduced, {})
             for key, sub in joint.items():
                 tot = sum(sub.values())
-                conds[key] = {t: p / tot for t, p in sub.items()}
-            reduced = tuple(
-                v for i, v in enumerate(ctx) if i not in drop
-            )
-            groups.setdefault(reduced, []).append(conds)
-        for members in groups.values():
-            seen = {}
-            for conds in members:
-                for key, dist in conds.items():
-                    if key in seen and seen[key] != dist:
-                        return False
-                    seen.setdefault(key, dist)
+                dist = {t: Fraction(w, tot) for t, w in sub.items()}
+                if conds.setdefault(key, dist) != dist:
+                    return False
         return True
 
 

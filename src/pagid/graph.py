@@ -124,6 +124,12 @@ class GraphClass(Enum):
     PAG = "pag"
 
 
+def as_class(cls):
+    """None, or cls as a GraphClass: a value such as "mag" is converted and
+    an unknown one raises ValueError."""
+    return cls if cls is None or isinstance(cls, GraphClass) else GraphClass(cls)
+
+
 class MixedGraph:
     """Immutable mixed graph. Raw/ADMG graphs may carry parallel edges between
     a pair (e.g. both a --> b and a <-> b); MAG/PAG validation rejects that."""
@@ -391,6 +397,8 @@ def validate(g: MixedGraph, cls: GraphClass) -> list[str]:
     """Check the invariants of the requested graph class; empty list = valid.
     The problems are found once per graph and class, and each call gets
     its own copy of the list."""
+    if not isinstance(cls, GraphClass):
+        cls = GraphClass(cls)
     found = g._problems.get(cls)
     if found is None:
         found = g._problems[cls] = tuple(_problems(g, cls))

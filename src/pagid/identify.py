@@ -35,6 +35,7 @@ from .graph import (
     TAIL,
     Edge,
     MixedGraph,
+    as_class,
     bucket_topological_order,
     buckets,
     pc_component_set,
@@ -58,7 +59,7 @@ def _reading(g, cls: GraphClass | None):
     graph with explicit latent or selection nodes is read through its MAG,
     so that those nodes are not ignored; an explicit class keeps the graph
     as given."""
-    g = _plain(g)
+    g, cls = _plain(g), as_class(cls)
     if cls is None and (g.latents or g.selections):
         g = mag_of(g)
     return g, cls or _infer_class(g)
@@ -301,7 +302,7 @@ def build_tree(C, p, cls: GraphClass | None = None) -> AssemblyTree:
     """Recursive region decomposition of C within p: split off the region of
     an eligible bucket, decompose both parts, and join."""
     p = _plain(p)
-    dv = (cls or _infer_class(p)) is GraphClass.ADMG
+    dv = (as_class(cls) or _infer_class(p)) is GraphClass.ADMG
     C = frozenset(C)
     for bu in buckets(p, C):
         if frozenset(bu) == C:
@@ -359,7 +360,7 @@ def attach_kernel(tree: AssemblyTree, V, q, p, cls: GraphClass | None = None) ->
     bottom-up: leaves by iterated fixing, internal nodes by the assembly
     product of their children."""
     p = _plain(p)
-    dv = (cls or _infer_class(p)) is GraphClass.ADMG
+    dv = (as_class(cls) or _infer_class(p)) is GraphClass.ADMG
     V = frozenset(V)
     out = {}
 

@@ -16,6 +16,7 @@ from .graph import (
     MixedGraph,
     OUTPUT,
     _is_visible,
+    as_class,
     format_graph,
     parse_graph_with_headers,
     validate,
@@ -95,6 +96,7 @@ def soft_manipulate(g, D, cls: GraphClass | None = None) -> ManipulatedGraph:
     graph and added in one build; on a valid MAG or PAG that equals adding
     them one at a time, as no indicator adds an arrowhead, undirected edge
     or visibility witness that the edge it copies did not already add."""
+    cls = as_class(cls)
     mg = as_manipulated(g, cls or _infer_class(g))
     if cls is None:
         cls = mg.base_class
@@ -166,6 +168,7 @@ def _soft_edges(g: MixedGraph, a: str, cls: GraphClass) -> list[Edge]:
 def hard_manipulate(g, T, cls: GraphClass | None = None) -> ManipulatedGraph:
     """Delete incoming arrowheads at the targets, turn them into inputs, and
     (for ancestral-graph classes) drop edges among inputs and targets."""
+    cls = as_class(cls)
     mg = as_manipulated(g, cls or _infer_class(g))
     if cls is None:
         cls = mg.base_class
@@ -211,6 +214,7 @@ def hard_manipulate(g, T, cls: GraphClass | None = None) -> ManipulatedGraph:
 
 def manipulate(g, D=(), T=(), cls: GraphClass | None = None) -> ManipulatedGraph:
     """Combined manipulation: soft on D, then hard on T."""
+    cls = as_class(cls)
     if set(D) & set(T):
         raise ValueError(f"overlapping targets {sorted(set(D) & set(T))}")
     mg = as_manipulated(g, cls or _infer_class(g))

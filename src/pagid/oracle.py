@@ -1,9 +1,11 @@
 """Exact discrete structural-causal-model engine.
 
-Everything in this module is computed in rational arithmetic
-(fractions.Fraction); there is no floating point and all equality checks
-are exact.  Selection variables are binary and the selection event is
-"value = 1" for every one of them.
+Everything in this module is exact; there is no floating point.  Each
+model scales every table to integer weights once (per variable, by the lcm
+of its denominators), so the joint weights of one context share a common
+scale and are summed as integers; kernels hold fractions.Fraction values
+in lowest terms.  Selection variables are binary and the selection event
+is "value = 1" for every one of them.
 
 Two independent computation paths produce interventional distributions: a
 full-joint enumeration (used while the state space is small) and a
@@ -14,6 +16,7 @@ other so either can serve as the reference.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -50,7 +53,8 @@ class ScmError(ValueError):
 class DiscreteSCM:
     """Finite-domain model: per-variable domain sizes, ordered parent lists
     and exact-rational conditional probability tables.  Input variables
-    have no table; they are context for every computed kernel."""
+    have no table; they are context for every computed kernel.  ``weights``
+    holds each table scaled to integers by the lcm of its denominators."""
 
     domains: dict
     kinds: dict
@@ -59,6 +63,15 @@ class DiscreteSCM:
 
     def __post_init__(self):
         self.check()
+        # integer tables, outside the dataclass fields (== and repr)
+        weights = {}
+        for v, rows in self.cpts.items():
+            scale = math.lcm(*(p.denominator for row in rows.values() for p in row))
+            weights[v] = {
+                k: tuple(p.numerator * (scale // p.denominator) for p in row)
+                for k, row in rows.items()
+            }
+        object.__setattr__(self, "weights", weights)
 
     def check(self):
         for v, n in self.domains.items():
@@ -97,22 +110,20 @@ class DiscreteSCM:
                     raise ScmError(f"table row of {v} has wrong width")
                 if sum(row) != 1:
                     raise ScmError(f"table row {key} of {v} sums to {sum(row)}")
-        # acyclicity over the functional parent relation
-        seen, stack = set(), set()
-
-        def visit(v):
-            if v in stack:
-                raise ScmError("cyclic parent relation")
-            if v in seen:
-                return
-            stack.add(v)
-            for p in self.parents.get(v, ()):
-                visit(p)
-            stack.discard(v)
-            seen.add(v)
-
+        # acyclicity over the functional parent relation (Kahn's algorithm)
+        indegree = {v: len(self.parents.get(v, ())) for v in self.domains}
+        children = {}
         for v in self.domains:
-            visit(v)
+            for p in self.parents.get(v, ()):
+                children.setdefault(p, []).append(v)
+        ready = [v for v, n in indegree.items() if n == 0]
+        for p in ready:  # grows while it is read
+            for v in children.get(p, ()):
+                indegree[v] -= 1
+                if indegree[v] == 0:
+                    ready.append(v)
+        if len(ready) < len(self.domains):
+            raise ScmError("cyclic parent relation")
 
     # -- convenience views --------------------------------------------------
 
@@ -134,22 +145,6 @@ class DiscreteSCM:
     @property
     def selections(self):
         return self.of_kind(SELECTION)
-
-    def topological(self):
-        order = []
-        seen = set()
-
-        def visit(v):
-            if v in seen:
-                return
-            seen.add(v)
-            for p in sorted(self.parents.get(v, ())):
-                visit(p)
-            order.append(v)
-
-        for v in sorted(self.domains):
-            visit(v)
-        return order
 
 
 def graph_of(scm: DiscreteSCM) -> MixedGraph:
@@ -342,22 +337,30 @@ def _state_space(scm, names):
     return size
 
 
+def _factors(scm, do):
+    """(variable, parents, integer table) for every non-input variable
+    that is not intervened on."""
+    return [
+        (v, scm.parents.get(v, ()), scm.weights[v])
+        for v in scm.domains
+        if scm.kinds[v] is not INPUT and v not in do
+    ]
+
+
 def _joint_full(scm: DiscreteSCM, ctx: dict, do: dict, names):
-    """Unnormalized joint over names (all non-context, non-do variables),
-    by explicit enumeration of the truncated factorization."""
+    """Unnormalized integer joint over names (all non-context, non-do
+    variables), by explicit enumeration of the truncated factorization."""
     fixed = dict(ctx)
     fixed.update(do)
+    factors = _factors(scm, do)
     rows = {}
     for values in _assignments(scm.domains, names):
         a = dict(fixed)
         a.update(zip(names, values))
-        p = Fraction(1)
-        for v in scm.domains:
-            if scm.kinds[v] is INPUT or v in do:
-                continue
-            row = scm.cpts[v][tuple(a[x] for x in scm.parents.get(v, ()))]
-            p *= row[a[v]]
-            if p == 0:
+        p = 1
+        for v, ps, table in factors:
+            p *= table[tuple(a[x] for x in ps)][a[v]]
+            if not p:
                 break
         if p:
             rows[values] = p
@@ -369,17 +372,13 @@ def _joint_ve(scm: DiscreteSCM, ctx: dict, do: dict, names, keep):
     fixed = dict(ctx)
     fixed.update(do)
     factors = []
-    for v in scm.domains:
-        if scm.kinds[v] is INPUT or v in do:
-            continue
-        ps = scm.parents.get(v, ())
+    for v, ps, weights in _factors(scm, do):
         free = tuple(x for x in (v,) + tuple(ps) if x not in fixed)
         table = {}
         for values in _assignments(scm.domains, free):
             a = dict(fixed)
             a.update(zip(free, values))
-            row = scm.cpts[v][tuple(a[x] for x in ps)]
-            table[values] = row[a[v]]
+            table[values] = weights[tuple(a[x] for x in ps)][a[v]]
         factors.append((free, table))
     eliminate = [v for v in names if v not in keep]
     for v in sorted(eliminate, key=lambda x: (len(scm.domains), x)):
@@ -389,10 +388,10 @@ def _joint_ve(scm: DiscreteSCM, ctx: dict, do: dict, names, keep):
         table = {}
         for values in _assignments(scm.domains, free):
             a = dict(zip(free, values))
-            total = Fraction(0)
+            total = 0
             for val in range(scm.domains[v]):
                 a[v] = val
-                p = Fraction(1)
+                p = 1
                 for fr, t in touching:
                     p *= t[tuple(a[x] for x in fr)]
                 total += p
@@ -402,7 +401,7 @@ def _joint_ve(scm: DiscreteSCM, ctx: dict, do: dict, names, keep):
     out = {}
     for values in _assignments(scm.domains, keep):
         a = dict(zip(keep, values))
-        p = Fraction(1)
+        p = 1
         for fr, t in factors:
             p *= t[tuple(a[x] for x in fr)]
         if p:
@@ -412,7 +411,8 @@ def _joint_ve(scm: DiscreteSCM, ctx: dict, do: dict, names, keep):
 
 def _selected_marginal(scm, ctx, do, keep, condition_selection):
     """Distribution over keep given ctx under do, with the selection event
-    applied and normalized away when requested.  Unnormalized weights."""
+    applied and normalized away when requested.  Unnormalized integer
+    weights, all on the scale of the product of the tables' scales."""
     sels = [s for s in scm.selections if s not in do and s not in ctx]
     if condition_selection:
         ctx = dict(ctx)
@@ -429,7 +429,7 @@ def _selected_marginal(scm, ctx, do, keep, condition_selection):
         keep_idx = [names.index(v) for v in keep]
         for values, p in rows.items():
             key = tuple(values[i] for i in keep_idx)
-            out[key] = out.get(key, Fraction(0)) + p
+            out[key] = out.get(key, 0) + p
         return out
     return _joint_ve(scm, ctx, do, names, tuple(keep))
 
@@ -460,12 +460,12 @@ def interventional_kernel(
         ctx = {v: a[v] for v in scm.inputs}
         do = {v: a[v] for v in do_vars}
         weights = _selected_marginal(scm, ctx, do, outputs, condition_selection)
-        total = sum(weights.values(), Fraction(0))
+        total = sum(weights.values())
         if total == 0:
             raise ScmError(
                 f"selection event has probability zero in context {a}"
             )
-        table[ctx_vals] = {k: p / total for k, p in weights.items()}
+        table[ctx_vals] = {k: Fraction(p, total) for k, p in weights.items()}
     return Kernel(context, outputs, dict(scm.domains), table)
 
 
@@ -481,39 +481,41 @@ def observational_kernel(scm: DiscreteSCM) -> Kernel:
     return interventional_kernel(scm, ())
 
 
+def _integer_row(row: dict) -> dict:
+    """A kernel row's values scaled to integers by the lcm of their
+    denominators; ratios between them are unchanged."""
+    scale = math.lcm(*(p.denominator for p in row.values()))
+    return {k: p.numerator * (scale // p.denominator) for k, p in row.items()}
+
+
 def ci_test(k: Kernel, A, B, C=()) -> bool:
     """Exact conditional independence of A and B given C in every context
-    of the kernel."""
+    of the kernel: P(a,b,c) P(c) = P(a,c) P(b,c) for every c and every a
+    and b seen with it, zero cells included."""
     A, B, C = set(A), set(B), set(C)
     for s, name in ((A, "A"), (B, "B"), (C, "C")):
         if not s <= set(k.outputs):
             raise ScmError(f"{name} contains variables outside the kernel")
-    names = sorted(A | B | C)
-    joint = k.marginalize(set(k.outputs) - set(names))
-    idx = {v: joint.outputs.index(v) for v in joint.outputs}
-    for ctx, row in joint.table.items():
-        pc = {}
-        pac = {}
-        pbc = {}
+    pos = {v: i for i, v in enumerate(k.outputs)}
+    ia, ib, ic = ([pos[v] for v in sorted(s)] for s in (A, B, C))
+    for row in k.table.values():
         pabc = {}
-        for out, p in row.items():
-            kc = tuple(out[idx[v]] for v in sorted(C))
-            ka = tuple(out[idx[v]] for v in sorted(A))
-            kb = tuple(out[idx[v]] for v in sorted(B))
-            pc[kc] = pc.get(kc, Fraction(0)) + p
-            pac[(ka, kc)] = pac.get((ka, kc), Fraction(0)) + p
-            pbc[(kb, kc)] = pbc.get((kb, kc), Fraction(0)) + p
-            pabc[(ka, kb, kc)] = pabc.get((ka, kb, kc), Fraction(0)) + p
-        for (ka, kb, kc), p in pabc.items():
-            if p * pc[kc] != pac[(ka, kc)] * pbc[(kb, kc)]:
-                return False
-        # also the zero cells: P(a,b,c)=0 while both margins positive
-        for (ka, kc1), pa in pac.items():
-            for (kb, kc2), pb in pbc.items():
-                if kc1 != kc2:
-                    continue
-                if pabc.get((ka, kb, kc1), Fraction(0)) * pc[kc1] != pa * pb:
-                    return False
+        for out, w in _integer_row(row).items():
+            key = (tuple(out[i] for i in ic), tuple(out[i] for i in ia),
+                   tuple(out[i] for i in ib))
+            pabc[key] = pabc.get(key, 0) + w
+        pc, pac, pbc = {}, {}, {}
+        for (kc, ka, kb), w in pabc.items():
+            pc[kc] = pc.get(kc, 0) + w
+            pa = pac.setdefault(kc, {})
+            pa[ka] = pa.get(ka, 0) + w
+            pb = pbc.setdefault(kc, {})
+            pb[kb] = pb.get(kb, 0) + w
+        for kc, total in pc.items():
+            for ka, wa in pac[kc].items():
+                for kb, wb in pbc[kc].items():
+                    if pabc.get((kc, ka, kb), 0) * total != wa * wb:
+                        return False
     return True
 
 

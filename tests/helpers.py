@@ -3,6 +3,9 @@ implementations used as independent oracles for the fast library code."""
 
 import itertools
 import random
+from fractions import Fraction
+
+from pagid.fci import IndependenceOracle
 
 from pagid.graph import (
     ARROW,
@@ -18,6 +21,7 @@ from pagid.graph import (
     SELECTION,
     validate,
 )
+from pagid.oracle import Kernel, ScmError
 
 MARKS = (TAIL, ARROW, CIRCLE)
 
@@ -212,3 +216,128 @@ def maximal_regime_separated_bruteforce(wit: MixedGraph, A, B):
             if regime_separated(wit, A, B, D):
                 return frozenset(D)
     return frozenset()
+
+
+# -- exact-oracle references: the Fraction arithmetic of the integer paths --
+
+
+def joint_full_reference(scm, ctx: dict, do: dict, names):
+    """Reference for ``oracle._joint_full``: the unnormalized joint over
+    names enumerated in Fraction arithmetic, off the rational tables."""
+    fixed = dict(ctx)
+    fixed.update(do)
+    rows = {}
+    for values in itertools.product(*[range(scm.domains[v]) for v in names]):
+        a = dict(fixed)
+        a.update(zip(names, values))
+        p = Fraction(1)
+        for v in scm.domains:
+            if scm.kinds[v] is INPUT or v in do:
+                continue
+            row = scm.cpts[v][tuple(a[x] for x in scm.parents.get(v, ()))]
+            p *= row[a[v]]
+            if p == 0:
+                break
+        if p:
+            rows[values] = p
+    return rows
+
+
+def interventional_kernel_reference(scm, do_vars=(), outputs=None,
+                                    condition_selection=True):
+    """Reference for ``oracle.interventional_kernel``: one Fraction
+    enumeration per context, marginalized and normalized in Fractions."""
+    do_vars = tuple(sorted(set(do_vars)))
+    if outputs is None:
+        outputs = [v for v in scm.outputs if v not in do_vars]
+    outputs = tuple(sorted(set(outputs)))
+    context = tuple(scm.inputs) + do_vars
+    table = {}
+    for vals in itertools.product(*[range(scm.domains[v]) for v in context]):
+        a = dict(zip(context, vals))
+        ctx = {v: a[v] for v in scm.inputs}
+        if condition_selection:
+            ctx.update({s: 1 for s in scm.selections})
+        do = {v: a[v] for v in do_vars}
+        names = tuple(v for v in sorted(scm.domains) if v not in ctx
+                      and v not in do and scm.kinds[v] is not INPUT)
+        idx = [names.index(v) for v in outputs]
+        out = {}
+        for values, p in joint_full_reference(scm, ctx, do, names).items():
+            key = tuple(values[i] for i in idx)
+            out[key] = out.get(key, Fraction(0)) + p
+        total = sum(out.values(), Fraction(0))
+        if total == 0:
+            raise ScmError(f"selection event has probability zero in context {a}")
+        table[vals] = {k: p / total for k, p in out.items()}
+    return Kernel(context, outputs, dict(scm.domains), table)
+
+
+def ci_test_reference(k: Kernel, A, B, C=()) -> bool:
+    """Reference for ``oracle.ci_test``: Fraction margins of the kernel
+    marginalized onto A, B and C, checked over every pair of margins."""
+    A, B, C = set(A), set(B), set(C)
+    joint = k.marginalize(set(k.outputs) - (A | B | C))
+    idx = {v: joint.outputs.index(v) for v in joint.outputs}
+    for row in joint.table.values():
+        pc, pac, pbc, pabc = {}, {}, {}, {}
+        for out, p in row.items():
+            kc = tuple(out[idx[v]] for v in sorted(C))
+            ka = tuple(out[idx[v]] for v in sorted(A))
+            kb = tuple(out[idx[v]] for v in sorted(B))
+            pc[kc] = pc.get(kc, Fraction(0)) + p
+            pac[(ka, kc)] = pac.get((ka, kc), Fraction(0)) + p
+            pbc[(kb, kc)] = pbc.get((kb, kc), Fraction(0)) + p
+            pabc[(ka, kb, kc)] = pabc.get((ka, kb, kc), Fraction(0)) + p
+        for (ka, kc1), pa in pac.items():
+            for (kb, kc2), pb in pbc.items():
+                if kc1 == kc2 and pabc.get((ka, kb, kc1), 0) * pc[kc1] != pa * pb:
+                    return False
+    return True
+
+
+class ReferenceDistributionOracle(IndependenceOracle):
+    """Reference for ``fci.distribution_oracle``: the same queries answered
+    on the reference kernel with ``ci_test_reference`` and, for an input
+    against outputs, Fraction conditionals compared across input values."""
+
+    def __init__(self, scm):
+        super().__init__()
+        self.kernel = interventional_kernel_reference(scm)
+        self.inputs, self.outputs = self.kernel.context, self.kernel.outputs
+
+    def _query(self, A, B, C):
+        I = set(self.inputs)
+        C = C - I
+        A, B = A - C, B - C
+        if A & B:
+            return False
+        if not A or not B:
+            return True
+        if A & I and B & I:
+            raise ValueError("two input sets")
+        if B & I:
+            A, B = B, A
+        if not A & I:
+            return ci_test_reference(self.kernel, A, B, C)
+        if A - I:
+            raise ValueError("mixed input/output set")
+        return self._input_invariant(A, sorted(B), sorted(C))
+
+    def _input_invariant(self, ins, tgt, giv):
+        k = self.kernel
+        seen = {}
+        for ctx, row in k.table.items():
+            joint = {}
+            for vals, p in row.items():
+                a = dict(zip(k.outputs, vals))
+                sub = joint.setdefault(tuple(a[v] for v in giv), {})
+                t = tuple(a[v] for v in tgt)
+                sub[t] = sub.get(t, Fraction(0)) + p
+            rest = tuple(x for v, x in zip(k.context, ctx) if v not in ins)
+            for key, sub in joint.items():
+                tot = sum(sub.values())
+                dist = {t: p / tot for t, p in sub.items()}
+                if seen.setdefault((rest, key), dist) != dist:
+                    return False
+        return True

@@ -6,6 +6,8 @@ import itertools
 import random
 import time
 
+import pytest
+
 from pagid.graph import (
     ARROW,
     CIRCLE,
@@ -362,13 +364,13 @@ def test_criterion_06_structure_recovery_soundness():
     finish("criterion 6 (structure recovery soundness)", 300, t0)
 
 
-IDENTIFICATION_FAILURES = []
-
-
-def test_criterion_07_identification_soundness():
+@pytest.fixture(scope="module")
+def identification_runs():
+    """The queries of criteria 7 and 8: (generating graph, model, query,
+    answers on the MAG and on the PAG), and the seconds spent on them."""
     t0 = time.monotonic()
     rng = random.Random(107)
-    successes = 0
+    runs = []
     for trial in range(300):
         g = rand_isadmg(rng, n_out=rng.randint(3, 5),
                         n_sel=rng.randint(0, 1), n_lat=0, n_in=0, p=0.5)
@@ -388,12 +390,19 @@ def test_criterion_07_identification_soundness():
         a = rng.choice(outs)
         B = rng.sample([v for v in outs if v != a],
                        rng.randint(1, min(2, len(outs) - 1)))
+        runs.append((g, scm, p, a, B, [(graph, sidp(graph, [a], B))
+                                       for graph in (m, p)]))
+    return runs, time.monotonic() - t0
+
+
+def test_criterion_07_identification_soundness(identification_runs):
+    runs, spent = identification_runs
+    t0 = time.monotonic() - spent
+    successes = 0
+    for g, scm, _p, a, B, answers in runs:
         want = oc.interventional_kernel(scm, B, outputs=[a])
-        for graph in (m, p):
-            res = sidp(graph, [a], B)
+        for _graph, res in answers:
             if isinstance(res, FailCertificate):
-                if graph is p:
-                    IDENTIFICATION_FAILURES.append((p, (a,), tuple(B), res))
                 continue
             successes += 1
             got = oc.eval_estimand(res, oc.observational_kernel(scm), scm)
@@ -402,10 +411,17 @@ def test_criterion_07_identification_soundness():
     finish("criterion 7 (identification soundness)", 900, t0)
 
 
-def test_criterion_08_failure_certification():
+def test_criterion_08_failure_certification(identification_runs):
     t0 = time.monotonic()
-    assert IDENTIFICATION_FAILURES, "suite 7 must run first and record fails"
-    for p, A, B, cert in IDENTIFICATION_FAILURES:
+    runs, _spent = identification_runs
+    failures = [
+        (p, (a,), tuple(B), res)
+        for _g, _scm, p, a, B, answers in runs
+        for graph, res in answers
+        if graph is p and isinstance(res, FailCertificate)
+    ]
+    assert failures, "criterion 7's queries must include failures on PAGs"
+    for p, A, B, cert in failures:
         mag, wit, h = hedge_witness(p, A, B, cert)
         assert mag_of(wit) == mag
         D = maximal_regime_separated(wit, A, B)
@@ -413,7 +429,7 @@ def test_criterion_08_failure_certification():
             wit, set(A) | (set(wit.selections) - D), set(B) | D, h
         ), (p, A, B)
     finish(
-        f"criterion 8 (certified {len(IDENTIFICATION_FAILURES)} failures)",
+        f"criterion 8 (certified {len(failures)} failures)",
         300, t0,
     )
 

@@ -139,6 +139,14 @@ class TestValidate:
     def test_chain_admg_valid(self):
         assert validate(chain_admg(), GraphClass.ADMG) == []
 
+    def test_class_given_as_string(self):
+        g = parse_graph("node a output\nnode b output\nedge a o-> b\n")
+        assert validate(g, "mag") == validate(g, GraphClass.MAG) == [
+            "circle mark on a o-> b"
+        ]
+        with pytest.raises(ValueError):
+            validate(g, "dag")
+
     def test_single_node_mag(self):
         g = MixedGraph({"a": OUTPUT})
         assert validate(g, GraphClass.MAG) == []

@@ -351,6 +351,14 @@ class TestScidp:
 
 
 class TestCalculus:
+    def test_class_given_as_string(self):
+        g = cycle4()
+        assert calculus_check(g, 2, ["a"], ["b"], ["c1", "c2"], cls="mag")
+        assert sidp(g, ["a"], ["b"], "mag") == sidp(
+            g, ["a"], ["b"], GraphClass.MAG)
+        with pytest.raises(ValueError):
+            sidp(g, ["a"], ["b"], "dag")
+
     def test_cycle4_exchange_rules(self):
         g = cycle4()
         assert calculus_check(g, 2, ["a"], ["b"], ["c1", "c2"])

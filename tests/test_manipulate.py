@@ -334,6 +334,17 @@ class TestClassInference:
         for d in ("v0", "v1", "v4"):
             assert [w for w, *_ in mg.graph.edges_at(regime_id(d))] == [d]
 
+    def test_class_given_as_string(self):
+        g = parse_graph("node a output\nnode b output\nedge a --> b\n")
+        for op in (soft_manipulate, manipulate):
+            mg = op(g, ["a"], cls="admg")
+            assert mg == op(g, ["a"], cls=GraphClass.ADMG)
+            assert [w for w, *_ in mg.graph.edges_at("I__a")] == ["a"]
+        assert hard_manipulate(g, ["b"], "mag") == hard_manipulate(
+            g, ["b"], GraphClass.MAG)
+        with pytest.raises(ValueError):
+            soft_manipulate(g, ["a"], "dag")
+
     def test_invalid_graph_is_rejected_in_its_class(self):
         g = parse_graph(self.NOT_MAG)
         for op in (soft_manipulate, hard_manipulate):

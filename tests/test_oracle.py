@@ -4,12 +4,16 @@ estimand evaluation, and serialization."""
 
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pagid.graph import GraphClass, Mark, NodeKind, parse_graph
 from pagid.separate import d_separated
 from pagid import identify as idf
+from pagid import oracle as oc
+from pagid.fci import distribution_oracle
 from pagid.oracle import (
     DiscreteSCM,
     Kernel,
@@ -30,7 +34,12 @@ from pagid.oracle import (
     _joint_full,
     _joint_ve,
 )
-from helpers import rand_isadmg
+from helpers import (
+    ReferenceDistributionOracle,
+    ci_test_reference,
+    interventional_kernel_reference,
+    rand_isadmg,
+)
 
 CHAIN_SCM = """
 var a
@@ -93,6 +102,29 @@ class TestScmValidation:
                 "var a parents=b\nvar b parents=a\n"
                 "cpt a 0 1 0\ncpt a 1 0 1\ncpt b 0 1 0\ncpt b 1 0 1\n"
             )
+
+    def test_three_cycle_rejected(self):
+        with pytest.raises(ScmError, match="cyclic parent relation"):
+            parse_scm(
+                "var a parents=c\nvar b parents=a\nvar c parents=b\n"
+                + "".join(f"cpt {v} {x} 1 0\n" for v in "abc" for x in "01")
+            )
+
+    def test_deep_chain_does_not_recurse(self):
+        # v0000 <- v0001 <- ... <- v1199: the sink sorts first
+        n = 1200
+        lines = ["var v%04d" % (n - 1), "cpt v%04d - 1/2 1/2" % (n - 1)]
+        for i in range(n - 1):
+            lines += ["var v%04d parents=v%04d" % (i, i + 1),
+                      "cpt v%04d 0 1/3 2/3" % i, "cpt v%04d 1 2/3 1/3" % i]
+        scm = parse_scm("\n".join(lines) + "\n")
+        assert len(scm.domains) == n
+
+    def test_integer_tables_stay_out_of_equality(self):
+        scm = chain()
+        assert scm.weights["b"] == {(0,): (3, 1), (1,): (1, 3)}
+        assert "weights" not in repr(scm)
+        assert scm == parse_scm(format_scm(scm))
 
     def test_selection_children_rejected(self):
         with pytest.raises(ScmError):
@@ -393,3 +425,92 @@ class TestFormatKernel:
         assert len(lines) == 1 + 2 * 4
         total = sum(Fraction(l.split("\t")[-1]) for l in lines[1:])
         assert total == 2
+
+
+@st.composite
+def random_models(draw):
+    """Random SCMs with selection and input nodes, domain 2-3 and zero
+    table entries."""
+    seed = draw(st.integers(0, 10**6))
+    rng = random.Random(seed)
+    g = rand_isadmg(rng, n_out=draw(st.integers(2, 4)),
+                    n_sel=draw(st.integers(0, 1)), n_lat=0,
+                    n_in=draw(st.integers(0, 1)), p=0.6)
+    return random_scm(g, rng, domain=draw(st.integers(2, 3)),
+                      positivity=False)
+
+
+def _same_kernel(got, want):
+    return (got.context, got.outputs, got.table) == (
+        want.context, want.outputs, want.table)
+
+
+class TestIntegerPaths:
+    """The integer weights give exactly the Fraction references' values."""
+
+    @settings(max_examples=80)
+    @given(random_models(), st.data())
+    def test_kernels_match_the_reference(self, scm, data):
+        outs = list(scm.outputs)
+        do = data.draw(st.lists(st.sampled_from(outs), unique=True,
+                                max_size=len(outs) - 1))
+        rest = [v for v in outs if v not in do]
+        keep = data.draw(st.lists(st.sampled_from(rest), unique=True,
+                                  min_size=1))
+        cond = data.draw(st.booleans())
+        for limit in (oc.FULL_JOINT_LIMIT, 0):  # enumeration, elimination
+            with mock.patch.object(oc, "FULL_JOINT_LIMIT", limit):
+                try:
+                    want = interventional_kernel_reference(scm, do, keep, cond)
+                except ScmError:
+                    with pytest.raises(ScmError):
+                        interventional_kernel(scm, do, cond, keep)
+                    continue
+                got = interventional_kernel(scm, do, cond, keep)
+                assert _same_kernel(got, want)
+                assert format_kernel(got) == format_kernel(want)
+
+    @settings(max_examples=80)
+    @given(random_models(), st.data())
+    def test_ci_test_matches_the_reference(self, scm, data):
+        try:
+            qv = observational_kernel(scm)
+        except ScmError:
+            return
+        outs = list(qv.outputs)
+        sets = st.lists(st.sampled_from(outs), unique=True, min_size=1)
+        for _ in range(6):
+            A, B = data.draw(sets), data.draw(sets)
+            C = data.draw(st.lists(st.sampled_from(outs), unique=True))
+            assert ci_test(qv, A, B, C) == ci_test_reference(qv, A, B, C)
+
+    @settings(max_examples=80)
+    @given(random_models(), st.data())
+    def test_oracle_queries_match_the_reference(self, scm, data):
+        try:
+            want = ReferenceDistributionOracle(scm)
+        except ScmError:
+            with pytest.raises(ScmError):
+                distribution_oracle(scm)
+            return
+        got = distribution_oracle(scm)
+        assert _same_kernel(got.kernel, want.kernel)
+        names = list(got.inputs + got.outputs)
+        for _ in range(6):
+            a = data.draw(st.sampled_from(names))
+            b = data.draw(st.sampled_from([v for v in names if v != a]))
+            C = data.draw(st.lists(st.sampled_from(got.outputs), unique=True))
+            try:
+                expect = want.query({a}, {b}, C)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    got.query({a}, {b}, C)
+                continue
+            assert got.query({a}, {b}, C) == expect, (a, b, C)
+
+    def test_zero_cells_break_independence(self):
+        # P(a,b) = 0 in one cell while both margins are positive
+        k = Kernel((), ("a", "b"), {"a": 2, "b": 2},
+                   {(): {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}})
+        assert not ci_test(k, ["a"], ["b"])
+        assert not ci_test_reference(k, ["a"], ["b"])
