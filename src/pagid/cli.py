@@ -437,7 +437,7 @@ def hedge_cmd(graph_file, a_set, b_set, as_json):
     try:
         mag, wit, h = hedge_witness(g, A, B, res)
     except ValueError as exc:
-        _fail(str(exc), code=1)
+        _fail(str(exc))
     if as_json:
         click.echo(json.dumps({
             "schema": 1,

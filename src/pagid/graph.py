@@ -571,7 +571,13 @@ def pc_component(
     """All a in D connected to b in g_D by a single non-visible edge or by a
     collider path with arrowheads throughout and no visible edge.  With
     directed_visible every directed edge counts as visible, which is the
-    reading for graphs whose directed edges are known exactly."""
+    reading for graphs whose directed edges are known exactly.
+
+    Visibility is read in the whole graph g, not in g_D: an edge visible in
+    P stays visible in P_T after fixing (Jaber, Zhang & Bareinboim 2019).
+    Visibility certifies that no latent confounds the edge's endpoints, and
+    fixing the nodes outside D adds no confounding, so dropping the node
+    that witnessed it does not make the edge invisible."""
     D = set(D)
     if b not in D:
         raise ValueError(f"{b} not in D")
@@ -580,7 +586,7 @@ def pc_component(
     def visible(e: Edge) -> bool:
         for x, y in ((e.a, e.b), (e.b, e.a)):
             if e.mark_at(x) is TAIL and e.mark_at(y) is ARROW:
-                return True if directed_visible else _is_visible(h, x, y)
+                return True if directed_visible else _is_visible(g, x, y)
         return False
 
     out = {b}

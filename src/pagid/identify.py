@@ -31,7 +31,6 @@ from .graph import (
     CIRCLE,
     GraphClass,
     OUTPUT,
-    SELECTION,
     TAIL,
     Edge,
     MixedGraph,
@@ -50,7 +49,7 @@ from .manipulate import (
     manipulate,
     regime_id,
 )
-from .represent import canonical_isadmg, mag_of, split_id, _witness_pool
+from .represent import canonical_isadmg, mag_of
 from .separate import id_separated
 
 
@@ -416,9 +415,7 @@ def scidp(p, A, B, C, cls: GraphClass | None = None):
     p, cls = _reading(p, cls)
     _check_sopag(p)
     A, B, C = frozenset(A), frozenset(B), frozenset(C)
-    for x, y in itertools.combinations((A, B, C), 2):
-        if x & y:
-            raise ValueError(f"overlapping sets: {sorted(x & y)}")
+    _disjoint(A, B, C)
     V = set(p.outputs)
     part = buckets(p, V)
     D = set(p.induced(V - B).possible_anteriors(A | C))
@@ -596,11 +593,13 @@ def _as_output_graph(g: MixedGraph) -> MixedGraph:
 
 
 def _is_cforest(g: MixedGraph, nodes, edges, R) -> bool:
-    nodes = set(nodes)
-    R = set(R)
+    """Whether the kept edges make the node set a c-forest rooted at R:
+    one district over the bidirected edges, and one directed edge out of
+    each node outside R and none out of R, leading every node into R."""
+    nodes, R = set(nodes), set(R)
     if not nodes or not R <= nodes:
         return False
-    children = {v: 0 for v in nodes}
+    child = {}
     bi_adj = {v: set() for v in nodes}
     for e in edges:
         if e not in g.edges or not {e.a, e.b} <= nodes:
@@ -608,40 +607,29 @@ def _is_cforest(g: MixedGraph, nodes, edges, R) -> bool:
         if e.mark_a is ARROW and e.mark_b is ARROW:
             bi_adj[e.a].add(e.b)
             bi_adj[e.b].add(e.a)
-        elif TAIL in (e.mark_a, e.mark_b) and ARROW in (e.mark_a, e.mark_b):
+        elif {e.mark_a, e.mark_b} == {TAIL, ARROW}:
             tail = e.a if e.mark_a is TAIL else e.b
-            children[tail] += 1
+            if tail in child:
+                return False
+            child[tail] = e.other(tail)
         else:
             return False
-    if any(children[v] > 1 for v in nodes):
+    if set(child) != nodes - R:
         return False
-    if any(children[r] != 0 for r in R):
-        return False
-    if any(children[v] == 0 for v in nodes - R):
-        return False
-    # single district via the kept bidirected edges
     seen = {min(nodes)}
     frontier = [min(nodes)]
     while frontier:
-        v = frontier.pop()
-        for w in bi_adj[v]:
-            if w not in seen:
-                seen.add(w)
-                frontier.append(w)
+        for w in bi_adj[frontier.pop()] - seen:
+            seen.add(w)
+            frontier.append(w)
     if seen != nodes:
         return False
-    # every node reaches R along the kept directed edges
-    dir_child = {}
-    for e in edges:
-        if TAIL in (e.mark_a, e.mark_b) and ARROW in (e.mark_a, e.mark_b):
-            tail = e.a if e.mark_a is TAIL else e.b
-            dir_child[tail] = e.other(tail)
     for v in nodes:
-        cur, hops = v, 0
-        while cur not in R:
-            if cur not in dir_child or hops > len(nodes):
-                return False
-            cur = dir_child[cur]
+        hops = 0
+        while v not in R:
+            if hops > len(nodes):
+                return False  # the directed edges form a cycle
+            v = child[v]
             hops += 1
     return True
 
@@ -667,80 +655,21 @@ def verify_hedge(g, A, B, h: Hedge) -> bool:
     return h.R <= mg.graph.ancestors(A)
 
 
-def _forest_edges(g: MixedGraph, nodes, R):
-    """A forest edge selection on the node set: all bidirected edges plus
-    one directed edge per non-root, aimed at the smallest child."""
-    nodes = set(nodes)
-    edges = []
-    for e in sorted(g.edges, key=lambda e: e.sort_key()):
-        if not {e.a, e.b} <= nodes:
-            continue
-        if e.mark_a is ARROW and e.mark_b is ARROW:
-            edges.append(e)
-    for v in sorted(nodes - set(R)):
-        best = None
-        for w, mv, mw, e in g.edges_at(v):
-            if mv is TAIL and mw is ARROW and w in nodes:
-                if best is None or w < best.other(v):
-                    best = e
-        if best is None:
-            return None
-        edges.append(best)
-    return tuple(edges)
-
-
-def _find_hedge(wit: MixedGraph, A, B):
-    """Exhaustive search for a hedge for (A, B) among subsets of the output
-    nodes of the witness graph."""
-    go = _as_output_graph(wit)
-    A = set(A) & set(go.node_ids)
-    B = set(B) & set(go.node_ids)
-    mg = hard_manipulate(go, sorted(B), GraphClass.ADMG)
-    anc = mg.graph.ancestors(A)
-    pool = sorted(set(wit.outputs))
-    for hsize in range(2, len(pool) + 1):
-        for H in itertools.combinations(pool, hsize):
-            hset = set(H)
-            if not hset & B:
-                continue
-            sub = go.induced(hset)
-            sinks = {
-                v
-                for v in hset
-                if not any(
-                    mv is TAIL and mw is ARROW
-                    for _, mv, mw, _ in sub.edges_at(v)
-                )
-            }
-            for psize in range(1, hsize):
-                for Hp in itertools.combinations(sorted(hset), psize):
-                    pset = set(Hp)
-                    if pset & B:
-                        continue
-                    psub = go.induced(pset)
-                    R = {
-                        v
-                        for v in pset
-                        if not any(
-                            mv is TAIL and mw is ARROW
-                            for _, mv, mw, _ in psub.edges_at(v)
-                        )
-                    }
-                    if not R or not R <= anc or not sinks <= R:
-                        continue
-                    fe = _forest_edges(go, hset, R)
-                    fpe = _forest_edges(go, pset, R)
-                    if fe is None or fpe is None:
-                        continue
-                    h = Hedge(
-                        H=frozenset(hset),
-                        Hprime=frozenset(pset),
-                        R=frozenset(R),
-                        forest_edges=fe,
-                        forest_prime_edges=fpe,
-                    )
-                    if verify_hedge(wit, A, B, h):
-                        return h
+def _bfs_path(b, starts, step, goal):
+    """A shortest path b, w, ... ending in goal, with w in starts and each
+    further node in step(previous), as a node list; None if none."""
+    parent = {w: b for w in starts}
+    queue = list(parent)
+    for v in queue:  # breadth first: the loop also visits what it appends
+        if v in goal:
+            path = [v]
+            while path[-1] != b:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        for w in step(v):
+            if w != b and w not in parent:
+                parent[w] = v
+                queue.append(w)
     return None
 
 
@@ -750,34 +679,40 @@ def _anterior_violation(p: MixedGraph, A, B):
     start with visible directed edges."""
     A, B = set(A), set(B)
     blocked = B | set(p.inputs)  # an input has no ancestors
+
+    def step(v):
+        return [w for w, mv, _mw, _e in p.edges_at(v)
+                if mv is not ARROW and w not in blocked]
+
     for b in sorted(B):
-        starts = []
-        for w, mb, mw, e in p.edges_at(b):
-            if mb is ARROW or w in blocked:
-                continue
-            if mb is TAIL and mw is ARROW and is_visible(p, b, w):
-                continue
-            starts.append((w, e))
-        parent = {}
-        queue = []
-        for w, e in starts:
-            if w not in parent:
-                parent[w] = (b, e)
-                queue.append(w)
-        i = 0
-        while i < len(queue):
-            v = queue[i]
-            i += 1
-            if v in A:
-                path = [v]
-                while path[-1] != b:
-                    path.append(parent[path[-1]][0])
-                return list(reversed(path))
-            for w, mv, _mw, e in p.edges_at(v):
-                if mv is ARROW or w in blocked or w == b or w in parent:
-                    continue
-                parent[w] = (v, e)
-                queue.append(w)
+        starts = [
+            w for w, mb, mw, _e in p.edges_at(b)
+            if mb is not ARROW and w not in blocked
+            and not (mb is TAIL and mw is ARROW and is_visible(p, b, w))
+        ]
+        path = _bfs_path(b, starts, step, A)
+        if path is not None:
+            return path
+    return None
+
+
+def _confounded_child(p: MixedGraph, A, B):
+    """A bidirected path from some b in B to a child of b, through nodes
+    with a potentially anterior path to A that avoids B, as a node list;
+    None if there is none: a b --> c that is visible but confounded."""
+    A, B = set(A), set(B)
+    D = p.induced(set(p.outputs) - B).possible_anteriors(A)
+
+    def spouses(v):
+        return [w for w, mv, mw, _e in p.edges_at(v)
+                if mv is ARROW and mw is ARROW and w in D]
+
+    for b in sorted(B):
+        children = {w for w, mb, mw, _e in p.edges_at(b)
+                    if mb is TAIL and mw is ARROW and w in D}
+        path = _bfs_path(b, spouses(b), spouses, children)
+        if path is not None:
+            return path
     return None
 
 
@@ -853,28 +788,17 @@ def _orient_copag(p: MixedGraph, protect=()):
 
 
 def _direct_witness(m: MixedGraph, path):
-    """Represented graph in which the first edge of the path gains a
-    parallel bidirected edge, path-borne undirected edges become directed
-    along the path, and every undirected edge keeps a split selection
-    child."""
-    forward = {(path[i], path[i + 1]) for i in range(len(path) - 1)}
-    nodes = {v: m.kind(v) for v in m.node_ids}
-    edges = []
-    for e in m.edges:
-        if e.mark_a is TAIL and e.mark_b is TAIL:
-            s = split_id(e.a, e.b)
-            if s in nodes:
-                raise ValueError(f"node id {s} collides")
-            nodes[s] = SELECTION
-            edges.append(Edge(e.a, TAIL, s, ARROW))
-            edges.append(Edge(e.b, TAIL, s, ARROW))
-            for x, y in ((e.a, e.b), (e.b, e.a)):
-                if (x, y) in forward:
-                    edges.append(Edge(x, TAIL, y, ARROW))
-        else:
-            edges.append(e)
-    edges.append(Edge(path[0], ARROW, path[1], ARROW))
-    wit = MixedGraph(nodes, edges)
+    """The canonical represented graph of m (``canonical_isadmg``) in which
+    the first edge of the path gains a parallel bidirected edge (none if it
+    is bidirected already) and the path's undirected edges also point
+    along the path."""
+    along = [
+        Edge(x, TAIL, y, ARROW)
+        for x, y in zip(path, path[1:])
+        if m.edges_between(x, y)[0] == Edge(x, TAIL, y, TAIL)
+    ]
+    first = Edge(path[0], ARROW, path[1], ARROW)
+    wit = canonical_isadmg(m).edit(add=[first] + along)
     if validate(wit, GraphClass.ADMG):
         raise ValueError("path witness is not a valid represented graph")
     return wit
@@ -913,62 +837,58 @@ def maximal_regime_separated(wit: MixedGraph, A, B):
 
 
 def hedge_witness(p, A, B, cert):
-    """Hedge construction for a failed identification: a MAG represented by
-    the input graph, a represented graph of that MAG, and a hedge in it for
-    the target pair extended by the non-separated selection nodes.  A graph
-    with latent or selection nodes is read through its MAG, as sidp reads
-    it without a class."""
+    """Hedge certificate for a failed identification: a MAG represented by
+    the input graph, a represented graph of that MAG, and a hedge in it
+    for the target pair extended by the non-separated selection nodes.
+    Graphs are read as sidp reads them without a class; a PAG is oriented
+    starting at the violation's B node (or at B), so no arrowhead is put
+    there.  The hedge is read off a violation at some b in B, no search:
+
+    - an anterior violation b, c, ..., a: a proper potentially anterior
+      path to A whose first edge b --> c is invisible or b --- c.  The MAG
+      also represents the graph in which that edge gains a parallel
+      b <-> c and the path's undirected edges, read as split selection
+      children, point along the path (``_direct_witness``);
+    - a confounded child b <-> w ... <-> c: a bidirected path to a child c
+      of b through nodes anterior to A avoiding B.  These nodes all have
+      arrowheads, so in a MAG they reach A along directed paths.
+
+    Either way H = {b, w.., c} is a c-forest rooted at H' = R = {w.., c},
+    kept by b --> c and the bidirected path; H meets B, H' misses it, and
+    R reaches A along directed paths that avoid B.  That every FAIL has a
+    violation is the completeness of sidp (Shpitser & Pearl 2006 for
+    hedges as its witnesses).  It needs pc-components that read visibility
+    in the whole graph (``graph.pc_component``); the identification tests
+    check it as a property on random MAGs and PAGs.  Raises ValueError if
+    the certificate does not match, if the PAG has no valid orientation,
+    or if the hedge does not verify."""
     p, cls = _reading(p, None)
     if not isinstance(cert, FailCertificate):
         raise ValueError("hedge witness needs a failure certificate")
     A, B = frozenset(A), frozenset(B)
-    V = set(p.outputs)
-    if not (cert.C <= cert.T <= V):
+    if not (cert.C <= cert.T <= set(p.outputs)):
         raise ValueError("certificate does not match the graph")
-    has_circles = cls is GraphClass.PAG
-    viol = _anterior_violation(p, A, B)
-    direct = None
-    if viol is not None:
-        mag = p if not has_circles else _orient_copag(p, protect=[viol[0]])
-        path = viol if not has_circles else _anterior_violation(mag, A, B)
-        if path is not None:
-            wit = _direct_witness(mag, path)
-            v0, v1 = path[0], path[1]
-            direct = (
-                mag,
-                wit,
-                Hedge(
-                    H=frozenset((v0, v1)),
-                    Hprime=frozenset((v1,)),
-                    R=frozenset((v1,)),
-                    forest_edges=(
-                        Edge(v0, TAIL, v1, ARROW),
-                        Edge(v0, ARROW, v1, ARROW),
-                    ),
-                    forest_prime_edges=(),
-                ),
-            )
-    if direct is not None:
-        mag, wit, h = direct
-        D = maximal_regime_separated(wit, A, B)
-        Ap = A | (set(wit.selections) - D)
-        Bp = B | D
-        if verify_hedge(wit, Ap, Bp, h):
-            return mag, wit, h
-        found = _find_hedge(wit, Ap, Bp)
-        if found is not None:
-            return mag, wit, found
+    mag = p
+    if cls is GraphClass.PAG:
+        path = _anterior_violation(p, A, B)
+        mag = _orient_copag(p, protect=[path[0]] if path else sorted(B))
+    path = _anterior_violation(mag, A, B)
+    chain = path[:2] if path else _confounded_child(mag, A, B)
+    if chain is None:
+        raise ValueError("no violation found for the certificate")
+    wit = _direct_witness(mag, path or chain)
+    spouses = tuple(Edge(x, ARROW, y, ARROW) for x, y in zip(chain, chain[1:]))
+    h = Hedge(
+        H=frozenset(chain),
+        Hprime=frozenset(chain[1:]),
+        R=frozenset(chain[1:]),
+        forest_edges=(Edge(chain[0], TAIL, chain[-1], ARROW),) + spouses,
+        forest_prime_edges=spouses[1:],
+    )
+    D = maximal_regime_separated(wit, A, B)
+    if not verify_hedge(wit, A | (set(wit.selections) - D), B | D, h):
         raise ValueError("constructed witness admits no verifiable hedge")
-
-    mag = p if not has_circles else _orient_copag(p)
-    for wit in itertools.chain([canonical_isadmg(mag)], _witness_pool(mag)):
-        D = maximal_regime_separated(wit, A, B)
-        Ap = A | (set(wit.selections) - D)
-        Bp = B | D
-        found = _find_hedge(wit, Ap, Bp)
-        if found is not None:
-            return mag, wit, found
-    raise ValueError("no verifiable hedge found for the certificate")
+    return mag, wit, h
 
 
 # -- serialization -----------------------------------------------------------

@@ -491,7 +491,13 @@ def _integer_row(row: dict) -> dict:
 def ci_test(k: Kernel, A, B, C=()) -> bool:
     """Exact conditional independence of A and B given C in every context
     of the kernel: P(a,b,c) P(c) = P(a,c) P(b,c) for every c and every a
-    and b seen with it, zero cells included."""
+    and b seen with it.
+
+    Only the cells seen in the kernel are checked; the unseen ones follow.
+    For one c, P(a,b,c) P(c) summed over the seen cells is P(c)^2, and so
+    is P(a,c) P(b,c) summed over every pair of a seen a and a seen b.  If
+    the seen cells balance, the products of the unseen pairs sum to 0, and
+    none is negative, so each is 0, as P(a,b,c) = 0 requires."""
     A, B, C = set(A), set(B), set(C)
     for s, name in ((A, "A"), (B, "B"), (C, "C")):
         if not s <= set(k.outputs):
@@ -507,15 +513,11 @@ def ci_test(k: Kernel, A, B, C=()) -> bool:
         pc, pac, pbc = {}, {}, {}
         for (kc, ka, kb), w in pabc.items():
             pc[kc] = pc.get(kc, 0) + w
-            pa = pac.setdefault(kc, {})
-            pa[ka] = pa.get(ka, 0) + w
-            pb = pbc.setdefault(kc, {})
-            pb[kb] = pb.get(kb, 0) + w
-        for kc, total in pc.items():
-            for ka, wa in pac[kc].items():
-                for kb, wb in pbc[kc].items():
-                    if pabc.get((kc, ka, kb), 0) * total != wa * wb:
-                        return False
+            pac[kc, ka] = pac.get((kc, ka), 0) + w
+            pbc[kc, kb] = pbc.get((kc, kb), 0) + w
+        for (kc, ka, kb), w in pabc.items():
+            if w * pc[kc] != pac[kc, ka] * pbc[kc, kb]:
+                return False
     return True
 
 

@@ -10,9 +10,9 @@ The three workhorse maps are:
 * ``marginalize_latents``  eliminates latent nodes one at a time, splicing
                   walks through them into direct edges.
 
-On top of these sit enumeration helpers (all MAGs represented by a partial
-graph, all small witness graphs represented by a MAG) and the witness
-constructions used to certify failed separations.
+On top of these sit ``enumerate_mags`` (all MAGs represented by a partial
+graph) and ``bidirected_witness`` (a represented graph in which an
+invisible directed edge is confounded).
 """
 
 from __future__ import annotations
@@ -33,8 +33,7 @@ from .graph import (
     inducing_path_exists,
     validate,
 )
-from .manipulate import _plain, is_visible, manipulate
-from . import separate
+from .manipulate import _plain, is_visible
 
 
 def mag_of(a: MixedGraph) -> MixedGraph:
@@ -163,58 +162,6 @@ def enumerate_mags(p: MixedGraph, limit: int = 1 << 16, membership=None):
     return out
 
 
-def enumerate_represented(
-    m: MixedGraph, max_extra_selection: int = 0, limit: int = 1 << 18
-):
-    """Graphs represented by the MAG m, built from its canonical graph by
-    optionally doubling directed edges with a bidirected copy and adding up
-    to max_extra_selection fresh selection nodes with parents among the
-    original nodes.  Every candidate is checked to project back to m."""
-    m = _plain(m)
-    base = canonical_isadmg(m)
-    directed = [
-        e
-        for e in m.edges
-        if (e.mark_a, e.mark_b) in ((TAIL, ARROW), (ARROW, TAIL))
-        and m.kind(e.a) is OUTPUT
-        and m.kind(e.b) is OUTPUT
-    ]
-    names = list(m.node_ids)
-    parent_sets = [
-        ps
-        for k in range(2, len(names) + 1)
-        for ps in itertools.combinations(names, k)
-    ]
-    sel_options = [()]
-    for k in range(1, max_extra_selection + 1):
-        sel_options.extend(
-            itertools.combinations_with_replacement(parent_sets, k)
-        )
-
-    count = 0
-    for bd in itertools.chain.from_iterable(
-        itertools.combinations(directed, k) for k in range(len(directed) + 1)
-    ):
-        extra = [Edge(e.a, ARROW, e.b, ARROW) for e in bd]
-        for sels in sel_options:
-            nodes = dict(base.nodes)
-            edges = list(base.edges) + list(extra)
-            for i, ps in enumerate(sels):
-                s = f"s__x{i}"
-                if s in nodes:
-                    raise ValueError(f"node id {s} collides")
-                nodes[s] = SELECTION
-                edges.extend(Edge(v, TAIL, s, ARROW) for v in ps)
-            count += 1
-            if count > limit:
-                raise ValueError("witness enumeration limit exceeded")
-            cand = MixedGraph(nodes, edges)
-            if validate(cand, GraphClass.ADMG):
-                continue
-            if mag_of(cand) == m:
-                yield cand
-
-
 # -- witnesses ---------------------------------------------------------------
 
 
@@ -230,47 +177,3 @@ def bidirected_witness(m: MixedGraph, a: str, b: str) -> MixedGraph:
     w = canonical_isadmg(m).edit(add=[Edge(a, ARROW, b, ARROW)])
     assert mag_of(w) == m
     return w
-
-
-def separation_failure_witness(m: MixedGraph, A, B, C=(), D=(), T=()):
-    """A represented graph of the MAG m in which A is not id-separated from
-    B given C together with the selection nodes, after manipulating softly
-    on D and hard on T.  Returns None if every candidate in the search pool
-    is separated (which certifies the separation at the MAG level)."""
-    m = _plain(m)
-    for cand in _witness_pool(m):
-        cmg = manipulate(cand, D, T, GraphClass.ADMG)
-        cc = set(C) | set(T) | set(cand.selections)
-        if not separate.id_separated(cmg, A, B, cc):
-            return cand
-    return None
-
-
-def _witness_pool(m: MixedGraph):
-    """Candidate represented graphs ordered from plain to decorated: the
-    canonical graph, then single bidirected additions parallel to invisible
-    directed edges or aimed at split selection nodes, then pairs."""
-    base = canonical_isadmg(m)
-    yield base
-    singles = []
-    for e in m.edges:
-        if (e.mark_a, e.mark_b) in ((TAIL, ARROW), (ARROW, TAIL)):
-            tail = e.a if e.mark_a is TAIL else e.b
-            head = e.other(tail)
-            if m.kind(tail) is OUTPUT and not is_visible(m, tail, head):
-                singles.append(Edge(tail, ARROW, head, ARROW))
-        elif (e.mark_a, e.mark_b) == (TAIL, TAIL):
-            s = split_id(e.a, e.b)
-            singles.append(Edge(e.a, ARROW, s, ARROW))
-            singles.append(Edge(e.b, ARROW, s, ARROW))
-    seen = set()
-    for k in (1, 2):
-        for combo in itertools.combinations(singles, k):
-            cand = base.edit(add=combo)
-            if cand in seen:
-                continue
-            seen.add(cand)
-            if validate(cand, GraphClass.ADMG):
-                continue
-            if mag_of(cand) == m:
-                yield cand

@@ -21,7 +21,11 @@ from pagid.graph import (
     SELECTION,
     validate,
 )
+from pagid.identify import Hedge, _as_output_graph, verify_hedge
+from pagid.manipulate import hard_manipulate, is_visible, manipulate, regime_id
 from pagid.oracle import Kernel, ScmError
+from pagid.represent import canonical_isadmg, mag_of, split_id
+from pagid.separate import id_separated
 
 MARKS = (TAIL, ARROW, CIRCLE)
 
@@ -197,10 +201,6 @@ def regime_separated(wit: MixedGraph, A, B, D) -> bool:
     """Whether the regime indicators of the selection nodes D are
     id-separated from A given B and all selection nodes, after soft
     manipulation of D and hard manipulation of B, read as an ADMG."""
-    from pagid.identify import _as_output_graph
-    from pagid.manipulate import manipulate, regime_id
-    from pagid.separate import id_separated
-
     mg = manipulate(_as_output_graph(wit), sorted(D), sorted(B), GraphClass.ADMG)
     cond = sorted(set(B) | set(wit.selections))
     return id_separated(mg, sorted(A), [regime_id(d) for d in sorted(D)], cond)
@@ -216,6 +216,182 @@ def maximal_regime_separated_bruteforce(wit: MixedGraph, A, B):
             if regime_separated(wit, A, B, D):
                 return frozenset(D)
     return frozenset()
+
+
+# -- witness and hedge searches: references for the direct constructions ----
+
+
+def enumerate_represented(
+    m: MixedGraph, max_extra_selection: int = 0, limit: int = 1 << 18
+):
+    """Reference witness enumeration: graphs represented by the MAG m,
+    built from its canonical graph by optionally doubling directed edges
+    with a bidirected copy and adding up to max_extra_selection fresh
+    selection nodes with parents among the original nodes.  Every
+    candidate is checked to project back to m."""
+    base = canonical_isadmg(m)
+    directed = [
+        e
+        for e in m.edges
+        if (e.mark_a, e.mark_b) in ((TAIL, ARROW), (ARROW, TAIL))
+        and m.kind(e.a) is OUTPUT
+        and m.kind(e.b) is OUTPUT
+    ]
+    names = list(m.node_ids)
+    parent_sets = [
+        ps
+        for k in range(2, len(names) + 1)
+        for ps in itertools.combinations(names, k)
+    ]
+    sel_options = [()]
+    for k in range(1, max_extra_selection + 1):
+        sel_options.extend(
+            itertools.combinations_with_replacement(parent_sets, k)
+        )
+
+    count = 0
+    for bd in itertools.chain.from_iterable(
+        itertools.combinations(directed, k) for k in range(len(directed) + 1)
+    ):
+        extra = [Edge(e.a, ARROW, e.b, ARROW) for e in bd]
+        for sels in sel_options:
+            nodes = dict(base.nodes)
+            edges = list(base.edges) + list(extra)
+            for i, ps in enumerate(sels):
+                s = f"s__x{i}"
+                if s in nodes:
+                    raise ValueError(f"node id {s} collides")
+                nodes[s] = SELECTION
+                edges.extend(Edge(v, TAIL, s, ARROW) for v in ps)
+            count += 1
+            if count > limit:
+                raise ValueError("witness enumeration limit exceeded")
+            cand = MixedGraph(nodes, edges)
+            if validate(cand, GraphClass.ADMG):
+                continue
+            if mag_of(cand) == m:
+                yield cand
+
+
+def separation_failure_witness(m: MixedGraph, A, B, C=(), D=(), T=()):
+    """A represented graph of the MAG m in which A is not id-separated from
+    B given C together with the selection nodes, after manipulating softly
+    on D and hard on T.  Returns None if every candidate in the search pool
+    is separated (which certifies the separation at the MAG level)."""
+    for cand in _witness_pool(m):
+        cmg = manipulate(cand, D, T, GraphClass.ADMG)
+        cc = set(C) | set(T) | set(cand.selections)
+        if not id_separated(cmg, A, B, cc):
+            return cand
+    return None
+
+
+def _witness_pool(m: MixedGraph):
+    """Candidate represented graphs ordered from plain to decorated: the
+    canonical graph, then single bidirected additions parallel to invisible
+    directed edges or aimed at split selection nodes, then pairs."""
+    base = canonical_isadmg(m)
+    yield base
+    singles = []
+    for e in m.edges:
+        if (e.mark_a, e.mark_b) in ((TAIL, ARROW), (ARROW, TAIL)):
+            tail = e.a if e.mark_a is TAIL else e.b
+            head = e.other(tail)
+            if m.kind(tail) is OUTPUT and not is_visible(m, tail, head):
+                singles.append(Edge(tail, ARROW, head, ARROW))
+        elif (e.mark_a, e.mark_b) == (TAIL, TAIL):
+            s = split_id(e.a, e.b)
+            singles.append(Edge(e.a, ARROW, s, ARROW))
+            singles.append(Edge(e.b, ARROW, s, ARROW))
+    seen = set()
+    for k in (1, 2):
+        for combo in itertools.combinations(singles, k):
+            cand = base.edit(add=combo)
+            if cand in seen:
+                continue
+            seen.add(cand)
+            if validate(cand, GraphClass.ADMG):
+                continue
+            if mag_of(cand) == m:
+                yield cand
+
+
+def _forest_edges(g: MixedGraph, nodes, R):
+    """A forest edge selection on the node set: all bidirected edges plus
+    one directed edge per non-root, aimed at the smallest child."""
+    nodes = set(nodes)
+    edges = []
+    for e in sorted(g.edges, key=lambda e: e.sort_key()):
+        if not {e.a, e.b} <= nodes:
+            continue
+        if e.mark_a is ARROW and e.mark_b is ARROW:
+            edges.append(e)
+    for v in sorted(nodes - set(R)):
+        best = None
+        for w, mv, mw, e in g.edges_at(v):
+            if mv is TAIL and mw is ARROW and w in nodes:
+                if best is None or w < best.other(v):
+                    best = e
+        if best is None:
+            return None
+        edges.append(best)
+    return tuple(edges)
+
+
+def _find_hedge(wit: MixedGraph, A, B):
+    """Reference for ``identify.hedge_witness``: exhaustive search for a
+    hedge for (A, B) among subsets of the output nodes of the witness
+    graph."""
+    go = _as_output_graph(wit)
+    A = set(A) & set(go.node_ids)
+    B = set(B) & set(go.node_ids)
+    mg = hard_manipulate(go, sorted(B), GraphClass.ADMG)
+    anc = mg.graph.ancestors(A)
+    pool = sorted(set(wit.outputs))
+    for hsize in range(2, len(pool) + 1):
+        for H in itertools.combinations(pool, hsize):
+            hset = set(H)
+            if not hset & B:
+                continue
+            sub = go.induced(hset)
+            sinks = {
+                v
+                for v in hset
+                if not any(
+                    mv is TAIL and mw is ARROW
+                    for _, mv, mw, _ in sub.edges_at(v)
+                )
+            }
+            for psize in range(1, hsize):
+                for Hp in itertools.combinations(sorted(hset), psize):
+                    pset = set(Hp)
+                    if pset & B:
+                        continue
+                    psub = go.induced(pset)
+                    R = {
+                        v
+                        for v in pset
+                        if not any(
+                            mv is TAIL and mw is ARROW
+                            for _, mv, mw, _ in psub.edges_at(v)
+                        )
+                    }
+                    if not R or not R <= anc or not sinks <= R:
+                        continue
+                    fe = _forest_edges(go, hset, R)
+                    fpe = _forest_edges(go, pset, R)
+                    if fe is None or fpe is None:
+                        continue
+                    h = Hedge(
+                        H=frozenset(hset),
+                        Hprime=frozenset(pset),
+                        R=frozenset(R),
+                        forest_edges=fe,
+                        forest_prime_edges=fpe,
+                    )
+                    if verify_hedge(wit, A, B, h):
+                        return h
+    return None
 
 
 # -- exact-oracle references: the Fraction arithmetic of the integer paths --

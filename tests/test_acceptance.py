@@ -27,10 +27,8 @@ from pagid.manipulate import (
 from pagid.represent import (
     canonical_isadmg,
     enumerate_mags,
-    enumerate_represented,
     mag_of,
     marginalize_latents,
-    separation_failure_witness,
 )
 from pagid.fci import distribution_oracle, fci, graph_oracle, orient, skeleton
 from pagid import oracle as oc
@@ -45,7 +43,13 @@ from pagid.identify import (
     sidp,
     verify_hedge,
 )
-from helpers import district_of, fixing_identifiable, rand_isadmg
+from helpers import (
+    district_of,
+    enumerate_represented,
+    fixing_identifiable,
+    rand_isadmg,
+    separation_failure_witness,
+)
 
 ADMG = GraphClass.ADMG
 MAG = GraphClass.MAG

@@ -41,6 +41,15 @@ INPUT_PAG = (
     "edge v0 --o v2\nedge v0 --o v4\nedge v1 --> v3\nedge v2 o-o v4\n"
     "edge v4 --> v3\n"
 )
+# an FCI PAG whose input's --o edges have no valid MAG orientation yet
+UNORIENTED_PAG = (
+    "node i0 input\nnode v0 output\nnode v1 output\nnode v2 output\n"
+    "node v3 output\nnode v4 output\n"
+    "edge i0 --o v0\nedge i0 --o v1\nedge i0 --o v2\nedge i0 --o v3\n"
+    "edge i0 --o v4\nedge v0 <-o v1\nedge v0 <-o v2\nedge v0 <-o v3\n"
+    "edge v0 <-o v4\nedge v1 o-o v2\nedge v2 o-o v3\nedge v3 o-o v4\n"
+    "edge v2 o-o v4\n"
+)
 
 
 @pytest.fixture
@@ -292,6 +301,17 @@ class TestIdentifyCommands:
                                  "--b", "v0"])
         assert r.exit_code == 0
         assert "hedge: H={v0,v1} H'={v1} R={v1}" in r.output.splitlines()
+
+    def test_hedge_witness_error_is_not_identifiable(self, runner, tmp_path):
+        # a failed construction exits 2, apart from the identifiable exit 1
+        f = write(tmp_path, "g.txt", UNORIENTED_PAG)
+        r = runner.invoke(main, ["sidp", "--graph", f, "--a", "v1",
+                                 "--b", "v4"])
+        assert r.exit_code == 1 and r.output.startswith("FAIL")
+        r = runner.invoke(main, ["hedge-witness", "--graph", f, "--a", "v1",
+                                 "--b", "v4"])
+        assert r.exit_code == 2
+        assert "could not orient the graph into a valid MAG" in r.output
 
     def test_hedge_witness_identifiable(self, runner, tmp_path):
         f = write(tmp_path, "g.txt", VISIBLE)

@@ -53,9 +53,13 @@ from pagid.identify import (
     verify_hedge,
     Hedge,
 )
+from pagid.fci import fci, graph_oracle
 from pagid.represent import canonical_isadmg, mag_of
 from helpers import (
+    _find_hedge,
+    _witness_pool,
     district_of,
+    enumerate_represented,
     fixing_identifiable,
     maximal_regime_separated_bruteforce,
     rand_isadmg,
@@ -630,6 +634,27 @@ class TestHedges:
             wit, {"v3"} | (set(wit.selections) - D), {"v0"} | D, h
         )
 
+    def test_confounded_child(self):
+        # v0 --> v4 is visible (i0 --> v0), but v0 <-> v1 <-> v4 confounds
+        # it, so there is no anterior violation and the hedge has 3 nodes
+        m = parse_graph(
+            "node i0 input\nnode v0 output\nnode v1 output\n"
+            "node v2 output\nnode v3 output\nnode v4 output\n"
+            "edge i0 --> v0\nedge i0 --> v2\nedge v0 <-> v1\n"
+            "edge v0 <-> v3\nedge v0 --> v4\nedge v2 --> v1\n"
+            "edge v1 <-> v4\nedge v2 <-> v3\nedge v2 --> v4\n"
+            "edge v3 <-> v4\n"
+        )
+        A, B = ["v1", "v4"], ["v0"]
+        cert = sidp(m, A, B)
+        assert isinstance(cert, FailCertificate)
+        assert idf._anterior_violation(m, A, B) is None
+        mag, wit, h = hedge_witness(m, A, B, cert)
+        assert wit == canonical_isadmg(m)
+        assert (h.H, h.Hprime, h.R) == (
+            {"v0", "v1", "v4"}, {"v1", "v4"}, {"v1", "v4"})
+        assert verify_hedge(wit, *_hedge_targets(wit, A, B), h)
+
     def test_witness_needs_a_certificate(self):
         with pytest.raises(ValueError):
             hedge_witness(cycle4(), ["a"], ["b"], None)
@@ -699,6 +724,115 @@ class TestRegimeSearch:
         D = maximal_regime_separated(wit, ["a"], ["b"])
         assert D == frozenset(f"s{i}" for i in range(5, 10))
         assert len(calls) <= len(wit.selections)
+
+
+@st.composite
+def reading_cases(draw, kind, max_out=7):
+    """A random isADMG with 4..max_out outputs, up to two selection and two
+    latent nodes and at most one input, read as its MAG ("MAG") or as the
+    FCI PAG of its independence model ("PAG"), with disjoint A and B of
+    one or two outputs each."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = rand_isadmg(
+        rng,
+        n_out=draw(st.integers(4, max_out)),
+        n_sel=draw(st.integers(0, 2)),
+        n_lat=draw(st.integers(0, 2)),
+        n_in=draw(st.integers(0, 1)),
+        p=draw(st.sampled_from([0.3, 0.5, 0.7])),
+    )
+    p = mag_of(g) if kind == "MAG" else fci(graph_oracle(g))
+    outs = sorted(p.outputs)
+    A = draw(st.lists(st.sampled_from(outs), min_size=1, max_size=2,
+                      unique=True))
+    rest = [v for v in outs if v not in A]
+    B = draw(st.lists(st.sampled_from(rest), min_size=1, max_size=2,
+                      unique=True))
+    return p, A, B
+
+
+def _hedge_targets(wit, A, B):
+    """The target pair a hedge in the witness answers for: A and B
+    extended by the selection nodes, split by regime separation."""
+    D = maximal_regime_separated(wit, A, B)
+    return set(A) | (set(wit.selections) - D), set(B) | D
+
+
+class TestCompleteness:
+    """sidp FAILs exactly when a violation exists (an anterior violation
+    or a confounded child), and the violation is the hedge.  An edge
+    visible in the graph stays visible after fixing removes the node that
+    witnessed it."""
+
+    # v0 makes v1 --> v2 visible, and fixing removes v0 before v1
+    VISIBLE_CHAIN = (
+        "node v0 output\nnode v1 output\nnode v2 output\n"
+        "node v3 output\nnode v4 output\n"
+        "edge v0 --> v1\nedge v1 --> v2\nedge v2 --> v4\nedge v0 <-> v3\n"
+    )
+    # v2 makes v3 --> v1 visible
+    VISIBLE_FORK = (
+        "node v1 output\nnode v2 output\nnode v3 output\n"
+        "edge v2 <-> v3\nedge v3 --> v1\n"
+    )
+
+    @pytest.mark.parametrize("text, A, B", [
+        (VISIBLE_CHAIN, ["v2"], ["v3"]),
+        (VISIBLE_FORK, ["v1"], ["v3"]),
+    ], ids=["chain", "fork"])
+    def test_visible_edge_after_fixing(self, text, A, B):
+        m = parse_graph(text)
+        res = sidp(m, A, B, GraphClass.MAG)
+        assert not isinstance(res, FailCertificate), res
+        represented = list(enumerate_represented(m))
+        assert represented
+        for w in represented:
+            for seed in range(3):
+                scm = oc.random_scm(w, random.Random(seed))
+                got = oc.eval_estimand(res, oc.observational_kernel(scm), scm)
+                want = oc.interventional_kernel(scm, B, outputs=A)
+                assert oc.kernels_agree(got, want), (w, seed)
+
+    @settings(max_examples=400)
+    @given(st.sampled_from(["MAG", "PAG"]).flatmap(reading_cases))
+    def test_fail_iff_violation(self, case):
+        p, A, B = case
+        failed = isinstance(sidp(p, A, B), FailCertificate)
+        assert failed == (idf._anterior_violation(p, A, B) is not None
+                          or idf._confounded_child(p, A, B) is not None)
+
+    @settings(max_examples=400)
+    @given(st.sampled_from(["MAG", "PAG"]).flatmap(reading_cases))
+    def test_single_rule_implies_identified(self, case):
+        p, A, B = case
+        if calculus_check(p, 2, A, B) or calculus_check(p, 3, A, B):
+            assert not isinstance(sidp(p, A, B), FailCertificate)
+
+    @settings(max_examples=150)
+    @given(reading_cases("MAG"))
+    def test_mag_failures_carry_a_verified_hedge(self, case):
+        m, A, B = case
+        cert = sidp(m, A, B)
+        if not isinstance(cert, FailCertificate):
+            return
+        mag, wit, h = hedge_witness(m, A, B, cert)
+        assert mag == m and mag_of(wit) == m
+        assert verify_hedge(wit, *_hedge_targets(wit, A, B), h)
+
+    @settings(max_examples=100)
+    @given(reading_cases("MAG", max_out=5))
+    def test_subset_search_agrees(self, case):
+        # the exhaustive hedge search finds a hedge in the direct witness
+        # of every FAIL, and none in any pooled witness of an identified
+        # query
+        m, A, B = case
+        cert = sidp(m, A, B)
+        if isinstance(cert, FailCertificate):
+            _mag, wit, _h = hedge_witness(m, A, B, cert)
+            assert _find_hedge(wit, *_hedge_targets(wit, A, B)) is not None
+        else:
+            for wit in _witness_pool(m):
+                assert _find_hedge(wit, *_hedge_targets(wit, A, B)) is None
 
 
 class TestValidationCache:

@@ -1,4 +1,5 @@
-"""Tests for projections between graph classes and witness constructions."""
+"""Tests for projections between graph classes and witness constructions,
+including the reference witness searches kept in the test helpers."""
 
 import random
 
@@ -17,14 +18,16 @@ from pagid.represent import (
     bidirected_witness,
     canonical_isadmg,
     enumerate_mags,
-    enumerate_represented,
     mag_of,
     marginalize_latents,
-    separation_failure_witness,
     split_id,
 )
 from pagid.separate import d_separated
-from helpers import rand_isadmg
+from helpers import (
+    enumerate_represented,
+    rand_isadmg,
+    separation_failure_witness,
+)
 
 
 class TestMagOf:
