@@ -96,9 +96,6 @@ class Edge:
             return self.a
         raise KeyError(v)
 
-    def pair(self) -> tuple[str, str]:
-        return (self.a, self.b)
-
 
 def edge(x: str, mx: Mark, y: str, my: Mark) -> Edge:
     return Edge(x, mx, y, my)
@@ -134,7 +131,8 @@ class MixedGraph:
     """Immutable mixed graph. Raw/ADMG graphs may carry parallel edges between
     a pair (e.g. both a --> b and a <-> b); MAG/PAG validation rejects that."""
 
-    __slots__ = ("_nodes", "_edges", "_adj", "_eat", "_anc", "_problems", "_hash")
+    __slots__ = ("_nodes", "_edges", "_adj", "_eat", "_anc", "_vis",
+                 "_problems", "_hash")
 
     def __init__(self, nodes: dict[str, NodeKind], edges=()):
         self._nodes = dict(sorted(nodes.items()))
@@ -154,6 +152,7 @@ class MixedGraph:
         self._adj = adj
         self._eat: dict[str, tuple] = {}
         self._anc: dict[str, frozenset[str]] = {}
+        self._vis: dict[tuple[str, str], bool] = {}
         self._problems: dict[GraphClass, tuple[str, ...]] = {}
         self._hash = None
 
@@ -366,30 +365,29 @@ class MixedGraph:
 
 
 def _directed_cycle(g: MixedGraph) -> list[str] | None:
-    """Return a cycle of definite directed edges, or None."""
-    color: dict[str, int] = {}
-    stack: list[str] = []
-
-    def dfs(v: str):
-        color[v] = 1
-        stack.append(v)
-        for w in sorted(g.children(v)):
-            c = color.get(w, 0)
-            if c == 1:
-                return stack[stack.index(w):] + [w]
-            if c == 0:
-                found = dfs(w)
-                if found:
-                    return found
-        color[v] = 2
-        stack.pop()
-        return None
-
-    for v in g.node_ids:
-        if color.get(v, 0) == 0:
-            found = dfs(v)
-            if found:
-                return found
+    """Return a cycle of definite directed edges, or None.  Depth first,
+    children in sorted order, with an explicit stack: a long directed
+    chain must not hit the recursion limit."""
+    color: dict[str, int] = {}  # 1 on the current path, 2 done
+    for root in g.node_ids:
+        if root in color:
+            continue
+        color[root] = 1
+        path = [root]
+        todo = [iter(sorted(g.children(root)))]
+        while todo:
+            for w in todo[-1]:
+                c = color.get(w)
+                if c == 1:
+                    return path[path.index(w):] + [w]
+                if c is None:
+                    color[w] = 1
+                    path.append(w)
+                    todo.append(iter(sorted(g.children(w))))
+                    break
+            else:
+                color[path.pop()] = 2
+                todo.pop()
     return None
 
 
@@ -538,12 +536,17 @@ def buckets(g: MixedGraph, D) -> list[tuple[str, ...]]:
 def _is_visible(g: MixedGraph, a: str, b: str) -> bool:
     """Directed edge a --> b is visible: a is an input, or some c not adjacent
     to b has an arrowhead into a, or an arrowhead into the far end of a
-    bidirected chain of parents of b ending at a."""
-    found = False
-    for e in g.edges_between(a, b):
-        if e.mark_at(a) is TAIL and e.mark_at(b) is ARROW:
-            found = True
-    if not found:
+    bidirected chain of parents of b ending at a.  Answers are kept on the
+    graph, so they live as long as it does."""
+    found = g._vis.get((a, b))
+    if found is None:
+        found = g._vis[a, b] = _visible(g, a, b)
+    return found
+
+
+def _visible(g: MixedGraph, a: str, b: str) -> bool:
+    if not any(e.mark_at(a) is TAIL and e.mark_at(b) is ARROW
+               for e in g.edges_between(a, b)):
         raise ValueError(f"no directed edge {a} --> {b}")
     if g.kind(a) is INPUT:
         return True
@@ -566,77 +569,64 @@ def _is_visible(g: MixedGraph, a: str, b: str) -> bool:
 
 
 def pc_component(
-    g: MixedGraph, D, b: str, directed_visible: bool = False
+    g: MixedGraph, D, B, directed_visible: bool = False
 ) -> tuple[str, ...]:
-    """All a in D connected to b in g_D by a single non-visible edge or by a
-    collider path with arrowheads throughout and no visible edge.  With
-    directed_visible every directed edge counts as visible, which is the
-    reading for graphs whose directed edges are known exactly.
+    """All a in D connected to some b in B within g_D by a single non-visible
+    edge or by a collider path with arrowheads throughout and no visible
+    edge; B itself included.  With directed_visible every directed edge
+    counts as visible, which is the reading for graphs whose directed edges
+    are known exactly.
 
     Visibility is read in the whole graph g, not in g_D: an edge visible in
     P stays visible in P_T after fixing (Jaber, Zhang & Bareinboim 2019).
     Visibility certifies that no latent confounds the edge's endpoints, and
     fixing the nodes outside D adds no confounding, so dropping the node
-    that witnessed it does not make the edge invisible."""
-    D = set(D)
-    if b not in D:
-        raise ValueError(f"{b} not in D")
-    h = g.induced(D)
+    that witnessed it does not make the edge invisible.
+
+    Both clauses are one search from all of B: the union of the searches
+    from each b is the search from their union."""
+    D, B = set(D), set(B)
+    if not B <= D:
+        raise ValueError(f"{sorted(B - D)} not in D")
 
     def visible(e: Edge) -> bool:
         for x, y in ((e.a, e.b), (e.b, e.a)):
             if e.mark_at(x) is TAIL and e.mark_at(y) is ARROW:
-                return True if directed_visible else _is_visible(g, x, y)
+                return directed_visible or _is_visible(g, x, y)
         return False
 
-    out = {b}
-    # clause (i): single non-visible edge
-    for w, _mb, _mw, e in h.edges_at(b):
-        if not visible(e):
-            out.add(w)
-    # clause (ii): b <-* v ... v *-> a collider path, no visible edge.
-    # traverse states (node, ok) where the incoming edge had an arrowhead at
-    # the node; interior edges must be bidirected.
-    starts = [
-        (w, e)
-        for w, _mb, mw, e in h.edges_at(b)
-        if mw is ARROW and not visible(e)
-    ]
-    seen = {w for w, _ in starts}
-    frontier = [w for w, _ in starts]
+    out = set(B)
+    # clause (i): a single non-visible edge within g_D; those with an
+    # arrowhead at the far end also start the collider paths of clause (ii)
+    chain = set()
+    for b in B:
+        for w, _mb, mw, e in g.edges_at(b):
+            if w in D and not visible(e):
+                out.add(w)
+                if mw is ARROW:
+                    chain.add(w)
+    # clause (ii): b *-> v <-> ... <-> v' <-* a; the chain grows along
+    # bidirected edges, and any non-visible edge with an arrowhead at a
+    # chain node ends a path
+    frontier = list(chain)
     while frontier:
         v = frontier.pop()
-        for w, mv, mw, e in h.edges_at(v):
-            if mv is not ARROW or visible(e):
+        for w, mv, mw, e in g.edges_at(v):
+            if w not in D or mv is not ARROW or visible(e):
                 continue
-            if mw is ARROW:
-                # interior bidirected step keeps the chain alive
-                out.add(w)
-                if w not in seen:
-                    seen.add(w)
-                    frontier.append(w)
-            else:
-                # terminal edge v <-* w with tail/circle at w: w = endpoint a
-                out.add(w)
+            out.add(w)
+            if mw is ARROW and w not in chain:
+                chain.add(w)
+                frontier.append(w)
     return tuple(sorted(out))
-
-
-def pc_component_set(
-    g: MixedGraph, D, B, directed_visible: bool = False
-) -> set[str]:
-    out: set[str] = set()
-    for b in sorted(set(B)):
-        out.update(pc_component(g, D, b, directed_visible))
-    return out
 
 
 def region(g: MixedGraph, D, B, directed_visible: bool = False) -> tuple[str, ...]:
     """Bucket closure of the pc-components of B within g_D."""
     D = set(D)
     out: set[str] = set()
-    part = buckets(g, D)
-    lookup = {v: bu for bu in part for v in bu}
-    for c in pc_component_set(g, D, B, directed_visible):
+    lookup = {v: bu for bu in buckets(g, D) for v in bu}
+    for c in pc_component(g, D, B, directed_visible):
         out.update(lookup[c])
     return tuple(sorted(out))
 
@@ -683,39 +673,6 @@ def bucket_topological_order(g: MixedGraph, D) -> list[tuple[str, ...]]:
     if len(order) != len(part):
         raise ValueError("cycle among buckets; graph is not SOPAG-derived")
     return order
-
-
-def circle_components(g: MixedGraph, D) -> list[tuple[str, ...]]:
-    """Connected components of g_D restricted to o-o edges."""
-    D = sorted(set(D))
-    dset = set(D)
-    adj: dict[str, set[str]] = {v: set() for v in D}
-    for e in g.edges:
-        if (
-            e.a in dset
-            and e.b in dset
-            and e.mark_a is CIRCLE
-            and e.mark_b is CIRCLE
-        ):
-            adj[e.a].add(e.b)
-            adj[e.b].add(e.a)
-    seen: set[str] = set()
-    comps = []
-    for v in D:
-        if v in seen:
-            continue
-        comp = {v}
-        frontier = [v]
-        seen.add(v)
-        while frontier:
-            u = frontier.pop()
-            for w in adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    comp.add(w)
-                    frontier.append(w)
-        comps.append(tuple(sorted(comp)))
-    return comps
 
 
 def discriminating_paths(g: MixedGraph, y: str, z: str) -> list[tuple[str, ...]]:

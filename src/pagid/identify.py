@@ -4,9 +4,10 @@ The entry points are ``sidp`` (unconditional targets) and ``scidp``
 (conditional targets).  Both emit either a symbolic estimand tree that an
 oracle can evaluate against the observed kernel, or an explicit failure
 value.  Around them sit the set computations they rely on (``l0_sets``,
-``build_tree``, ``attach_kernel``), checkers for the three calculus rules
-and the adjustment criterion, single-pair causal-relation criteria, and the
-construction and verification of hedge witnesses for failed runs.
+the region recursion ``_assemble`` and the leaf fixing ``_fix_leaf``),
+checkers for the three calculus rules and the adjustment criterion,
+single-pair causal-relation criteria, and the construction and
+verification of hedge witnesses for failed runs.
 
 Estimands use six node kinds: Base (a c-factor Q[C]), Marginalize,
 Condition, OrderedProduct, BoxProduct (the assembly product evaluated along
@@ -37,7 +38,7 @@ from .graph import (
     as_class,
     bucket_topological_order,
     buckets,
-    pc_component_set,
+    pc_component,
     region,
     validate,
 )
@@ -248,61 +249,39 @@ class ExchangeFail:
         )
 
 
-@dataclass(frozen=True)
-class AssemblyTree:
-    label: frozenset
-    left: object = None
-    right: object = None
-
-    def __post_init__(self):
-        if not self.label:
-            raise ValueError("empty tree label")
-        if (self.left is None) != (self.right is None):
-            raise ValueError("internal node needs two children")
-        if self.left is not None:
-            if self.left.label | self.right.label != self.label:
-                raise ValueError("label is not the union of child labels")
-
-    @property
-    def is_leaf(self) -> bool:
-        return self.left is None
-
-    def leaves(self):
-        if self.is_leaf:
-            return [self]
-        return self.left.leaves() + self.right.leaves()
-
-
 # -- set computations and the core algorithm ---------------------------------
 
 
-def l0_sets(p, A, B):
-    """Sets of the reduction step: D = possible anteriors of A avoiding B,
-    Dtilde = inputs with such an anterior path, H = everything dropped."""
+def _reduction_set(p: MixedGraph, A, B) -> frozenset:
+    """D: the possible anteriors of A in the graph over the outputs not in
+    B."""
+    return frozenset(
+        p.induced(set(p.outputs) - set(B)).possible_anteriors(A)
+    )
+
+
+def l0_sets(p, A, B) -> frozenset:
+    """The set D of the reduction step (``_reduction_set``), after checking
+    that A is non-empty and that A and B are disjoint sets of outputs."""
     p = _plain(p)
     A, B = frozenset(A), frozenset(B)
     V = set(p.outputs)
-    I = set(p.inputs)
     if not A:
         raise ValueError("A must be non-empty")
     if A & B:
         raise ValueError(f"A and B overlap: {sorted(A & B)}")
     if not A <= V or not B <= V:
         raise ValueError("A and B must consist of output nodes")
-    D = frozenset(p.induced(V - B).possible_anteriors(A))
-    Dt = frozenset(
-        i for i in I if i in p.induced((V - B) | {i}).possible_anteriors(A)
-    )
-    H = frozenset((V - (D | B)) | (I - Dt))
-    return D, Dt, H
+    return _reduction_set(p, A, B)
 
 
-def build_tree(C, p, cls: GraphClass | None = None) -> AssemblyTree:
-    """Recursive region decomposition of C within p: split off the region of
-    an eligible bucket, decompose both parts, and join."""
-    p = _plain(p)
-    dv = (as_class(cls) or _infer_class(p)) is GraphClass.ADMG
-    C = frozenset(C)
+def _assemble(C, V, q, p, dv=False):
+    """Estimand of the kernel over C, or the FailCertificate of its first
+    stuck leaf, left to right.  C splits into the region of its first
+    eligible bucket and the region of the rest; each part is assembled in
+    turn and the two are joined by the assembly product along the bucket
+    order of C.  A C that does not split is a leaf, fixed down from V.  dv
+    reads every directed edge as visible."""
     for bu in buckets(p, C):
         if frozenset(bu) == C:
             continue
@@ -312,12 +291,15 @@ def build_tree(C, p, cls: GraphClass | None = None) -> AssemblyTree:
         C2 = frozenset(region(p, C, C - C1, dv))
         if C2 == C:
             continue
-        return AssemblyTree(
-            label=C1 | C2,
-            left=build_tree(C1, p, cls),
-            right=build_tree(C2, p, cls),
-        )
-    return AssemblyTree(label=C)
+        left = _assemble(C1, V, q, p, dv)
+        if isinstance(left, FailCertificate):
+            return left
+        right = _assemble(C2, V, q, p, dv)
+        if isinstance(right, FailCertificate):
+            return right
+        order = tuple(tuple(b) for b in bucket_topological_order(p, C))
+        return BoxProduct(left, right, C, order)
+    return _fix_leaf(C, V, q, p, dv)
 
 
 def _fix_leaf(R, V, q, p, dv=False):
@@ -334,7 +316,7 @@ def _fix_leaf(R, V, q, p, dv=False):
             if not bset <= T - set(R):
                 continue
             pode = sub.possible_descendants(bset)
-            if pc_component_set(p, T, bset, dv) & pode <= bset:
+            if pode.intersection(pc_component(p, T, bset, dv)) <= bset:
                 pick = bu
                 break
         if pick is None:
@@ -354,35 +336,6 @@ def _fix_leaf(R, V, q, p, dv=False):
     return est
 
 
-def attach_kernel(tree: AssemblyTree, V, q, p, cls: GraphClass | None = None) -> dict:
-    """Estimand (or failure) for every node of the assembly tree, computed
-    bottom-up: leaves by iterated fixing, internal nodes by the assembly
-    product of their children."""
-    p = _plain(p)
-    dv = (as_class(cls) or _infer_class(p)) is GraphClass.ADMG
-    V = frozenset(V)
-    out = {}
-
-    def rec(node):
-        if node.is_leaf:
-            out[node] = _fix_leaf(node.label, V, q, p, dv)
-            return
-        rec(node.left)
-        rec(node.right)
-        l, r = out[node.left], out[node.right]
-        for side in (l, r):
-            if isinstance(side, FailCertificate):
-                out[node] = side
-                return
-        order = tuple(
-            tuple(bu) for bu in bucket_topological_order(p, node.label)
-        )
-        out[node] = BoxProduct(l, r, frozenset(node.label), order)
-
-    rec(tree)
-    return out
-
-
 def sidp(p, A, B, cls: GraphClass | None = None):
     """Identification of the kernel of X_A under hard manipulation of X_B.
     Returns an estimand over A, or the FailCertificate of the first stuck
@@ -392,19 +345,13 @@ def sidp(p, A, B, cls: GraphClass | None = None):
     through its MAG."""
     p, cls = _reading(p, cls)
     _check_sopag(p)
-    A, B = frozenset(A), frozenset(B)
+    A = frozenset(A)
     V = frozenset(p.outputs)
-    D, _dt, _h = l0_sets(p, A, B)
-    tree = build_tree(D, p, cls)
-    kmap = attach_kernel(tree, V, Base(V), p, cls)
-    if isinstance(kmap[tree], FailCertificate):
-        for leaf in tree.leaves():
-            if isinstance(kmap[leaf], FailCertificate):
-                return kmap[leaf]
-    root = kmap[tree]
-    if D == A:
-        return root
-    return Marginalize(root, D - A)
+    D = l0_sets(p, A, B)
+    res = _assemble(D, V, Base(V), p, cls is GraphClass.ADMG)
+    if isinstance(res, FailCertificate) or D == A:
+        return res
+    return Marginalize(res, D - A)
 
 
 def scidp(p, A, B, C, cls: GraphClass | None = None):
@@ -418,7 +365,7 @@ def scidp(p, A, B, C, cls: GraphClass | None = None):
     _disjoint(A, B, C)
     V = set(p.outputs)
     part = buckets(p, V)
-    D = set(p.induced(V - B).possible_anteriors(A | C))
+    D = _reduction_set(p, A | C, B)
     Bc, Cc = set(B), set(C)
 
     while True:
@@ -439,7 +386,7 @@ def scidp(p, A, B, C, cls: GraphClass | None = None):
             )
         Bc -= Bt
         Cc |= Bt
-        D = set(p.induced(V - Bc).possible_anteriors(A | Cc))
+        D = _reduction_set(p, A | Cc, Bc)
 
     while True:
         pick = None
@@ -700,8 +647,7 @@ def _confounded_child(p: MixedGraph, A, B):
     """A bidirected path from some b in B to a child of b, through nodes
     with a potentially anterior path to A that avoids B, as a node list;
     None if there is none: a b --> c that is visible but confounded."""
-    A, B = set(A), set(B)
-    D = p.induced(set(p.outputs) - B).possible_anteriors(A)
+    D = _reduction_set(p, A, B)
 
     def spouses(v):
         return [w for w, mv, mw, _e in p.edges_at(v)

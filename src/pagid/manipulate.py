@@ -4,7 +4,6 @@ combined form: soft manipulation first, then hard manipulation."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 from .graph import (
     ARROW,
@@ -63,15 +62,11 @@ def as_manipulated(g, cls: GraphClass = GraphClass.MAG) -> ManipulatedGraph:
     return ManipulatedGraph(graph=g, base_class=cls)
 
 
-@lru_cache(maxsize=1 << 16)
-def _visible_cached(g: MixedGraph, a: str, b: str) -> bool:
-    return _is_visible(g, a, b)
-
-
 def is_visible(g: MixedGraph, a: str, b: str) -> bool:
     """Whether the directed edge a --> b is visible: its directedness is
-    certified by an input origin or a qualifying non-adjacent witness."""
-    return _visible_cached(_plain(g), a, b)
+    certified by an input origin or a qualifying non-adjacent witness.
+    The answer is kept on the graph (``graph._is_visible``)."""
+    return _is_visible(_plain(g), a, b)
 
 
 def _check_unmanipulated(mg: ManipulatedGraph, cls: GraphClass):

@@ -44,6 +44,35 @@ def rand_mixed_graph(rng: random.Random, n=5, p=0.5, marks=MARKS, kinds=None):
     return MixedGraph(nodes, edges)
 
 
+def directed_cycle_recursive(g: MixedGraph):
+    """Reference for ``graph._directed_cycle``: the same depth-first
+    search, children in sorted order, as a recursion."""
+    color = {}
+    stack = []
+
+    def dfs(v):
+        color[v] = 1
+        stack.append(v)
+        for w in sorted(g.children(v)):
+            c = color.get(w, 0)
+            if c == 1:
+                return stack[stack.index(w):] + [w]
+            if c == 0:
+                found = dfs(w)
+                if found:
+                    return found
+        color[v] = 2
+        stack.pop()
+        return None
+
+    for v in g.node_ids:
+        if color.get(v, 0) == 0:
+            found = dfs(v)
+            if found:
+                return found
+    return None
+
+
 def rand_isadmg(rng: random.Random, n_out=4, n_sel=1, n_lat=0, n_in=0, p=0.5):
     """Random isADMG: directed part acyclic by construction (edges go up in
     node order), plus random bidirected edges; inputs have out-edges only;

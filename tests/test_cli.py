@@ -83,6 +83,16 @@ class TestValidate:
         data = json.loads(r.output)
         assert data["schema"] == 1 and data["valid"] is True
 
+    def test_deep_chain_is_a_valid_admg(self, runner, tmp_path):
+        # deeper than the recursion limit
+        n = 1200
+        text = "".join(f"node v{i:04d} output\n" for i in range(n)) + "".join(
+            f"edge v{i:04d} --> v{i + 1:04d}\n" for i in range(n - 1))
+        f = write(tmp_path, "g.txt", text)
+        r = runner.invoke(main, ["validate", "--graph", f, "--class", "admg"])
+        assert r.exit_code == 0
+        assert r.output.strip() == "valid"
+
     def test_parse_error_exits_2(self, runner, tmp_path):
         f = write(tmp_path, "g.txt", "nonsense\n")
         r = runner.invoke(main, ["validate", "--graph", f])

@@ -1,7 +1,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pagid import graph as graph_mod
 from pagid.graph import (
     ARROW,
     CIRCLE,
@@ -15,7 +17,6 @@ from pagid.graph import (
     bidirected,
     bucket_topological_order,
     buckets,
-    circle_components,
     directed,
     discriminating_paths,
     edge,
@@ -29,6 +30,7 @@ from pagid.graph import (
 )
 from helpers import (
     anteriors_oracle,
+    directed_cycle_recursive,
     inducing_path_oracle,
     possible_ancestors_oracle,
     possible_anteriors_oracle,
@@ -164,6 +166,32 @@ class TestValidate:
         assert validate(g, GraphClass.ADMG) == []
         assert any("cycle" in v for v in validate(g3, GraphClass.ADMG))
 
+    def test_cycle_text(self):
+        g = MixedGraph(
+            {v: OUTPUT for v in "abcd"},
+            [directed("a", "b"), directed("b", "c"), directed("c", "d"),
+             directed("d", "b")],
+        )
+        assert validate(g, GraphClass.ADMG) == ["directed cycle b,c,d,b"]
+
+    def test_cycles_match_the_recursive_search(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            g = rand_mixed_graph(rng, n=rng.randint(2, 7),
+                                 marks=(TAIL, ARROW))
+            assert graph_mod._directed_cycle(g) == directed_cycle_recursive(g)
+
+    def test_deep_chain(self):
+        # deeper than the recursion limit
+        n = 1200
+        g = MixedGraph({f"v{i:04d}": OUTPUT for i in range(n)},
+                       [directed(f"v{i:04d}", f"v{i + 1:04d}")
+                        for i in range(n - 1)])
+        assert validate(g, GraphClass.ADMG) == []
+        back = g.edit(add=[directed(f"v{n - 1:04d}", "v0000")])
+        cycle = validate(back, GraphClass.ADMG)[0].split(" ")[-1].split(",")
+        assert len(cycle) == n + 1 and cycle[0] == cycle[-1] == "v0000"
+
     def test_almost_directed_cycle_rejected(self):
         g = MixedGraph(
             {"a": OUTPUT, "b": OUTPUT, "c": OUTPUT},
@@ -252,15 +280,12 @@ class TestBuckets:
             flat = [v for bu in part for v in bu]
             assert sorted(flat) == sorted(D)
             assert len(set(flat)) == len(flat)
-            cpart = circle_components(g, D)
-            cflat = [v for bu in cpart for v in bu]
-            assert sorted(cflat) == sorted(D)
 
 
 class TestPcRegion:
     def test_isolated_node(self):
         g = MixedGraph({"a": OUTPUT, "b": OUTPUT}, [])
-        assert pc_component(g, {"a", "b"}, "b") == ("b",)
+        assert pc_component(g, {"a", "b"}, {"b"}) == ("b",)
 
     def test_visible_edge_excluded(self):
         # c --> a --> b with c non-adjacent to b: a --> b is visible in the
@@ -269,13 +294,13 @@ class TestPcRegion:
             {"a": OUTPUT, "b": OUTPUT, "c": OUTPUT},
             [directed("c", "a"), directed("a", "b")],
         )
-        assert pc_component(g, {"a", "b", "c"}, "b") == ("b",)
+        assert pc_component(g, {"a", "b", "c"}, {"b"}) == ("b",)
 
     def test_invisible_edge_included(self):
         g = MixedGraph(
             {"a": OUTPUT, "b": OUTPUT}, [directed("a", "b")]
         )
-        assert pc_component(g, {"a", "b"}, "b") == ("a", "b")
+        assert pc_component(g, {"a", "b"}, {"b"}) == ("a", "b")
 
     def test_collider_path(self):
         # a <-> m <-> b: a reaches b through interior collider m
@@ -283,7 +308,21 @@ class TestPcRegion:
             {"a": OUTPUT, "b": OUTPUT, "m": OUTPUT},
             [bidirected("a", "m"), bidirected("m", "b")],
         )
-        assert pc_component(g, {"a", "b", "m"}, "b") == ("a", "b", "m")
+        assert pc_component(g, {"a", "b", "m"}, {"b"}) == ("a", "b", "m")
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32), st.integers(2, 7), st.booleans())
+    def test_set_is_the_union_of_single_nodes(self, seed, n, dv):
+        rng = random.Random(seed)
+        kinds = [rng.choice([OUTPUT, OUTPUT, OUTPUT, INPUT]) for _ in range(n)]
+        g = rand_mixed_graph(rng, n=n, p=rng.choice([0.3, 0.5, 0.8]),
+                             kinds=kinds)
+        D = set(rng.sample(g.node_ids, rng.randint(1, n)))
+        B = set(rng.sample(sorted(D), rng.randint(0, len(D))))
+        single = set()
+        for b in B:
+            single.update(pc_component(g, D, {b}, dv))
+        assert pc_component(g, D, B, dv) == tuple(sorted(single))
 
     def test_region_square(self):
         g = square_mag()

@@ -27,7 +27,6 @@ from pagid import oracle as oc
 from pagid.identify import (
     ALL_NO,
     SOME_YES,
-    AssemblyTree,
     Base,
     BoxProduct,
     Compose,
@@ -37,8 +36,6 @@ from pagid.identify import (
     Marginalize,
     OrderedProduct,
     adjustment_check,
-    attach_kernel,
-    build_tree,
     calculus_check,
     causal_relation,
     format_estimand,
@@ -125,32 +122,14 @@ class TestEstimandTrees:
         e = ExchangeFail(frozenset("b"), frozenset("b"), frozenset("c"))
         assert str(e).startswith("FAIL exchange bucket={b}")
 
-    def test_assembly_tree_invariants(self):
-        l = AssemblyTree(frozenset("a"))
-        r = AssemblyTree(frozenset("b"))
-        t = AssemblyTree(frozenset("ab"), l, r)
-        assert not t.is_leaf and l.is_leaf
-        assert t.leaves() == [l, r]
-        with pytest.raises(ValueError):
-            AssemblyTree(frozenset())
-        with pytest.raises(ValueError):
-            AssemblyTree(frozenset("abc"), l, r)
-        with pytest.raises(ValueError):
-            AssemblyTree(frozenset("ab"), l, None)
-
 
 class TestReductionSets:
     def test_cycle4_targets(self):
-        D, Dt, H = l0_sets(cycle4(), ["a"], ["b"])
-        assert D == frozenset({"a", "c1", "c2"})
-        assert Dt == frozenset()
-        assert H == frozenset()
+        assert l0_sets(cycle4(), ["a"], ["b"]) == frozenset({"a", "c1", "c2"})
 
     def test_chain_drops_upstream_of_removed(self):
         g = parse_graph(CHAIN)
-        D, _, H = l0_sets(g, ["c"], ["b"])
-        assert D == frozenset({"c"})
-        assert H == frozenset({"a"})
+        assert l0_sets(g, ["c"], ["b"]) == frozenset({"c"})
 
     def test_rejects_bad_sets(self):
         g = parse_graph(CHAIN)
@@ -162,36 +141,83 @@ class TestReductionSets:
             l0_sets(g, ["nope"], [])
 
 
+def _assembled(C, g, dv=False):
+    """The region recursion on C, every leaf fixed down from all of g's
+    outputs, starting at Q[V]."""
+    V = frozenset(g.outputs)
+    return idf._assemble(frozenset(C), V, Base(V), g, dv)
+
+
+def _parts(est):
+    """The kernels an estimand joins by assembly products, left to right."""
+    if isinstance(est, BoxProduct):
+        return _parts(est.left) + _parts(est.right)
+    return [est]
+
+
 class TestBuildTree:
+    """The region recursion of sidp (``identify._assemble``)."""
+
     def test_single_bucket_is_a_leaf(self):
-        t = build_tree({"a", "c1", "c2"}, cycle4())
-        assert t.is_leaf
-        assert t.label == frozenset({"a", "c1", "c2"})
+        # {a, b} is one bucket; c is fixed away and the rest is not split
+        g = parse_graph(
+            "node a output\nnode b output\nnode c output\n"
+            "edge a --- b\nedge a --> c\n"
+        )
+        V = frozenset(g.outputs)
+        est = _assembled({"a", "b"}, g)
+        assert not isinstance(est, (BoxProduct, FailCertificate))
+        assert est == idf._fix_leaf(frozenset("ab"), V, Base(V), g)
+        assert est.outputs == frozenset("ab")
 
     def test_disconnected_parts_split(self):
         g = parse_graph(
             "node a output\nnode b output\nnode c output\nnode d output\n"
             "edge a --> b\nedge c --> d\n"
         )
-        t = build_tree(set("abcd"), g, ADMG)
-        assert not t.is_leaf
-        # no leaf mixes the two disconnected halves
-        for leaf in t.leaves():
-            assert leaf.label <= frozenset("ab") or leaf.label <= frozenset(
-                "cd"
+        est = _assembled(set("abcd"), g, dv=True)
+        assert isinstance(est, BoxProduct)
+        assert est.outputs == frozenset("abcd")
+        # no part mixes the two disconnected halves
+        for part in _parts(est):
+            assert part.outputs <= frozenset("ab") or part.outputs <= (
+                frozenset("cd")
             )
 
     def test_labels_union_to_root(self):
         rng = random.Random(3)
+        identified = 0
         for _ in range(40):
             a = rand_isadmg(rng, n_out=rng.randint(2, 5), n_sel=0,
                             n_lat=0, n_in=0, p=0.5)
-            t = build_tree(set(a.outputs), a, ADMG)
+            D = frozenset(a.outputs)
+            est = _assembled(D, a, dv=True)
+            if isinstance(est, FailCertificate):
+                continue
+            identified += 1
             got = frozenset()
-            for leaf in t.leaves():
-                assert leaf.label
-                got |= leaf.label
-            assert got == frozenset(a.outputs)
+            for part in _parts(est):
+                assert part.outputs
+                got |= part.outputs
+            assert got == D
+        assert identified >= 20
+
+    def test_stops_at_the_first_stuck_leaf(self, monkeypatch):
+        # D = {a, c1, c2, x, y} splits into the leaves {a, c1, c2}, which
+        # sticks, and {x, y}, which is never fixed
+        g = parse_graph(CYCLE4 + "node x output\nnode y output\n"
+                        "edge x --> y\n")
+        calls = []
+        real = idf._fix_leaf
+
+        def counted(R, *args):
+            calls.append(R)
+            return real(R, *args)
+
+        monkeypatch.setattr(idf, "_fix_leaf", counted)
+        res = sidp(g, ["a", "y"], ["b"])
+        assert str(res) == "FAIL C={a,c1,c2} T={a,b,c1,c2}"
+        assert calls == [frozenset({"a", "c1", "c2"})]
 
 
 class TestSidp:
@@ -910,10 +936,7 @@ class TestSerialization:
 class TestKernelAttachment:
     def test_leaf_estimand_structure(self):
         g = parse_graph(CHAIN)
-        V = frozenset(g.outputs)
-        tree = build_tree({"a"}, g, ADMG)
-        table = attach_kernel(tree, V, Base(V), g, ADMG)
-        est = table[tree]
+        est = _assembled({"a"}, g, dv=True)
         assert est.outputs == frozenset({"a"})
         # fixing proceeds leafward: last bucket removed first
         assert isinstance(est, OrderedProduct)

@@ -1,5 +1,6 @@
 """Tests for visibility and the hard/soft manipulation operators."""
 
+import gc
 import itertools
 import random
 
@@ -12,6 +13,7 @@ from pagid.graph import (
     Edge,
     GraphClass,
     INPUT,
+    MixedGraph,
     parse_graph,
 )
 from pagid.manipulate import (
@@ -77,6 +79,26 @@ class TestVisibility:
             "edge c <-> v\nedge v <-> a\nedge a --> b\nedge v <-> b\n"
         )
         assert not is_visible(g, "a", "b")
+
+    def test_answers_die_with_their_graph(self):
+        def probes():
+            return [o for o in gc.get_objects()
+                    if isinstance(o, MixedGraph) and o.has_node("probe")]
+
+        for i in range(50):
+            g = parse_graph(
+                f"node probe output\nnode b{i} output\nedge probe --> b{i}\n"
+            )
+            assert not is_visible(g, "probe", f"b{i}")
+        del g
+        gc.collect()
+        assert probes() == []
+
+    def test_no_directed_edge_raises(self):
+        g = parse_graph("node a output\nnode b output\nedge a <-> b\n")
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                is_visible(g, "a", "b")
 
 
 class TestSoftManipulate:
