@@ -14,7 +14,6 @@ independence in a discrete model.
 from __future__ import annotations
 
 import itertools
-from fractions import Fraction
 
 from .graph import (
     ARROW,
@@ -112,25 +111,25 @@ class distribution_oracle(IndependenceOracle):
         from . import oracle as oc
 
         k = self.kernel
+        names = tuple(sorted(tgt + giv))
         drop = {k.context.index(v) for v in ins}
-        pos = {v: i for i, v in enumerate(k.outputs)}
-        ig, it = [pos[v] for v in giv], [pos[v] for v in tgt]
+        kg, kt = (oc._projection([names.index(v) for v in s])
+                  for s in (giv, tgt))
         seen = {}
-        for ctx, row in k.table.items():
+        for ctx, margin in k._integer_margin(names):
             # integer weights of tgt for each giv assignment
             joint = {}
-            for vals, w in oc._integer_row(row).items():
-                if not w:
-                    continue
-                sub = joint.setdefault(tuple(vals[i] for i in ig), {})
-                t = tuple(vals[i] for i in it)
-                sub[t] = sub.get(t, 0) + w
+            for vals, w in margin.items():
+                joint.setdefault(kg(vals), {})[kt(vals)] = w
             reduced = tuple(v for i, v in enumerate(ctx) if i not in drop)
             conds = seen.setdefault(reduced, {})
             for key, sub in joint.items():
                 tot = sum(sub.values())
-                dist = {t: Fraction(w, tot) for t, w in sub.items()}
-                if conds.setdefault(key, dist) != dist:
+                first, first_tot = conds.setdefault(key, (sub, tot))
+                # equal conditionals: same support, cross-multiplied weights
+                if first.keys() != sub.keys() or any(
+                    w * first_tot != first[t] * tot for t, w in sub.items()
+                ):
                     return False
         return True
 

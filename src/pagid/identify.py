@@ -364,6 +364,8 @@ def scidp(p, A, B, C, cls: GraphClass | None = None):
     A, B, C = frozenset(A), frozenset(B), frozenset(C)
     _disjoint(A, B, C)
     V = set(p.outputs)
+    if not A | B | C <= V:
+        raise ValueError("A, B and C must consist of output nodes")
     part = buckets(p, V)
     D = _reduction_set(p, A | C, B)
     Bc, Cc = set(B), set(C)

@@ -178,6 +178,7 @@ def hard_manipulate(g, T, cls: GraphClass | None = None) -> ManipulatedGraph:
     inputs = set(graph.inputs)
     tset = set(T)
     non_input_targets = tset - inputs
+    fixed = tset | inputs
     gone = set()
     add = set()
     for e in graph.edges:
@@ -185,7 +186,7 @@ def hard_manipulate(g, T, cls: GraphClass | None = None) -> ManipulatedGraph:
             if y in non_input_targets and e.mark_at(y) is ARROW:
                 gone.add(e)
         if cls in (GraphClass.MAG, GraphClass.PAG):
-            if e.a in tset | inputs and e.b in tset | inputs:
+            if e.a in fixed and e.b in fixed:
                 gone.add(e)
         if cls is GraphClass.PAG and e not in gone:
             for x, y in ((e.a, e.b), (e.b, e.a)):

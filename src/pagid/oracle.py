@@ -4,8 +4,10 @@ Everything in this module is exact; there is no floating point.  Each
 model scales every table to integer weights once (per variable, by the lcm
 of its denominators), so the joint weights of one context share a common
 scale and are summed as integers; kernels hold fractions.Fraction values
-in lowest terms.  Selection variables are binary and the selection event
-is "value = 1" for every one of them.
+in lowest terms.  CI queries read integer margins of a kernel: its rows
+are scaled to integers, and each margin summed, once per kernel and
+cached on it.  Selection variables are binary and the selection event is
+"value = 1" for every one of them.
 
 Two independent computation paths produce interventional distributions: a
 full-joint enumeration (used while the state space is small) and a
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -255,6 +258,35 @@ class Kernel:
                 table[full_ctx] = {o: p / total for o, p in sub.items()}
         return Kernel(new_ctx, keep, self.domains, table)
 
+    def _integer_margin(self, names) -> list:
+        """(context, {values of names: weight}) for every row: the margin
+        over names, a sorted tuple of outputs, in integer weights.  Each
+        row is scaled by the lcm of its denominators, so ratios within a
+        row are the kernel's; zero cells are left out.  The scaled rows
+        and each margin are built once per kernel and kept outside the
+        dataclass fields (==, hash and repr)."""
+        margins = self.__dict__.get("_margins")
+        if margins is None:
+            rows = []
+            for ctx, row in self.table.items():
+                scale = math.lcm(*(p.denominator for p in row.values()))
+                rows.append((ctx, {out: p.numerator * (scale // p.denominator)
+                                   for out, p in row.items() if p}))
+            margins = {self.outputs: rows}
+            object.__setattr__(self, "_margins", margins)
+        hit = margins.get(names)
+        if hit is None:
+            key = _projection([self.outputs.index(v) for v in names])
+            hit = []
+            for ctx, row in margins[self.outputs]:
+                m = {}
+                for out, w in row.items():
+                    k = key(out)
+                    m[k] = m.get(k, 0) + w
+                hit.append((ctx, m))
+            margins[names] = hit
+        return hit
+
     def __eq__(self, other):
         if not isinstance(other, Kernel):
             return NotImplemented
@@ -481,17 +513,19 @@ def observational_kernel(scm: DiscreteSCM) -> Kernel:
     return interventional_kernel(scm, ())
 
 
-def _integer_row(row: dict) -> dict:
-    """A kernel row's values scaled to integers by the lcm of their
-    denominators; ratios between them are unchanged."""
-    scale = math.lcm(*(p.denominator for p in row.values()))
-    return {k: p.numerator * (scale // p.denominator) for k, p in row.items()}
+def _projection(idx):
+    """Function from a tuple to the tuple of its items at idx."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda t: (t[i],)
+    return operator.itemgetter(*idx) if idx else lambda t: ()
 
 
 def ci_test(k: Kernel, A, B, C=()) -> bool:
     """Exact conditional independence of A and B given C in every context
     of the kernel: P(a,b,c) P(c) = P(a,c) P(b,c) for every c and every a
-    and b seen with it.
+    and b seen with it, read off the kernel's integer margin over A, B and
+    C (``Kernel._integer_margin``).
 
     Only the cells seen in the kernel are checked; the unseen ones follow.
     For one c, P(a,b,c) P(c) summed over the seen cells is P(c)^2, and so
@@ -502,21 +536,18 @@ def ci_test(k: Kernel, A, B, C=()) -> bool:
     for s, name in ((A, "A"), (B, "B"), (C, "C")):
         if not s <= set(k.outputs):
             raise ScmError(f"{name} contains variables outside the kernel")
-    pos = {v: i for i, v in enumerate(k.outputs)}
-    ia, ib, ic = ([pos[v] for v in sorted(s)] for s in (A, B, C))
-    for row in k.table.values():
-        pabc = {}
-        for out, w in _integer_row(row).items():
-            key = (tuple(out[i] for i in ic), tuple(out[i] for i in ia),
-                   tuple(out[i] for i in ib))
-            pabc[key] = pabc.get(key, 0) + w
+    names = tuple(sorted(A | B | C))
+    ka, kb, kc = (_projection([names.index(v) for v in sorted(s)])
+                  for s in (A, B, C))
+    for _ctx, pabc in k._integer_margin(names):
+        cells = [(kc(key), ka(key), kb(key), w) for key, w in pabc.items()]
         pc, pac, pbc = {}, {}, {}
-        for (kc, ka, kb), w in pabc.items():
-            pc[kc] = pc.get(kc, 0) + w
-            pac[kc, ka] = pac.get((kc, ka), 0) + w
-            pbc[kc, kb] = pbc.get((kc, kb), 0) + w
-        for (kc, ka, kb), w in pabc.items():
-            if w * pc[kc] != pac[kc, ka] * pbc[kc, kb]:
+        for c, a, b, w in cells:
+            pc[c] = pc.get(c, 0) + w
+            pac[c, a] = pac.get((c, a), 0) + w
+            pbc[c, b] = pbc.get((c, b), 0) + w
+        for c, a, b, w in cells:
+            if w * pc[c] != pac[c, a] * pbc[c, b]:
                 return False
     return True
 

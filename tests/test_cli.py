@@ -264,6 +264,16 @@ class TestIdentifyCommands:
         assert data["ok"] is True
         assert data["estimand"] == "(cond (b c1 c2) (Q (a b c1 c2)))"
 
+    @pytest.mark.parametrize("args", [["--a", "zz", "--b", "a"],
+                                      ["--a", "c", "--b", "zz"],
+                                      ["--a", "c", "--b", "a", "--c", "zz"]])
+    def test_scidp_names_an_unknown_node(self, runner, tmp_path, args):
+        f = write(tmp_path, "g.txt", "node a output\nnode b output\n"
+                  "node c output\nedge a --> b\nedge b --> c\n")
+        r = runner.invoke(main, ["scidp", "--graph", f] + args)
+        assert r.exit_code == 2
+        assert "A, B and C must consist of output nodes" in r.output
+
     def test_calculus(self, runner, tmp_path):
         f = write(tmp_path, "g.txt", CYCLE4)
         ok = runner.invoke(main, ["calculus", "--graph", f, "--rule", "2",

@@ -2,6 +2,8 @@
 algebra, interventional and selected distributions, independence testing,
 estimand evaluation, and serialization."""
 
+import itertools
+import math
 import random
 from fractions import Fraction
 from unittest import mock
@@ -514,3 +516,69 @@ class TestIntegerPaths:
                    {(): {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}})
         assert not ci_test(k, ["a"], ["b"])
         assert not ci_test_reference(k, ["a"], ["b"])
+
+
+class TestMarginCache:
+    """CI queries read integer margins kept on the kernel."""
+
+    def test_each_row_is_scaled_once(self):
+        rng = random.Random(5)
+        g = rand_isadmg(rng, n_out=5, n_sel=1, n_in=2, p=0.5)
+        orc = distribution_oracle(random_scm(g, rng, domain=2))
+        names = orc.inputs + orc.outputs
+        queries = rng.sample([
+            ({a}, {b}, C)
+            for a, b in itertools.combinations(names, 2)
+            if b in orc.outputs
+            for n in range(3)
+            for C in itertools.combinations(
+                [v for v in orc.outputs if v not in (a, b)], n)
+        ], 50)
+        # CI tests and input-invariance queries alike
+        assert {bool(A & set(orc.inputs)) for A, _, _ in queries} == {
+            True, False}
+        with mock.patch.object(oc.math, "lcm", wraps=math.lcm) as lcm:
+            for q in queries:
+                orc.query(*q)
+        assert lcm.call_count == len(orc.kernel.table) > 1
+
+    @settings(max_examples=80)
+    @given(random_models(), st.data())
+    def test_any_query_order_matches_the_reference(self, scm, data):
+        # each query reads the margin over a variable set: a new set, or
+        # an earlier one, a subset or a superset of it, split afresh into
+        # A, B and C or into an input's target and conditioning set
+        try:
+            want = ReferenceDistributionOracle(scm)
+        except ScmError:
+            return
+        got = distribution_oracle(scm)
+        outs = list(got.outputs)
+        asked = []
+        for _ in range(10):
+            U = data.draw(st.lists(st.sampled_from(outs), unique=True,
+                                   min_size=1))
+            if asked and data.draw(st.booleans()):
+                U = data.draw(st.sampled_from(asked))
+                U = data.draw(st.sampled_from(
+                    [U, U[:-1], U + [v for v in outs if v not in U][:1]]))
+            asked.append(U)
+            U = data.draw(st.permutations(U))
+            if got.inputs and data.draw(st.booleans()):
+                a = data.draw(st.sampled_from(got.inputs))
+                A, B, C = {a}, set(U[:1]), U[1:]
+            elif len(U) >= 2:
+                i = data.draw(st.integers(1, len(U) - 1))
+                j = data.draw(st.integers(i + 1, len(U)))
+                A, B, C = set(U[:i]), set(U[i:j]), U[j:]
+            else:
+                continue
+            assert got.query(A, B, C) == want.query(A, B, C), (A, B, C)
+
+    def test_cache_stays_out_of_equality(self):
+        k, fresh = observational_kernel(chain()), observational_kernel(chain())
+        text = repr(k)
+        assert ci_test(k, ["a"], ["c"], ["b"])
+        assert "_margins" in vars(k)
+        assert repr(k) == text == repr(fresh)
+        assert k == fresh and hash(k) == hash(fresh)
