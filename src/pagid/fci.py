@@ -111,16 +111,17 @@ class distribution_oracle(IndependenceOracle):
         from . import oracle as oc
 
         k = self.kernel
-        names = tuple(sorted(tgt + giv))
+        margin = k._rows(tuple(sorted(tgt + giv)))
         drop = {k.context.index(v) for v in ins}
-        kg, kt = (oc._projection([names.index(v) for v in s])
+        kg, kt = (oc._projection([margin.outputs.index(v) for v in s])
                   for s in (giv, tgt))
         seen = {}
-        for ctx, margin in k._integer_margin(names):
-            # integer weights of tgt for each giv assignment
+        for ctx, (_d, row) in margin.rows.items():
+            # integer weights of tgt for each giv assignment, zeros unseen
             joint = {}
-            for vals, w in margin.items():
-                joint.setdefault(kg(vals), {})[kt(vals)] = w
+            for vals, w in row.items():
+                if w:
+                    joint.setdefault(kg(vals), {})[kt(vals)] = w
             reduced = tuple(v for i, v in enumerate(ctx) if i not in drop)
             conds = seen.setdefault(reduced, {})
             for key, sub in joint.items():

@@ -3,10 +3,12 @@
 Everything in this module is exact; there is no floating point.  Each
 model scales every table to integer weights once (per variable, by the lcm
 of its denominators), so the joint weights of one context share a common
-scale and are summed as integers; kernels hold fractions.Fraction values
-in lowest terms.  CI queries read integer margins of a kernel: its rows
-are scaled to integers, and each margin summed, once per kernel and
-cached on it.  Selection variables are binary and the selection event is
+scale and are summed as integers.  Kernels expose fractions.Fraction
+values in lowest terms, but their arithmetic runs on integer rows (a
+denominator and integer numerators per context, ``_Rows``): a kernel's
+rows are scaled once and cached on it, and estimand evaluation builds
+Fractions only for its result.  CI queries read integer margins of those
+rows.  Selection variables are binary and the selection event is
 "value = 1" for every one of them.
 
 Two independent computation paths produce interventional distributions: a
@@ -23,6 +25,7 @@ import operator
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .graph import (
     ARROW,
@@ -57,7 +60,8 @@ class DiscreteSCM:
     """Finite-domain model: per-variable domain sizes, ordered parent lists
     and exact-rational conditional probability tables.  Input variables
     have no table; they are context for every computed kernel.  ``weights``
-    holds each table scaled to integers by the lcm of its denominators."""
+    holds each table scaled to integers by the lcm of its denominators, and
+    ``_by_kind`` the sorted variables of each kind."""
 
     domains: dict
     kinds: dict
@@ -75,6 +79,11 @@ class DiscreteSCM:
                 for k, row in rows.items()
             }
         object.__setattr__(self, "weights", weights)
+        by_kind = {}
+        for v in sorted(self.kinds):
+            by_kind.setdefault(self.kinds[v], []).append(v)
+        object.__setattr__(self, "_by_kind",
+                           {k: tuple(vs) for k, vs in by_kind.items()})
 
     def check(self):
         for v, n in self.domains.items():
@@ -131,7 +140,7 @@ class DiscreteSCM:
     # -- convenience views --------------------------------------------------
 
     def of_kind(self, kind: NodeKind):
-        return tuple(sorted(v for v, k in self.kinds.items() if k is kind))
+        return self._by_kind.get(kind, ())
 
     @property
     def inputs(self):
@@ -186,6 +195,14 @@ def _assignments(domains, names):
     return itertools.product(*[range(domains[v]) for v in names])
 
 
+def _projection(idx):
+    """Function from a tuple to the tuple of its items at idx."""
+    if len(idx) == 1:
+        i = idx[0]
+        return lambda t: (t[i],)
+    return operator.itemgetter(*idx) if idx else lambda t: ()
+
+
 @dataclass(frozen=True)
 class Kernel:
     """Exact conditional distribution table: for every assignment of the
@@ -210,81 +227,31 @@ class Kernel:
         return self.table[ctx].get(out, Fraction(0))
 
     def marginalize(self, over) -> "Kernel":
-        over = set(over)
-        if not over <= set(self.outputs):
-            raise ScmError("marginalizing variables outside the outputs")
-        keep = tuple(v for v in self.outputs if v not in over)
-        idx = [self.outputs.index(v) for v in keep]
-        table = {}
-        for ctx, row in self.table.items():
-            new = {}
-            for out, p in row.items():
-                key = tuple(out[i] for i in idx)
-                new[key] = new.get(key, Fraction(0)) + p
-            table[ctx] = new
-        return Kernel(self.context, keep, self.domains, table)
+        return self._rows().marginalize(over).kernel()
 
     def condition(self, on, zero_rows: str = "error") -> "Kernel":
-        on = tuple(sorted(set(on)))
-        if not set(on) <= set(self.outputs):
-            raise ScmError("conditioning variables outside the outputs")
-        keep = tuple(v for v in self.outputs if v not in set(on))
-        new_ctx = self.context + on
-        on_idx = [self.outputs.index(v) for v in on]
-        keep_idx = [self.outputs.index(v) for v in keep]
-        table = {}
-        for ctx, row in self.table.items():
-            groups = {}
-            for out, p in row.items():
-                key = tuple(out[i] for i in on_idx)
-                groups.setdefault(key, {})[tuple(out[i] for i in keep_idx)] = p
-            for on_val in _assignments(self.domains, on):
-                sub = groups.get(on_val, {})
-                total = sum(sub.values(), Fraction(0))
-                full_ctx = ctx + on_val
-                if total == 0:
-                    if zero_rows == "uniform":
-                        size = 1
-                        for v in keep:
-                            size *= self.domains[v]
-                        table[full_ctx] = {
-                            out: Fraction(1, size)
-                            for out in _assignments(self.domains, keep)
-                        }
-                        continue
-                    raise ScmError(
-                        f"conditioning on probability-zero context {full_ctx}"
-                    )
-                table[full_ctx] = {o: p / total for o, p in sub.items()}
-        return Kernel(new_ctx, keep, self.domains, table)
+        return self._rows().condition(on, zero_rows).kernel()
 
-    def _integer_margin(self, names) -> list:
-        """(context, {values of names: weight}) for every row: the margin
-        over names, a sorted tuple of outputs, in integer weights.  Each
-        row is scaled by the lcm of its denominators, so ratios within a
-        row are the kernel's; zero cells are left out.  The scaled rows
-        and each margin are built once per kernel and kept outside the
-        dataclass fields (==, hash and repr)."""
+    def _rows(self, names=None) -> "_Rows":
+        """The kernel in integer rows, or with names (a sorted tuple of
+        outputs) its margin over them.  Each row is scaled by the lcm of
+        its denominators, unless the kernel was built from rows and keeps
+        them; the rows and each margin are built once per kernel and kept
+        outside the dataclass fields (==, hash and repr)."""
         margins = self.__dict__.get("_margins")
         if margins is None:
-            rows = []
+            rows = {}
             for ctx, row in self.table.items():
-                scale = math.lcm(*(p.denominator for p in row.values()))
-                rows.append((ctx, {out: p.numerator * (scale // p.denominator)
-                                   for out, p in row.items() if p}))
-            margins = {self.outputs: rows}
+                d = math.lcm(*(p.denominator for p in row.values()))
+                rows[ctx] = (d, {out: p.numerator * (d // p.denominator)
+                                 for out, p in row.items()})
+            margins = {None: _Rows(self.context, self.outputs, self.domains,
+                                   rows)}
             object.__setattr__(self, "_margins", margins)
         hit = margins.get(names)
         if hit is None:
-            key = _projection([self.outputs.index(v) for v in names])
-            hit = []
-            for ctx, row in margins[self.outputs]:
-                m = {}
-                for out, w in row.items():
-                    k = key(out)
-                    m[k] = m.get(k, 0) + w
-                hit.append((ctx, m))
-            margins[names] = hit
+            hit = margins[names] = margins[None].marginalize(
+                set(self.outputs) - set(names))
         return hit
 
     def __eq__(self, other):
@@ -298,6 +265,65 @@ class Kernel:
         return hash((frozenset(self.context), frozenset(self.outputs)))
 
 
+class _Rows(NamedTuple):
+    """Kernel arithmetic in integers: rows maps each context assignment to
+    (denominator, {output assignment: numerator}), so a cell's value is
+    numerator / denominator.  Zero cells are kept as the Fraction tables
+    keep them; ``kernel`` builds the Fractions once, for a result."""
+
+    context: tuple
+    outputs: tuple
+    domains: dict
+    rows: dict
+
+    def kernel(self) -> Kernel:
+        k = Kernel(self.context, self.outputs, self.domains, {
+            ctx: {out: Fraction(n, d) for out, n in row.items()}
+            for ctx, (d, row) in self.rows.items()})
+        object.__setattr__(k, "_margins", {None: self})
+        return k
+
+    def marginalize(self, over) -> "_Rows":
+        over = set(over)
+        if not over <= set(self.outputs):
+            raise ScmError("marginalizing variables outside the outputs")
+        keep = tuple(v for v in self.outputs if v not in over)
+        key = _projection([self.outputs.index(v) for v in keep])
+        rows = {}
+        for ctx, (d, row) in self.rows.items():
+            new = {}
+            for out, n in row.items():
+                k = key(out)
+                new[k] = new.get(k, 0) + n
+            rows[ctx] = (d, new)
+        return _Rows(self.context, keep, self.domains, rows)
+
+    def condition(self, on, zero_rows: str = "error") -> "_Rows":
+        """Each group's integer sum becomes its row's denominator."""
+        on = tuple(sorted(set(on)))
+        if not set(on) <= set(self.outputs):
+            raise ScmError("conditioning variables outside the outputs")
+        keep = tuple(v for v in self.outputs if v not in on)
+        key_on, key_keep = (_projection([self.outputs.index(v) for v in s])
+                            for s in (on, keep))
+        rows = {}
+        for ctx, (_d, row) in self.rows.items():
+            groups = {}
+            for out, n in row.items():
+                groups.setdefault(key_on(out), {})[key_keep(out)] = n
+            for on_val in _assignments(self.domains, on):
+                sub = groups.get(on_val, {})
+                total = sum(sub.values())
+                if total == 0:
+                    if zero_rows != "uniform":
+                        raise ScmError("conditioning on probability-zero "
+                                       f"context {ctx + on_val}")
+                    sub = dict.fromkeys(_assignments(self.domains, keep), 1)
+                    total = len(sub)
+                rows[ctx + on_val] = (total, sub)
+        return _Rows(self.context + on, keep, self.domains, rows)
+
+
 def kernels_agree(got: Kernel, want: Kernel) -> bool:
     """Whether got equals want on every assignment.  got may carry context
     variables that want lacks, and must then not depend on them."""
@@ -305,58 +331,67 @@ def kernels_agree(got: Kernel, want: Kernel) -> bool:
         return False
     if not set(want.context) <= set(got.context):
         return False
-    names = got.context + got.outputs
+    key_ctx = _projection([got.context.index(v) for v in want.context])
+    key_out = _projection([got.outputs.index(v) for v in want.outputs])
     for ctx in _assignments(got.domains, got.context):
+        row, want_row = got.table[ctx], want.table[key_ctx(ctx)]
         for out in _assignments(got.domains, got.outputs):
-            a = dict(zip(names, ctx + out))
-            if got.value(a) != want.value(a):
+            if row.get(out, 0) != want_row.get(key_out(out), 0):
                 return False
     return True
+
+
+def _product(factors, domains, zero_rows: str = "error") -> _Rows:
+    """Ordered product of integer-row kernels: each cell multiplies the
+    factors' numerators and denominators, and each row is put on the lcm
+    of its cells' denominators and reduced by one gcd."""
+    outputs = []
+    for f in factors:
+        for v in f.outputs:
+            if v in outputs:
+                raise ScmError(f"output {v} repeated across factors")
+            outputs.append(v)
+    outputs = tuple(sorted(outputs))
+    context = tuple(sorted({v for f in factors for v in f.context}
+                           - set(outputs)))
+    names = context + outputs
+    reads = [(f.rows, *(_projection([names.index(v) for v in s])
+                        for s in (f.context, f.outputs))) for f in factors]
+    rows = {}
+    for ctx in _assignments(domains, context):
+        cells = {}
+        for out in _assignments(domains, outputs):
+            a = ctx + out
+            n = d = 1
+            for f_rows, key_ctx, key_out in reads:
+                f_d, f_row = f_rows[key_ctx(a)]
+                n *= f_row.get(key_out(a), 0)
+                if not n:
+                    break
+                d *= f_d
+            if n:
+                cells[out] = (n, d)
+        scale = math.lcm(*(d for _n, d in cells.values()))
+        row = {out: n * (scale // d) for out, (n, d) in cells.items()}
+        g = math.gcd(scale, *row.values())
+        rows[ctx] = (scale // g, {out: n // g for out, n in row.items()})
+    for ctx, (d, row) in rows.items():
+        total = sum(row.values())
+        if total != d and not (zero_rows == "uniform" and total == 0):
+            raise ScmError(f"product row {ctx} sums to {Fraction(total, d)}")
+    return _Rows(context, outputs, domains, rows)
 
 
 def kernel_product(kernels, domains, zero_rows: str = "error") -> Kernel:
     """Ordered product of conditional kernels: the joint over the union of
     the outputs, each factor reading its context off the full assignment."""
-    outputs = []
-    for k in kernels:
-        for v in k.outputs:
-            if v in outputs:
-                raise ScmError(f"output {v} repeated across factors")
-            outputs.append(v)
-    outputs = tuple(sorted(outputs))
-    context = tuple(
-        sorted(
-            {v for k in kernels for v in k.context} - set(outputs)
-        )
-    )
-    table = {}
-    for ctx in _assignments(domains, context):
-        row = {}
-        for out in _assignments(domains, outputs):
-            a = dict(zip(context + outputs, ctx + out))
-            p = Fraction(1)
-            for k in kernels:
-                p *= k.value(a)
-                if p == 0:
-                    break
-            if p:
-                row[out] = p
-        table[ctx] = row
-    k = Kernel(context, outputs, domains, table)
-    for ctx, row in k.table.items():
-        total = sum(row.values(), Fraction(0))
-        if total != 1:
-            if zero_rows == "uniform" and total == 0:
-                continue
-            raise ScmError(f"product row {ctx} sums to {total}")
-    return k
+    return _product([k._rows() for k in kernels], domains, zero_rows).kernel()
 
 
 def kernel_compose(outer: Kernel, inner: Kernel, over, domains) -> Kernel:
     """Composition: sum over the shared variables of outer * inner."""
-    over = tuple(sorted(set(over)))
-    joint = kernel_product([outer, inner], domains)
-    return joint.marginalize(over)
+    joint = _product([outer._rows(), inner._rows()], domains)
+    return joint.marginalize(over).kernel()
 
 
 # -- distributions -----------------------------------------------------------
@@ -475,9 +510,12 @@ def interventional_kernel(
     """P(X_outputs | X_S = 1 || do(X_do_vars), X_I) as an exact kernel with
     the inputs and intervened variables as context."""
     do_vars = tuple(sorted(set(do_vars)))
-    for v in do_vars:
+    for v in do_vars + tuple(outputs or ()):
+        if v not in scm.kinds:
+            raise ScmError(f"unknown variable {v}")
         if scm.kinds[v] is not OUTPUT:
-            raise ScmError(f"cannot intervene on non-output variable {v}")
+            what = "intervene on" if v in do_vars else "return"
+            raise ScmError(f"cannot {what} non-output variable {v}")
     if outputs is None:
         outputs = tuple(v for v in scm.outputs if v not in do_vars)
     else:
@@ -513,19 +551,11 @@ def observational_kernel(scm: DiscreteSCM) -> Kernel:
     return interventional_kernel(scm, ())
 
 
-def _projection(idx):
-    """Function from a tuple to the tuple of its items at idx."""
-    if len(idx) == 1:
-        i = idx[0]
-        return lambda t: (t[i],)
-    return operator.itemgetter(*idx) if idx else lambda t: ()
-
-
 def ci_test(k: Kernel, A, B, C=()) -> bool:
     """Exact conditional independence of A and B given C in every context
     of the kernel: P(a,b,c) P(c) = P(a,c) P(b,c) for every c and every a
     and b seen with it, read off the kernel's integer margin over A, B and
-    C (``Kernel._integer_margin``).
+    C (``Kernel._rows``).
 
     Only the cells seen in the kernel are checked; the unseen ones follow.
     For one c, P(a,b,c) P(c) summed over the seen cells is P(c)^2, and so
@@ -536,10 +566,10 @@ def ci_test(k: Kernel, A, B, C=()) -> bool:
     for s, name in ((A, "A"), (B, "B"), (C, "C")):
         if not s <= set(k.outputs):
             raise ScmError(f"{name} contains variables outside the kernel")
-    names = tuple(sorted(A | B | C))
-    ka, kb, kc = (_projection([names.index(v) for v in sorted(s)])
+    margin = k._rows(tuple(sorted(A | B | C)))
+    ka, kb, kc = (_projection([margin.outputs.index(v) for v in sorted(s)])
                   for s in (A, B, C))
-    for _ctx, pabc in k._integer_margin(names):
+    for _d, pabc in margin.rows.values():
         cells = [(kc(key), ka(key), kb(key), w) for key, w in pabc.items()]
         pc, pac, pbc = {}, {}, {}
         for c, a, b, w in cells:
@@ -559,35 +589,39 @@ def eval_estimand(e, qv: Kernel, scm=None, zero_rows: str = "error") -> Kernel:
     """Evaluate an estimand against the observational kernel Q[V].
     When an SCM is supplied, base leaves other than Q[V] are computed from
     it directly (useful for checking identities).  Each distinct node is
-    evaluated once per call, however many nodes share it."""
+    evaluated once per call, however many nodes share it, in integer rows
+    (``_Rows``); Fractions are built only for the result."""
     from . import identify as idf
 
     domains = qv.domains
-    # id(node) -> (node, kernel); holding the node keeps its id unique
+    # id(node) -> (node, rows); holding the node keeps its id unique
     memo = {}
 
-    def ev(node) -> Kernel:
+    def base(node) -> Kernel:
+        if set(node.over) == set(qv.outputs):
+            return qv
+        if scm is not None:
+            return c_factor(scm, node.over)
+        raise ScmError(
+            f"base kernel over {node.over} is not the observed kernel"
+        )
+
+    def ev(node) -> _Rows:
         hit = memo.get(id(node))
         if hit is None:
             hit = memo[id(node)] = (node, ev_node(node))
         return hit[1]
 
-    def ev_node(node) -> Kernel:
+    def ev_node(node) -> _Rows:
         if isinstance(node, idf.Base):
-            if set(node.over) == set(qv.outputs):
-                return qv
-            if scm is not None:
-                return c_factor(scm, node.over)
-            raise ScmError(
-                f"base kernel over {node.over} is not the observed kernel"
-            )
+            return base(node)._rows()
         if isinstance(node, idf.Marginalize):
             return ev(node.child).marginalize(node.over)
         if isinstance(node, idf.Condition):
             return ev(node.child).condition(node.on, zero_rows)
         if isinstance(node, idf.OrderedProduct):
-            return kernel_product([ev(c) for c in node.children], domains,
-                                  zero_rows)
+            return _product([ev(c) for c in node.children], domains,
+                            zero_rows)
         if isinstance(node, idf.BoxProduct):
             left = ev(node.left)
             right = ev(node.right)
@@ -611,14 +645,13 @@ def eval_estimand(e, qv: Kernel, scm=None, zero_rows: str = "error") -> Kernel:
                     factor = factor.condition(given, zero_rows)
                 factors.append(factor)
                 seen.extend(bucket)
-            return kernel_product(factors, domains, zero_rows)
+            return _product(factors, domains, zero_rows)
         if isinstance(node, idf.Compose):
-            outer = ev(node.outer)
-            inner = ev(node.inner)
-            return kernel_compose(outer, inner, node.over, domains)
+            joint = _product([ev(node.outer), ev(node.inner)], domains)
+            return joint.marginalize(node.over)
         raise ScmError(f"unknown estimand node {node!r}")
 
-    return ev(e)
+    return base(e) if isinstance(e, idf.Base) else ev(e).kernel()
 
 
 # -- parsing and serialization -----------------------------------------------

@@ -23,6 +23,7 @@ from pagid.graph import (
 )
 from pagid.identify import Hedge, _as_output_graph, verify_hedge
 from pagid.manipulate import hard_manipulate, is_visible, manipulate, regime_id
+from pagid import identify as idf
 from pagid.oracle import Kernel, ScmError
 from pagid.represent import canonical_isadmg, mag_of, split_id
 from pagid.separate import id_separated
@@ -482,7 +483,7 @@ def ci_test_reference(k: Kernel, A, B, C=()) -> bool:
     """Reference for ``oracle.ci_test``: Fraction margins of the kernel
     marginalized onto A, B and C, checked over every pair of margins."""
     A, B, C = set(A), set(B), set(C)
-    joint = k.marginalize(set(k.outputs) - (A | B | C))
+    joint = marginalize_reference(k, set(k.outputs) - (A | B | C))
     idx = {v: joint.outputs.index(v) for v in joint.outputs}
     for row in joint.table.values():
         pc, pac, pbc, pabc = {}, {}, {}, {}
@@ -546,3 +547,149 @@ class ReferenceDistributionOracle(IndependenceOracle):
                 if seen.setdefault((rest, key), dist) != dist:
                     return False
         return True
+
+
+# -- kernel arithmetic references: the Fraction bodies of the integer rows --
+
+
+def marginalize_reference(k: Kernel, over) -> Kernel:
+    """Reference for ``Kernel.marginalize``: Fraction sums per cell."""
+    over = set(over)
+    if not over <= set(k.outputs):
+        raise ScmError("marginalizing variables outside the outputs")
+    keep = tuple(v for v in k.outputs if v not in over)
+    idx = [k.outputs.index(v) for v in keep]
+    table = {}
+    for ctx, row in k.table.items():
+        new = {}
+        for out, p in row.items():
+            key = tuple(out[i] for i in idx)
+            new[key] = new.get(key, Fraction(0)) + p
+        table[ctx] = new
+    return Kernel(k.context, keep, k.domains, table)
+
+
+def condition_reference(k: Kernel, on, zero_rows="error") -> Kernel:
+    """Reference for ``Kernel.condition``: Fraction division per cell."""
+    on = tuple(sorted(set(on)))
+    if not set(on) <= set(k.outputs):
+        raise ScmError("conditioning variables outside the outputs")
+    keep = tuple(v for v in k.outputs if v not in set(on))
+    on_idx = [k.outputs.index(v) for v in on]
+    keep_idx = [k.outputs.index(v) for v in keep]
+    table = {}
+    for ctx, row in k.table.items():
+        groups = {}
+        for out, p in row.items():
+            key = tuple(out[i] for i in on_idx)
+            groups.setdefault(key, {})[tuple(out[i] for i in keep_idx)] = p
+        for on_val in itertools.product(*[range(k.domains[v]) for v in on]):
+            sub = groups.get(on_val, {})
+            total = sum(sub.values(), Fraction(0))
+            full_ctx = ctx + on_val
+            if total == 0:
+                if zero_rows == "uniform":
+                    size = 1
+                    for v in keep:
+                        size *= k.domains[v]
+                    table[full_ctx] = {
+                        out: Fraction(1, size) for out in itertools.product(
+                            *[range(k.domains[v]) for v in keep])
+                    }
+                    continue
+                raise ScmError(
+                    f"conditioning on probability-zero context {full_ctx}")
+            table[full_ctx] = {o: p / total for o, p in sub.items()}
+    return Kernel(k.context + on, keep, k.domains, table)
+
+
+def kernel_product_reference(kernels, domains, zero_rows="error") -> Kernel:
+    """Reference for ``oracle.kernel_product``: a dict assignment and a
+    ``Kernel.value`` call per factor and cell, in Fractions."""
+    outputs = []
+    for k in kernels:
+        for v in k.outputs:
+            if v in outputs:
+                raise ScmError(f"output {v} repeated across factors")
+            outputs.append(v)
+    outputs = tuple(sorted(outputs))
+    context = tuple(sorted({v for k in kernels for v in k.context}
+                           - set(outputs)))
+    table = {}
+    for ctx in itertools.product(*[range(domains[v]) for v in context]):
+        row = {}
+        for out in itertools.product(*[range(domains[v]) for v in outputs]):
+            a = dict(zip(context + outputs, ctx + out))
+            p = Fraction(1)
+            for k in kernels:
+                p *= k.value(a)
+                if p == 0:
+                    break
+            if p:
+                row[out] = p
+        table[ctx] = row
+    for ctx, row in table.items():
+        total = sum(row.values(), Fraction(0))
+        if total != 1 and not (zero_rows == "uniform" and total == 0):
+            raise ScmError(f"product row {ctx} sums to {total}")
+    return Kernel(context, outputs, domains, table)
+
+
+def kernel_compose_reference(outer, inner, over, domains) -> Kernel:
+    """Reference for ``oracle.kernel_compose``."""
+    joint = kernel_product_reference([outer, inner], domains)
+    return marginalize_reference(joint, over)
+
+
+def eval_estimand_reference(e, qv: Kernel, scm=None, zero_rows="error"):
+    """Reference for ``oracle.eval_estimand``: every node evaluated to a
+    Fraction kernel with the references above, and base leaves other than
+    Q[V] taken from ``interventional_kernel_reference``."""
+    memo = {}
+
+    def ev(node) -> Kernel:
+        if id(node) not in memo:
+            memo[id(node)] = (node, ev_node(node))
+        return memo[id(node)][1]
+
+    def ev_node(node) -> Kernel:
+        if isinstance(node, idf.Base):
+            if set(node.over) == set(qv.outputs):
+                return qv
+            if scm is not None:
+                rest = [v for v in scm.outputs if v not in node.over]
+                return interventional_kernel_reference(scm, rest,
+                                                       sorted(node.over))
+            raise ScmError(
+                f"base kernel over {node.over} is not the observed kernel")
+        if isinstance(node, idf.Marginalize):
+            return marginalize_reference(ev(node.child), node.over)
+        if isinstance(node, idf.Condition):
+            return condition_reference(ev(node.child), node.on, zero_rows)
+        if isinstance(node, idf.OrderedProduct):
+            return kernel_product_reference([ev(c) for c in node.children],
+                                            qv.domains, zero_rows)
+        if isinstance(node, idf.BoxProduct):
+            left, right = ev(node.left), ev(node.right)
+            factors, seen = [], []
+            for bucket in node.bucket_order:
+                if set(bucket) <= set(left.outputs):
+                    src = left
+                elif set(bucket) <= set(right.outputs):
+                    src = right
+                else:
+                    raise ScmError(f"bucket {bucket} not inside a region")
+                given = tuple(sorted(set(seen) & set(src.outputs)))
+                factor = marginalize_reference(
+                    src, set(src.outputs) - set(bucket) - set(given))
+                if given:
+                    factor = condition_reference(factor, given, zero_rows)
+                factors.append(factor)
+                seen.extend(bucket)
+            return kernel_product_reference(factors, qv.domains, zero_rows)
+        if isinstance(node, idf.Compose):
+            return kernel_compose_reference(ev(node.outer), ev(node.inner),
+                                            node.over, qv.domains)
+        raise ScmError(f"unknown estimand node {node!r}")
+
+    return ev(e)

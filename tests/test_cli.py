@@ -1,12 +1,14 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import re
 
 import pytest
 from click.testing import CliRunner
 
 from pagid.cli import main
 from pagid.graph import ARROW, TAIL, parse_graph
+from pagid.identify import format_estimand, sidp
 from pagid.manipulate import parse_manipulated
 from pagid.represent import mag_of
 from pagid import oracle as oc
@@ -362,6 +364,18 @@ class TestEval:
                           input="(cond (a) (Q (a b)))\n")
         assert r.exit_code == 0
         assert "3/4" in r.output
+
+    def test_unknown_variable_is_named(self, runner, tmp_path):
+        # the chain's estimand with c renamed: no variable zz in the model
+        chain = parse_graph("node a output\nnode b output\nnode c output\n"
+                            "edge a --> b\nedge b --> c\n")
+        text = format_estimand(sidp(chain, ["c"], ["a"], "admg"))
+        scm = write(tmp_path, "m.scm", self.SCM + "var c parents=b\n"
+                    "cpt c 0 2/3 1/3\ncpt c 1 1/3 2/3\n")
+        est = write(tmp_path, "e.txt", re.sub(r"\bc\b", "zz", text))
+        r = runner.invoke(main, ["eval", "--scm", scm, "--estimand", est])
+        assert r.exit_code == 2
+        assert "unknown variable zz" in r.output
 
     def test_certificate_is_rejected(self, runner, tmp_path):
         scm = write(tmp_path, "m.scm", self.SCM)

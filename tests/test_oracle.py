@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from pagid.graph import GraphClass, Mark, NodeKind, parse_graph
+from pagid.represent import mag_of
 from pagid.separate import d_separated
 from pagid import identify as idf
 from pagid import oracle as oc
@@ -39,7 +40,12 @@ from pagid.oracle import (
 from helpers import (
     ReferenceDistributionOracle,
     ci_test_reference,
+    condition_reference,
+    eval_estimand_reference,
     interventional_kernel_reference,
+    kernel_compose_reference,
+    kernel_product_reference,
+    marginalize_reference,
     rand_isadmg,
 )
 
@@ -125,7 +131,8 @@ class TestScmValidation:
     def test_integer_tables_stay_out_of_equality(self):
         scm = chain()
         assert scm.weights["b"] == {(0,): (3, 1), (1,): (1, 3)}
-        assert "weights" not in repr(scm)
+        assert scm.outputs == ("a", "b", "c") and scm.inputs == ()
+        assert "weights" not in repr(scm) and "_by_kind" not in repr(scm)
         assert scm == parse_scm(format_scm(scm))
 
     def test_selection_children_rejected(self):
@@ -242,6 +249,18 @@ class TestKernelAlgebra:
         })
         assert not kernels_agree(skewed, want)
 
+    def test_agreement_reads_outputs_in_either_order(self):
+        dom = {"a": 2, "b": 2, "c": 2}
+        rows = {(0,): {(0, 1): Fraction(1, 4), (1, 0): Fraction(3, 4)},
+                (1,): {(0, 0): Fraction(1)}}
+        k1 = Kernel(("c",), ("a", "b"), dom, rows)
+        k2 = Kernel(("c",), ("b", "a"), dom, {
+            c: {out[::-1]: p for out, p in row.items()}
+            for c, row in rows.items()})
+        assert kernels_agree(k1, k2) and kernels_agree(k2, k1)
+        # the same cells read with the outputs swapped
+        assert not kernels_agree(k1, Kernel(("c",), ("b", "a"), dom, rows))
+
     def test_check_rejects_bad_tables(self):
         with pytest.raises(ScmError):
             Kernel((), ("a",), {"a": 2},
@@ -282,6 +301,14 @@ class TestInterventions:
         k = observational_kernel(scm)
         assert k.context == ("i",)
         assert k.value({"i": 1, "a": 1}) == 1
+
+    def test_unknown_and_non_output_names_are_named(self):
+        for kwargs in ({"do_vars": ["zz"]}, {"outputs": ["zz"]},
+                       {"do_vars": ["a"], "outputs": ["b", "zz"]}):
+            with pytest.raises(ScmError, match="unknown variable zz"):
+                interventional_kernel(chain(), **kwargs)
+        with pytest.raises(ScmError, match="non-output variable s"):
+            interventional_kernel(parse_scm(COLLIDER_SEL), outputs=["s"])
 
     def test_selection_induces_collider_dependence(self):
         scm = parse_scm(COLLIDER_SEL)
@@ -362,6 +389,17 @@ class TestEvalEstimand:
             eval_estimand(e, k)
         got = eval_estimand(e, k, zero_rows="uniform")
         assert got.value({"a": 1, "b": 1}) == Fraction(1, 2)
+
+    def test_only_the_result_is_built_as_a_kernel(self):
+        # every leaf of the chain's estimand is Q[V]; the inner nodes stay
+        # in integer rows
+        scm = chain()
+        qv = observational_kernel(scm)
+        e = idf.sidp(graph_of(scm), ["c"], ["a"], GraphClass.ADMG)
+        with mock.patch.object(oc, "Kernel", wraps=oc.Kernel) as built:
+            got = eval_estimand(e, qv)
+        assert built.call_count == 1
+        assert got == interventional_kernel(scm, ["a"], outputs=["c"])
 
 
 class TestRandomScm:
@@ -516,6 +554,106 @@ class TestIntegerPaths:
                    {(): {(0, 0): Fraction(1, 2), (1, 1): Fraction(1, 2)}})
         assert not ci_test(k, ["a"], ["b"])
         assert not ci_test_reference(k, ["a"], ["b"])
+
+
+def _same_result(got, want):
+    """Run both: the same kernel, with the same rows and cells (zero cells
+    included) in the same order, or an ScmError with the same text."""
+    try:
+        w = want()
+    except ScmError as exc:
+        with pytest.raises(ScmError) as err:
+            got()
+        assert str(err.value) == str(exc)
+        return
+    g = got()
+    assert _same_kernel(g, w) and g.domains == w.domains
+    assert ([(ctx, list(row)) for ctx, row in g.table.items()]
+            == [(ctx, list(row)) for ctx, row in w.table.items()])
+
+
+def _random_kernel(rng, domains, outputs, context):
+    """Rows of weights 0-3, some zero cells explicit and some left out; a
+    row may be all zero."""
+    table = {}
+    for ctx in itertools.product(*[range(domains[v]) for v in context]):
+        row = {}
+        for out in itertools.product(*[range(domains[v]) for v in outputs]):
+            w = rng.choice([0, 0, 1, 2, 3])
+            if w or rng.random() < 0.5:
+                row[out] = w
+        total = sum(row.values()) or 1
+        table[ctx] = {out: Fraction(w, total) for out, w in row.items()}
+    return Kernel(tuple(context), tuple(outputs), domains, table)
+
+
+class TestKernelRows:
+    """Kernel arithmetic in integer rows gives exactly the Fraction
+    references' tables, zero cells and errors."""
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 10**6))
+    def test_kernel_operations_match_the_reference(self, seed):
+        rng = random.Random(seed)
+        domains = {v: rng.choice([2, 3]) for v in "abcde"}
+        names = list(domains)
+        rng.shuffle(names)
+        n = rng.randint(1, 3)
+        k = _random_kernel(rng, domains, names[:n],
+                           rng.sample(names[n:], rng.randint(0, 2)))
+        rest = names[n:]
+        m = rng.randint(1, len(rest) - 1)
+        k2 = _random_kernel(rng, domains, rest[:m], rng.sample(
+            names[:n] + rest[m:], rng.randint(0, 2)))
+        zero_rows = rng.choice(["error", "uniform"])
+        # mostly outputs, sometimes a variable outside them
+        over = set(rng.sample(names[:n] + rng.sample(rest, 1),
+                              rng.randint(0, n)))
+        on = rng.sample(names[:n] + rng.sample(rest, 1), rng.randint(1, n))
+        both = names[:n] + rest[:m]
+        over2 = rng.sample(both, rng.randint(0, len(both)))
+        for got, want in [
+            (lambda: k.marginalize(over),
+             lambda: marginalize_reference(k, over)),
+            (lambda: k.condition(on, zero_rows),
+             lambda: condition_reference(k, on, zero_rows)),
+            (lambda: kernel_product([k, k2], domains, zero_rows),
+             lambda: kernel_product_reference([k, k2], domains, zero_rows)),
+            (lambda: kernel_product([k2, k, k], domains),
+             lambda: kernel_product_reference([k2, k, k], domains)),
+            (lambda: kernel_compose(k, k2, over2, domains),
+             lambda: kernel_compose_reference(k, k2, over2, domains)),
+        ]:
+            _same_result(got, want)
+
+    @settings(max_examples=60)
+    @given(random_models(), st.data())
+    def test_estimands_match_the_reference(self, scm, data):
+        # sidp, scidp and adjustment estimands of the model's graph, read
+        # as an ADMG and through its MAG
+        try:
+            qv = observational_kernel(scm)
+        except ScmError:
+            return
+        outs = list(scm.outputs)
+        A = data.draw(st.lists(st.sampled_from(outs), min_size=1,
+                               max_size=len(outs) - 1, unique=True))
+        rest = [v for v in outs if v not in A]
+        B, C = rest[:1], rest[1:2]
+        g = graph_of(scm)
+        estimands = []
+        for graph, cls in ((g, GraphClass.ADMG), (mag_of(g), None)):
+            estimands += [
+                idf.sidp(graph, A, B, cls), idf.scidp(graph, A, B, C, cls),
+                idf.adjustment_check(graph, A, B, J1=C, cls=cls)[1]]
+        for e in estimands:
+            if e is None or isinstance(e, (idf.FailCertificate,
+                                           idf.ExchangeFail)):
+                continue
+            for zero_rows in ("error", "uniform"):
+                _same_result(
+                    lambda: eval_estimand(e, qv, scm, zero_rows),
+                    lambda: eval_estimand_reference(e, qv, scm, zero_rows))
 
 
 class TestMarginCache:
