@@ -131,11 +131,15 @@ class MixedGraph:
     """Immutable mixed graph. Raw/ADMG graphs may carry parallel edges between
     a pair (e.g. both a --> b and a <-> b); MAG/PAG validation rejects that."""
 
-    __slots__ = ("_nodes", "_edges", "_adj", "_eat", "_anc", "_vis",
-                 "_problems", "_hash")
+    __slots__ = ("_nodes", "_by_kind", "_edges", "_adj", "_eat", "_anc",
+                 "_vis", "_problems", "_hash")
 
     def __init__(self, nodes: dict[str, NodeKind], edges=()):
         self._nodes = dict(sorted(nodes.items()))
+        by_kind: dict[NodeKind, list[str]] = {}
+        for v, k in self._nodes.items():
+            by_kind.setdefault(k, []).append(v)
+        self._by_kind = {k: tuple(vs) for k, vs in by_kind.items()}
         es = set()
         for e in edges:
             if e.a not in self._nodes or e.b not in self._nodes:
@@ -177,7 +181,7 @@ class MixedGraph:
         return v in self._nodes
 
     def of_kind(self, kind: NodeKind) -> tuple[str, ...]:
-        return tuple(v for v, k in self._nodes.items() if k is kind)
+        return self._by_kind.get(kind, ())
 
     @property
     def inputs(self) -> tuple[str, ...]:

@@ -3,11 +3,12 @@
 The entry points are ``sidp`` (unconditional targets) and ``scidp``
 (conditional targets).  Both emit either a symbolic estimand tree that an
 oracle can evaluate against the observed kernel, or an explicit failure
-value.  Around them sit the set computations they rely on (``l0_sets``,
-the region recursion ``_assemble`` and the leaf fixing ``_fix_leaf``),
-checkers for the three calculus rules and the adjustment criterion,
-single-pair causal-relation criteria, and the construction and
-verification of hedge witnesses for failed runs.
+value.  ``sidp`` is the IDP recursion of Jaber, Zhang & Bareinboim 2019
+(``_identify``): it fixes removable buckets while it can and splits the
+target by region only when it is stuck.  Around the entry points sit the
+reduction set (``l0_sets``), checkers for the three calculus rules and the
+adjustment criterion, single-pair causal-relation criteria, and the
+construction and verification of hedge witnesses for failed runs.
 
 Estimands use six node kinds: Base (a c-factor Q[C]), Marginalize,
 Condition, OrderedProduct, BoxProduct (the assembly product evaluated along
@@ -50,16 +51,25 @@ from .manipulate import (
     manipulate,
     regime_id,
 )
-from .represent import canonical_isadmg, mag_of
+from .represent import canonical_isadmg, mag_of, marginalize_latents
 from .separate import id_separated
 
 
 def _reading(g, cls: GraphClass | None):
     """The graph and class an entry point works on.  Without a class, a
     graph with explicit latent or selection nodes is read through its MAG,
-    so that those nodes are not ignored; an explicit class keeps the graph
-    as given."""
+    so that those nodes are not ignored.  Read as an ADMG, latent nodes are
+    projected out and selection nodes are rejected, since reading them
+    through the MAG would change the class asked for.  Other classes keep
+    the graph as given."""
     g, cls = _plain(g), as_class(cls)
+    if cls is GraphClass.ADMG:
+        if g.selections:
+            raise ValueError(
+                f"selection nodes {', '.join(g.selections)} cannot be read "
+                "as an ADMG; omit the class to read the graph through its MAG"
+            )
+        return marginalize_latents(g), cls
     if cls is None and (g.latents or g.selections):
         g = mag_of(g)
     return g, cls or _infer_class(g)
@@ -214,8 +224,9 @@ class Compose(_Node):
 
 @dataclass(frozen=True)
 class FailCertificate:
-    """Witness of a stuck leaf: the leaf label C and the set T that could
-    not be shrunk down to it, plus the buckets fixed before sticking."""
+    """Witness of a stuck recursion: a target C that does not split by
+    region, the set T that no removable bucket outside C shrinks further,
+    and the buckets fixed on the way from all outputs down to T."""
 
     C: frozenset
     T: frozenset
@@ -275,71 +286,51 @@ def l0_sets(p, A, B) -> frozenset:
     return _reduction_set(p, A, B)
 
 
-def _assemble(C, V, q, p, dv=False):
-    """Estimand of the kernel over C, or the FailCertificate of its first
-    stuck leaf, left to right.  C splits into the region of its first
-    eligible bucket and the region of the rest; each part is assembled in
-    turn and the two are joined by the assembly product along the bucket
-    order of C.  A C that does not split is a leaf, fixed down from V.  dv
-    reads every directed edge as visible."""
+def _identify(C, T, q, p, dv=False, trace=()):
+    """Estimand of the kernel over C from the kernel q over T, or the
+    FailCertificate of the first part of C that is stuck (left to right).
+    As in IDP, removable buckets inside T \\ C are fixed first.  Only then
+    is C split, into the region of its first eligible bucket and the
+    region of the rest; both parts go on from this T and q, and are joined
+    by the assembly product along the bucket order of C.  A C that does
+    not split is stuck.  dv reads every directed edge as visible."""
+    while T != C:
+        sub = p.induced(T)
+        for bu in buckets(p, T):
+            fixed = frozenset(bu)
+            if fixed <= T - C:
+                dplus = frozenset(sub.possible_descendants(fixed))
+                if dplus.intersection(pc_component(p, T, fixed, dv)) <= fixed:
+                    break
+        else:
+            break
+        dminus = tuple(sorted((T - dplus) | fixed))
+        q = OrderedProduct((Condition(q, dminus), Marginalize(q, dplus)))
+        trace, T = trace + (bu,), T - fixed
+    if T == C:
+        return q
     for bu in buckets(p, C):
-        if frozenset(bu) == C:
-            continue
         C1 = frozenset(region(p, C, bu, dv))
-        if C1 == C:
-            continue
         C2 = frozenset(region(p, C, C - C1, dv))
-        if C2 == C:
+        if C in (C1, C2):
             continue
-        left = _assemble(C1, V, q, p, dv)
+        left = _identify(C1, T, q, p, dv, trace)
         if isinstance(left, FailCertificate):
             return left
-        right = _assemble(C2, V, q, p, dv)
+        right = _identify(C2, T, q, p, dv, trace)
         if isinstance(right, FailCertificate):
             return right
         order = tuple(tuple(b) for b in bucket_topological_order(p, C))
         return BoxProduct(left, right, C, order)
-    return _fix_leaf(C, V, q, p, dv)
-
-
-def _fix_leaf(R, V, q, p, dv=False):
-    """Iterated fixing of removable buckets, shrinking V down to the leaf
-    label R; returns the estimand or a FailCertificate."""
-    T = set(V)
-    est = q
-    trace = []
-    while T != set(R):
-        sub = p.induced(T)
-        pick = None
-        for bu in buckets(p, T):
-            bset = set(bu)
-            if not bset <= T - set(R):
-                continue
-            pode = sub.possible_descendants(bset)
-            if pode.intersection(pc_component(p, T, bset, dv)) <= bset:
-                pick = bu
-                break
-        if pick is None:
-            return FailCertificate(
-                C=frozenset(R), T=frozenset(T), trace=tuple(trace)
-            )
-        dplus = frozenset(sub.possible_descendants(set(pick)))
-        dminus = (frozenset(T) - dplus) | set(pick)
-        est = OrderedProduct(
-            (
-                Condition(est, tuple(sorted(dminus))),
-                Marginalize(est, dplus),
-            )
-        )
-        trace.append(tuple(pick))
-        T -= set(pick)
-    return est
+    return FailCertificate(C, T, trace)
 
 
 def sidp(p, A, B, cls: GraphClass | None = None):
-    """Identification of the kernel of X_A under hard manipulation of X_B.
-    Returns an estimand over A, or the FailCertificate of the first stuck
-    leaf (left to right).  cls fixes how the graph is read; in particular,
+    """Identification of the kernel of X_A under hard manipulation of X_B,
+    in the IDP order: fix removable buckets first, split the target by
+    region only when stuck.  Returns an estimand over A, or the
+    FailCertificate of the first part that is stuck and does not split
+    (left to right).  cls fixes how the graph is read; in particular,
     directed edges of a graph read as an ADMG carry no hidden-confounding
     ambiguity.  Without cls, a graph with latent or selection nodes is read
     through its MAG."""
@@ -348,7 +339,7 @@ def sidp(p, A, B, cls: GraphClass | None = None):
     A = frozenset(A)
     V = frozenset(p.outputs)
     D = l0_sets(p, A, B)
-    res = _assemble(D, V, Base(V), p, cls is GraphClass.ADMG)
+    res = _identify(D, V, Base(V), p, cls is GraphClass.ADMG)
     if isinstance(res, FailCertificate) or D == A:
         return res
     return Marginalize(res, D - A)

@@ -19,6 +19,10 @@ from pagid.graph import (
     MixedGraph,
     OUTPUT,
     SELECTION,
+    bucket_topological_order,
+    buckets,
+    pc_component,
+    region,
     validate,
 )
 from pagid.identify import Hedge, _as_output_graph, verify_hedge
@@ -693,3 +697,95 @@ def eval_estimand_reference(e, qv: Kernel, scm=None, zero_rows="error"):
         raise ScmError(f"unknown estimand node {node!r}")
 
     return ev(e)
+
+
+def _assemble(C, V, q, p, dv=False):
+    """Estimand of the kernel over C, or the FailCertificate of its first
+    stuck leaf, left to right.  C splits into the region of its first
+    eligible bucket and the region of the rest; each part is assembled in
+    turn and the two are joined by the assembly product along the bucket
+    order of C.  A C that does not split is a leaf, fixed down from V.  dv
+    reads every directed edge as visible."""
+    for bu in buckets(p, C):
+        if frozenset(bu) == C:
+            continue
+        C1 = frozenset(region(p, C, bu, dv))
+        if C1 == C:
+            continue
+        C2 = frozenset(region(p, C, C - C1, dv))
+        if C2 == C:
+            continue
+        left = _assemble(C1, V, q, p, dv)
+        if isinstance(left, idf.FailCertificate):
+            return left
+        right = _assemble(C2, V, q, p, dv)
+        if isinstance(right, idf.FailCertificate):
+            return right
+        order = tuple(tuple(b) for b in bucket_topological_order(p, C))
+        return idf.BoxProduct(left, right, C, order)
+    return _fix_leaf(C, V, q, p, dv)
+
+
+def _fix_leaf(R, V, q, p, dv=False):
+    """Iterated fixing of removable buckets, shrinking V down to the leaf
+    label R; returns the estimand or a FailCertificate."""
+    T = set(V)
+    est = q
+    trace = []
+    while T != set(R):
+        sub = p.induced(T)
+        pick = None
+        for bu in buckets(p, T):
+            bset = set(bu)
+            if not bset <= T - set(R):
+                continue
+            pode = sub.possible_descendants(bset)
+            if pode.intersection(pc_component(p, T, bset, dv)) <= bset:
+                pick = bu
+                break
+        if pick is None:
+            return idf.FailCertificate(
+                C=frozenset(R), T=frozenset(T), trace=tuple(trace)
+            )
+        dplus = frozenset(sub.possible_descendants(set(pick)))
+        dminus = (frozenset(T) - dplus) | set(pick)
+        est = idf.OrderedProduct(
+            (
+                idf.Condition(est, tuple(sorted(dminus))),
+                idf.Marginalize(est, dplus),
+            )
+        )
+        trace.append(tuple(pick))
+        T -= set(pick)
+    return est
+
+
+def sidp_reference(p, A, B, cls=None):
+    """Reference for ``identify.sidp``: the same fixing and region split in
+    the other order.  D is split into regions first, and every leaf is
+    fixed down from all of V (``_assemble``, ``_fix_leaf``), so a leaf
+    reuses none of the fixing done for another."""
+    p, cls = idf._reading(p, cls)
+    idf._check_sopag(p)
+    A = frozenset(A)
+    V = frozenset(p.outputs)
+    D = idf.l0_sets(p, A, B)
+    res = _assemble(D, V, idf.Base(V), p, cls is GraphClass.ADMG)
+    if isinstance(res, idf.FailCertificate) or D == A:
+        return res
+    return idf.Marginalize(res, D - A)
+
+
+def embed_front_door(rng: random.Random, g: MixedGraph):
+    """g with the front-door gadget z --> y --> x, z <-> x laid over three
+    of its outputs, and no other edge among those three; returns the graph,
+    x and z.  The three are drawn at random and ordered by their number of
+    ancestors, so no directed cycle arises.  For A = {x} and B = {z}, z is
+    not removable (its pc-component holds its descendant x), so sidp gets
+    stuck before it reaches {x, y} and has to split the target by region."""
+    z, y, x = sorted(rng.sample(sorted(g.outputs), 3),
+                     key=lambda v: len(g.ancestors({v})))
+    drop = [e for e in g.edges if {e.a, e.b} <= {x, y, z}]
+    gadget = [Edge(z, TAIL, y, ARROW), Edge(y, TAIL, x, ARROW),
+              Edge(z, ARROW, x, ARROW)]
+    return g.edit(drop=drop, add=gadget), x, z

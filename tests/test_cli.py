@@ -35,6 +35,11 @@ LATENT_BOW = (
     "node a output\nnode b output\nnode l latent\n"
     "edge l --> a\nedge l --> b\nedge a --> b\n"
 )
+# a selection node below v0, the treatment
+SELECTED = (
+    "node v0 output\nnode v1 output\nnode v2 output\nnode s0 selection\n"
+    "edge v2 --> v1\nedge v1 --> v0\nedge v0 --> s0\nedge v2 --> v0\n"
+)
 # a PAG whose input node has --o edges
 INPUT_PAG = (
     "node i0 input\nnode v0 output\nnode v1 output\nnode v2 output\n"
@@ -256,6 +261,26 @@ class TestIdentifyCommands:
                                  "--class", "admg"])
         assert r.exit_code == 0
         assert r.output.startswith("(")
+
+    def test_admg_reading_projects_latents(self, runner, tmp_path):
+        # read as an ADMG, the bow is a --> b with a <-> b
+        f = write(tmp_path, "g.txt", LATENT_BOW)
+        r = runner.invoke(main, ["sidp", "--graph", f, "--class", "admg",
+                                 "--a", "b", "--b", "a"])
+        assert r.exit_code == 1
+        assert r.output.strip() == "FAIL C={b} T={a,b}"
+
+    @pytest.mark.parametrize("cmd", ["sidp", "scidp"])
+    def test_admg_reading_rejects_selection_nodes(self, runner, tmp_path,
+                                                  cmd):
+        f = write(tmp_path, "g.txt", SELECTED)
+        r = runner.invoke(main, [cmd, "--graph", f, "--class", "admg",
+                                 "--a", "v1", "--b", "v0"])
+        assert r.exit_code == 2
+        assert "selection nodes s0" in r.output
+        assert "omit the class" in r.output
+        r = runner.invoke(main, [cmd, "--graph", f, "--a", "v1", "--b", "v0"])
+        assert r.exit_code == 1 and r.output.startswith("FAIL")
 
     def test_scidp_json(self, runner, tmp_path):
         f = write(tmp_path, "g.txt", CYCLE4)

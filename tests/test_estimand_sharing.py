@@ -99,6 +99,16 @@ class TestScaling:
         text = format_estimand(sidp(family(24), ["v1"], ["v0"], cls))
         assert len(text) <= 64 * 1024
 
+    @pytest.mark.parametrize("family, a", [(chain, "v79"), (collider, "v1")])
+    def test_size_and_time_at_80(self, family, a):
+        # fixing every leaf down from all outputs again printed 1.36 MB in
+        # 3.5 s for the chain; fixing first, each bucket is fixed once
+        g = family(80)
+        start = time.perf_counter()
+        text = format_estimand(sidp(g, [a], ["v0"], ADMG))
+        assert time.perf_counter() - start < 1.0
+        assert len(text) <= 4 * 1024
+
     def test_chain_20_compares_and_hashes_in_linear_time(self):
         # equality and hashing that walked shared subterms as a tree took
         # 0.145 s at n=16 and doubled per node

@@ -11,9 +11,11 @@ from pagid.graph import (
     Edge,
     GraphClass,
     INPUT,
+    LATENT,
     MixedGraph,
     OUTPUT,
     ParseError,
+    SELECTION,
     bidirected,
     bucket_topological_order,
     buckets,
@@ -135,6 +137,17 @@ class TestEdit:
         g = chain_admg()
         assert g.edit() is g
         assert g.edit(kinds={"a": OUTPUT}, add=[directed("a", "b")]) is g
+
+    def test_kinds_are_partitioned_once(self):
+        # each kind's nodes, in name order, built with the graph
+        g = MixedGraph({"s": SELECTION, "c": OUTPUT, "i": INPUT, "a": OUTPUT,
+                        "l": LATENT})
+        h = g.edit(kinds={"c": INPUT})
+        assert (g.outputs, g.inputs, g.latents, g.selections) == (
+            ("a", "c"), ("i",), ("l",), ("s",))
+        assert (h.outputs, h.inputs) == (("a",), ("c", "i"))
+        assert g.outputs is g.outputs and g.of_kind(INPUT) is g.inputs
+        assert MixedGraph({}).outputs == ()
 
 
 class TestValidate:

@@ -18,6 +18,7 @@ from pagid import identify as idf
 from pagid.graph import (
     ARROW,
     CIRCLE,
+    OUTPUT,
     Edge,
     GraphClass,
     TAIL,
@@ -56,11 +57,13 @@ from helpers import (
     _find_hedge,
     _witness_pool,
     district_of,
+    embed_front_door,
     enumerate_represented,
     fixing_identifiable,
     maximal_regime_separated_bruteforce,
     rand_isadmg,
     regime_separated,
+    sidp_reference,
 )
 
 ADMG = GraphClass.ADMG
@@ -141,11 +144,11 @@ class TestReductionSets:
             l0_sets(g, ["nope"], [])
 
 
-def _assembled(C, g, dv=False):
-    """The region recursion on C, every leaf fixed down from all of g's
-    outputs, starting at Q[V]."""
+def _identified(C, g, dv=False):
+    """The IDP recursion on C, starting from Q[V] over all of g's
+    outputs."""
     V = frozenset(g.outputs)
-    return idf._assemble(frozenset(C), V, Base(V), g, dv)
+    return idf._identify(frozenset(C), V, Base(V), g, dv)
 
 
 def _parts(est):
@@ -155,8 +158,16 @@ def _parts(est):
     return [est]
 
 
+# the front-door gadget: z cannot be fixed, so {x, y} splits into regions
+FRONT_DOOR = (
+    "node x output\nnode y output\nnode z output\n"
+    "edge z --> y\nedge y --> x\nedge z <-> x\n"
+)
+
+
 class TestBuildTree:
-    """The region recursion of sidp (``identify._assemble``)."""
+    """The IDP recursion of sidp (``identify._identify``): fix first, split
+    by region only when stuck."""
 
     def test_single_bucket_is_a_leaf(self):
         # {a, b} is one bucket; c is fixed away and the rest is not split
@@ -164,60 +175,62 @@ class TestBuildTree:
             "node a output\nnode b output\nnode c output\n"
             "edge a --- b\nedge a --> c\n"
         )
-        V = frozenset(g.outputs)
-        est = _assembled({"a", "b"}, g)
+        est = _identified({"a", "b"}, g)
         assert not isinstance(est, (BoxProduct, FailCertificate))
-        assert est == idf._fix_leaf(frozenset("ab"), V, Base(V), g)
+        assert format_estimand(est) == (
+            "(prod (cond (a b c) (Q (a b c))) (marg (c) (Q (a b c))))")
         assert est.outputs == frozenset("ab")
 
     def test_disconnected_parts_split(self):
-        g = parse_graph(
-            "node a output\nnode b output\nnode c output\nnode d output\n"
-            "edge a --> b\nedge c --> d\n"
-        )
-        est = _assembled(set("abcd"), g, dv=True)
+        # the front door next to an isolated w: once z sticks, the target
+        # {w, x, y} splits into {w} and {x, y}, and then {x} and {y}
+        g = parse_graph(FRONT_DOOR + "node w output\n")
+        est = _identified({"w", "x", "y"}, g, dv=True)
         assert isinstance(est, BoxProduct)
-        assert est.outputs == frozenset("abcd")
-        # no part mixes the two disconnected halves
-        for part in _parts(est):
-            assert part.outputs <= frozenset("ab") or part.outputs <= (
-                frozenset("cd")
-            )
+        assert est.outputs == frozenset("wxy")
+        assert [p.outputs for p in _parts(est)] == [{"w"}, {"x"}, {"y"}]
+        # a target reached without fixing is not split
+        V = frozenset("wxyz")
+        assert _identified(V, g, dv=True) == Base(V)
 
     def test_labels_union_to_root(self):
         rng = random.Random(3)
-        identified = 0
-        for _ in range(40):
-            a = rand_isadmg(rng, n_out=rng.randint(2, 5), n_sel=0,
+        identified = split = 0
+        for _ in range(60):
+            a = rand_isadmg(rng, n_out=rng.randint(3, 5), n_sel=0,
                             n_lat=0, n_in=0, p=0.5)
-            D = frozenset(a.outputs)
-            est = _assembled(D, a, dv=True)
+            a, x, z = embed_front_door(rng, a)
+            D = l0_sets(a, [x], [z])
+            est = _identified(D, a, dv=True)
             if isinstance(est, FailCertificate):
                 continue
             identified += 1
+            split += isinstance(est, BoxProduct)
             got = frozenset()
             for part in _parts(est):
                 assert part.outputs
                 got |= part.outputs
             assert got == D
-        assert identified >= 20
+        assert identified >= 20 and split >= 20
 
     def test_stops_at_the_first_stuck_leaf(self, monkeypatch):
-        # D = {a, c1, c2, x, y} splits into the leaves {a, c1, c2}, which
-        # sticks, and {x, y}, which is never fixed
+        # D = {a, c1, c2, x, y} is stuck on b and splits into {a, c1, c2},
+        # which sticks, and {x, y}, which is never visited
         g = parse_graph(CYCLE4 + "node x output\nnode y output\n"
                         "edge x --> y\n")
         calls = []
-        real = idf._fix_leaf
+        real = idf._identify
 
-        def counted(R, *args):
-            calls.append(R)
-            return real(R, *args)
+        def counted(C, *args):
+            calls.append(C)
+            return real(C, *args)
 
-        monkeypatch.setattr(idf, "_fix_leaf", counted)
+        monkeypatch.setattr(idf, "_identify", counted)
         res = sidp(g, ["a", "y"], ["b"])
         assert str(res) == "FAIL C={a,c1,c2} T={a,b,c1,c2}"
-        assert calls == [frozenset({"a", "c1", "c2"})]
+        assert calls == [frozenset({"a", "c1", "c2", "x", "y"}),
+                         frozenset({"a", "c1", "c2"})]
+        assert res.trace == (("y",), ("x",))
 
 
 class TestSidp:
@@ -318,31 +331,33 @@ class TestSidp:
         assert hits >= 10 and fails >= 5
 
     def test_box_product_is_a_markov_combination(self):
-        # the assembly product of the overlap-consistent kernels equals
-        # q[left] * q[right] / q[overlap] pointwise
-        g = backdoor()
-        res = sidp(g, ["b"], ["a"], ADMG)
-        box = res
-        while not isinstance(box, BoxProduct):
-            box = box.child
+        # z cannot be fixed, so {x, y} splits into the regions {x} and {y},
+        # read as an ADMG and without a class; the assembly product of the
+        # overlap-consistent kernels equals q[left] * q[right] / q[overlap]
+        # pointwise
+        g = parse_graph(FRONT_DOOR)
         scm = oc.random_scm(g, random.Random(9))
         qv = oc.observational_kernel(scm)
-        kl = oc.eval_estimand(box.left, qv, scm)
-        kr = oc.eval_estimand(box.right, qv, scm)
-        kb = oc.eval_estimand(box, qv, scm)
-        shared = set(kl.outputs) & set(kr.outputs)
-        ki = kl.marginalize(set(kl.outputs) - shared)
-        kj = kr.marginalize(set(kr.outputs) - shared)
-        names = kb.context + kb.outputs
-        for ctx in oc._assignments(kb.domains, kb.context):
-            for out in oc._assignments(kb.domains, kb.outputs):
-                asg = dict(zip(names, ctx + out))
-                assert ki.value(asg) == kj.value(asg)
-                denom = ki.value(asg)
-                if denom:
-                    assert kb.value(asg) * denom == kl.value(asg) * kr.value(
-                        asg
-                    )
+        for cls in (ADMG, None):
+            box = sidp(g, ["x"], ["z"], cls).child
+            assert isinstance(box, BoxProduct)
+            assert box.bucket_order == (("y",), ("x",))
+            assert [p.outputs for p in _parts(box)] == [{"x"}, {"y"}]
+            kl = oc.eval_estimand(box.left, qv, scm)
+            kr = oc.eval_estimand(box.right, qv, scm)
+            kb = oc.eval_estimand(box, qv, scm)
+            shared = set(kl.outputs) & set(kr.outputs)
+            ki = kl.marginalize(set(kl.outputs) - shared)
+            kj = kr.marginalize(set(kr.outputs) - shared)
+            names = kb.context + kb.outputs
+            for ctx in oc._assignments(kb.domains, kb.context):
+                for out in oc._assignments(kb.domains, kb.outputs):
+                    asg = dict(zip(names, ctx + out))
+                    assert ki.value(asg) == kj.value(asg)
+                    denom = ki.value(asg)
+                    if denom:
+                        assert (kb.value(asg) * denom
+                                == kl.value(asg) * kr.value(asg))
 
     def test_input_graph_is_validated(self):
         bad = parse_graph(
@@ -515,7 +530,8 @@ class TestSRecoverability:
 
 class TestLatentSelectionReading:
     """Without a class, explicit latent and selection nodes are read
-    through the graph's MAG rather than ignored."""
+    through the graph's MAG rather than ignored.  Read as an ADMG, latent
+    nodes are projected out and selection nodes are an error."""
 
     SELECTED = (
         "node v0 output\nnode v1 output\nnode v2 output\nnode s0 selection\n"
@@ -541,9 +557,23 @@ class TestLatentSelectionReading:
         mag, _wit, _h = hedge_witness(g, ["b"], ["a"], cert)
         assert not mag.latents
 
-    def test_explicit_class_keeps_the_graph(self):
+    def test_explicit_admg_projects_latents(self):
+        # the bow read as an ADMG is a --> b with a <-> b
         g = parse_graph(self.BOW)
-        assert not isinstance(sidp(g, ["b"], ["a"], ADMG), FailCertificate)
+        cert = sidp(g, ["b"], ["a"], ADMG)
+        assert str(cert) == "FAIL C={b} T={a,b}"
+        assert not calculus_check(g, 2, ["b"], ["a"], cls=ADMG)
+
+    def test_explicit_admg_rejects_selection_nodes(self):
+        g = parse_graph(self.SELECTED)
+        for check in (
+            lambda: sidp(g, ["v1"], ["v0"], ADMG),
+            lambda: scidp(g, ["v1"], ["v0"], [], ADMG),
+            lambda: calculus_check(g, 3, ["v1"], ["v0"], cls=ADMG),
+        ):
+            with pytest.raises(ValueError, match="selection nodes s0 .* "
+                               "omit the class"):
+                check()
 
 
 class TestHedges:
@@ -768,13 +798,18 @@ def reading_cases(draw, kind, max_out=7):
         p=draw(st.sampled_from([0.3, 0.5, 0.7])),
     )
     p = mag_of(g) if kind == "MAG" else fci(graph_oracle(g))
-    outs = sorted(p.outputs)
+    return p, *_query(draw, p)
+
+
+def _query(draw, g):
+    """Disjoint A and B of one or two outputs each."""
+    outs = sorted(g.outputs)
     A = draw(st.lists(st.sampled_from(outs), min_size=1, max_size=2,
                       unique=True))
     rest = [v for v in outs if v not in A]
     B = draw(st.lists(st.sampled_from(rest), min_size=1, max_size=2,
                       unique=True))
-    return p, A, B
+    return A, B
 
 
 def _hedge_targets(wit, A, B):
@@ -861,6 +896,60 @@ class TestCompleteness:
                 assert _find_hedge(wit, *_hedge_targets(wit, A, B)) is None
 
 
+@st.composite
+def reference_cases(draw):
+    """A random model over 3-5 outputs, with at most one input node, read
+    as its MAG, as the FCI PAG of its independence model (both with at most
+    one selection node), or without selection as an ADMG, half of those
+    with the front-door gadget laid over three outputs; with disjoint A and
+    B of one or two outputs each (for the gadget A = {x}, B = {z})."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["MAG", "PAG", "ADMG"]))
+    g = rand_isadmg(
+        rng,
+        n_out=draw(st.integers(3, 5)),
+        n_sel=0 if kind == "ADMG" else draw(st.integers(0, 1)),
+        n_lat=0,
+        n_in=draw(st.integers(0, 1)),
+        p=draw(st.sampled_from([0.3, 0.5, 0.7])),
+    )
+    if kind == "ADMG":
+        # confounding alongside some directed edges, so bows occur
+        g = g.edit(add=[Edge(e.a, ARROW, e.b, ARROW) for e in g.edges
+                        if (e.mark_a, e.mark_b) == (TAIL, ARROW)
+                        and g.kind(e.a) is OUTPUT and rng.random() < 0.5])
+        if draw(st.booleans()):
+            g, x, z = embed_front_door(rng, g)
+            return g, ADMG, [x], [z], oc.random_scm(g, rng)
+        return g, ADMG, *_query(draw, g), oc.random_scm(g, rng)
+    p = mag_of(g) if kind == "MAG" else fci(graph_oracle(g))
+    return p, None, *_query(draw, p), oc.random_scm(g, rng)
+
+
+class TestRegionRecursionReference:
+    """sidp fixes first and splits only when stuck; the reference splits
+    first and fixes every leaf down from all outputs
+    (``helpers.sidp_reference``).  Both FAIL on the same queries with the
+    same C and T, and their estimands evaluate alike."""
+
+    @settings(max_examples=300)
+    @given(reference_cases())
+    def test_same_answers(self, case):
+        p, cls, A, B, scm = case
+        new, old = sidp(p, A, B, cls), sidp_reference(p, A, B, cls)
+        assert isinstance(new, FailCertificate) == isinstance(
+            old, FailCertificate)
+        if isinstance(new, FailCertificate):
+            assert (new.C, new.T) == (old.C, old.T)
+            return
+        # evaluated without the model, so every leaf must be Q[V]
+        qv = oc.observational_kernel(scm)
+        want = oc.interventional_kernel(scm, B, outputs=A)
+        got = oc.eval_estimand(new, qv)
+        assert oc.kernels_agree(got, want)
+        assert oc.kernels_agree(got, oc.eval_estimand(old, qv))
+
+
 class TestValidationCache:
     def test_each_class_is_validated_once_per_graph(self, monkeypatch):
         g = backdoor()
@@ -936,7 +1025,7 @@ class TestSerialization:
 class TestKernelAttachment:
     def test_leaf_estimand_structure(self):
         g = parse_graph(CHAIN)
-        est = _assembled({"a"}, g, dv=True)
+        est = _identified({"a"}, g, dv=True)
         assert est.outputs == frozenset({"a"})
         # fixing proceeds leafward: last bucket removed first
         assert isinstance(est, OrderedProduct)
