@@ -11,10 +11,12 @@ Fractions only for its result.  CI queries read integer margins of those
 rows.  Selection variables are binary and the selection event is
 "value = 1" for every one of them.
 
-Two independent computation paths produce interventional distributions: a
-full-joint enumeration (used while the state space is small) and a
-variable-elimination path.  The test suite cross-checks them against each
-other so either can serve as the reference.
+An interventional kernel comes from one variable-elimination pass over
+the model's integer tables (``_eliminate``): the inputs, the intervened
+variables and the requested outputs stay free, every other variable is
+summed out, and each context's row is read off what is left.  The test
+suite keeps the per-context enumeration and elimination this replaced,
+and a Fraction enumeration, as references.
 """
 
 from __future__ import annotations
@@ -40,8 +42,6 @@ from .graph import (
     NodeKind,
     validate,
 )
-
-FULL_JOINT_LIMIT = 1 << 20
 
 _KIND_NAMES = {
     "input": INPUT,
@@ -120,6 +120,9 @@ class DiscreteSCM:
             for key, row in rows.items():
                 if len(row) != self.domains[v]:
                     raise ScmError(f"table row of {v} has wrong width")
+                if min(row) < 0:
+                    raise ScmError(f"table row {key} of {v} has negative "
+                                   f"entry {min(row)}")
                 if sum(row) != 1:
                     raise ScmError(f"table row {key} of {v} sums to {sum(row)}")
         # acyclicity over the functional parent relation (Kahn's algorithm)
@@ -397,108 +400,53 @@ def kernel_compose(outer: Kernel, inner: Kernel, over, domains) -> Kernel:
 # -- distributions -----------------------------------------------------------
 
 
-def _state_space(scm, names):
-    size = 1
-    for v in names:
-        size *= scm.domains[v]
-    return size
-
-
-def _factors(scm, do):
-    """(variable, parents, integer table) for every non-input variable
-    that is not intervened on."""
-    return [
-        (v, scm.parents.get(v, ()), scm.weights[v])
-        for v in scm.domains
-        if scm.kinds[v] is not INPUT and v not in do
-    ]
-
-
-def _joint_full(scm: DiscreteSCM, ctx: dict, do: dict, names):
-    """Unnormalized integer joint over names (all non-context, non-do
-    variables), by explicit enumeration of the truncated factorization."""
-    fixed = dict(ctx)
-    fixed.update(do)
-    factors = _factors(scm, do)
-    rows = {}
-    for values in _assignments(scm.domains, names):
-        a = dict(fixed)
-        a.update(zip(names, values))
-        p = 1
-        for v, ps, table in factors:
-            p *= table[tuple(a[x] for x in ps)][a[v]]
-            if not p:
-                break
-        if p:
-            rows[values] = p
-    return rows
-
-
-def _joint_ve(scm: DiscreteSCM, ctx: dict, do: dict, names, keep):
-    """Same joint, marginalized onto keep, via variable elimination."""
-    fixed = dict(ctx)
-    fixed.update(do)
+def _eliminate(scm: DiscreteSCM, do, keep, condition_selection):
+    """Factors whose product is the unnormalized integer joint over keep
+    under do, by variable elimination (Koller & Friedman 2009, ch. 9).
+    Each non-input variable that is not intervened on gives one factor
+    from its integer table, a selection variable fixed to 1 when
+    conditioning on the selection event.  Every variable outside keep is
+    summed out, the one whose new factor has the fewest states first (ties
+    by name).  A factor is (scope, {assignment of scope: weight})."""
     factors = []
-    for v, ps, weights in _factors(scm, do):
-        free = tuple(x for x in (v,) + tuple(ps) if x not in fixed)
-        table = {}
-        for values in _assignments(scm.domains, free):
-            a = dict(fixed)
-            a.update(zip(free, values))
-            table[values] = weights[tuple(a[x] for x in ps)][a[v]]
-        factors.append((free, table))
-    eliminate = [v for v in names if v not in keep]
-    for v in sorted(eliminate, key=lambda x: (len(scm.domains), x)):
+    for v in scm.domains:
+        if scm.kinds[v] is INPUT or v in do:
+            continue
+        ps, table = scm.parents.get(v, ()), scm.weights[v]
+        if condition_selection and scm.kinds[v] is SELECTION:
+            factors.append((ps, {k: row[1] for k, row in table.items()}))
+        else:
+            factors.append((ps + (v,), {k + (x,): w for k, row in table.items()
+                                        for x, w in enumerate(row)}))
+    domains = scm.domains
+    todo = {x for scope, _ in factors for x in scope} - set(keep)
+    while todo:
+        scopes = {v: {x for s, _ in factors if v in s for x in s} - {v}
+                  for v in todo}
+        v = min(todo, key=lambda u: (
+            math.prod(domains[x] for x in scopes[u]), u))
+        todo.discard(v)
         touching = [f for f in factors if v in f[0]]
-        rest = [f for f in factors if v not in f[0]]
-        free = tuple(sorted({x for fr, _ in touching for x in fr} - {v}))
-        table = {}
-        for values in _assignments(scm.domains, free):
-            a = dict(zip(free, values))
-            total = 0
-            for val in range(scm.domains[v]):
-                a[v] = val
-                p = 1
-                for fr, t in touching:
-                    p *= t[tuple(a[x] for x in fr)]
-                total += p
-            table[values] = total
-        factors = rest + [(free, table)]
-    keep = tuple(keep)
-    out = {}
-    for values in _assignments(scm.domains, keep):
-        a = dict(zip(keep, values))
-        p = 1
-        for fr, t in factors:
-            p *= t[tuple(a[x] for x in fr)]
-        if p:
-            out[values] = p
-    return out
+        factors = [f for f in factors if v not in f[0]]
+        scope = tuple(sorted(scopes[v]))
+        names = scope + (v,)
+        reads = [(t, _projection([names.index(x) for x in s]))
+                 for s, t in touching]
+        factors.append((scope, {
+            a: sum(_weight(reads, a + (x,)) for x in range(domains[v]))
+            for a in _assignments(domains, scope)}))
+    return factors
 
 
-def _selected_marginal(scm, ctx, do, keep, condition_selection):
-    """Distribution over keep given ctx under do, with the selection event
-    applied and normalized away when requested.  Unnormalized integer
-    weights, all on the scale of the product of the tables' scales."""
-    sels = [s for s in scm.selections if s not in do and s not in ctx]
-    if condition_selection:
-        ctx = dict(ctx)
-        ctx.update({s: 1 for s in sels})
-        sels = []
-    names = tuple(
-        v
-        for v in sorted(scm.domains)
-        if v not in ctx and v not in do and scm.kinds[v] is not INPUT
-    )
-    if _state_space(scm, names) <= FULL_JOINT_LIMIT:
-        rows = _joint_full(scm, ctx, do, names)
-        out = {}
-        keep_idx = [names.index(v) for v in keep]
-        for values, p in rows.items():
-            key = tuple(values[i] for i in keep_idx)
-            out[key] = out.get(key, 0) + p
-        return out
-    return _joint_ve(scm, ctx, do, names, tuple(keep))
+def _weight(reads, a):
+    """The product of the factors at assignment a: reads pairs each
+    factor's table with the projection of a onto its scope."""
+    p = 1
+    for t, key in reads:
+        p *= t[key(a)]
+        if not p:
+            break
+    return p
 
 
 def interventional_kernel(
@@ -508,7 +456,9 @@ def interventional_kernel(
     outputs=None,
 ) -> Kernel:
     """P(X_outputs | X_S = 1 || do(X_do_vars), X_I) as an exact kernel with
-    the inputs and intervened variables as context."""
+    the inputs and intervened variables as context.  One elimination pass
+    (``_eliminate``) leaves factors over the context and the outputs only;
+    each context's row is read off their product and normalized."""
     do_vars = tuple(sorted(set(do_vars)))
     for v in do_vars + tuple(outputs or ()):
         if v not in scm.kinds:
@@ -524,17 +474,20 @@ def interventional_kernel(
         if bad:
             raise ScmError(f"outputs overlap intervention: {sorted(bad)}")
     context = tuple(scm.inputs) + do_vars
+    names = context + outputs
+    reads = [(t, _projection([names.index(x) for x in s])) for s, t in
+             _eliminate(scm, do_vars, names, condition_selection)]
     table = {}
     for ctx_vals in _assignments(scm.domains, context):
-        a = dict(zip(context, ctx_vals))
-        ctx = {v: a[v] for v in scm.inputs}
-        do = {v: a[v] for v in do_vars}
-        weights = _selected_marginal(scm, ctx, do, outputs, condition_selection)
+        weights = {}
+        for out in _assignments(scm.domains, outputs):
+            p = _weight(reads, ctx_vals + out)
+            if p:
+                weights[out] = p
         total = sum(weights.values())
         if total == 0:
-            raise ScmError(
-                f"selection event has probability zero in context {a}"
-            )
+            raise ScmError("selection event has probability zero in context "
+                           f"{dict(zip(context, ctx_vals))}")
         table[ctx_vals] = {k: Fraction(p, total) for k, p in weights.items()}
     return Kernel(context, outputs, dict(scm.domains), table)
 
@@ -657,6 +610,15 @@ def eval_estimand(e, qv: Kernel, scm=None, zero_rows: str = "error") -> Kernel:
 # -- parsing and serialization -----------------------------------------------
 
 
+def _parse_number(lineno, what, text, kind):
+    """kind(text), or an ScmError naming the line."""
+    try:
+        return kind(text)
+    except (ValueError, ZeroDivisionError):
+        noun = "an integer" if kind is int else "a number"
+        raise ScmError(f"line {lineno}: {what} {text!r} is not {noun}") from None
+
+
 def parse_scm(text: str) -> DiscreteSCM:
     domains, kinds, parents, cpts = {}, {}, {}, {}
     selects = []
@@ -675,7 +637,8 @@ def parse_scm(text: str) -> DiscreteSCM:
             kind = _KIND_NAMES.get(opts.get("kind", "output"))
             if kind is None:
                 raise ScmError(f"line {lineno}: unknown kind")
-            domains[name] = int(opts.get("domain", "2"))
+            domains[name] = _parse_number(lineno, f"domain of {name}",
+                                          opts.get("domain", "2"), int)
             kinds[name] = kind
             ps = opts.get("parents", "")
             parents[name] = tuple(p for p in ps.split(",") if p)
@@ -689,16 +652,20 @@ def parse_scm(text: str) -> DiscreteSCM:
             if key_txt == "-":
                 key = ()
             else:
-                key = tuple(int(x) for x in key_txt.split(","))
-            row = tuple(Fraction(x) for x in parts[3:])
+                key = tuple(_parse_number(lineno, f"table key of {name}", x,
+                                          int) for x in key_txt.split(","))
+            row = tuple(_parse_number(lineno, f"probability of {name}", x,
+                                      Fraction) for x in parts[3:])
             cpts.setdefault(name, {})[key] = row
         elif parts[0] == "select":
-            selects.append(parts[1])
+            if len(parts) < 2:
+                raise ScmError(f"line {lineno}: malformed select line")
+            selects.append((lineno, parts[1]))
         else:
             raise ScmError(f"line {lineno}: unknown directive {parts[0]}")
-    for s in selects:
+    for lineno, s in selects:
         if s not in domains:
-            raise ScmError(f"unknown selection variable {s}")
+            raise ScmError(f"line {lineno}: unknown selection variable {s}")
         kinds[s] = SELECTION
     return DiscreteSCM(domains, kinds, parents, cpts)
 

@@ -28,7 +28,7 @@ from pagid.graph import (
 from pagid.identify import Hedge, _as_output_graph, verify_hedge
 from pagid.manipulate import hard_manipulate, is_visible, manipulate, regime_id
 from pagid import identify as idf
-from pagid.oracle import Kernel, ScmError
+from pagid.oracle import DiscreteSCM, Kernel, ScmError, _assignments
 from pagid.represent import canonical_isadmg, mag_of, split_id
 from pagid.separate import id_separated
 
@@ -480,6 +480,143 @@ def interventional_kernel_reference(scm, do_vars=(), outputs=None,
         if total == 0:
             raise ScmError(f"selection event has probability zero in context {a}")
         table[vals] = {k: p / total for k, p in out.items()}
+    return Kernel(context, outputs, dict(scm.domains), table)
+
+
+# -- per-context joints: the paths that one elimination pass replaced --
+
+# Each context assignment gets its own joint: enumerated while the state
+# space is at most FULL_JOINT_LIMIT, eliminated in name order above it.
+
+FULL_JOINT_LIMIT = 1 << 20
+
+
+def _state_space(scm, names):
+    size = 1
+    for v in names:
+        size *= scm.domains[v]
+    return size
+
+
+def _factors(scm, do):
+    """(variable, parents, integer table) for every non-input variable
+    that is not intervened on."""
+    return [
+        (v, scm.parents.get(v, ()), scm.weights[v])
+        for v in scm.domains
+        if scm.kinds[v] is not INPUT and v not in do
+    ]
+
+
+def _joint_full(scm: DiscreteSCM, ctx: dict, do: dict, names):
+    """Unnormalized integer joint over names (all non-context, non-do
+    variables), by explicit enumeration of the truncated factorization."""
+    fixed = dict(ctx)
+    fixed.update(do)
+    factors = _factors(scm, do)
+    rows = {}
+    for values in _assignments(scm.domains, names):
+        a = dict(fixed)
+        a.update(zip(names, values))
+        p = 1
+        for v, ps, table in factors:
+            p *= table[tuple(a[x] for x in ps)][a[v]]
+            if not p:
+                break
+        if p:
+            rows[values] = p
+    return rows
+
+
+def _joint_ve(scm: DiscreteSCM, ctx: dict, do: dict, names, keep):
+    """Same joint, marginalized onto keep, via variable elimination."""
+    fixed = dict(ctx)
+    fixed.update(do)
+    factors = []
+    for v, ps, weights in _factors(scm, do):
+        free = tuple(x for x in (v,) + tuple(ps) if x not in fixed)
+        table = {}
+        for values in _assignments(scm.domains, free):
+            a = dict(fixed)
+            a.update(zip(free, values))
+            table[values] = weights[tuple(a[x] for x in ps)][a[v]]
+        factors.append((free, table))
+    eliminate = [v for v in names if v not in keep]
+    for v in sorted(eliminate, key=lambda x: (len(scm.domains), x)):
+        touching = [f for f in factors if v in f[0]]
+        rest = [f for f in factors if v not in f[0]]
+        free = tuple(sorted({x for fr, _ in touching for x in fr} - {v}))
+        table = {}
+        for values in _assignments(scm.domains, free):
+            a = dict(zip(free, values))
+            total = 0
+            for val in range(scm.domains[v]):
+                a[v] = val
+                p = 1
+                for fr, t in touching:
+                    p *= t[tuple(a[x] for x in fr)]
+                total += p
+            table[values] = total
+        factors = rest + [(free, table)]
+    keep = tuple(keep)
+    out = {}
+    for values in _assignments(scm.domains, keep):
+        a = dict(zip(keep, values))
+        p = 1
+        for fr, t in factors:
+            p *= t[tuple(a[x] for x in fr)]
+        if p:
+            out[values] = p
+    return out
+
+
+def _selected_marginal(scm, ctx, do, keep, condition_selection):
+    """Distribution over keep given ctx under do, with the selection event
+    applied and normalized away when requested.  Unnormalized integer
+    weights, all on the scale of the product of the tables' scales."""
+    sels = [s for s in scm.selections if s not in do and s not in ctx]
+    if condition_selection:
+        ctx = dict(ctx)
+        ctx.update({s: 1 for s in sels})
+        sels = []
+    names = tuple(
+        v
+        for v in sorted(scm.domains)
+        if v not in ctx and v not in do and scm.kinds[v] is not INPUT
+    )
+    if _state_space(scm, names) <= FULL_JOINT_LIMIT:
+        rows = _joint_full(scm, ctx, do, names)
+        out = {}
+        keep_idx = [names.index(v) for v in keep]
+        for values, p in rows.items():
+            key = tuple(values[i] for i in keep_idx)
+            out[key] = out.get(key, 0) + p
+        return out
+    return _joint_ve(scm, ctx, do, names, tuple(keep))
+
+
+def selected_kernel_reference(scm, do_vars=(), condition_selection=True,
+                              outputs=None):
+    """Reference for ``oracle.interventional_kernel``: one integer joint per
+    context assignment from ``_selected_marginal``, normalized in
+    Fractions."""
+    do_vars = tuple(sorted(set(do_vars)))
+    if outputs is None:
+        outputs = [v for v in scm.outputs if v not in do_vars]
+    outputs = tuple(sorted(set(outputs)))
+    context = tuple(scm.inputs) + do_vars
+    table = {}
+    for ctx_vals in _assignments(scm.domains, context):
+        a = dict(zip(context, ctx_vals))
+        ctx = {v: a[v] for v in scm.inputs}
+        do = {v: a[v] for v in do_vars}
+        weights = _selected_marginal(scm, ctx, do, outputs, condition_selection)
+        total = sum(weights.values())
+        if total == 0:
+            raise ScmError(
+                f"selection event has probability zero in context {a}"
+            )
+        table[ctx_vals] = {k: Fraction(p, total) for k, p in weights.items()}
     return Kernel(context, outputs, dict(scm.domains), table)
 
 

@@ -459,3 +459,34 @@ class TestPipeline:
         data = json.loads(r.output)
         assert data["verdict"] == "FAIL-CERTIFIED"
         assert data["hedge"]["H"]
+
+
+class TestBadModels:
+    B_GIVEN_A = "var b parents=a\ncpt b 0 1/2 1/2\ncpt b 1 1/4 3/4\n"
+
+    @pytest.mark.parametrize("command", ["pipeline", "eval"])
+    @pytest.mark.parametrize("text, message", [
+        ("var a\ncpt a - -1/2 3/2\n" + B_GIVEN_A,
+         "table row () of a has negative entry -1/2"),
+        ("var a\ncpt a - 1/2 1/2\n" + B_GIVEN_A + "select\n",
+         "line 6: malformed select line"),
+        ("var a domain=2x\ncpt a - 1/2 1/2\n" + B_GIVEN_A,
+         "line 1: domain of a '2x' is not an integer"),
+        ("var a\ncpt a - 1/2 1/2\n" + B_GIVEN_A.replace("b 1 ", "b one "),
+         "line 5: table key of b 'one' is not an integer"),
+        ("var a\ncpt a - 1/2 0.5.0\n" + B_GIVEN_A,
+         "line 2: probability of a '0.5.0' is not a number"),
+    ], ids=["negative", "bare-select", "domain", "key", "probability"])
+    def test_exit_2_without_traceback(self, runner, tmp_path, command, text,
+                                      message):
+        f = write(tmp_path, "m.scm", text)
+        if command == "pipeline":
+            args = ["pipeline", "--scm", f, "--a", "b", "--b", "a"]
+        else:
+            est = write(tmp_path, "e.txt", "(Q (a b))")
+            args = ["eval", "--scm", f, "--estimand", est]
+        r = runner.invoke(main, args)
+        assert r.exit_code == 2, r.output
+        assert isinstance(r.exception, SystemExit)
+        assert f"error: {message}" in r.output
+        assert "Traceback" not in r.output

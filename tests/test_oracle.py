@@ -5,13 +5,14 @@ estimand evaluation, and serialization."""
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pagid.graph import GraphClass, Mark, NodeKind, parse_graph
+from pagid.graph import GraphClass, Mark, parse_graph
 from pagid.represent import mag_of
 from pagid.separate import d_separated
 from pagid import identify as idf
@@ -34,9 +35,8 @@ from pagid.oracle import (
     observational_kernel,
     parse_scm,
     random_scm,
-    _joint_full,
-    _joint_ve,
 )
+import helpers
 from helpers import (
     ReferenceDistributionOracle,
     ci_test_reference,
@@ -47,6 +47,7 @@ from helpers import (
     kernel_product_reference,
     marginalize_reference,
     rand_isadmg,
+    selected_kernel_reference,
 )
 
 CHAIN_SCM = """
@@ -97,6 +98,30 @@ class TestScmValidation:
     def test_row_must_sum_to_one(self):
         with pytest.raises(ScmError):
             parse_scm("var a\ncpt a - 1/2 1/3\n")
+
+    def test_negative_entries_rejected(self):
+        with pytest.raises(ScmError,
+                           match=r"table row \(\) of a has negative entry -1/2"):
+            parse_scm("var a\ncpt a - -1/2 3/2\n")
+
+    @pytest.mark.parametrize("text, message", [
+        ("var a\ncpt a - 1/2 1/2\nselect\n", "line 3: malformed select line"),
+        ("var a domain=two\ncpt a - 1/2 1/2\n",
+         "line 1: domain of a 'two' is not an integer"),
+        ("var a\nvar b parents=a\ncpt a - 1/2 1/2\ncpt b x 1/2 1/2\n",
+         "line 4: table key of b 'x' is not an integer"),
+        ("var a\ncpt a - half 1/2\n",
+         "line 2: probability of a 'half' is not a number"),
+        ("var a\ncpt a - 1/0 1/2\n",
+         "line 2: probability of a '1/0' is not a number"),
+        ("select s\nvar a\ncpt a - 1/2 1/2\n",
+         "line 1: unknown selection variable s"),
+    ], ids=["bare-select", "domain", "key", "probability", "zero-division",
+            "unknown-selection"])
+    def test_malformed_lines_are_named(self, text, message):
+        with pytest.raises(ScmError) as err:
+            parse_scm(text)
+        assert str(err.value) == message
 
     def test_table_must_cover_parent_domain(self):
         with pytest.raises(ScmError):
@@ -326,6 +351,23 @@ class TestInterventions:
         with pytest.raises(ScmError):
             observational_kernel(scm)
 
+    def test_latent_star_eliminates_smallest_scope_first(self):
+        # latent a with 16 output children: summing out the other children
+        # first keeps every factor over at most two variables
+        zs = [f"z{i:02d}" for i in range(16)]
+        lines = ["var a kind=latent", "cpt a - 1/3 2/3"]
+        for i, z in enumerate(zs):
+            p = Fraction(i + 1, 18)
+            lines += [f"var {z} parents=a", f"cpt {z} 0 {p} {1 - p}",
+                      f"cpt {z} 1 {1 - p} {p}"]
+        scm = parse_scm("\n".join(lines) + "\n")
+        t0 = time.perf_counter()
+        k = interventional_kernel(scm, outputs=["z00"])
+        assert time.perf_counter() - t0 < 0.5
+        p = Fraction(1, 18)
+        want = Fraction(1, 3) * p + Fraction(2, 3) * (1 - p)
+        assert k.table == {(): {(0,): want, (1,): 1 - want}}
+
     def test_c_factor_of_single_node(self):
         scm = chain()
         q = c_factor(scm, ["b"])
@@ -435,25 +477,24 @@ class TestRandomScm:
 
 class TestComputationPaths:
     def test_enumeration_and_elimination_agree(self):
+        """One elimination pass per kernel gives the kernels of the
+        per-context enumeration and elimination that it replaced."""
         rng = random.Random(21)
         for trial in range(10):
             g = rand_isadmg(rng, n_out=4, n_sel=1, n_lat=0, n_in=1, p=0.5)
             scm = random_scm(g, random.Random(trial))
-            names = tuple(
-                v for v in sorted(scm.domains)
-                if scm.kinds[v] is not NodeKind.INPUT
-            )
-            keep = names[:2]
-            for ival in (0, 1):
-                ctx = {i: ival for i in scm.inputs}
-                full = _joint_full(scm, ctx, {}, names)
-                agg = {}
-                idx = [names.index(v) for v in keep]
-                for vals, p in full.items():
-                    key = tuple(vals[i] for i in idx)
-                    agg[key] = agg.get(key, 0) + p
-                ve = _joint_ve(scm, ctx, {}, names, keep)
-                assert {k: v for k, v in agg.items() if v} == ve
+            outs = list(scm.outputs)
+            for do, keep in (((), None), ((), outs[:2]), (outs[:1], None),
+                             (outs[2:], outs[:2])):
+                for cond in (True, False):
+                    got = interventional_kernel(scm, do, cond, keep)
+                    # enumeration, then elimination in name order
+                    for limit in (helpers.FULL_JOINT_LIMIT, 0):
+                        with mock.patch.object(helpers, "FULL_JOINT_LIMIT",
+                                               limit):
+                            want = selected_kernel_reference(scm, do, cond,
+                                                             keep)
+                        assert _same_kernel(got, want)
 
 
 class TestFormatKernel:
@@ -498,17 +539,15 @@ class TestIntegerPaths:
         keep = data.draw(st.lists(st.sampled_from(rest), unique=True,
                                   min_size=1))
         cond = data.draw(st.booleans())
-        for limit in (oc.FULL_JOINT_LIMIT, 0):  # enumeration, elimination
-            with mock.patch.object(oc, "FULL_JOINT_LIMIT", limit):
-                try:
-                    want = interventional_kernel_reference(scm, do, keep, cond)
-                except ScmError:
-                    with pytest.raises(ScmError):
-                        interventional_kernel(scm, do, cond, keep)
-                    continue
-                got = interventional_kernel(scm, do, cond, keep)
-                assert _same_kernel(got, want)
-                assert format_kernel(got) == format_kernel(want)
+        try:
+            want = interventional_kernel_reference(scm, do, keep, cond)
+        except ScmError:
+            with pytest.raises(ScmError):
+                interventional_kernel(scm, do, cond, keep)
+            return
+        got = interventional_kernel(scm, do, cond, keep)
+        assert _same_kernel(got, want)
+        assert format_kernel(got) == format_kernel(want)
 
     @settings(max_examples=80)
     @given(random_models(), st.data())
