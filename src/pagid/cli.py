@@ -49,7 +49,10 @@ from .separate import d_separated, id_separated, open_walk, walk_nodes
 _CLASSES = {c.value: c for c in GraphClass}
 
 
-def _fail(msg: str, code: int = 2):
+def _fail(msg, code: int = 2):
+    """Print a message or exception and exit; a KeyError names a node."""
+    if isinstance(msg, KeyError):
+        msg = f"unknown node {msg.args[0]}"
     click.echo(f"error: {msg}", err=True)
     sys.exit(code)
 
@@ -59,7 +62,7 @@ def _load_graph(path: str) -> MixedGraph:
         with open(path) as fh:
             return parse_graph(fh.read())
     except (OSError, ParseError, ValueError) as exc:
-        _fail(str(exc))
+        _fail(exc)
 
 
 def _split(value: str) -> list[str]:
@@ -160,7 +163,7 @@ def mag_cmd(graph_file, as_json, as_dot, out):
     try:
         _emit_graph(mag_of(g), as_json, as_dot, out)
     except ValueError as exc:
-        _fail(str(exc))
+        _fail(exc)
 
 
 @main.command("canonical")
@@ -174,7 +177,7 @@ def canonical_cmd(graph_file, as_json, as_dot, out):
     try:
         _emit_graph(canonical_isadmg(g), as_json, as_dot, out)
     except ValueError as exc:
-        _fail(str(exc))
+        _fail(exc)
 
 
 @main.command("marginalize")
@@ -190,7 +193,7 @@ def marginalize_cmd(graph_file, nodes, as_json, as_dot, out):
     try:
         _emit_graph(marginalize_latents(g, drop), as_json, as_dot, out)
     except (ValueError, KeyError) as exc:
-        _fail(str(exc))
+        _fail(exc)
 
 
 @main.command("manipulate")
@@ -205,8 +208,8 @@ def manipulate_cmd(graph_file, soft, hard, cls, as_json):
     try:
         mg = manipulate(g, _split(soft), _split(hard),
                         _CLASSES[cls] if cls else None)
-    except ValueError as exc:
-        _fail(str(exc))
+    except (ValueError, KeyError) as exc:
+        _fail(exc)
     if as_json:
         click.echo(json.dumps({
             "schema": 1,
@@ -240,7 +243,7 @@ def sep_cmd(graph_file, soft, hard, a_set, b_set, c_set, mode, explain, as_json)
         else:
             sep = d_separated(mg, A, B, C)
     except (ValueError, KeyError) as exc:
-        _fail(str(exc))
+        _fail(exc)
     walk = None
     if explain and not sep and mode == "id":
         w = open_walk(mg, A, B, C)
@@ -276,7 +279,7 @@ def fci_cmd(oracle_spec, out, trace, as_json, as_dot):
         log = [] if trace else None
         p = run_fci(orc, trace=log)
     except (OSError, ValueError) as exc:
-        _fail(str(exc))
+        _fail(exc)
     if trace and not as_json:
         for line in log:
             click.echo(line, err=True)
@@ -319,7 +322,7 @@ def sidp_cmd(graph_file, a_set, b_set, cls, as_json):
         res = sidp(g, _split(a_set), _split(b_set),
                    _CLASSES[cls] if cls else None)
     except (ValueError, KeyError) as exc:
-        _fail(str(exc))
+        _fail(exc)
     _emit_estimand(res, as_json)
 
 
@@ -337,7 +340,7 @@ def scidp_cmd(graph_file, a_set, b_set, c_set, cls, as_json):
         res = scidp(g, _split(a_set), _split(b_set), _split(c_set),
                     _CLASSES[cls] if cls else None)
     except (ValueError, KeyError) as exc:
-        _fail(str(exc))
+        _fail(exc)
     _emit_estimand(res, as_json)
 
 
@@ -356,7 +359,7 @@ def calculus_cmd(graph_file, rule, a_set, b_set, c_set, d_set, as_json):
         ok = calculus_check(g, rule, _split(a_set), _split(b_set),
                             _split(c_set), _split(d_set))
     except (ValueError, KeyError) as exc:
-        _fail(str(exc))
+        _fail(exc)
     if as_json:
         click.echo(json.dumps({"schema": 1, "applies": ok}, sort_keys=True))
     else:
@@ -382,7 +385,7 @@ def adjust_cmd(graph_file, a_set, b_set, c_set, d_set, j0, j1, h_set, as_json):
             g, _split(a_set), _split(b_set), _split(c_set), _split(d_set),
             _split(j0), _split(j1), _split(h_set))
     except (ValueError, KeyError) as exc:
-        _fail(str(exc))
+        _fail(exc)
     if as_json:
         click.echo(json.dumps({
             "schema": 1, "applies": ok,
@@ -406,7 +409,7 @@ def relation_cmd(graph_file, source, target, kind, as_json):
     try:
         verdict = causal_relation(g, source, target, kind)
     except (ValueError, KeyError) as exc:
-        _fail(str(exc))
+        _fail(exc)
     if as_json:
         click.echo(json.dumps({"schema": 1, "verdict": verdict},
                               sort_keys=True))
@@ -426,7 +429,7 @@ def hedge_cmd(graph_file, a_set, b_set, as_json):
     try:
         res = sidp(g, A, B)
     except (ValueError, KeyError) as exc:
-        _fail(str(exc))
+        _fail(exc)
     if not isinstance(res, FailCertificate):
         if as_json:
             click.echo(json.dumps(
@@ -437,7 +440,7 @@ def hedge_cmd(graph_file, a_set, b_set, as_json):
     try:
         mag, wit, h = hedge_witness(g, A, B, res)
     except ValueError as exc:
-        _fail(str(exc))
+        _fail(exc)
     if as_json:
         click.echo(json.dumps({
             "schema": 1,
@@ -481,7 +484,7 @@ def eval_cmd(scm_file, estimand_file, zero_rows, as_json):
         qv = oc.observational_kernel(scm)
         k = oc.eval_estimand(est, qv, scm, zero_rows=zero_rows)
     except (OSError, ValueError) as exc:
-        _fail(str(exc))
+        _fail(exc)
     if as_json:
         click.echo(json.dumps(
             {"schema": 1, "kernel": oc.format_kernel(k)}, sort_keys=True))
@@ -503,7 +506,7 @@ def enumerate_cmd(graph_file, membership, limit, as_json):
             g, limit=limit,
             membership=None if membership == "all" else membership)
     except ValueError as exc:
-        _fail(str(exc))
+        _fail(exc)
     if as_json:
         click.echo(json.dumps(
             {"schema": 1, "count": len(ms),
@@ -527,7 +530,7 @@ def random_scm_cmd(graph_file, seed, domain, no_positivity):
         scm = oc.random_scm(g, random.Random(_seed(seed)), domain=domain,
                             positivity=not no_positivity)
     except ValueError as exc:
-        _fail(str(exc))
+        _fail(exc)
     click.echo(oc.format_scm(scm).rstrip("\n"))
 
 
@@ -565,7 +568,7 @@ def pipeline_cmd(scm_file, a_set, b_set, as_json):
                 "estimand": format_estimand(res),
             })
     except (OSError, ValueError) as exc:
-        _fail(str(exc))
+        _fail(exc)
     if as_json:
         click.echo(json.dumps(report, sort_keys=True))
     else:

@@ -147,12 +147,11 @@ class MixedGraph:
             es.add(e)
         self._edges = frozenset(es)
         adj: dict[str, dict[str, list[Edge]]] = {v: {} for v in self._nodes}
-        for e in self._edges:
-            adj[e.a].setdefault(e.b, []).append(e)
-            adj[e.b].setdefault(e.a, []).append(e)
-        for v in adj:
-            for w in adj[v]:
-                adj[v][w].sort()
+        for e in self._edges:  # both ends of a pair share one list
+            pair = adj[e.b][e.a] = adj[e.a].setdefault(e.b, [])
+            pair.append(e)
+            if len(pair) > 1:  # only parallel edges have an order to show
+                pair.sort()
         self._adj = adj
         self._eat: dict[str, tuple] = {}
         self._anc: dict[str, frozenset[str]] = {}

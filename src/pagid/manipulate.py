@@ -1,9 +1,10 @@
-"""Edge visibility and the hard/soft manipulation operators, including the
-combined form: soft manipulation first, then hard manipulation."""
+"""Edge visibility and the hard/soft manipulation operators.  ``manipulate``
+implements both, soft first and then hard, as one graph build; the other
+two are its one-sided calls."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .graph import (
     ARROW,
@@ -91,7 +92,24 @@ def soft_manipulate(g, D, cls: GraphClass | None = None) -> ManipulatedGraph:
     graph and added in one build; on a valid MAG or PAG that equals adding
     them one at a time, as no indicator adds an arrowhead, undirected edge
     or visibility witness that the edge it copies did not already add."""
+    return manipulate(g, D, (), cls)
+
+
+def hard_manipulate(g, T, cls: GraphClass | None = None) -> ManipulatedGraph:
+    """Delete incoming arrowheads at the targets, turn them into inputs, and
+    (for ancestral-graph classes) drop edges among inputs and targets."""
+    return manipulate(g, (), T, cls)
+
+
+def manipulate(g, D=(), T=(), cls: GraphClass | None = None) -> ManipulatedGraph:
+    """Combined manipulation: soft on D, then hard on T, as one graph build.
+    The regime edges are read off the given graph; the hard rules then
+    apply to the given edges and the regime edges together, the new regime
+    nodes counting as inputs, which equals hard after soft manipulation."""
     cls = as_class(cls)
+    D, T = set(D), set(T)
+    if D & T:
+        raise ValueError(f"overlapping targets {sorted(D & T)}")
     mg = as_manipulated(g, cls or _infer_class(g))
     if cls is None:
         cls = mg.base_class
@@ -100,23 +118,48 @@ def soft_manipulate(g, D, cls: GraphClass | None = None) -> ManipulatedGraph:
     existing = mg.regime_map
     new_regimes = list(mg.regime_nodes)
     new_soft = list(mg.soft_targets)
-    new_nodes, new_edges = {}, []
-    for d in sorted(set(D)):
-        if not graph.has_node(d):
-            raise KeyError(d)
-        if graph.kind(d) is not OUTPUT:
+    kinds, soft_edges = {}, []
+    for d in sorted(D):
+        if graph.kind(d) is not OUTPUT:  # KeyError if d is unknown
             raise ValueError(f"soft target {d} is not an output node")
         if d in existing:
             continue
-        new_nodes[regime_id(d)] = INPUT
-        new_edges.extend(_soft_edges(graph, d, cls))
-        existing[d] = regime_id(d)
+        kinds[regime_id(d)] = INPUT
+        soft_edges.extend(_soft_edges(graph, d, cls))
         new_regimes.append((d, regime_id(d)))
         new_soft.append(d)
+
+    for t in sorted(T):  # a regime node made above is an input
+        if (kinds.get(t) or graph.kind(t)) not in (INPUT, OUTPUT):
+            raise ValueError(f"hard target {t} is not an input or output node")
+    inputs = set(graph.inputs).union(kinds)
+    non_input_targets = T - inputs
+    fixed = T | inputs
+    ancestral = cls in (GraphClass.MAG, GraphClass.PAG)
+    gone, add = set(), set()
+    for e in (*graph.edges, *soft_edges):
+        if (
+            e.b in non_input_targets and e.mark_b is ARROW
+            or e.a in non_input_targets and e.mark_a is ARROW
+            or ancestral and e.a in fixed and e.b in fixed
+        ):
+            gone.add(e)
+        elif cls is GraphClass.PAG:
+            for x, y in ((e.a, e.b), (e.b, e.a)):
+                if (
+                    y in non_input_targets
+                    and e.mark_at(y) is CIRCLE
+                    and x not in fixed
+                    and graph.kind(x) is OUTPUT
+                ):
+                    gone.add(e)
+                    add.add(Edge(x, e.mark_at(x), y, TAIL))
+    kinds.update(dict.fromkeys(T, INPUT))
     return ManipulatedGraph(
-        graph=graph.edit(kinds=new_nodes, add=new_edges),
+        graph=graph.edit(kinds=kinds, drop=gone,
+                         add=add.union(set(soft_edges) - gone)),
         regime_nodes=tuple(new_regimes),
-        hard_targets=mg.hard_targets,
+        hard_targets=tuple(sorted(set(mg.hard_targets) | T)),
         soft_targets=tuple(sorted(new_soft)),
         base_class=mg.base_class,
     )
@@ -158,65 +201,6 @@ def _soft_edges(g: MixedGraph, a: str, cls: GraphClass) -> list[Edge]:
             # a --o b or a o-o b
             new_edges.append(Edge(ia, TAIL, b, CIRCLE))
     return new_edges
-
-
-def hard_manipulate(g, T, cls: GraphClass | None = None) -> ManipulatedGraph:
-    """Delete incoming arrowheads at the targets, turn them into inputs, and
-    (for ancestral-graph classes) drop edges among inputs and targets."""
-    cls = as_class(cls)
-    mg = as_manipulated(g, cls or _infer_class(g))
-    if cls is None:
-        cls = mg.base_class
-    _check_unmanipulated(mg, cls)
-    graph = mg.graph
-    T = sorted(set(T))
-    for t in T:
-        if not graph.has_node(t):
-            raise KeyError(t)
-        if graph.kind(t) not in (INPUT, OUTPUT):
-            raise ValueError(f"hard target {t} is not an input or output node")
-    inputs = set(graph.inputs)
-    tset = set(T)
-    non_input_targets = tset - inputs
-    fixed = tset | inputs
-    gone = set()
-    add = set()
-    for e in graph.edges:
-        for x, y in ((e.a, e.b), (e.b, e.a)):
-            if y in non_input_targets and e.mark_at(y) is ARROW:
-                gone.add(e)
-        if cls in (GraphClass.MAG, GraphClass.PAG):
-            if e.a in fixed and e.b in fixed:
-                gone.add(e)
-        if cls is GraphClass.PAG and e not in gone:
-            for x, y in ((e.a, e.b), (e.b, e.a)):
-                if (
-                    y in non_input_targets
-                    and e.mark_at(y) is CIRCLE
-                    and x not in tset
-                    and x not in inputs
-                    and graph.kind(x) is OUTPUT
-                ):
-                    gone.add(e)
-                    add.add(Edge(x, e.mark_at(x), y, TAIL))
-    return ManipulatedGraph(
-        graph=graph.edit(kinds=dict.fromkeys(T, INPUT), drop=gone, add=add),
-        regime_nodes=mg.regime_nodes,
-        hard_targets=tuple(sorted(set(mg.hard_targets) | tset)),
-        soft_targets=mg.soft_targets,
-        base_class=mg.base_class,
-    )
-
-
-def manipulate(g, D=(), T=(), cls: GraphClass | None = None) -> ManipulatedGraph:
-    """Combined manipulation: soft on D, then hard on T."""
-    cls = as_class(cls)
-    if set(D) & set(T):
-        raise ValueError(f"overlapping targets {sorted(set(D) & set(T))}")
-    mg = as_manipulated(g, cls or _infer_class(g))
-    mg = soft_manipulate(mg, D, cls)
-    mg = hard_manipulate(mg, T, cls)
-    return mg
 
 
 def _infer_class(g) -> GraphClass:

@@ -633,7 +633,12 @@ def parse_scm(text: str) -> DiscreteSCM:
             name = parts[1]
             if name in domains:
                 raise ScmError(f"line {lineno}: duplicate variable {name}")
-            opts = dict(p.split("=", 1) for p in parts[2:] if "=" in p)
+            opts = {}
+            for p in parts[2:]:
+                key, eq, value = p.partition("=")
+                if not eq or key not in ("kind", "domain", "parents"):
+                    raise ScmError(f"line {lineno}: unknown var option {p!r}")
+                opts[key] = value
             kind = _KIND_NAMES.get(opts.get("kind", "output"))
             if kind is None:
                 raise ScmError(f"line {lineno}: unknown kind")
@@ -656,9 +661,11 @@ def parse_scm(text: str) -> DiscreteSCM:
                                           int) for x in key_txt.split(","))
             row = tuple(_parse_number(lineno, f"probability of {name}", x,
                                       Fraction) for x in parts[3:])
-            cpts.setdefault(name, {})[key] = row
+            if key in cpts.setdefault(name, {}):
+                raise ScmError(f"line {lineno}: duplicate row {key} of {name}")
+            cpts[name][key] = row
         elif parts[0] == "select":
-            if len(parts) < 2:
+            if len(parts) != 2:
                 raise ScmError(f"line {lineno}: malformed select line")
             selects.append((lineno, parts[1]))
         else:

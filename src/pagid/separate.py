@@ -7,11 +7,15 @@ graphs with input and regime nodes: a walk counts as connecting when it
 ends in the second set, an input node, a regime node, or a hard target, and
 collider openings distinguish definite ancestry from potential ancestry
 depending on whether regime nodes take part in the triple.  Both are one
-breadth-first walk search with a different rule for passing a node.
+breadth-first walk search with a different rule for passing a node.  The
+id-separation walk computes the ancestors and possible ancestors of the
+conditioning set only when it first meets a collider that needs them;
+most walks reach a target, or run out of edges, before that.
 """
 
 from __future__ import annotations
 
+import functools
 from collections import deque
 
 from .graph import ARROW, CIRCLE, OUTPUT, TAIL
@@ -68,10 +72,12 @@ def open_walk(g, A, B, C):
     graph = _plain(g)
     regimes = set(g.regime_ids) if isinstance(g, ManipulatedGraph) else set()
     cond = set(C)
+    # graph.kind raises KeyError for an unknown node of C, before any search
+    cond_v = {c for c in cond if graph.kind(c) is OUTPUT}
     targets = set(B) | set(graph.inputs)
-    anc_cond = graph.ancestors(cond)
-    cond_v = {c for c in cond if graph.has_node(c) and graph.kind(c) is OUTPUT}
-    poan_cond = graph.possible_ancestors(cond_v)
+    # the collider sets, each computed at its first use
+    anc_cond = functools.cache(lambda: graph.ancestors(cond))
+    poan_cond = functools.cache(lambda: graph.possible_ancestors(cond_v))
 
     def passes(prev, m_in, v, m_out, w):
         if m_in is TAIL or m_out is TAIL:
@@ -80,12 +86,12 @@ def open_walk(g, A, B, C):
             return v not in cond and not graph.adjacent(prev, w)
         if m_in is ARROW and m_out is ARROW:
             if prev in regimes or w in regimes or v in regimes:
-                return v in poan_cond
-            return v in anc_cond
+                return v in poan_cond()
+            return v in anc_cond()
         if m_in is CIRCLE and m_out is ARROW:
-            return prev in regimes and v in poan_cond
+            return prev in regimes and v in poan_cond()
         if m_in is ARROW and m_out is CIRCLE:
-            return w in regimes and v in poan_cond
+            return w in regimes and v in poan_cond()
         return False
 
     return _walk(graph, A, targets, cond, passes)

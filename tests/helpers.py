@@ -19,6 +19,7 @@ from pagid.graph import (
     MixedGraph,
     OUTPUT,
     SELECTION,
+    as_class,
     bucket_topological_order,
     buckets,
     pc_component,
@@ -26,11 +27,21 @@ from pagid.graph import (
     validate,
 )
 from pagid.identify import Hedge, _as_output_graph, verify_hedge
-from pagid.manipulate import hard_manipulate, is_visible, manipulate, regime_id
+from pagid.manipulate import (
+    ManipulatedGraph,
+    _check_unmanipulated,
+    _infer_class,
+    _soft_edges,
+    as_manipulated,
+    hard_manipulate,
+    is_visible,
+    manipulate,
+    regime_id,
+)
 from pagid import identify as idf
 from pagid.oracle import DiscreteSCM, Kernel, ScmError, _assignments
 from pagid.represent import canonical_isadmg, mag_of, split_id
-from pagid.separate import id_separated
+from pagid.separate import _walk, id_separated
 
 MARKS = (TAIL, ARROW, CIRCLE)
 
@@ -926,3 +937,127 @@ def embed_front_door(rng: random.Random, g: MixedGraph):
     gadget = [Edge(z, TAIL, y, ARROW), Edge(y, TAIL, x, ARROW),
               Edge(z, ARROW, x, ARROW)]
     return g.edit(drop=drop, add=gadget), x, z
+
+
+# -- manipulation and id-separation: references for the one-build forms -----
+
+
+def _soft_manipulate_reference(g, D, cls=None) -> ManipulatedGraph:
+    """Soft manipulation as its own graph build."""
+    cls = as_class(cls)
+    mg = as_manipulated(g, cls or _infer_class(g))
+    if cls is None:
+        cls = mg.base_class
+    _check_unmanipulated(mg, cls)
+    graph = mg.graph
+    existing = mg.regime_map
+    new_regimes = list(mg.regime_nodes)
+    new_soft = list(mg.soft_targets)
+    new_nodes, new_edges = {}, []
+    for d in sorted(set(D)):
+        if not graph.has_node(d):
+            raise KeyError(d)
+        if graph.kind(d) is not OUTPUT:
+            raise ValueError(f"soft target {d} is not an output node")
+        if d in existing:
+            continue
+        new_nodes[regime_id(d)] = INPUT
+        new_edges.extend(_soft_edges(graph, d, cls))
+        existing[d] = regime_id(d)
+        new_regimes.append((d, regime_id(d)))
+        new_soft.append(d)
+    return ManipulatedGraph(
+        graph=graph.edit(kinds=new_nodes, add=new_edges),
+        regime_nodes=tuple(new_regimes),
+        hard_targets=mg.hard_targets,
+        soft_targets=tuple(sorted(new_soft)),
+        base_class=mg.base_class,
+    )
+
+
+def _hard_manipulate_reference(g, T, cls=None) -> ManipulatedGraph:
+    """Hard manipulation as its own graph build."""
+    cls = as_class(cls)
+    mg = as_manipulated(g, cls or _infer_class(g))
+    if cls is None:
+        cls = mg.base_class
+    _check_unmanipulated(mg, cls)
+    graph = mg.graph
+    T = sorted(set(T))
+    for t in T:
+        if not graph.has_node(t):
+            raise KeyError(t)
+        if graph.kind(t) not in (INPUT, OUTPUT):
+            raise ValueError(f"hard target {t} is not an input or output node")
+    inputs = set(graph.inputs)
+    tset = set(T)
+    non_input_targets = tset - inputs
+    fixed = tset | inputs
+    gone = set()
+    add = set()
+    for e in graph.edges:
+        for x, y in ((e.a, e.b), (e.b, e.a)):
+            if y in non_input_targets and e.mark_at(y) is ARROW:
+                gone.add(e)
+        if cls in (GraphClass.MAG, GraphClass.PAG):
+            if e.a in fixed and e.b in fixed:
+                gone.add(e)
+        if cls is GraphClass.PAG and e not in gone:
+            for x, y in ((e.a, e.b), (e.b, e.a)):
+                if (
+                    y in non_input_targets
+                    and e.mark_at(y) is CIRCLE
+                    and x not in tset
+                    and x not in inputs
+                    and graph.kind(x) is OUTPUT
+                ):
+                    gone.add(e)
+                    add.add(Edge(x, e.mark_at(x), y, TAIL))
+    return ManipulatedGraph(
+        graph=graph.edit(kinds=dict.fromkeys(T, INPUT), drop=gone, add=add),
+        regime_nodes=mg.regime_nodes,
+        hard_targets=tuple(sorted(set(mg.hard_targets) | tset)),
+        soft_targets=mg.soft_targets,
+        base_class=mg.base_class,
+    )
+
+
+def manipulate_reference(g, D=(), T=(), cls=None) -> ManipulatedGraph:
+    """Reference for ``manipulate.manipulate``: soft manipulation on D and
+    then hard manipulation on T, each as its own graph build."""
+    cls = as_class(cls)
+    if set(D) & set(T):
+        raise ValueError(f"overlapping targets {sorted(set(D) & set(T))}")
+    mg = as_manipulated(g, cls or _infer_class(g))
+    mg = _soft_manipulate_reference(mg, D, cls)
+    mg = _hard_manipulate_reference(mg, T, cls)
+    return mg
+
+
+def open_walk_reference(g, A, B, C):
+    """Reference for ``separate.open_walk``: the ancestors and possible
+    ancestors of C are computed before the walk search starts."""
+    graph = g.graph if isinstance(g, ManipulatedGraph) else g
+    regimes = set(g.regime_ids) if isinstance(g, ManipulatedGraph) else set()
+    cond = set(C)
+    targets = set(B) | set(graph.inputs)
+    anc_cond = graph.ancestors(cond)
+    cond_v = {c for c in cond if graph.has_node(c) and graph.kind(c) is OUTPUT}
+    poan_cond = graph.possible_ancestors(cond_v)
+
+    def passes(prev, m_in, v, m_out, w):
+        if m_in is TAIL or m_out is TAIL:
+            return v not in cond
+        if m_in is CIRCLE and m_out is CIRCLE:
+            return v not in cond and not graph.adjacent(prev, w)
+        if m_in is ARROW and m_out is ARROW:
+            if prev in regimes or w in regimes or v in regimes:
+                return v in poan_cond
+            return v in anc_cond
+        if m_in is CIRCLE and m_out is ARROW:
+            return prev in regimes and v in poan_cond
+        if m_in is ARROW and m_out is CIRCLE:
+            return w in regimes and v in poan_cond
+        return False
+
+    return _walk(graph, A, targets, cond, passes)

@@ -301,6 +301,21 @@ class TestIdentifyCommands:
         assert r.exit_code == 2
         assert "A, B and C must consist of output nodes" in r.output
 
+    @pytest.mark.parametrize("args", [
+        ["manipulate", "--soft", "zz"],
+        ["manipulate", "--hard", "zz"],
+        ["calculus", "--rule", "2", "--a", "a", "--b", "zz"],
+        ["calculus", "--rule", "1", "--a", "a", "--b", "b", "--d", "zz"],
+        ["sep", "--soft", "zz", "--a", "a", "--b", "b"],
+        ["adjust", "--a", "b", "--b", "a", "--j0", "zz"],
+    ], ids=["manipulate-soft", "manipulate-hard", "calculus-b", "calculus-d",
+            "sep-soft", "adjust-j0"])
+    def test_unknown_node_is_named(self, runner, tmp_path, args):
+        f = write(tmp_path, "g.txt", BACKDOOR)
+        r = runner.invoke(main, args + ["--graph", f])
+        assert r.exit_code == 2
+        assert r.output == "error: unknown node zz\n"
+
     def test_calculus(self, runner, tmp_path):
         f = write(tmp_path, "g.txt", CYCLE4)
         ok = runner.invoke(main, ["calculus", "--graph", f, "--rule", "2",

@@ -21,6 +21,7 @@ from pagid.graph import (
     OUTPUT,
     Edge,
     GraphClass,
+    MixedGraph,
     TAIL,
     parse_graph,
 )
@@ -408,6 +409,20 @@ class TestCalculus:
         g = cycle4()
         assert calculus_check(g, 2, ["a"], ["b"], ["c1", "c2"])
         assert calculus_check(g, 3, ["a"], ["b"], ["c1", "c2"])
+
+    def test_one_graph_build_per_check(self, monkeypatch):
+        # rule 2 manipulates softly on B and hard on D: one build for both
+        g = cycle4()
+        builds = []
+        real = MixedGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(MixedGraph, "__init__", counted)
+        assert calculus_check(g, 2, ["a"], ["b"], ["c1"], ["c2"])
+        assert len(builds) == 1
 
     def test_cycle4_needs_the_separators(self):
         g = cycle4()

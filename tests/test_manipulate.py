@@ -5,7 +5,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pagid.fci import fci, graph_oracle
 from pagid.graph import (
     ARROW,
     CIRCLE,
@@ -28,7 +30,14 @@ from pagid.manipulate import (
     soft_manipulate,
 )
 from pagid.represent import mag_of
-from helpers import rand_isadmg
+from pagid.separate import open_walk
+from helpers import (
+    _hard_manipulate_reference,
+    _soft_manipulate_reference,
+    manipulate_reference,
+    open_walk_reference,
+    rand_isadmg,
+)
 
 
 def edge_set(g):
@@ -377,3 +386,93 @@ class TestClassInference:
                 parse_graph("node a output\nnode b output\nedge a --- b\n"),
                 ["a"], GraphClass.ADMG,
             )
+
+
+@st.composite
+def manipulation_cases(draw):
+    """A random MAG, FCI PAG with an input node, or ADMG with latent and
+    selection nodes, sometimes manipulated once already, a class to
+    manipulate it as, and soft and hard targets.  Three times in four the
+    targets are disjoint outputs; otherwise they are drawn from all nodes,
+    a regime node of the first output and an unknown name, so that the
+    calls also fail in each of the ways they can."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["MAG", "PAG", "ADMG"]))
+    g = rand_isadmg(
+        rng,
+        n_out=draw(st.integers(2, 5)),
+        n_sel=draw(st.integers(0, 1)),
+        n_lat=draw(st.integers(0, 1)),
+        n_in=1 if kind == "PAG" else draw(st.integers(0, 1)),
+        p=draw(st.sampled_from([0.3, 0.5, 0.7])),
+    )
+    if kind == "MAG":
+        g = mag_of(g)
+    elif kind == "PAG":
+        g = fci(graph_oracle(g))
+    cls = draw(st.sampled_from(
+        [None, None, GraphClass[kind], GraphClass.ADMG, GraphClass.MAG,
+         GraphClass.PAG]))
+
+    def targets():
+        h = g.graph if isinstance(g, ManipulatedGraph) else g
+        outs = h.outputs
+        if outs and draw(st.integers(0, 3)):
+            acts = draw(st.lists(st.sampled_from("-st"), min_size=len(outs),
+                                 max_size=len(outs)))
+            return ([v for v, r in zip(outs, acts) if r == "s"],
+                    [v for v, r in zip(outs, acts) if r == "t"])
+        pool = list(h.node_ids) + [regime_id(v) for v in outs[:1]] + ["zz"]
+        return (draw(st.lists(st.sampled_from(pool), max_size=3)),
+                draw(st.lists(st.sampled_from(pool), max_size=3)))
+
+    if draw(st.booleans()):
+        try:
+            g = manipulate_reference(g, *targets(), cls)
+        except (KeyError, ValueError):
+            pass
+    return g, cls, *targets()
+
+
+def outcome(f, *args):
+    """f(*args), or the type and text of the error it raises."""
+    try:
+        return f(*args)
+    except (KeyError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+class TestOneBuild:
+    """manipulate is one graph build; the reference builds the soft
+    manipulation and then the hard one."""
+
+    @settings(max_examples=300)
+    @given(manipulation_cases(), st.data())
+    def test_matches_the_two_build_reference(self, case, data):
+        g, cls, D, T = case
+        mg = outcome(manipulate, g, D, T, cls)
+        assert mg == outcome(manipulate_reference, g, D, T, cls)
+        assert outcome(soft_manipulate, g, D, cls) == outcome(
+            _soft_manipulate_reference, g, D, cls)
+        assert outcome(hard_manipulate, g, T, cls) == outcome(
+            _hard_manipulate_reference, g, T, cls)
+        if not isinstance(mg, ManipulatedGraph):
+            return
+        names = mg.graph.node_ids
+        for _ in range(3):
+            roles = data.draw(st.lists(st.sampled_from("-abc"),
+                                       min_size=len(names),
+                                       max_size=len(names)))
+            A, B, C = ([v for v, r in zip(names, roles) if r == k]
+                       for k in "abc")
+            if data.draw(st.integers(0, 9)) == 0:
+                C.append("zz")
+            assert outcome(open_walk, mg, A, B, C) == outcome(
+                open_walk_reference, mg, A, B, C)
+
+    def test_hard_target_may_name_a_regime_node_of_the_same_call(self):
+        m = parse_graph("node a output\nnode b output\nedge a --> b\n")
+        mg = manipulate(m, ["a"], [regime_id("a")], GraphClass.MAG)
+        assert mg == manipulate_reference(m, ["a"], [regime_id("a")],
+                                          GraphClass.MAG)
+        assert mg.hard_targets == (regime_id("a"),)

@@ -116,8 +116,17 @@ class TestScmValidation:
          "line 2: probability of a '1/0' is not a number"),
         ("select s\nvar a\ncpt a - 1/2 1/2\n",
          "line 1: unknown selection variable s"),
+        ("var a\ncpt a - 1/2 1/2\ncpt a - 1/3 2/3\n",
+         "line 3: duplicate row () of a"),
+        ("var a\nvar b\ncpt a - 1/2 1/2\ncpt b - 1/2 1/2\nselect a b\n",
+         "line 5: malformed select line"),
+        ("var a doman=3\ncpt a - 1/3 1/3 1/3\n",
+         "line 1: unknown var option 'doman=3'"),
+        ("var a output\ncpt a - 1/2 1/2\n",
+         "line 1: unknown var option 'output'"),
     ], ids=["bare-select", "domain", "key", "probability", "zero-division",
-            "unknown-selection"])
+            "unknown-selection", "repeated-row", "two-selections",
+            "unknown-option", "bare-token"])
     def test_malformed_lines_are_named(self, text, message):
         with pytest.raises(ScmError) as err:
             parse_scm(text)

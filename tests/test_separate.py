@@ -14,7 +14,7 @@ from hypothesis import given, settings, strategies as st
 
 from pagid.graph import ARROW, OUTPUT, TAIL, Edge, GraphClass, MixedGraph, parse_graph
 from pagid.manipulate import hard_manipulate, manipulate, soft_manipulate
-from pagid.represent import mag_of
+from pagid.represent import enumerate_mags, mag_of
 from pagid.separate import (
     d_separated,
     id_separated,
@@ -186,6 +186,28 @@ edge t o-o c1
         pg = hard_manipulate(p, ["t"], GraphClass.PAG)
         assert id_separated(pg, ["a"], ["b"], ["c1", "c2"])
         assert not id_separated(pg, ["a"], ["b"], ["c1"])
+
+    def test_regime_collider_opens_at_a_possible_ancestor(self):
+        # v1 o-o v4 makes v1 a possible ancestor of v4 but not an ancestor,
+        # and v2 o-o v1 does the same for v2 and v1.  v0 o-> v1 <-o I__v2
+        # is a collider in every MAG of the PAG that orients v1 --> v4,
+        # where conditioning on v4 opens it; some MAGs do.  Likewise
+        # v0 o-> v2 <-- I__v2 given v1
+        p = parse_graph(
+            "node v0 output\nnode v1 output\nnode v2 output\n"
+            "node v3 output\nnode v4 output\n"
+            "edge v0 o-> v1\nedge v0 o-> v2\nedge v0 o-> v4\n"
+            "edge v1 o-o v2\nedge v1 <-o v3\nedge v1 o-o v4\n"
+            "edge v2 <-o v3\nedge v3 o-> v4\n"
+        )
+        mg = soft_manipulate(p, ["v2"], GraphClass.PAG)
+        mags = [soft_manipulate(m, ["v2"], GraphClass.MAG)
+                for m in enumerate_mags(p, membership="copag")]
+        for a, c, walk in (("v0", "v4", ["v0", "v1", "I__v2"]),
+                           ("v4", "v1", ["v4", "v0", "v2", "I__v2"])):
+            assert walk_nodes(open_walk(mg, [a], ["I__v2"], [c])) == walk
+            assert any(open_walk(m, [a], ["I__v2"], [c]) for m in mags)
+        assert open_walk(mg, ["v0"], ["I__v2"], []) is None
 
     def test_oriented_witness_of_partial_graph(self):
         # one MAG orientation: conditioning on t opens a --> c1 <-- t
