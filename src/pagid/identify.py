@@ -656,71 +656,48 @@ def _confounded_child(p: MixedGraph, A, B):
 
 
 def _orient_copag(p: MixedGraph, protect=()):
-    """A maximal ancestral orientation of the circle marks: partially
-    oriented edges become directed or undirected by their one fixed mark,
-    and plain circle components become a source-first acyclic order that
-    adds no arrowheads at the protected nodes."""
-    protect = list(protect)
-    fixed = []
-    circle_pairs = []
-    for e in p.edges:
-        ma, mb = e.mark_a, e.mark_b
-        if CIRCLE not in (ma, mb):
-            fixed.append(e)
-        elif ARROW in (ma, mb):
-            # one arrowhead: the circle end becomes a tail
-            fixed.append(
-                Edge(
-                    e.a,
-                    TAIL if ma is CIRCLE else ma,
-                    e.b,
-                    TAIL if mb is CIRCLE else mb,
-                )
-            )
-        elif TAIL in (ma, mb):
-            fixed.append(Edge(e.a, TAIL, e.b, TAIL))
-        else:
-            circle_pairs.append(e)
-
-    head_at = {v: False for v in p.node_ids}
-    for e in p.edges:
-        for v in (e.a, e.b):
-            if e.mark_at(v) is ARROW:
-                head_at[v] = True
-    plain = [
-        e for e in circle_pairs if not head_at[e.a] and not head_at[e.b]
-    ]
-    rest = [e for e in circle_pairs if e not in plain]
-    fixed.extend(Edge(e.a, TAIL, e.b, TAIL) for e in plain)
-
-    # orient the remaining circle components by a maximum-cardinality
-    # search started at a protected node: edges point from earlier to
-    # later in the visit order, which avoids new unshielded colliders
+    """A maximal ancestral orientation of the circle marks (Zhang 2008,
+    AIJ, Theorem 2), one rule per mark.  An o-o edge with an arrowhead at
+    an endpoint points along a maximum-cardinality order, protected nodes
+    first, so it adds no unshielded collider and no arrowhead at them.
+    Every other circle becomes a tail, or an arrowhead if it faces a tail
+    and its node has an arrowhead by then: a MAG has none at an end of an
+    undirected edge."""
+    head = {v for e in p.edges for v in (e.a, e.b) if e.mark_at(v) is ARROW}
+    along = [e for e in p.edges if e.mark_a is e.mark_b is CIRCLE
+            and (e.a in head or e.b in head)]
     adj = {}
-    for e in rest:
+    for e in along:
         adj.setdefault(e.a, set()).add(e.b)
         adj.setdefault(e.b, set()).add(e.a)
-    order = {}
-    unvisited = set(adj)
-    weight = {v: 0 for v in adj}
-    rank = 0
-    while unvisited:
-        cand = [v for v in protect if v in unvisited]
-        if cand:
-            v = cand[0]
-        else:
-            top = max(weight[v] for v in unvisited)
-            v = min(u for u in unvisited if weight[u] == top)
-        order[v] = rank
-        rank += 1
-        unvisited.discard(v)
-        for w in adj[v]:
-            if w in unvisited:
-                weight[w] += 1
-    for e in rest:
-        x, y = (e.a, e.b) if order[e.a] < order[e.b] else (e.b, e.a)
-        fixed.append(Edge(x, TAIL, y, ARROW))
-    m = MixedGraph(p.nodes, fixed)
+    order, weight = {}, dict.fromkeys(adj, 0)
+    while len(order) < len(adj):
+        v = next((u for u in protect if u in adj and u not in order), None)
+        if v is None:
+            top = max(weight[u] for u in adj if u not in order)
+            v = min(u for u in adj if u not in order and weight[u] == top)
+        order[v] = len(order)
+        for w in adj[v] - order.keys():
+            weight[w] += 1
+    oriented = []
+    for e in along:
+        x, y = sorted((e.a, e.b), key=order.get)
+        oriented.append(Edge(x, TAIL, y, ARROW))
+        head.add(y)
+
+    def mark(v, m, far):
+        if m is not CIRCLE:
+            return m
+        return ARROW if far is TAIL and v in head else TAIL
+
+    # the fixed edges, then the o-o ones, then the oriented ones: among
+    # colliding hashes the edge set keeps this order, and searches follow it
+    first = sorted(p.edges, key=lambda e: e.mark_a is e.mark_b is CIRCLE)
+    along = set(along)
+    fixed = [Edge(e.a, mark(e.a, e.mark_a, e.mark_b), e.b,
+                  mark(e.b, e.mark_b, e.mark_a))
+             for e in first if e not in along]
+    m = MixedGraph(p.nodes, fixed + oriented)
     if validate(m, GraphClass.MAG):
         raise ValueError("could not orient the graph into a valid MAG")
     return m
@@ -780,8 +757,9 @@ def hedge_witness(p, A, B, cert):
     the input graph, a represented graph of that MAG, and a hedge in it
     for the target pair extended by the non-separated selection nodes.
     Graphs are read as sidp reads them without a class; a PAG is oriented
-    starting at the violation's B node (or at B), so no arrowhead is put
-    there.  The hedge is read off a violation at some b in B, no search:
+    into a MAG of its class (``_orient_copag``) starting at the violation's
+    B node (or at B), so no arrowhead is put there.  The hedge is read off
+    a violation at some b in B, no search:
 
     - an anterior violation b, c, ..., a: a proper potentially anterior
       path to A whose first edge b --> c is invisible or b --- c.  The MAG
@@ -798,9 +776,9 @@ def hedge_witness(p, A, B, cert):
     violation is the completeness of sidp (Shpitser & Pearl 2006 for
     hedges as its witnesses).  It needs pc-components that read visibility
     in the whole graph (``graph.pc_component``); the identification tests
-    check it as a property on random MAGs and PAGs.  Raises ValueError if
-    the certificate does not match, if the PAG has no valid orientation,
-    or if the hedge does not verify."""
+    check it as a property on random MAGs and on FCI PAGs with and
+    without inputs.  Raises ValueError if the certificate does not match,
+    or if the orientation or the hedge does not verify."""
     p, cls = _reading(p, None)
     if not isinstance(cert, FailCertificate):
         raise ValueError("hedge witness needs a failure certificate")
@@ -950,6 +928,8 @@ class _Reader:
 
 
 def _parse_node(r: _Reader):
+    """A generator that reads one node: it yields for each child, is sent
+    the child's node, and returns its own (see ``parse_estimand``)."""
     tok = r.next()
     if tok.startswith("%"):
         if tok not in r.bound:
@@ -962,14 +942,14 @@ def _parse_node(r: _Reader):
         node = Base(frozenset(r.names()))
     elif head == "marg":
         over = r.names()
-        node = Marginalize(_parse_node(r), frozenset(over))
+        node = Marginalize((yield), frozenset(over))
     elif head == "cond":
         on = r.names()
-        node = Condition(_parse_node(r), tuple(sorted(on)))
+        node = Condition((yield), tuple(sorted(on)))
     elif head == "prod":
         children = []
         while r.peek() != ")":
-            children.append(_parse_node(r))
+            children.append((yield))
         node = OrderedProduct(tuple(children))
     elif head == "box":
         r.expect("(")
@@ -977,15 +957,15 @@ def _parse_node(r: _Reader):
         while r.peek() == "(":
             order.append(r.names())
         r.expect(")")
-        left = _parse_node(r)
-        right = _parse_node(r)
+        left = yield
+        right = yield
         node = BoxProduct(
             left, right, left.outputs | right.outputs, tuple(order)
         )
     elif head == "compose":
         over = r.names()
-        outer = _parse_node(r)
-        inner = _parse_node(r)
+        outer = yield
+        inner = yield
         node = Compose(outer, inner, tuple(sorted(over)))
     elif head == "let":
         r.expect("(")
@@ -994,10 +974,10 @@ def _parse_node(r: _Reader):
             name = r.next()
             if not name.startswith("%") or name in r.bound:
                 raise ValueError(f"bad or repeated binding name {name!r}")
-            r.bound[name] = _parse_node(r)
+            r.bound[name] = yield
             r.expect(")")
         r.expect(")")
-        node = _parse_node(r)
+        node = yield
     else:
         raise ValueError(f"unknown estimand head {head!r}")
     r.expect(")")
@@ -1012,7 +992,18 @@ def parse_estimand(text: str):
     if text.startswith("FAIL"):
         return parse_certificate(text)
     r = _Reader(_tokenize(text))
-    node = _parse_node(r)
+    # one generator per open node on an explicit stack, not Python's own,
+    # since estimands can be deeper than the recursion limit
+    stack, node = [_parse_node(r)], None
+    while stack:
+        try:
+            stack[-1].send(node)
+        except StopIteration as done:
+            stack.pop()
+            node = done.value
+        else:  # the node on top asks for its next child
+            stack.append(_parse_node(r))
+            node = None
     if r.pos != len(r.tokens):
         raise ValueError("trailing tokens after expression")
     return node

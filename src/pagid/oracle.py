@@ -542,13 +542,13 @@ def eval_estimand(e, qv: Kernel, scm=None, zero_rows: str = "error") -> Kernel:
     """Evaluate an estimand against the observational kernel Q[V].
     When an SCM is supplied, base leaves other than Q[V] are computed from
     it directly (useful for checking identities).  Each distinct node is
-    evaluated once per call, however many nodes share it, in integer rows
+    evaluated once per call, however many nodes share it, children first
+    and without recursion (``identify._postorder``), in integer rows
     (``_Rows``); Fractions are built only for the result."""
     from . import identify as idf
 
     domains = qv.domains
-    # id(node) -> (node, rows); holding the node keeps its id unique
-    memo = {}
+    rows = {}  # id(node) -> _Rows, filled children first
 
     def base(node) -> Kernel:
         if set(node.over) == set(qv.outputs):
@@ -560,10 +560,7 @@ def eval_estimand(e, qv: Kernel, scm=None, zero_rows: str = "error") -> Kernel:
         )
 
     def ev(node) -> _Rows:
-        hit = memo.get(id(node))
-        if hit is None:
-            hit = memo[id(node)] = (node, ev_node(node))
-        return hit[1]
+        return rows[id(node)]
 
     def ev_node(node) -> _Rows:
         if isinstance(node, idf.Base):
@@ -604,7 +601,11 @@ def eval_estimand(e, qv: Kernel, scm=None, zero_rows: str = "error") -> Kernel:
             return joint.marginalize(node.over)
         raise ScmError(f"unknown estimand node {node!r}")
 
-    return base(e) if isinstance(e, idf.Base) else ev(e).kernel()
+    if isinstance(e, idf.Base):
+        return base(e)
+    for node in idf._postorder(e):
+        rows[id(node)] = ev_node(node)
+    return rows[id(e)].kernel()
 
 
 # -- parsing and serialization -----------------------------------------------

@@ -30,6 +30,7 @@ from .graph import (
     Edge,
     GraphClass,
     MixedGraph,
+    format_edge,
     inducing_path_exists,
     validate,
 )
@@ -74,7 +75,7 @@ def canonical_isadmg(m: MixedGraph) -> MixedGraph:
     m = _plain(m)
     for e in m.edges:
         if CIRCLE in (e.mark_a, e.mark_b):
-            raise ValueError(f"circle mark in {e}: not a MAG")
+            raise ValueError(f"circle mark on {format_edge(e)}: not a MAG")
     nodes = {v: m.kind(v) for v in m.node_ids}
     edges = []
     for e in m.edges:

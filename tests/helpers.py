@@ -1061,3 +1061,77 @@ def open_walk_reference(g, A, B, C):
         return False
 
     return _walk(graph, A, targets, cond, passes)
+
+
+def orient_copag_reference(p: MixedGraph, protect=()):
+    """The orientation ``identify._orient_copag`` replaced, kept as its
+    reference.  A maximal ancestral orientation of the circle marks:
+    partially oriented edges become directed or undirected by their one
+    fixed mark, and plain circle components become a source-first acyclic
+    order that adds no arrowheads at the protected nodes.  Raises
+    ValueError where it makes a ``--o`` edge undirected next to an
+    arrowhead at its circle end."""
+    protect = list(protect)
+    fixed = []
+    circle_pairs = []
+    for e in p.edges:
+        ma, mb = e.mark_a, e.mark_b
+        if CIRCLE not in (ma, mb):
+            fixed.append(e)
+        elif ARROW in (ma, mb):
+            # one arrowhead: the circle end becomes a tail
+            fixed.append(
+                Edge(
+                    e.a,
+                    TAIL if ma is CIRCLE else ma,
+                    e.b,
+                    TAIL if mb is CIRCLE else mb,
+                )
+            )
+        elif TAIL in (ma, mb):
+            fixed.append(Edge(e.a, TAIL, e.b, TAIL))
+        else:
+            circle_pairs.append(e)
+
+    head_at = {v: False for v in p.node_ids}
+    for e in p.edges:
+        for v in (e.a, e.b):
+            if e.mark_at(v) is ARROW:
+                head_at[v] = True
+    plain = [
+        e for e in circle_pairs if not head_at[e.a] and not head_at[e.b]
+    ]
+    rest = [e for e in circle_pairs if e not in plain]
+    fixed.extend(Edge(e.a, TAIL, e.b, TAIL) for e in plain)
+
+    # orient the remaining circle components by a maximum-cardinality
+    # search started at a protected node: edges point from earlier to
+    # later in the visit order, which avoids new unshielded colliders
+    adj = {}
+    for e in rest:
+        adj.setdefault(e.a, set()).add(e.b)
+        adj.setdefault(e.b, set()).add(e.a)
+    order = {}
+    unvisited = set(adj)
+    weight = {v: 0 for v in adj}
+    rank = 0
+    while unvisited:
+        cand = [v for v in protect if v in unvisited]
+        if cand:
+            v = cand[0]
+        else:
+            top = max(weight[v] for v in unvisited)
+            v = min(u for u in unvisited if weight[u] == top)
+        order[v] = rank
+        rank += 1
+        unvisited.discard(v)
+        for w in adj[v]:
+            if w in unvisited:
+                weight[w] += 1
+    for e in rest:
+        x, y = (e.a, e.b) if order[e.a] < order[e.b] else (e.b, e.a)
+        fixed.append(Edge(x, TAIL, y, ARROW))
+    m = MixedGraph(p.nodes, fixed)
+    if validate(m, GraphClass.MAG):
+        raise ValueError("could not orient the graph into a valid MAG")
+    return m

@@ -8,7 +8,13 @@ from click.testing import CliRunner
 
 from pagid.cli import main
 from pagid.graph import ARROW, TAIL, parse_graph
-from pagid.identify import format_estimand, sidp
+from pagid.identify import (
+    Base,
+    Marginalize,
+    format_estimand,
+    parse_estimand,
+    sidp,
+)
 from pagid.manipulate import parse_manipulated
 from pagid.represent import mag_of
 from pagid import oracle as oc
@@ -48,7 +54,7 @@ INPUT_PAG = (
     "edge v0 --o v2\nedge v0 --o v4\nedge v1 --> v3\nedge v2 o-o v4\n"
     "edge v4 --> v3\n"
 )
-# an FCI PAG whose input's --o edges have no valid MAG orientation yet
+# an FCI PAG with an input's edge i0 --o v0 into a node with arrowheads
 UNORIENTED_PAG = (
     "node i0 input\nnode v0 output\nnode v1 output\nnode v2 output\n"
     "node v3 output\nnode v4 output\n"
@@ -124,6 +130,13 @@ class TestGraphCommands:
         r = runner.invoke(main, ["canonical", "--graph", f])
         assert r.exit_code == 0
         assert mag_of(parse_graph(r.output)) == parse_graph(CYCLE4)
+
+    def test_canonical_names_a_circle_mark(self, runner, tmp_path):
+        f = write(tmp_path, "g.txt",
+                  "node a output\nnode b output\nedge a o-o b\n")
+        r = runner.invoke(main, ["canonical", "--graph", f])
+        assert r.exit_code == 2
+        assert "circle mark on a o-o b: not a MAG" in r.output
 
     def test_dot_output(self, runner, tmp_path):
         f = write(tmp_path, "g.txt", BACKDOOR)
@@ -364,16 +377,24 @@ class TestIdentifyCommands:
         assert r.exit_code == 0
         assert "hedge: H={v0,v1} H'={v1} R={v1}" in r.output.splitlines()
 
-    def test_hedge_witness_error_is_not_identifiable(self, runner, tmp_path):
+    def test_hedge_witness_error_is_not_identifiable(self, runner, tmp_path,
+                                                     monkeypatch):
         # a failed construction exits 2, apart from the identifiable exit 1
         f = write(tmp_path, "g.txt", UNORIENTED_PAG)
-        r = runner.invoke(main, ["sidp", "--graph", f, "--a", "v1",
-                                 "--b", "v4"])
+        args = ["--graph", f, "--a", "v1", "--b", "v4"]
+        r = runner.invoke(main, ["sidp"] + args)
         assert r.exit_code == 1 and r.output.startswith("FAIL")
-        r = runner.invoke(main, ["hedge-witness", "--graph", f, "--a", "v1",
-                                 "--b", "v4"])
+        r = runner.invoke(main, ["hedge-witness"] + args)
+        assert r.exit_code == 0
+        assert "hedge: H={v2,v4} H'={v2} R={v2}" in r.output.splitlines()
+
+        def fails(*_args):
+            raise ValueError("constructed witness admits no verifiable hedge")
+
+        monkeypatch.setattr("pagid.cli.hedge_witness", fails)
+        r = runner.invoke(main, ["hedge-witness"] + args)
         assert r.exit_code == 2
-        assert "could not orient the graph into a valid MAG" in r.output
+        assert "constructed witness admits no verifiable hedge" in r.output
 
     def test_hedge_witness_identifiable(self, runner, tmp_path):
         f = write(tmp_path, "g.txt", VISIBLE)
@@ -422,6 +443,23 @@ class TestEval:
         est = write(tmp_path, "e.txt", "FAIL C={a} T={a,b}")
         r = runner.invoke(main, ["eval", "--scm", scm, "--estimand", est])
         assert r.exit_code == 2
+
+    def test_deep_estimand(self, runner, tmp_path):
+        # deeper than the recursion limit: it prints, parses back and
+        # evaluates, in the library and through the command line
+        est = Base(frozenset("ab"))
+        for _ in range(5000):
+            est = Marginalize(est, frozenset())
+        text = format_estimand(est)
+        assert parse_estimand(text) == est
+        model = oc.parse_scm(self.SCM)
+        qv = oc.observational_kernel(model)
+        assert oc.kernels_agree(oc.eval_estimand(est, qv, model), qv)
+        scm = write(tmp_path, "m.scm", self.SCM)
+        r = runner.invoke(main, ["eval", "--scm", scm, "--estimand",
+                                 write(tmp_path, "e.txt", text)])
+        assert r.exit_code == 0
+        assert r.output == oc.format_kernel(qv)
 
 
 class TestEnumerateAndRandom:

@@ -11,7 +11,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from pagid import graph as graph_mod
 from pagid import identify as idf
@@ -62,6 +62,7 @@ from helpers import (
     enumerate_represented,
     fixing_identifiable,
     maximal_regime_separated_bruteforce,
+    orient_copag_reference,
     rand_isadmg,
     regime_separated,
     sidp_reference,
@@ -798,10 +799,10 @@ class TestRegimeSearch:
 
 
 @st.composite
-def reading_cases(draw, kind, max_out=7):
+def reading_cases(draw, kind, max_out=7, n_in=(0, 1)):
     """A random isADMG with 4..max_out outputs, up to two selection and two
-    latent nodes and at most one input, read as its MAG ("MAG") or as the
-    FCI PAG of its independence model ("PAG"), with disjoint A and B of
+    latent nodes and n_in[0]..n_in[1] inputs, read as its MAG ("MAG") or as
+    the FCI PAG of its independence model ("PAG"), with disjoint A and B of
     one or two outputs each."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     g = rand_isadmg(
@@ -809,7 +810,7 @@ def reading_cases(draw, kind, max_out=7):
         n_out=draw(st.integers(4, max_out)),
         n_sel=draw(st.integers(0, 2)),
         n_lat=draw(st.integers(0, 2)),
-        n_in=draw(st.integers(0, 1)),
+        n_in=draw(st.integers(*n_in)),
         p=draw(st.sampled_from([0.3, 0.5, 0.7])),
     )
     p = mag_of(g) if kind == "MAG" else fci(graph_oracle(g))
@@ -895,6 +896,30 @@ class TestCompleteness:
         assert mag == m and mag_of(wit) == m
         assert verify_hedge(wit, *_hedge_targets(wit, A, B), h)
 
+    # an FCI PAG with an input's edge i0 --o v0 into a node with arrowheads
+    INPUT_PAG = (
+        "node i0 input\nnode v0 output\nnode v1 output\nnode v2 output\n"
+        "node v3 output\nnode v4 output\n"
+        "edge i0 --o v0\nedge i0 --o v1\nedge i0 --o v2\nedge i0 --o v3\n"
+        "edge i0 --o v4\nedge v0 <-o v1\nedge v0 <-o v2\nedge v0 <-o v3\n"
+        "edge v0 <-o v4\nedge v1 o-o v2\nedge v2 o-o v3\nedge v3 o-o v4\n"
+        "edge v2 o-o v4\n"
+    )
+
+    @settings(max_examples=150)
+    @given(reading_cases("PAG", max_out=6, n_in=(1, 2)))
+    @example(case=(parse_graph(INPUT_PAG), ["v1"], ["v4"]))
+    def test_pag_failures_carry_a_verified_hedge(self, case):
+        # the hedge lives in a MAG of the PAG's class, oriented first
+        p, A, B = case
+        cert = sidp(p, A, B)
+        if not isinstance(cert, FailCertificate):
+            return
+        mag, wit, h = hedge_witness(p, A, B, cert)
+        assert fci(graph_oracle(canonical_isadmg(mag))) == p
+        assert mag_of(wit) == mag
+        assert verify_hedge(wit, *_hedge_targets(wit, A, B), h)
+
     @settings(max_examples=100)
     @given(reading_cases("MAG", max_out=5))
     def test_subset_search_agrees(self, case):
@@ -909,6 +934,28 @@ class TestCompleteness:
         else:
             for wit in _witness_pool(m):
                 assert _find_hedge(wit, *_hedge_targets(wit, A, B)) is None
+
+
+class TestOrientation:
+    """A PAG's circle marks are oriented into a MAG of its class, one rule
+    per circle mark.  Where the rule it replaced
+    (``helpers.orient_copag_reference``) gives a MAG, the graph is the same,
+    in the same edge order; where that rule fails, it is a MAG whose
+    canonical represented graph gives back the PAG under FCI."""
+
+    @settings(max_examples=150)
+    @given(reading_cases("PAG", max_out=6, n_in=(0, 2)))
+    def test_agrees_with_reference(self, case):
+        p, _A, _B = case
+        for protect in [()] + [(v,) for v in p.node_ids]:
+            m = idf._orient_copag(p, protect)
+            try:
+                ref = orient_copag_reference(p, protect)
+            except ValueError:
+                assert not graph_mod.validate(m, GraphClass.MAG)
+                assert fci(graph_oracle(canonical_isadmg(m))) == p
+            else:
+                assert m == ref and list(m.edges) == list(ref.edges)
 
 
 @st.composite
