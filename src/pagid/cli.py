@@ -46,7 +46,7 @@ from .manipulate import format_manipulated, manipulate
 from .represent import canonical_isadmg, enumerate_mags, mag_of, marginalize_latents
 from .separate import d_separated, id_separated, open_walk, walk_nodes
 
-_CLASSES = {c.value: c for c in GraphClass}
+_CLASSES = sorted(c.value for c in GraphClass)
 
 
 def _fail(msg, code: int = 2):
@@ -133,13 +133,13 @@ dot_option = click.option("--dot", "as_dot", is_flag=True)
 
 @main.command("validate")
 @graph_option
-@click.option("--class", "cls", type=click.Choice(sorted(_CLASSES)),
+@click.option("--class", "cls", type=click.Choice(_CLASSES),
               default="raw", show_default=True)
 @json_option
 def validate_cmd(graph_file, cls, as_json):
     """Check a graph against the invariants of a graph class."""
     g = _load_graph(graph_file)
-    problems = validate(g, _CLASSES[cls])
+    problems = validate(g, cls)
     if as_json:
         click.echo(json.dumps(
             {"schema": 1, "valid": not problems, "problems": problems},
@@ -200,14 +200,13 @@ def marginalize_cmd(graph_file, nodes, as_json, as_dot, out):
 @graph_option
 @click.option("--soft", default="")
 @click.option("--hard", default="")
-@click.option("--class", "cls", type=click.Choice(sorted(_CLASSES)), default=None)
+@click.option("--class", "cls", type=click.Choice(_CLASSES), default=None)
 @json_option
 def manipulate_cmd(graph_file, soft, hard, cls, as_json):
     """Apply soft and hard manipulations and print the result."""
     g = _load_graph(graph_file)
     try:
-        mg = manipulate(g, _split(soft), _split(hard),
-                        _CLASSES[cls] if cls else None)
+        mg = manipulate(g, _split(soft), _split(hard), cls)
     except (ValueError, KeyError) as exc:
         _fail(exc)
     if as_json:
@@ -313,14 +312,13 @@ def _emit_estimand(res, as_json, extra=None):
 @graph_option
 @click.option("--a", "a_set", required=True)
 @click.option("--b", "b_set", required=True)
-@click.option("--class", "cls", type=click.Choice(sorted(_CLASSES)), default=None)
+@click.option("--class", "cls", type=click.Choice(_CLASSES), default=None)
 @json_option
 def sidp_cmd(graph_file, a_set, b_set, cls, as_json):
     """Identify the kernel of A under hard manipulation of B."""
     g = _load_graph(graph_file)
     try:
-        res = sidp(g, _split(a_set), _split(b_set),
-                   _CLASSES[cls] if cls else None)
+        res = sidp(g, _split(a_set), _split(b_set), cls)
     except (ValueError, KeyError) as exc:
         _fail(exc)
     _emit_estimand(res, as_json)
@@ -331,14 +329,13 @@ def sidp_cmd(graph_file, a_set, b_set, cls, as_json):
 @click.option("--a", "a_set", required=True)
 @click.option("--b", "b_set", required=True)
 @click.option("--c", "c_set", default="")
-@click.option("--class", "cls", type=click.Choice(sorted(_CLASSES)), default=None)
+@click.option("--class", "cls", type=click.Choice(_CLASSES), default=None)
 @json_option
 def scidp_cmd(graph_file, a_set, b_set, c_set, cls, as_json):
     """Identify the kernel of A given C under hard manipulation of B."""
     g = _load_graph(graph_file)
     try:
-        res = scidp(g, _split(a_set), _split(b_set), _split(c_set),
-                    _CLASSES[cls] if cls else None)
+        res = scidp(g, _split(a_set), _split(b_set), _split(c_set), cls)
     except (ValueError, KeyError) as exc:
         _fail(exc)
     _emit_estimand(res, as_json)
@@ -417,6 +414,12 @@ def relation_cmd(graph_file, source, target, kind, as_json):
         click.echo(verdict)
 
 
+def _hedge_line(H, Hprime, R) -> str:
+    """The hedge as hedge-witness and pipeline print it."""
+    return "hedge: H={%s} H'={%s} R={%s}" % tuple(
+        ",".join(sorted(s)) for s in (H, Hprime, R))
+
+
 @main.command("hedge-witness")
 @graph_option
 @click.option("--a", "a_set", required=True)
@@ -454,9 +457,7 @@ def hedge_cmd(graph_file, a_set, b_set, as_json):
         click.echo(str(res))
         click.echo("witness:")
         click.echo(format_graph(wit).rstrip("\n"))
-        click.echo("hedge: H={%s} H'={%s} R={%s}" % (
-            ",".join(sorted(h.H)), ",".join(sorted(h.Hprime)),
-            ",".join(sorted(h.R))))
+        click.echo(_hedge_line(h.H, h.Hprime, h.R))
     sys.exit(0)
 
 
@@ -479,7 +480,7 @@ def eval_cmd(scm_file, estimand_file, zero_rows, as_json):
             with open(estimand_file) as fh:
                 text = fh.read()
         est = parse_estimand(text)
-        if isinstance(est, FailCertificate):
+        if isinstance(est, (FailCertificate, ExchangeFail)):
             _fail("cannot evaluate a failure certificate")
         qv = oc.observational_kernel(scm)
         k = oc.eval_estimand(est, qv, scm, zero_rows=zero_rows)
@@ -576,9 +577,7 @@ def pipeline_cmd(scm_file, a_set, b_set, as_json):
             if key in report:
                 click.echo(f"{key}: {report[key]}")
         if "hedge" in report:
-            h = report["hedge"]
-            click.echo("hedge: H={%s} H'={%s} R={%s}" % (
-                ",".join(h["H"]), ",".join(h["Hprime"]), ",".join(h["R"])))
+            click.echo(_hedge_line(**report["hedge"]))
     sys.exit(0 if report["verdict"] == "MATCH" else 1)
 
 

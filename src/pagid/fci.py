@@ -23,6 +23,7 @@ from .graph import (
     TAIL,
     Edge,
     MixedGraph,
+    _walk,
     discriminating_paths,
 )
 from .separate import d_separated
@@ -138,30 +139,12 @@ class distribution_oracle(IndependenceOracle):
 # -- skeleton ----------------------------------------------------------------
 
 
-def _possible_d_sep(adj, marks, x):
-    """Nodes reachable from x along paths whose every inner node is either
-    a collider on the path or the middle of a triangle."""
-    out = set()
-    frontier = [(x, None)]
-    seen = set()
-    while frontier:
-        v, prev = frontier.pop()
-        for w in adj[v]:
-            if w == x:
-                continue
-            if prev is not None:
-                collider = (
-                    marks[(prev, v)] is ARROW and marks[(w, v)] is ARROW
-                )
-                triangle = w in adj[prev]
-                if not (collider or triangle):
-                    continue
-            if (v, w) in seen:
-                continue
-            seen.add((v, w))
-            out.add(w)
-            frontier.append((w, v))
-    return out
+def _possible_d_sep(g: MixedGraph, x):
+    """Possible-D-SEP(x) in g, x included: the nodes reached from x along
+    walks that do not return to x and whose every inner node is a collider
+    on the walk or the middle of a triangle (Zhang 2008, AIJ)."""
+    return _walk(g, [(x, None)], lambda prev, m_in, _v, m_out, w, _m_w:
+                 w != x and (m_in is m_out is ARROW or g.adjacent(prev, w)))
 
 
 def skeleton(oracle, I, V):
@@ -181,10 +164,11 @@ def skeleton(oracle, I, V):
         adj[y].add(x)
     sepsets = {}
 
-    def try_separate(x, y, pool, max_size=None):
+    def try_separate(x, y, pool, sizes):
+        """Remove x - y and record its separating set, if some subset of
+        pool with a size in sizes separates them; smallest sizes first."""
         cands = sorted(pool - {x, y} - iset)
-        top = len(cands) if max_size is None else min(max_size, len(cands))
-        for size in range(top + 1):
+        for size in sizes:
             for C in itertools.combinations(cands, size):
                 if oracle.query({x}, {y}, C):
                     adj[x].discard(y)
@@ -200,26 +184,20 @@ def skeleton(oracle, I, V):
         pending = False
         for x in nodes:
             for y in sorted(adj[x]):
-                cands = (adj[x] - {y}) - iset
-                if len(cands) < depth:
+                if len((adj[x] - {y}) - iset) < depth:
                     continue
                 pending = True
-                for C in itertools.combinations(sorted(cands), depth):
-                    if oracle.query({x}, {y}, C):
-                        adj[x].discard(y)
-                        adj[y].discard(x)
-                        sepsets[frozenset((x, y))] = frozenset(C)
-                        progress = True
-                        break
+                progress |= try_separate(x, y, adj[x], [depth])
         if not pending and not progress:
             break
         depth += 1
 
-    # stage two: provisional collider marks, then Possible-D-SEP pruning
+    # stage two: provisional collider marks, then Possible-D-SEP pruning;
+    # marks[(x, y)] is the mark at y on the edge x - y
     marks = {}
     for x in nodes:
         for y in adj[x]:
-            marks[(x, y)] = TAIL if x in iset else CIRCLE
+            marks[(x, y)] = TAIL if y in iset else CIRCLE
     for j in nodes:
         if j in iset:
             continue
@@ -230,16 +208,23 @@ def skeleton(oracle, I, V):
             if ss is not None and j not in ss:
                 marks[(i, j)] = ARROW
                 marks[(k, j)] = ARROW
+    kinds = {v: INPUT if v in iset else OUTPUT for v in nodes}
+    built = None
     for x in nodes:
-        pds = _possible_d_sep(adj, marks, x)
+        # over the edges left by now: stage two removes edges as it goes,
+        # and each removal adds a separating set
+        if built != len(sepsets):
+            built = len(sepsets)
+            g = MixedGraph(kinds, [Edge(u, marks[(w, u)], w, marks[(u, w)])
+                                   for u in nodes for w in adj[u] if u < w])
+        pds = _possible_d_sep(g, x)
         for y in sorted(adj[x]):
-            try_separate(x, y, pds - {x, y})
+            try_separate(x, y, pds, range(len(nodes)))
 
     edges = set()
     for x, y in itertools.combinations(nodes, 2):
         if y in adj[x]:
             edges.add(Edge(x, CIRCLE, y, CIRCLE))
-    kinds = {v: INPUT if v in iset else OUTPUT for v in nodes}
     return MixedGraph(kinds, edges), sepsets
 
 

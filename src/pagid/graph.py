@@ -1,6 +1,11 @@
 """Mixed-graph data model: nodes with kinds, edges with per-endpoint marks,
 and the structural queries everything else is built on (reachability closures,
-buckets, pc-components, regions, inducing paths, discriminating paths)."""
+buckets, pc-components, regions, inducing paths, discriminating paths).
+
+``_walk`` is the one walk search.  Separation (``separate``), inducing
+paths, Possible-D-SEP (``fci``) and the violations a hedge is read off
+(``identify``) are rules for passing a node over it; discriminating paths
+and FCI's circle and uncovered paths enumerate simple paths instead."""
 
 from __future__ import annotations
 
@@ -466,7 +471,56 @@ def _problems(g: MixedGraph, cls: GraphClass) -> list[str]:
     return bad
 
 
-# -- inducing paths ----------------------------------------------------------
+# -- walk search -------------------------------------------------------------
+
+
+def _walk(g: MixedGraph, starts, passes, targets=None):
+    """Breadth-first search over walk states (v, e): the walk is at v and
+    came in along the edge e, or e is None at its first node.  starts
+    lists the first states in order; a start with an edge puts that edge's
+    other end at the head of the walk.  A walk leaves its first node along
+    every edge, and any other node v towards w when
+    passes(prev, m_in, v, m_out, w, m_w) holds: prev is the node before v,
+    m_in and m_out are the marks at v of the edges in and out, and m_w is
+    the mark at w.  With targets, returns the shortest walk to a target as
+    (node, edge-to-next) steps ending with (node, None), or None; without,
+    the set of nodes reached."""
+    parent = {}
+    hit = () if targets is None else targets
+    for state in starts:
+        if not g.has_node(state[0]):
+            raise KeyError(state[0])
+        parent.setdefault(state, None)
+        if state[0] in hit:
+            return _trace(parent, state)
+    queue = list(parent)
+    for state in queue:  # breadth first: the loop also visits what it appends
+        v, e_in = state
+        if e_in is not None:
+            prev, m_in = e_in.other(v), e_in.mark_at(v)
+        for w, m_out, m_w, e_out in g.edges_at(v):
+            if e_in is not None and not passes(prev, m_in, v, m_out, w, m_w):
+                continue
+            nxt = (w, e_out)
+            if nxt in parent:
+                continue
+            parent[nxt] = state
+            if w in hit:
+                return _trace(parent, nxt)
+            queue.append(nxt)
+    return None if targets is not None else {v for v, _ in parent}
+
+
+def _trace(parent, state):
+    """The walk that ends in state, read back along parent."""
+    walk = [(state[0], None)]
+    while state is not None:
+        v, e = state
+        if e is not None:
+            walk.append((e.other(v), e))
+        state = parent[state]
+    walk.reverse()
+    return walk
 
 
 def inducing_path_exists(g: MixedGraph, a: str, b: str, L, S) -> bool:
@@ -476,34 +530,13 @@ def inducing_path_exists(g: MixedGraph, a: str, b: str, L, S) -> bool:
         raise ValueError("endpoints must differ")
     L = set(L)
     anc = g.ancestors({a, b} | set(S))
-    # state: (node, incoming mark at node); search from a
-    seen: set[tuple[str, Mark]] = set()
-    frontier: list[tuple[str, Mark]] = []
-    for w, _ma, mw, _e in g.edges_at(a):
-        if w == b:
-            return True
-        st = (w, mw)
-        if st not in seen:
-            seen.add(st)
-            frontier.append(st)
-    while frontier:
-        v, m_in = frontier.pop()
-        for w, mv, mw, _e in g.edges_at(v):
-            collider = m_in is ARROW and mv is ARROW
-            if collider:
-                if v not in anc:
-                    continue
-            elif v not in L:
-                continue
-            if w == b:
-                return True
-            if w == a:
-                continue
-            st = (w, mw)
-            if st not in seen:
-                seen.add(st)
-                frontier.append(st)
-    return False
+
+    def passes(_prev, m_in, v, m_out, w, _m_w):
+        if w == a:
+            return False
+        return v in anc if m_in is ARROW and m_out is ARROW else v in L
+
+    return _walk(g, [(a, None)], passes, {b}) is not None
 
 
 # -- buckets / pc-components / regions ---------------------------------------
@@ -556,14 +589,7 @@ def _visible(g: MixedGraph, a: str, b: str) -> bool:
     adj_b = set(g.neighbors(b)) | {b}
     pa_b = g.parents(b)
     # nodes reachable from a through bidirected edges among Pa(b)
-    chain = {a}
-    frontier = [a]
-    while frontier:
-        v = frontier.pop()
-        for w in g.spouses(v):
-            if w in pa_b and w not in chain:
-                chain.add(w)
-                frontier.append(w)
+    chain = g._closure((a,), lambda v: g.spouses(v) & pa_b)
     for v in chain:
         for c, mv, _mc, _e in g.edges_at(v):
             if mv is ARROW and c not in adj_b:

@@ -36,6 +36,7 @@ from .graph import (
     TAIL,
     Edge,
     MixedGraph,
+    _walk,
     as_class,
     bucket_topological_order,
     buckets,
@@ -52,7 +53,7 @@ from .manipulate import (
     regime_id,
 )
 from .represent import canonical_isadmg, mag_of, marginalize_latents
-from .separate import id_separated
+from .separate import id_separated, walk_nodes
 
 
 def _reading(g, cls: GraphClass | None):
@@ -216,10 +217,11 @@ class Compose(_Node):
     inner: object
     over: tuple
     _DATA = ("over",)
+    outputs: frozenset = field(init=False, repr=False, compare=False)
 
-    @property
-    def outputs(self) -> frozenset:
-        return self.outer.outputs
+    def __post_init__(self):
+        object.__setattr__(self, "outputs", self.outer.outputs)
+        super().__post_init__()
 
 
 @dataclass(frozen=True)
@@ -595,24 +597,6 @@ def verify_hedge(g, A, B, h: Hedge) -> bool:
     return h.R <= mg.graph.ancestors(A)
 
 
-def _bfs_path(b, starts, step, goal):
-    """A shortest path b, w, ... ending in goal, with w in starts and each
-    further node in step(previous), as a node list; None if none."""
-    parent = {w: b for w in starts}
-    queue = list(parent)
-    for v in queue:  # breadth first: the loop also visits what it appends
-        if v in goal:
-            path = [v]
-            while path[-1] != b:
-                path.append(parent[path[-1]])
-            return path[::-1]
-        for w in step(v):
-            if w != b and w not in parent:
-                parent[w] = v
-                queue.append(w)
-    return None
-
-
 def _anterior_violation(p: MixedGraph, A, B):
     """A proper potentially anterior path from B to A whose first edge is
     not a visible directed edge, as a node list; None if all such paths
@@ -620,19 +604,18 @@ def _anterior_violation(p: MixedGraph, A, B):
     A, B = set(A), set(B)
     blocked = B | set(p.inputs)  # an input has no ancestors
 
-    def step(v):
-        return [w for w, mv, _mw, _e in p.edges_at(v)
-                if mv is not ARROW and w not in blocked]
+    def passes(_prev, _m_in, _v, m_out, w, _m_w):
+        return m_out is not ARROW and w not in blocked
 
     for b in sorted(B):
         starts = [
-            w for w, mb, mw, _e in p.edges_at(b)
+            (w, e) for w, mb, mw, e in p.edges_at(b)
             if mb is not ARROW and w not in blocked
             and not (mb is TAIL and mw is ARROW and is_visible(p, b, w))
         ]
-        path = _bfs_path(b, starts, step, A)
-        if path is not None:
-            return path
+        walk = _walk(p, starts, passes, A)
+        if walk is not None:
+            return walk_nodes(walk)
     return None
 
 
@@ -642,16 +625,17 @@ def _confounded_child(p: MixedGraph, A, B):
     None if there is none: a b --> c that is visible but confounded."""
     D = _reduction_set(p, A, B)
 
-    def spouses(v):
-        return [w for w, mv, mw, _e in p.edges_at(v)
-                if mv is ARROW and mw is ARROW and w in D]
+    def passes(_prev, _m_in, _v, m_out, w, m_w):
+        return m_out is ARROW and m_w is ARROW and w in D
 
     for b in sorted(B):
+        starts = [(w, e) for w, mb, mw, e in p.edges_at(b)
+                  if passes(b, None, b, mb, w, mw)]
         children = {w for w, mb, mw, _e in p.edges_at(b)
                     if mb is TAIL and mw is ARROW and w in D}
-        path = _bfs_path(b, spouses(b), spouses, children)
-        if path is not None:
-            return path
+        walk = _walk(p, starts, passes, children)
+        if walk is not None:
+            return walk_nodes(walk)
     return None
 
 
@@ -1009,15 +993,20 @@ def parse_estimand(text: str):
     return node
 
 
-def parse_certificate(text: str) -> FailCertificate:
+def parse_certificate(text: str):
+    """FailCertificate or ExchangeFail from its printed form."""
     parts = text.split()
-    if len(parts) != 3 or parts[0] != "FAIL":
+    cls, fields, body = FailCertificate, ("C", "T"), parts[1:]
+    if body[:1] == ["exchange"]:
+        cls, fields, body = ExchangeFail, ("bucket", "B", "C"), body[1:]
+    if parts[:1] != ["FAIL"] or len(body) != len(fields):
         raise ValueError(f"not a failure certificate: {text!r}")
     sets = {}
-    for part in parts[1:]:
-        name, _, body = part.partition("=")
-        if name not in ("C", "T") or not body.startswith("{"):
+    for part in body:
+        name, _, value = part.partition("=")
+        if name not in fields or not value.startswith("{"):
             raise ValueError(f"bad certificate field {part!r}")
-        inner = body.strip("{}")
-        sets[name] = frozenset(x for x in inner.split(",") if x)
-    return FailCertificate(C=sets["C"], T=sets["T"])
+        sets[name] = frozenset(x for x in value.strip("{}").split(",") if x)
+    if len(sets) != len(fields):
+        raise ValueError(f"not a failure certificate: {text!r}")
+    return cls(**sets)

@@ -6,64 +6,20 @@ must be ancestors of it.  The asymmetric id-separation refines this for
 graphs with input and regime nodes: a walk counts as connecting when it
 ends in the second set, an input node, a regime node, or a hard target, and
 collider openings distinguish definite ancestry from potential ancestry
-depending on whether regime nodes take part in the triple.  Both are one
-breadth-first walk search with a different rule for passing a node.  The
-id-separation walk computes the ancestors and possible ancestors of the
-conditioning set only when it first meets a collider that needs them;
-most walks reach a target, or run out of edges, before that.
+depending on whether regime nodes take part in the triple.  Both are
+rules for passing a node over the graph core's one walk search
+(``graph._walk``).  The id-separation rule computes the ancestors and
+possible ancestors of the conditioning set only when it first meets a
+collider that needs them; most walks reach a target, or run out of edges,
+before that.
 """
 
 from __future__ import annotations
 
 import functools
-from collections import deque
 
-from .graph import ARROW, CIRCLE, OUTPUT, TAIL
+from .graph import ARROW, CIRCLE, OUTPUT, TAIL, _walk
 from .manipulate import ManipulatedGraph, _plain
-
-
-def _walk(graph, A, targets, cond, passes):
-    """Shortest walk from A to a target outside cond, as a list of
-    (node, edge-to-next) steps ending with (node, None); None if there is
-    none.  passes(prev, m_in, v, m_out, w) decides whether a walk that
-    enters v from prev with mark m_in at v may leave it towards w with mark
-    m_out at v."""
-    # state: (node, incoming edge or None at a start node)
-    start_states = []
-    for a in sorted(A):
-        if not graph.has_node(a):
-            raise KeyError(a)
-        if a in cond:
-            continue
-        if a in targets:
-            return [(a, None)]
-        start_states.append((a, None))
-
-    parent = dict.fromkeys(start_states)
-    queue = deque(start_states)
-    while queue:
-        state = queue.popleft()
-        v, e_in = state
-        if e_in is not None:
-            prev, m_in = e_in.other(v), e_in.mark_at(v)
-        for w, m_out, _m_w, e_out in graph.edges_at(v):
-            if e_in is not None and not passes(prev, m_in, v, m_out, w):
-                continue
-            nxt = (w, e_out)
-            if nxt in parent:
-                continue
-            parent[nxt] = state
-            if w in targets and w not in cond:
-                walk = [(w, None)]
-                while nxt is not None:
-                    node, edge = nxt
-                    if edge is not None:
-                        walk.append((edge.other(node), edge))
-                    nxt = parent[nxt]
-                walk.reverse()
-                return walk
-            queue.append(nxt)
-    return None
 
 
 def open_walk(g, A, B, C):
@@ -74,12 +30,12 @@ def open_walk(g, A, B, C):
     cond = set(C)
     # graph.kind raises KeyError for an unknown node of C, before any search
     cond_v = {c for c in cond if graph.kind(c) is OUTPUT}
-    targets = set(B) | set(graph.inputs)
+    targets = (set(B) | set(graph.inputs)) - cond
     # the collider sets, each computed at its first use
     anc_cond = functools.cache(lambda: graph.ancestors(cond))
     poan_cond = functools.cache(lambda: graph.possible_ancestors(cond_v))
 
-    def passes(prev, m_in, v, m_out, w):
+    def passes(prev, m_in, v, m_out, w, _m_w):
         if m_in is TAIL or m_out is TAIL:
             return v not in cond
         if m_in is CIRCLE and m_out is CIRCLE:
@@ -94,7 +50,8 @@ def open_walk(g, A, B, C):
             return w in regimes and v in poan_cond()
         return False
 
-    return _walk(graph, A, targets, cond, passes)
+    starts = [(a, None) for a in sorted(A) if a not in cond]
+    return _walk(graph, starts, passes, targets)
 
 
 def id_separated(g, A, B, C=()) -> bool:
@@ -109,12 +66,13 @@ def m_open_walk(g, A, B, C=()):
     cond = set(C)
     anc_cond = graph.ancestors(cond)
 
-    def passes(prev, m_in, v, m_out, w):
+    def passes(_prev, m_in, v, m_out, _w, _m_w):
         if m_in is ARROW and m_out is ARROW:
             return v in anc_cond
         return v not in cond
 
-    return _walk(graph, A, set(B), cond, passes)
+    starts = [(a, None) for a in sorted(A) if a not in cond]
+    return _walk(graph, starts, passes, set(B) - cond)
 
 
 def d_separated(g, A, B, C=()) -> bool:

@@ -19,6 +19,7 @@ from pagid.graph import (
     MixedGraph,
     OUTPUT,
     SELECTION,
+    _walk,
     as_class,
     bucket_topological_order,
     buckets,
@@ -41,7 +42,7 @@ from pagid.manipulate import (
 from pagid import identify as idf
 from pagid.oracle import DiscreteSCM, Kernel, ScmError, _assignments
 from pagid.represent import canonical_isadmg, mag_of, split_id
-from pagid.separate import _walk, id_separated
+from pagid.separate import id_separated
 
 MARKS = (TAIL, ARROW, CIRCLE)
 
@@ -1045,7 +1046,7 @@ def open_walk_reference(g, A, B, C):
     cond_v = {c for c in cond if graph.has_node(c) and graph.kind(c) is OUTPUT}
     poan_cond = graph.possible_ancestors(cond_v)
 
-    def passes(prev, m_in, v, m_out, w):
+    def passes(prev, m_in, v, m_out, w, _m_w):
         if m_in is TAIL or m_out is TAIL:
             return v not in cond
         if m_in is CIRCLE and m_out is CIRCLE:
@@ -1060,7 +1061,8 @@ def open_walk_reference(g, A, B, C):
             return w in regimes and v in poan_cond
         return False
 
-    return _walk(graph, A, targets, cond, passes)
+    starts = [(a, None) for a in sorted(A) if a not in cond]
+    return _walk(graph, starts, passes, targets - cond)
 
 
 def orient_copag_reference(p: MixedGraph, protect=()):
@@ -1135,3 +1137,90 @@ def orient_copag_reference(p: MixedGraph, protect=()):
     if validate(m, GraphClass.MAG):
         raise ValueError("could not orient the graph into a valid MAG")
     return m
+
+
+def possible_d_sep_reference(adj, marks, x):
+    """Reference for ``fci._possible_d_sep``, the search it replaced: the
+    nodes other than x reached from x along paths whose every inner node
+    is a collider on the path or the middle of a triangle, by depth-first
+    search over directed edges.  adj maps each node to its neighbours, and
+    marks[(u, v)] is the mark at v on the edge u - v."""
+    out = set()
+    frontier = [(x, None)]
+    seen = set()
+    while frontier:
+        v, prev = frontier.pop()
+        for w in adj[v]:
+            if w == x:
+                continue
+            if prev is not None:
+                collider = (
+                    marks[(prev, v)] is ARROW and marks[(w, v)] is ARROW
+                )
+                triangle = w in adj[prev]
+                if not (collider or triangle):
+                    continue
+            if (v, w) in seen:
+                continue
+            seen.add((v, w))
+            out.add(w)
+            frontier.append((w, v))
+    return out
+
+
+def _bfs_path(b, starts, step, goal):
+    """A shortest path b, w, ... ending in goal, with w in starts and each
+    further node in step(previous), as a node list; None if none."""
+    parent = {w: b for w in starts}
+    queue = list(parent)
+    for v in queue:  # breadth first: the loop also visits what it appends
+        if v in goal:
+            path = [v]
+            while path[-1] != b:
+                path.append(parent[path[-1]])
+            return path[::-1]
+        for w in step(v):
+            if w != b and w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return None
+
+
+def anterior_violation_reference(p: MixedGraph, A, B):
+    """Reference for ``identify._anterior_violation``: a breadth-first
+    search over nodes, not walk states."""
+    A, B = set(A), set(B)
+    blocked = B | set(p.inputs)
+
+    def step(v):
+        return [w for w, mv, _mw, _e in p.edges_at(v)
+                if mv is not ARROW and w not in blocked]
+
+    for b in sorted(B):
+        starts = [
+            w for w, mb, mw, _e in p.edges_at(b)
+            if mb is not ARROW and w not in blocked
+            and not (mb is TAIL and mw is ARROW and is_visible(p, b, w))
+        ]
+        path = _bfs_path(b, starts, step, A)
+        if path is not None:
+            return path
+    return None
+
+
+def confounded_child_reference(p: MixedGraph, A, B):
+    """Reference for ``identify._confounded_child``: a breadth-first
+    search over nodes, not walk states."""
+    D = idf._reduction_set(p, A, B)
+
+    def spouses(v):
+        return [w for w, mv, mw, _e in p.edges_at(v)
+                if mv is ARROW and mw is ARROW and w in D]
+
+    for b in sorted(B):
+        children = {w for w, mb, mw, _e in p.edges_at(b)
+                    if mb is TAIL and mw is ARROW and w in D}
+        path = _bfs_path(b, spouses(b), spouses, children)
+        if path is not None:
+            return path
+    return None

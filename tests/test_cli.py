@@ -3,6 +3,7 @@
 import json
 import re
 
+import click
 import pytest
 from click.testing import CliRunner
 
@@ -440,9 +441,12 @@ class TestEval:
 
     def test_certificate_is_rejected(self, runner, tmp_path):
         scm = write(tmp_path, "m.scm", self.SCM)
-        est = write(tmp_path, "e.txt", "FAIL C={a} T={a,b}")
-        r = runner.invoke(main, ["eval", "--scm", scm, "--estimand", est])
-        assert r.exit_code == 2
+        for text in ("FAIL C={a} T={a,b}",
+                     "FAIL exchange bucket={a} B={b} C={}"):
+            est = write(tmp_path, "e.txt", text)
+            r = runner.invoke(main, ["eval", "--scm", scm, "--estimand", est])
+            assert r.exit_code == 2
+            assert "error: cannot evaluate a failure certificate" in r.output
 
     def test_deep_estimand(self, runner, tmp_path):
         # deeper than the recursion limit: it prints, parses back and
@@ -459,6 +463,19 @@ class TestEval:
         r = runner.invoke(main, ["eval", "--scm", scm, "--estimand",
                                  write(tmp_path, "e.txt", text)])
         assert r.exit_code == 0
+        assert r.output == oc.format_kernel(qv)
+
+    def test_deep_compose_chain(self, runner, tmp_path):
+        # a compose chain deeper than the recursion limit, under a
+        # marginalization that reads its outputs
+        text = "(Q (a b))"
+        for _ in range(3000):
+            text = f"(compose () {text} (marg (a b) (Q (a b))))"
+        scm = write(tmp_path, "m.scm", self.SCM)
+        r = runner.invoke(main, ["eval", "--scm", scm, "--estimand",
+                                 write(tmp_path, "e.txt", f"(marg () {text})")])
+        assert r.exit_code == 0, r.output
+        qv = oc.observational_kernel(oc.parse_scm(self.SCM))
         assert r.output == oc.format_kernel(qv)
 
 
@@ -512,6 +529,11 @@ class TestPipeline:
         data = json.loads(r.output)
         assert data["verdict"] == "FAIL-CERTIFIED"
         assert data["hedge"]["H"]
+        r = runner.invoke(main, ["pipeline", "--scm", f, "--a", "b",
+                                 "--b", "a"])
+        assert r.output.splitlines() == [
+            "verdict: FAIL-CERTIFIED", "certificate: FAIL C={b} T={a,b}",
+            "hedge: H={a,b} H'={b} R={b}"]
 
 
 class TestBadModels:
@@ -543,3 +565,103 @@ class TestBadModels:
         assert isinstance(r.exception, SystemExit)
         assert f"error: {message}" in r.output
         assert "Traceback" not in r.output
+
+
+def _option_spec(p) -> str:
+    t = p.type
+    if isinstance(t, click.Choice):
+        kind = "[" + "|".join(t.choices) + "]"
+    elif isinstance(t, click.IntRange):
+        kind = f"{t.min}..{t.max}"
+    else:
+        kind = t.name
+    spec = f"{'/'.join(p.opts)} {'flag' if p.is_flag else kind}"
+    if p.required:
+        return spec + " required"
+    if not p.is_flag and isinstance(p.default, (str, int)):
+        return spec + f" ={json.dumps(p.default)}"
+    return spec
+
+
+class TestSurface:
+    """Every subcommand's options, in order: name, type or choices,
+    required or default.  The command line is a kept interface, so a
+    change here is a change for every user."""
+
+    SURFACE = {
+        "adjust": [
+            '--graph file required', '--a text required', '--b text required',
+            '--c text =""', '--d text =""', '--j0 text =""', '--j1 text =""',
+            '--h text =""', '--json flag',
+        ],
+        "calculus": [
+            '--graph file required', '--rule 1..3 required',
+            '--a text required', '--b text required', '--c text =""',
+            '--d text =""', '--json flag',
+        ],
+        "canonical": [
+            '--graph file required', '--json flag', '--dot flag', '--out file',
+        ],
+        "enumerate-mags": [
+            '--graph file required', '--membership [all|copag] ="all"',
+            '--limit integer =65536', '--json flag',
+        ],
+        "eval": [
+            '--scm file required', '--estimand text required',
+            '--zero-rows [error|uniform] ="error"', '--json flag',
+        ],
+        "fci": [
+            '--oracle text required', '--out file', '--trace flag',
+            '--json flag', '--dot flag',
+        ],
+        "hedge-witness": [
+            '--graph file required', '--a text required', '--b text required',
+            '--json flag',
+        ],
+        "mag": [
+            '--graph file required', '--json flag', '--dot flag', '--out file',
+        ],
+        "manipulate": [
+            '--graph file required', '--soft text =""', '--hard text =""',
+            '--class [admg|mag|pag|raw]', '--json flag',
+        ],
+        "marginalize": [
+            '--graph file required', '--nodes text =""', '--json flag',
+            '--dot flag', '--out file',
+        ],
+        "pipeline": [
+            '--scm file required', '--a text required', '--b text required',
+            '--json flag',
+        ],
+        "random-scm": [
+            '--graph file required', '--seed integer =0',
+            '--domain integer =2', '--no-positivity flag',
+        ],
+        "relation": [
+            '--graph file required', '--source text required',
+            '--target text required',
+            '--kind [direct|total|confounding|sel_ancestor] required',
+            '--json flag',
+        ],
+        "scidp": [
+            '--graph file required', '--a text required', '--b text required',
+            '--c text =""', '--class [admg|mag|pag|raw]', '--json flag',
+        ],
+        "sep": [
+            '--graph file required', '--soft text =""', '--hard text =""',
+            '--a text required', '--b text required', '--c text =""',
+            '--mode [id|d] ="id"', '--explain flag', '--json flag',
+        ],
+        "sidp": [
+            '--graph file required', '--a text required', '--b text required',
+            '--class [admg|mag|pag|raw]', '--json flag',
+        ],
+        "validate": [
+            '--graph file required', '--class [admg|mag|pag|raw] ="raw"',
+            '--json flag',
+        ],
+    }
+
+    def test_every_subcommand_keeps_its_options(self):
+        assert {name: [_option_spec(p) for p in cmd.params]
+                for name, cmd in main.commands.items()} == self.SURFACE

@@ -3,9 +3,12 @@ oracles, the adjacency search, the orientation rules, and the combined
 procedure, checked against known graphs and random models."""
 
 import random
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pagid import fci as fci_mod
 from pagid.graph import (
     ARROW,
     CIRCLE,
@@ -26,7 +29,7 @@ from pagid.fci import (
 )
 from pagid.oracle import parse_scm, random_scm
 from pagid.represent import canonical_isadmg, enumerate_mags, mag_of
-from helpers import rand_isadmg
+from helpers import possible_d_sep_reference, rand_isadmg, rand_mixed_graph
 
 
 def marks_of(g):
@@ -165,6 +168,47 @@ class TestSkeleton:
         assert frozenset("bc") in skeleton_pairs(m)
         sk, _ = skeleton(graph_oracle(a), [], ["b", "m", "c"])
         assert skeleton_pairs(sk) == skeleton_pairs(m)
+
+
+def _adjacency(g):
+    return {v: set(g.neighbors(v)) for v in g.node_ids}
+
+
+class TestPossibleDSep:
+    """Possible-D-SEP is a rule over the graph core's walk search; the
+    depth-first search it replaced (``helpers.possible_d_sep_reference``)
+    gives the same sets."""
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32), st.integers(2, 7),
+           st.sampled_from([0.3, 0.5, 0.8]))
+    def test_agrees_with_reference_on_any_marks(self, seed, n, p):
+        g = rand_mixed_graph(random.Random(seed), n=n, p=p)
+        adj, marks = _adjacency(g), marks_of(g)
+        for x in g.node_ids:
+            assert fci_mod._possible_d_sep(g, x) - {x} == (
+                possible_d_sep_reference(adj, marks, x))
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32), st.integers(3, 7), st.integers(0, 2),
+           st.integers(0, 1), st.sampled_from([0.3, 0.5, 0.7]))
+    def test_agrees_with_reference_in_skeleton(self, seed, n_out, n_sel,
+                                               n_in, p):
+        # the graphs stage two searches: provisional marks, edges left
+        a = rand_isadmg(random.Random(seed), n_out=n_out, n_sel=n_sel,
+                        n_lat=1, n_in=n_in, p=p)
+        real, seen = fci_mod._possible_d_sep, []
+
+        def recorded(g, x):
+            seen.append((g, x))
+            return real(g, x)
+
+        with mock.patch.object(fci_mod, "_possible_d_sep", recorded):
+            fci(graph_oracle(a))
+        assert seen
+        for g, x in seen:
+            assert real(g, x) - {x} == possible_d_sep_reference(
+                _adjacency(g), marks_of(g), x)
 
 
 class TestOrientationGoldens:

@@ -57,6 +57,8 @@ from pagid.represent import canonical_isadmg, mag_of
 from helpers import (
     _find_hedge,
     _witness_pool,
+    anterior_violation_reference,
+    confounded_child_reference,
     district_of,
     embed_front_door,
     enumerate_represented,
@@ -64,6 +66,7 @@ from helpers import (
     maximal_regime_separated_bruteforce,
     orient_copag_reference,
     rand_isadmg,
+    rand_mixed_graph,
     regime_separated,
     sidp_reference,
 )
@@ -817,6 +820,19 @@ def reading_cases(draw, kind, max_out=7, n_in=(0, 1)):
     return p, *_query(draw, p)
 
 
+@st.composite
+def mixed_cases(draw):
+    """A random mixed graph over 4..8 outputs, one edge per pair with tails
+    and (twice as often) arrowheads, and disjoint A and B as in
+    ``reading_cases``; bidirected paths are common, so confounded children
+    are too."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = rand_mixed_graph(rng, n=draw(st.integers(4, 8)),
+                         p=draw(st.sampled_from([0.3, 0.5, 0.8])),
+                         marks=(TAIL, ARROW, ARROW))
+    return g, *_query(draw, g)
+
+
 def _query(draw, g):
     """Disjoint A and B of one or two outputs each."""
     outs = sorted(g.outputs)
@@ -919,6 +935,26 @@ class TestCompleteness:
         assert fci(graph_oracle(canonical_isadmg(mag))) == p
         assert mag_of(wit) == mag
         assert verify_hedge(wit, *_hedge_targets(wit, A, B), h)
+
+    @settings(max_examples=300)
+    @given(st.one_of(reading_cases("MAG"),
+                     reading_cases("PAG", max_out=6, n_in=(1, 2)),
+                     mixed_cases()))
+    def test_violations_agree_with_reference(self, case):
+        # the violations are rules over the graph core's walk search; the
+        # node search they replaced finds the same node lists, on the
+        # graph and, for a PAG, on the MAG that hedge_witness orients
+        p, A, B = case
+        graphs = [p]
+        if idf._reading(p, None)[1] is GraphClass.PAG:
+            path = anterior_violation_reference(p, A, B)
+            graphs.append(idf._orient_copag(
+                p, protect=[path[0]] if path else sorted(B)))
+        for g in graphs:
+            assert idf._anterior_violation(g, A, B) == (
+                anterior_violation_reference(g, A, B))
+            assert idf._confounded_child(g, A, B) == (
+                confounded_child_reference(g, A, B))
 
     @settings(max_examples=100)
     @given(reading_cases("MAG", max_out=5))
@@ -1061,6 +1097,27 @@ class TestSerialization:
         cert = FailCertificate(frozenset({"a"}), frozenset({"a", "b"}))
         assert parse_certificate(str(cert)) == cert
         assert parse_estimand(str(cert)) == cert
+
+    def test_exchange_failure_round_trip(self):
+        fail = ExchangeFail(frozenset({"c"}), frozenset({"a", "b"}),
+                            frozenset())
+        assert str(fail) == "FAIL exchange bucket={c} B={a,b} C={}"
+        assert parse_certificate(str(fail)) == fail
+        assert parse_estimand(str(fail)) == fail
+        for bad in ("FAIL exchange bucket={c} B={a,b}",
+                    "FAIL exchange bucket={c} B={a} T={b}"):
+            with pytest.raises(ValueError):
+                parse_estimand(bad)
+
+    def test_deep_compose_chain(self):
+        # a compose chain deeper than the recursion limit: its outputs are
+        # read at construction, not by recursion
+        text = "(Q (a b))"
+        for _ in range(3000):
+            text = f"(compose () {text} (marg (a b) (Q (a b))))"
+        est = parse_estimand(f"(marg () {text})")
+        assert est.outputs == frozenset("ab")
+        assert parse_estimand(format_estimand(est)) == est
 
     def test_parse_rejects_garbage(self):
         with pytest.raises(ValueError):
