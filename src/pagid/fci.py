@@ -24,7 +24,7 @@ from .graph import (
     Edge,
     MixedGraph,
     _walk,
-    discriminating_paths,
+    discriminating_path,
 )
 from .separate import d_separated
 
@@ -192,23 +192,17 @@ def skeleton(oracle, I, V):
             break
         depth += 1
 
-    # stage two: provisional collider marks, then Possible-D-SEP pruning;
-    # marks[(x, y)] is the mark at y on the edge x - y
-    marks = {}
-    for x in nodes:
-        for y in adj[x]:
-            marks[(x, y)] = TAIL if y in iset else CIRCLE
-    for j in nodes:
-        if j in iset:
-            continue
-        for i, k in itertools.combinations(sorted(adj[j]), 2):
-            if k in adj[i]:
-                continue
-            ss = sepsets.get(frozenset((i, k)))
-            if ss is not None and j not in ss:
-                marks[(i, j)] = ARROW
-                marks[(k, j)] = ARROW
     kinds = {v: INPUT if v in iset else OUTPUT for v in nodes}
+
+    def circles():
+        return MixedGraph(kinds, [Edge(u, CIRCLE, w, CIRCLE)
+                                  for u in nodes for w in adj[u] if u < w])
+
+    # stage two: provisional collider marks (R0), then Possible-D-SEP
+    # pruning; marks[(x, y)] is the mark at y on the edge x - y
+    colliders = _Orienter(circles(), sepsets, iset)
+    colliders.r0()
+    marks = colliders.marks
     built = None
     for x in nodes:
         # over the edges left by now: stage two removes edges as it goes,
@@ -220,12 +214,7 @@ def skeleton(oracle, I, V):
         pds = _possible_d_sep(g, x)
         for y in sorted(adj[x]):
             try_separate(x, y, pds, range(len(nodes)))
-
-    edges = set()
-    for x, y in itertools.combinations(nodes, 2):
-        if y in adj[x]:
-            edges.add(Edge(x, CIRCLE, y, CIRCLE))
-    return MixedGraph(kinds, edges), sepsets
+    return circles(), sepsets
 
 
 # -- orientation -------------------------------------------------------------
@@ -363,26 +352,26 @@ class _Orienter:
         return hit
 
     def r4(self):
-        hit = False
         g = self.graph()
         for j in self.nodes:
             for i in sorted(self.adj[j]):
                 if self.mark(i, j) is not CIRCLE:
                     continue
-                for path in discriminating_paths(g, j, i):
-                    k, q1 = path[0], path[-3]
-                    why = "discriminating path " + "-".join(path)
-                    if self.in_sepset(j, i, k):
-                        hit |= self.set(i, j, TAIL, "R4", why)
-                        hit |= self.set(j, i, ARROW, "R4", why)
-                    else:
-                        hit |= self.set(i, j, ARROW, "R4", why)
-                        hit |= self.set(j, i, ARROW, "R4", why)
-                        hit |= self.set(j, q1, ARROW, "R4", why)
-                        hit |= self.set(q1, j, ARROW, "R4", why)
-                    if hit:
-                        return True
-        return hit
+                path = discriminating_path(g, j, i)
+                if path is None:
+                    continue
+                k, qk = path[0], path[-3]
+                why = "discriminating path " + "-".join(path)
+                if self.in_sepset(j, i, k):
+                    self.set(i, j, TAIL, "R4", why)
+                    self.set(j, i, ARROW, "R4", why)
+                else:
+                    self.set(i, j, ARROW, "R4", why)
+                    self.set(j, i, ARROW, "R4", why)
+                    self.set(j, qk, ARROW, "R4", why)
+                    self.set(qk, j, ARROW, "R4", why)
+                return True  # the circle at j on i-j is gone
+        return False
 
     def _circle_paths(self, i, j):
         """Uncovered paths i o-o k o-o ... o-o l o-o j over circle-circle
@@ -583,19 +572,15 @@ def orient(g: MixedGraph, sepsets, I=None, trace=None) -> MixedGraph:
     return _Orienter(g, sepsets, I, trace).run()
 
 
-def fci(oracle, nodes=None, I=None, trace=None) -> MixedGraph:
+def fci(oracle, nodes=None, trace=None) -> MixedGraph:
     """Skeleton search plus orientation against an independence oracle.
 
-    ``nodes`` may be a mapping of node id to kind or an iterable of ids
-    (inputs then given by ``I``); by default the oracle's own input and
+    ``nodes`` maps node id to kind; by default the oracle's own input and
     output lists are used."""
     if nodes is None:
         iset, vset = set(oracle.inputs), set(oracle.outputs)
-    elif hasattr(nodes, "items"):
+    else:
         iset = {v for v, k in nodes.items() if k is INPUT}
         vset = {v for v, k in nodes.items() if k is OUTPUT}
-    else:
-        iset = set(I or ())
-        vset = set(nodes) - iset
     g, sepsets = skeleton(oracle, iset, vset)
     return orient(g, sepsets, iset, trace)

@@ -3,9 +3,9 @@ and the structural queries everything else is built on (reachability closures,
 buckets, pc-components, regions, inducing paths, discriminating paths).
 
 ``_walk`` is the one walk search.  Separation (``separate``), inducing
-paths, Possible-D-SEP (``fci``) and the violations a hedge is read off
-(``identify``) are rules for passing a node over it; discriminating paths
-and FCI's circle and uncovered paths enumerate simple paths instead."""
+paths, discriminating paths, Possible-D-SEP (``fci``) and the violations a
+hedge is read off (``identify``) are rules for passing a node over it;
+only FCI's circle and uncovered paths enumerate simple paths instead."""
 
 from __future__ import annotations
 
@@ -704,39 +704,29 @@ def bucket_topological_order(g: MixedGraph, D) -> list[tuple[str, ...]]:
     return order
 
 
-def discriminating_paths(g: MixedGraph, y: str, z: str) -> list[tuple[str, ...]]:
-    """All paths <a, q1..qk, y, z> (k >= 1) where a is non-adjacent to z,
-    every q_i is a collider on the path and a parent of z, the path starts
-    with an arrowhead into q1, and y is adjacent to both q_k and z."""
+def discriminating_path(g: MixedGraph, y: str,
+                        z: str) -> tuple[str, ...] | None:
+    """A shortest discriminating path <a, q1..qk, y, z> (k >= 1) as a node
+    tuple, or None: a is not adjacent to z, every q_i is a collider on the
+    path and a parent of z, and y is adjacent to both q_k and z.
+
+    A walk from y into some q_k passes each q_i and stops at a.  A shortest
+    such walk is a path: cutting out the stretch between two visits of a q
+    keeps an arrowhead into it on both sides, and a is not adjacent to z,
+    so it is never a q."""
     if not g.adjacent(y, z):
-        return []
+        return None
     pa_z = g.parents(z)
-    results: list[tuple[str, ...]] = []
+    starts = [(q, e) for q, _my, mq, e in g.edges_at(y)
+              if mq is ARROW and q in pa_z]
+    ends = {v for v in g.node_ids if v != z and not g.adjacent(v, z)}
 
-    # build backwards from y: chains q_k, ..., q_1 of colliders in Pa(z)
-    def extend(chain: list[str]):
-        qk = chain[0]
-        # the edge chain[0] ~ next-toward-y must have an arrowhead at chain[0]
-        # (ensured by construction); try to close with an endpoint a, or grow.
-        for w, mq, mw, _e in g.edges_at(qk):
-            if w in chain or w in (y, z):
-                continue
-            if mq is not ARROW:
-                continue
-            # w could be the endpoint a (if non-adjacent to z)
-            if not g.adjacent(w, z):
-                results.append(tuple([w] + chain + [y, z]))
-            # or another collider q (needs arrowhead at w too and w in Pa(z))
-            if mw is ARROW and w in pa_z:
-                extend([w] + chain)
+    def passes(_prev, m_in, v, m_out, w, _m_w):
+        return (m_in is m_out is ARROW and v in pa_z
+                and w != y and w != z)
 
-    for q, my_, mq, _e in g.edges_at(y):
-        # edge between q_k and y must have an arrowhead at q_k
-        if q in (z,):
-            continue
-        if mq is ARROW and q in pa_z:
-            extend([q])
-    return sorted(set(results))
+    walk = _walk(g, starts, passes, ends)
+    return None if walk is None else tuple(v for v, _ in reversed(walk)) + (z,)
 
 
 # -- text format -------------------------------------------------------------

@@ -76,8 +76,8 @@ def _reading(g, cls: GraphClass | None):
     return g, cls or _infer_class(g)
 
 
-def _check_sopag(p: MixedGraph):
-    problems = validate(p, _infer_class(p))
+def _check_sopag(p: MixedGraph, cls: GraphClass):
+    problems = validate(p, cls)
     if problems:
         raise ValueError("invalid input graph: " + "; ".join(problems))
 
@@ -337,7 +337,7 @@ def sidp(p, A, B, cls: GraphClass | None = None):
     ambiguity.  Without cls, a graph with latent or selection nodes is read
     through its MAG."""
     p, cls = _reading(p, cls)
-    _check_sopag(p)
+    _check_sopag(p, cls)
     A = frozenset(A)
     V = frozenset(p.outputs)
     D = l0_sets(p, A, B)
@@ -353,7 +353,7 @@ def scidp(p, A, B, C, cls: GraphClass | None = None):
     exchange rule allows it, move them back where the action-deletion rule
     allows it, then run sidp on what remains."""
     p, cls = _reading(p, cls)
-    _check_sopag(p)
+    _check_sopag(p, cls)
     A, B, C = frozenset(A), frozenset(B), frozenset(C)
     _disjoint(A, B, C)
     V = set(p.outputs)

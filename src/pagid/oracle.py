@@ -40,15 +40,10 @@ from .graph import (
     GraphClass,
     MixedGraph,
     NodeKind,
+    _KINDS,
     validate,
 )
-
-_KIND_NAMES = {
-    "input": INPUT,
-    "output": OUTPUT,
-    "latent": LATENT,
-    "selection": SELECTION,
-}
+from .represent import marginalize_latents
 
 
 class ScmError(ValueError):
@@ -163,28 +158,12 @@ class DiscreteSCM:
 
 
 def graph_of(scm: DiscreteSCM) -> MixedGraph:
-    """Graph of the model: functional parents become directed edges, a
-    shared latent parent becomes a bidirected edge, latents are dropped."""
-    keep = {
-        v: k for v, k in scm.kinds.items() if k is not LATENT
-    }
-    edges = set()
-    for v, ps in scm.parents.items():
-        if scm.kinds[v] is LATENT:
-            continue
-        for p in ps:
-            if scm.kinds[p] is LATENT:
-                continue
-            edges.add(Edge(p, TAIL, v, ARROW))
-    children = {}
-    for v, ps in scm.parents.items():
-        for p in ps:
-            if scm.kinds[p] is LATENT:
-                children.setdefault(p, []).append(v)
-    for _l, kids in children.items():
-        for a, b in itertools.combinations(sorted(kids), 2):
-            edges.add(Edge(a, ARROW, b, ARROW))
-    g = MixedGraph(keep, edges)
+    """Graph of the model: functional parents become directed edges, and
+    the latents are projected out, so that a shared latent parent becomes
+    a bidirected edge (latents are exogenous)."""
+    g = marginalize_latents(MixedGraph(scm.kinds, [
+        Edge(p, TAIL, v, ARROW) for v, ps in scm.parents.items() for p in ps
+    ]))
     problems = validate(g, GraphClass.ADMG)
     if problems:
         raise ScmError("graph of model is invalid: " + "; ".join(problems))
@@ -640,7 +619,7 @@ def parse_scm(text: str) -> DiscreteSCM:
                 if not eq or key not in ("kind", "domain", "parents"):
                     raise ScmError(f"line {lineno}: unknown var option {p!r}")
                 opts[key] = value
-            kind = _KIND_NAMES.get(opts.get("kind", "output"))
+            kind = _KINDS.get(opts.get("kind", "output"))
             if kind is None:
                 raise ScmError(f"line {lineno}: unknown kind")
             domains[name] = _parse_number(lineno, f"domain of {name}",
@@ -679,12 +658,11 @@ def parse_scm(text: str) -> DiscreteSCM:
 
 
 def format_scm(scm: DiscreteSCM) -> str:
-    kind_txt = {v: k for k, v in _KIND_NAMES.items()}
     lines = []
     for v in sorted(scm.domains):
         parts = [
             f"var {v}",
-            f"kind={kind_txt[scm.kinds[v]]}",
+            f"kind={scm.kinds[v].value}",
             f"domain={scm.domains[v]}",
         ]
         if scm.parents.get(v):

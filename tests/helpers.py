@@ -4,7 +4,9 @@ implementations used as independent oracles for the fast library code."""
 import itertools
 import random
 from fractions import Fraction
+from unittest import mock
 
+from pagid import fci as fci_mod
 from pagid.fci import IndependenceOracle
 
 from pagid.graph import (
@@ -915,7 +917,7 @@ def sidp_reference(p, A, B, cls=None):
     fixed down from all of V (``_assemble``, ``_fix_leaf``), so a leaf
     reuses none of the fixing done for another."""
     p, cls = idf._reading(p, cls)
-    idf._check_sopag(p)
+    idf._check_sopag(p, cls)
     A = frozenset(A)
     V = frozenset(p.outputs)
     D = idf.l0_sets(p, A, B)
@@ -1224,3 +1226,104 @@ def confounded_child_reference(p: MixedGraph, A, B):
         if path is not None:
             return path
     return None
+
+
+def discriminating_paths_reference(g: MixedGraph, y, z):
+    """Reference for ``graph.discriminating_path``, the enumerator it
+    replaced: all paths <a, q1..qk, y, z> (k >= 1) where a is non-adjacent
+    to z, every q_i is a collider on the path and a parent of z, the path
+    starts with an arrowhead into q1, and y is adjacent to both q_k and z;
+    sorted."""
+    if not g.adjacent(y, z):
+        return []
+    pa_z = g.parents(z)
+    results = []
+
+    # build backwards from y: chains q_k, ..., q_1 of colliders in Pa(z)
+    def extend(chain):
+        qk = chain[0]
+        for w, mq, mw, _e in g.edges_at(qk):
+            if w in chain or w in (y, z) or mq is not ARROW:
+                continue
+            if not g.adjacent(w, z):
+                results.append(tuple([w] + chain + [y, z]))
+            if mw is ARROW and w in pa_z:
+                extend([w] + chain)
+
+    for q, _my, mq, _e in g.edges_at(y):
+        if q != z and mq is ARROW and q in pa_z:
+            extend([q])
+    return sorted(set(results))
+
+
+def _provisional_colliders(self):
+    """Stage two's provisional marks in ``fci.skeleton`` as it computed
+    them by hand before it used ``_Orienter.r0``: tails at inputs, and
+    arrowheads into j at each unshielded i - j - k with j outside the
+    separating set of i and k."""
+    self.marks = {(x, y): TAIL if y in self.I else CIRCLE
+                  for x in self.nodes for y in self.adj[x]}
+    for j in self.nodes:
+        if j in self.I:
+            continue
+        for i, k in itertools.combinations(sorted(self.adj[j]), 2):
+            if k in self.adj[i]:
+                continue
+            ss = self.sepsets.get(frozenset((i, k)))
+            if ss is not None and j not in ss:
+                self.marks[(i, j)] = ARROW
+                self.marks[(k, j)] = ARROW
+
+
+class _ReferenceOrienter(fci_mod._Orienter):
+    def r4(self):
+        """R4 as it was before ``graph.discriminating_path``: over every
+        path the enumerator lists, until one changes a mark."""
+        hit = False
+        g = self.graph()
+        for j in self.nodes:
+            for i in sorted(self.adj[j]):
+                if self.mark(i, j) is not CIRCLE:
+                    continue
+                for path in discriminating_paths_reference(g, j, i):
+                    k, q1 = path[0], path[-3]
+                    why = "discriminating path " + "-".join(path)
+                    if self.in_sepset(j, i, k):
+                        hit |= self.set(i, j, TAIL, "R4", why)
+                        hit |= self.set(j, i, ARROW, "R4", why)
+                    else:
+                        hit |= self.set(i, j, ARROW, "R4", why)
+                        hit |= self.set(j, i, ARROW, "R4", why)
+                        hit |= self.set(j, q1, ARROW, "R4", why)
+                        hit |= self.set(q1, j, ARROW, "R4", why)
+                    if hit:
+                        return True
+        return hit
+
+
+def fci_reference(oracle, trace=None):
+    """Reference for ``fci.fci`` on the oracle's own nodes, with stage
+    two's collider marks by hand and R4 over the discriminating-path
+    enumerator.  Returns the PAG and the separating sets."""
+    with mock.patch.object(fci_mod._Orienter, "r0", _provisional_colliders):
+        sk, sepsets = fci_mod.skeleton(oracle, oracle.inputs, oracle.outputs)
+    return _ReferenceOrienter(sk, sepsets, sk.inputs, trace).run(), sepsets
+
+
+def graph_of_reference(scm: DiscreteSCM) -> MixedGraph:
+    """Reference for ``oracle.graph_of``, the projection it replaced:
+    functional parents become directed edges, each pair of children of a
+    latent becomes a bidirected edge, and the latents are dropped."""
+    keep = {v: k for v, k in scm.kinds.items() if k is not LATENT}
+    edges = set()
+    children = {}
+    for v, ps in scm.parents.items():
+        for p in ps:
+            if scm.kinds[p] is LATENT:
+                children.setdefault(p, []).append(v)
+            elif scm.kinds[v] is not LATENT:
+                edges.add(Edge(p, TAIL, v, ARROW))
+    for kids in children.values():
+        for a, b in itertools.combinations(sorted(kids), 2):
+            edges.add(Edge(a, ARROW, b, ARROW))
+    return MixedGraph(keep, edges)

@@ -284,6 +284,16 @@ class TestIdentifyCommands:
         assert r.exit_code == 1
         assert r.output.strip() == "FAIL C={b} T={a,b}"
 
+    def test_explicit_class_is_validated_as_that_class(self, runner,
+                                                       tmp_path):
+        f = write(tmp_path, "g.txt", (
+            "node a output\nnode b output\nnode c output\nnode d output\n"
+            "edge a <-> b\nedge b <-> c\nedge b --> d\nedge d --> c\n"))
+        r = runner.invoke(main, ["sidp", "--graph", f, "--class", "mag",
+                                 "--a", "c", "--b", "a"])
+        assert r.exit_code == 2
+        assert "almost directed cycle" in r.output
+
     @pytest.mark.parametrize("cmd", ["sidp", "scidp"])
     def test_admg_reading_rejects_selection_nodes(self, runner, tmp_path,
                                                   cmd):

@@ -21,15 +21,21 @@ from pagid.graph import (
 )
 from pagid.fci import (
     FciConflict,
+    IndependenceOracle,
     distribution_oracle,
     fci,
     graph_oracle,
     orient,
     skeleton,
 )
-from pagid.oracle import parse_scm, random_scm
+from pagid.oracle import ScmError, parse_scm, random_scm
 from pagid.represent import canonical_isadmg, enumerate_mags, mag_of
-from helpers import possible_d_sep_reference, rand_isadmg, rand_mixed_graph
+from helpers import (
+    fci_reference,
+    possible_d_sep_reference,
+    rand_isadmg,
+    rand_mixed_graph,
+)
 
 
 def marks_of(g):
@@ -209,6 +215,98 @@ class TestPossibleDSep:
         for g, x in seen:
             assert real(g, x) - {x} == possible_d_sep_reference(
                 _adjacency(g), marks_of(g), x)
+
+
+def _fci_with_sepsets(oracle, trace):
+    sk, sepsets = skeleton(oracle, oracle.inputs, oracle.outputs)
+    return orient(sk, sepsets, oracle.inputs, trace), sepsets
+
+
+def _same_as_reference(oracle):
+    """FCI and ``fci_reference`` give equal PAGs and separating sets, or
+    both raise FciConflict; their traces differ at most in the path an R4
+    line names.  Returns FCI's outcome."""
+    runs = []
+    for run in (_fci_with_sepsets, fci_reference):
+        trace = []
+        try:
+            out = run(oracle, trace)
+        except FciConflict:
+            out = FciConflict
+        runs.append((out, [t.split(" because discriminating path ")[0]
+                           for t in trace]))
+    assert runs[0] == runs[1]
+    return runs[0][0]
+
+
+class _NoGraphOracle(IndependenceOracle):
+    """Independence answers drawn at random per query, sparser for larger
+    conditioning sets: the independence model of no graph."""
+
+    def __init__(self, seed, n_out, n_in, rate):
+        super().__init__()
+        self.seed, self.rate = seed, rate
+        self.outputs = tuple(f"v{i}" for i in range(n_out))
+        self.inputs = tuple(f"i{i}" for i in range(n_in))
+
+    def _query(self, A, B, C):
+        key = repr((self.seed, sorted(A | B), sorted(C)))
+        return random.Random(key).random() < self.rate / (1 + len(C))
+
+
+class TestAgainstReference:
+    """FCI against ``helpers.fci_reference``, which computes stage two's
+    collider marks by hand and runs R4 over every discriminating path."""
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 2**32), st.integers(3, 8), st.integers(0, 1),
+           st.integers(0, 1), st.integers(0, 1),
+           st.sampled_from([0.3, 0.5, 0.7]))
+    def test_graph_oracles(self, seed, n_out, n_sel, n_lat, n_in, p):
+        a = rand_isadmg(random.Random(seed), n_out=n_out, n_sel=n_sel,
+                        n_lat=n_lat, n_in=n_in, p=p)
+        _same_as_reference(graph_oracle(a))
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32), st.integers(3, 5), st.integers(0, 1),
+           st.integers(0, 1), st.sampled_from([0.5, 0.7]), st.booleans())
+    def test_distribution_oracles(self, seed, n_out, n_sel, n_in, p,
+                                  positivity):
+        g = rand_isadmg(random.Random(seed), n_out=n_out, n_sel=n_sel,
+                        n_in=n_in, p=p)
+        try:
+            orc = distribution_oracle(
+                random_scm(g, random.Random(seed), positivity=positivity))
+        except ScmError:  # a selection event of probability zero
+            return
+        _same_as_reference(orc)
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32), st.integers(4, 7), st.integers(0, 1),
+           st.sampled_from([0.2, 0.4, 0.6]))
+    def test_oracles_of_no_graph(self, seed, n_out, n_in, rate):
+        _same_as_reference(_NoGraphOracle(seed, n_out, n_in, rate))
+
+    @pytest.mark.parametrize("seed, n_out", [(7923, 8), (9447, 5)])
+    def test_clashing_rules_raise_on_both_sides(self, seed, n_out):
+        orc = _NoGraphOracle(seed, n_out, 2, 0.2)
+        assert _same_as_reference(orc) is FciConflict
+
+    def test_r4_names_a_shortest_path(self):
+        g = parse_graph(
+            "node i0 input\nnode v0 output\nnode v1 output\n"
+            "node v2 output\nnode v3 output\nnode v4 output\n"
+            "edge i0 --> v0\nedge i0 --> v1\nedge i0 --> v3\n"
+            "edge v0 <-> v1\nedge v0 <-> v2\nedge v0 --> v4\n"
+            "edge v1 --> v2\nedge v3 --> v1\nedge v1 --> v4\n"
+            "edge v2 --> v4\nedge v3 --> v4\n"
+        )
+        got, want = [], []
+        assert fci(graph_oracle(g), trace=got) == fci_reference(
+            graph_oracle(g), want)[0]
+        line = "R4 tail at v3 on v4-v3 because discriminating path "
+        assert got[-1] == line + "i0-v1-v3-v4"
+        assert want[-1] == line + "i0-v0-v1-v3-v4"
 
 
 class TestOrientationGoldens:

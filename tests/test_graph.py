@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +21,7 @@ from pagid.graph import (
     bucket_topological_order,
     buckets,
     directed,
-    discriminating_paths,
+    discriminating_path,
     edge,
     format_graph,
     inducing_path_exists,
@@ -33,6 +34,7 @@ from pagid.graph import (
 from helpers import (
     anteriors_oracle,
     directed_cycle_recursive,
+    discriminating_paths_reference,
     inducing_path_oracle,
     possible_ancestors_oracle,
     possible_anteriors_oracle,
@@ -450,7 +452,7 @@ class TestDiscriminatingPaths:
                 edge("y", CIRCLE, "z", CIRCLE),
             ],
         )
-        assert discriminating_paths(g, "y", "z") == [("a", "q", "y", "z")]
+        assert discriminating_path(g, "y", "z") == ("a", "q", "y", "z")
 
     def test_triangle_excluded(self):
         g = MixedGraph(
@@ -463,11 +465,55 @@ class TestDiscriminatingPaths:
                 directed("a", "z"),  # shielded: a adjacent to z
             ],
         )
-        assert discriminating_paths(g, "y", "z") == []
+        assert discriminating_path(g, "y", "z") is None
 
     def test_short_path_excluded(self):
         g = MixedGraph(
             {"a": OUTPUT, "q": OUTPUT, "z": OUTPUT},
             [directed("a", "q"), directed("q", "z")],
         )
-        assert discriminating_paths(g, "q", "z") == []
+        assert discriminating_path(g, "q", "z") is None
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32), st.integers(3, 8),
+           st.sampled_from([0.3, 0.5, 0.8]),
+           st.sampled_from([(TAIL, ARROW, CIRCLE), (TAIL, ARROW, ARROW)]))
+    def test_agrees_with_reference(self, seed, n, p, marks):
+        # the second mark set makes arrowheads, and so paths, common
+        g = rand_mixed_graph(random.Random(seed), n=n, p=p, marks=marks)
+        for y in g.node_ids:
+            for z in g.node_ids:
+                if y == z:
+                    continue
+                found = discriminating_path(g, y, z)
+                listed = discriminating_paths_reference(g, y, z)
+                assert (found is None) == (not listed)
+                if listed:
+                    assert found in listed
+                    assert len(found) == min(map(len, listed))
+
+    def test_dense_collider_clique_takes_milliseconds(self):
+        # nine colliders q0..q8 into z, all bidirected to each other and to
+        # y: the reference lists 986,409 paths, the walk stops at the first
+        qs = [f"q{i}" for i in range(9)]
+        edges = [directed("y", "z")]
+        for i, q in enumerate(qs):
+            edges += [directed("a", q), directed(q, "z"), bidirected(q, "y")]
+            edges += [bidirected(q, r) for r in qs[i + 1:]]
+        g = MixedGraph({v: OUTPUT for v in ["a", "y", "z", *qs]}, edges)
+        assert validate(g, GraphClass.MAG) == []
+        t0 = time.monotonic()
+        assert discriminating_path(g, "y", "z") == ("a", "q0", "y", "z")
+        assert time.monotonic() - t0 < 0.05
+
+    def test_long_collider_chain_needs_no_recursion(self):
+        # a --> q0 <-> q1 <-> ... <-> q1499 <-> y, every q a parent of z
+        n = 1500
+        qs = [f"q{i:04d}" for i in range(n)]
+        edges = [directed("a", qs[0]), bidirected(qs[-1], "y"),
+                 edge("y", CIRCLE, "z", CIRCLE)]
+        edges += [directed(q, "z") for q in qs]
+        edges += [bidirected(q, r) for q, r in zip(qs, qs[1:])]
+        g = MixedGraph({v: OUTPUT for v in ["a", "y", "z", *qs]}, edges)
+        path = discriminating_path(g, "y", "z")
+        assert path == ("a", *qs, "y", "z") and len(path) == n + 3

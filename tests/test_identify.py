@@ -409,6 +409,21 @@ class TestCalculus:
         with pytest.raises(ValueError):
             sidp(g, ["a"], ["b"], "dag")
 
+    def test_explicit_class_is_validated_as_that_class(self):
+        # a valid ADMG, but b <-> c with b --> d --> c is no MAG
+        g = parse_graph(
+            "node a output\nnode b output\nnode c output\nnode d output\n"
+            "edge a <-> b\nedge b <-> c\nedge b --> d\nedge d --> c\n"
+        )
+        assert not isinstance(sidp(g, ["c"], ["a"]), FailCertificate)
+        for check in (
+            lambda: sidp(g, ["c"], ["a"], "mag"),
+            lambda: scidp(g, ["c"], ["a"], ["d"], "mag"),
+            lambda: calculus_check(g, 2, ["c"], ["a"], cls="mag"),
+        ):
+            with pytest.raises(ValueError, match="almost directed cycle"):
+                check()
+
     def test_cycle4_exchange_rules(self):
         g = cycle4()
         assert calculus_check(g, 2, ["a"], ["b"], ["c1", "c2"])

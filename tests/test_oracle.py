@@ -12,7 +12,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pagid.graph import GraphClass, Mark, parse_graph
+from pagid.graph import INPUT, LATENT, GraphClass, Mark, parse_graph
 from pagid.represent import mag_of
 from pagid.separate import d_separated
 from pagid import identify as idf
@@ -42,6 +42,7 @@ from helpers import (
     ci_test_reference,
     condition_reference,
     eval_estimand_reference,
+    graph_of_reference,
     interventional_kernel_reference,
     kernel_compose_reference,
     kernel_product_reference,
@@ -207,6 +208,27 @@ class TestGraphOf:
         e = list(g.edges_between("a", "b"))
         assert len(e) == 1
         assert (e[0].mark_a, e[0].mark_b) == (Mark.ARROW, Mark.ARROW)
+
+    @settings(max_examples=150)
+    @given(st.integers(0, 2**32), st.integers(2, 7), st.integers(0, 1),
+           st.integers(0, 2), st.integers(0, 3))
+    def test_agrees_with_reference(self, seed, n_out, n_sel, n_in, n_kids):
+        rng = random.Random(seed)
+        g = rand_isadmg(rng, n_out=n_out, n_sel=n_sel, n_in=n_in, p=0.5)
+        scm = random_scm(g, rng)
+        # one more latent, shared by 0-3 outputs and selection nodes, so
+        # that a latent may also have one child or three
+        kids = rng.sample([v for v in g.node_ids if g.kind(v) is not INPUT],
+                          min(n_kids, len(g.outputs)))
+        parents = {**scm.parents, "l": ()}
+        cpts = {**scm.cpts, "l": {(): (Fraction(1, 2), Fraction(1, 2))}}
+        for v in kids:
+            parents[v] += ("l",)
+            cpts[v] = {key + (x,): row for key, row in scm.cpts[v].items()
+                       for x in (0, 1)}
+        scm = DiscreteSCM({**scm.domains, "l": 2}, {**scm.kinds, "l": LATENT},
+                          parents, cpts)
+        assert graph_of(scm) == graph_of_reference(scm)
 
 
 class TestKernelAlgebra:
