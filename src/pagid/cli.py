@@ -4,8 +4,12 @@ Every pipeline stage is a subcommand of ``pagc``: graph validation and
 transforms, separation queries, skeleton discovery, identification,
 calculus/adjustment checks, witness construction, estimand evaluation and
 model generation.  Exit codes: 0 on success, 1 on a domain-level negative
-result (identification Fail, rule not applicable), 2 on usage or parse
-errors.  ``--json`` switches any subcommand to structured output.
+result (identification Fail, rule not applicable), 2 on an error.  A usage
+error prints click's usage message; every other error (a parse error, an
+unknown node, an invalid graph, an unreadable input, an unwritable
+``--out``) prints one ``error: ...`` line on stderr, from one place
+(``_Pagc``).  ``--json`` switches any subcommand to structured output: one
+writer adds ``"schema": 1``, and edges use the text format's tokens.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .graph import (
     GraphClass,
     TAIL,
     MixedGraph,
-    ParseError,
+    format_edge,
     format_graph,
     parse_graph,
     validate,
@@ -49,20 +53,21 @@ from .separate import d_separated, id_separated, open_walk, walk_nodes
 _CLASSES = sorted(c.value for c in GraphClass)
 
 
-def _fail(msg, code: int = 2):
-    """Print a message or exception and exit; a KeyError names a node."""
+def _fail(msg):
+    """Print a message or exception and exit 2; a KeyError names a node."""
     if isinstance(msg, KeyError):
         msg = f"unknown node {msg.args[0]}"
     click.echo(f"error: {msg}", err=True)
-    sys.exit(code)
+    sys.exit(2)
+
+
+def _read(path: str) -> str:
+    with open(path) as fh:
+        return fh.read()
 
 
 def _load_graph(path: str) -> MixedGraph:
-    try:
-        with open(path) as fh:
-            return parse_graph(fh.read())
-    except (OSError, ParseError, ValueError) as exc:
-        _fail(exc)
+    return parse_graph(_read(path))
 
 
 def _split(value: str) -> list[str]:
@@ -70,12 +75,14 @@ def _split(value: str) -> list[str]:
 
 
 def _graph_json(g: MixedGraph) -> dict:
-    return {
-        "nodes": {v: k.value for v, k in g.nodes.items()},
-        "edges": sorted(
-            f"{e.a} {e.mark_a.value}-{e.mark_b.value} {e.b}" for e in g.edges
-        ),
-    }
+    """Nodes and edges; an edge is written as in the text format."""
+    return {"nodes": {v: k.value for v, k in g.nodes.items()},
+            "edges": sorted(format_edge(e) for e in g.edges)}
+
+
+def _json(payload: dict) -> str:
+    """The one --json writer: every payload carries the schema version."""
+    return json.dumps({"schema": 1, **payload}, sort_keys=True)
 
 
 _DOT_HEAD = {TAIL: "none", ARROW: "normal", CIRCLE: "odot"}
@@ -98,7 +105,7 @@ def _dot(g: MixedGraph) -> str:
 
 def _emit_graph(g: MixedGraph, as_json: bool, as_dot: bool, out=None):
     if as_json:
-        text = json.dumps({"schema": 1, "graph": _graph_json(g)}, sort_keys=True)
+        text = _json({"graph": _graph_json(g)})
     elif as_dot:
         text = _dot(g).rstrip("\n")
     else:
@@ -117,7 +124,22 @@ def _seed(value):
     return value
 
 
-@click.group()
+class _Pagc(click.Group):
+    """The one error path: an error from any subcommand exits 2 with
+    ``error: ...``.  ValueError covers ParseError, ScmError and FciConflict;
+    a KeyError names an unknown node.  A broken pipe and click's own usage
+    errors keep click's handling."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except BrokenPipeError:
+            raise
+        except (ValueError, KeyError, OSError) as exc:
+            _fail(exc)
+
+
+@click.group(cls=_Pagc)
 def main():
     """Causal identification from partial ancestral graphs."""
 
@@ -138,12 +160,9 @@ dot_option = click.option("--dot", "as_dot", is_flag=True)
 @json_option
 def validate_cmd(graph_file, cls, as_json):
     """Check a graph against the invariants of a graph class."""
-    g = _load_graph(graph_file)
-    problems = validate(g, cls)
+    problems = validate(_load_graph(graph_file), cls)
     if as_json:
-        click.echo(json.dumps(
-            {"schema": 1, "valid": not problems, "problems": problems},
-            sort_keys=True))
+        click.echo(_json({"valid": not problems, "problems": problems}))
     else:
         for p in problems:
             click.echo(p)
@@ -159,11 +178,7 @@ def validate_cmd(graph_file, cls, as_json):
 @click.option("--out", type=click.Path(dir_okay=False))
 def mag_cmd(graph_file, as_json, as_dot, out):
     """Project a represented graph onto its maximal ancestral graph."""
-    g = _load_graph(graph_file)
-    try:
-        _emit_graph(mag_of(g), as_json, as_dot, out)
-    except ValueError as exc:
-        _fail(exc)
+    _emit_graph(mag_of(_load_graph(graph_file)), as_json, as_dot, out)
 
 
 @main.command("canonical")
@@ -173,11 +188,7 @@ def mag_cmd(graph_file, as_json, as_dot, out):
 @click.option("--out", type=click.Path(dir_okay=False))
 def canonical_cmd(graph_file, as_json, as_dot, out):
     """Canonical represented graph of a maximal ancestral graph."""
-    g = _load_graph(graph_file)
-    try:
-        _emit_graph(canonical_isadmg(g), as_json, as_dot, out)
-    except ValueError as exc:
-        _fail(exc)
+    _emit_graph(canonical_isadmg(_load_graph(graph_file)), as_json, as_dot, out)
 
 
 @main.command("marginalize")
@@ -188,12 +199,8 @@ def canonical_cmd(graph_file, as_json, as_dot, out):
 @click.option("--out", type=click.Path(dir_okay=False))
 def marginalize_cmd(graph_file, nodes, as_json, as_dot, out):
     """Eliminate latent nodes from a represented graph."""
-    g = _load_graph(graph_file)
-    drop = _split(nodes) or None
-    try:
-        _emit_graph(marginalize_latents(g, drop), as_json, as_dot, out)
-    except (ValueError, KeyError) as exc:
-        _fail(exc)
+    g = marginalize_latents(_load_graph(graph_file), _split(nodes) or None)
+    _emit_graph(g, as_json, as_dot, out)
 
 
 @main.command("manipulate")
@@ -204,18 +211,11 @@ def marginalize_cmd(graph_file, nodes, as_json, as_dot, out):
 @json_option
 def manipulate_cmd(graph_file, soft, hard, cls, as_json):
     """Apply soft and hard manipulations and print the result."""
-    g = _load_graph(graph_file)
-    try:
-        mg = manipulate(g, _split(soft), _split(hard), cls)
-    except (ValueError, KeyError) as exc:
-        _fail(exc)
+    mg = manipulate(_load_graph(graph_file), _split(soft), _split(hard), cls)
     if as_json:
-        click.echo(json.dumps({
-            "schema": 1,
-            "graph": _graph_json(mg.graph),
-            "soft": sorted(mg.soft_targets),
-            "hard": sorted(mg.hard_targets),
-        }, sort_keys=True))
+        click.echo(_json({"graph": _graph_json(mg.graph),
+                          "soft": sorted(mg.soft_targets),
+                          "hard": sorted(mg.hard_targets)}))
     else:
         click.echo(format_manipulated(mg).rstrip("\n"))
 
@@ -234,27 +234,19 @@ def manipulate_cmd(graph_file, soft, hard, cls, as_json):
 def sep_cmd(graph_file, soft, hard, a_set, b_set, c_set, mode, explain, as_json):
     """Separation query, optionally after manipulation."""
     g = _load_graph(graph_file)
-    try:
-        mg = manipulate(g, _split(soft), _split(hard)) if (soft or hard) else g
-        A, B, C = _split(a_set), _split(b_set), _split(c_set)
-        if mode == "id":
-            sep = id_separated(mg, A, B, C)
-        else:
-            sep = d_separated(mg, A, B, C)
-    except (ValueError, KeyError) as exc:
-        _fail(exc)
+    mg = manipulate(g, _split(soft), _split(hard)) if (soft or hard) else g
+    A, B, C = _split(a_set), _split(b_set), _split(c_set)
+    sep = (id_separated if mode == "id" else d_separated)(mg, A, B, C)
     walk = None
     if explain and not sep and mode == "id":
         w = open_walk(mg, A, B, C)
         walk = walk_nodes(w) if w else None
     if as_json:
-        click.echo(json.dumps(
-            {"schema": 1, "separated": sep, "walk": walk}, sort_keys=True))
+        click.echo(_json({"separated": sep, "walk": walk}))
     else:
         click.echo("separated" if sep else "connected")
         if walk:
             click.echo("walk: " + " ".join(walk))
-    sys.exit(0)
 
 
 @main.command("fci")
@@ -269,42 +261,33 @@ def fci_cmd(oracle_spec, out, trace, as_json, as_dot):
     kind, _, path = oracle_spec.partition(":")
     if kind not in ("graph", "scm") or not path:
         _fail("--oracle must be graph:FILE or scm:FILE")
-    try:
-        if kind == "graph":
-            orc = graph_oracle(_load_graph(path))
-        else:
-            with open(path) as fh:
-                orc = distribution_oracle(oc.parse_scm(fh.read()))
-        log = [] if trace else None
-        p = run_fci(orc, trace=log)
-    except (OSError, ValueError) as exc:
-        _fail(exc)
-    if trace and not as_json:
-        for line in log:
+    if kind == "graph":
+        orc = graph_oracle(_load_graph(path))
+    else:
+        orc = distribution_oracle(oc.parse_scm(_read(path)))
+    log = [] if trace else None
+    p = run_fci(orc, trace=log)
+    if not as_json:
+        for line in log or ():
             click.echo(line, err=True)
-    if as_json:
-        payload = {"schema": 1, "graph": _graph_json(p)}
-        if trace:
-            payload["trace"] = log
-        click.echo(json.dumps(payload, sort_keys=True))
-        if out:
-            with open(out, "w") as fh:
-                fh.write(format_graph(p))
-    else:
         _emit_graph(p, False, as_dot, out)
+        return
+    payload = {"graph": _graph_json(p)}
+    if trace:
+        payload["trace"] = log
+    click.echo(_json(payload))
+    if out:
+        _emit_graph(p, False, False, out)
 
 
-def _emit_estimand(res, as_json, extra=None):
+def _emit_estimand(res, as_json):
     failed = isinstance(res, (FailCertificate, ExchangeFail))
+    text = str(res) if failed else format_estimand(res)
     if as_json:
-        payload = {"schema": 1, "ok": not failed}
-        payload["certificate" if failed else "estimand"] = (
-            str(res) if failed else format_estimand(res)
-        )
-        payload.update(extra or {})
-        click.echo(json.dumps(payload, sort_keys=True))
+        click.echo(_json({"ok": not failed,
+                          "certificate" if failed else "estimand": text}))
     else:
-        click.echo(str(res) if failed else format_estimand(res))
+        click.echo(text)
     sys.exit(1 if failed else 0)
 
 
@@ -317,11 +300,7 @@ def _emit_estimand(res, as_json, extra=None):
 def sidp_cmd(graph_file, a_set, b_set, cls, as_json):
     """Identify the kernel of A under hard manipulation of B."""
     g = _load_graph(graph_file)
-    try:
-        res = sidp(g, _split(a_set), _split(b_set), cls)
-    except (ValueError, KeyError) as exc:
-        _fail(exc)
-    _emit_estimand(res, as_json)
+    _emit_estimand(sidp(g, _split(a_set), _split(b_set), cls), as_json)
 
 
 @main.command("scidp")
@@ -334,10 +313,7 @@ def sidp_cmd(graph_file, a_set, b_set, cls, as_json):
 def scidp_cmd(graph_file, a_set, b_set, c_set, cls, as_json):
     """Identify the kernel of A given C under hard manipulation of B."""
     g = _load_graph(graph_file)
-    try:
-        res = scidp(g, _split(a_set), _split(b_set), _split(c_set), cls)
-    except (ValueError, KeyError) as exc:
-        _fail(exc)
+    res = scidp(g, _split(a_set), _split(b_set), _split(c_set), cls)
     _emit_estimand(res, as_json)
 
 
@@ -351,14 +327,10 @@ def scidp_cmd(graph_file, a_set, b_set, c_set, cls, as_json):
 @json_option
 def calculus_cmd(graph_file, rule, a_set, b_set, c_set, d_set, as_json):
     """Check whether a calculus rule applies."""
-    g = _load_graph(graph_file)
-    try:
-        ok = calculus_check(g, rule, _split(a_set), _split(b_set),
-                            _split(c_set), _split(d_set))
-    except (ValueError, KeyError) as exc:
-        _fail(exc)
+    ok = calculus_check(_load_graph(graph_file), rule, _split(a_set),
+                        _split(b_set), _split(c_set), _split(d_set))
     if as_json:
-        click.echo(json.dumps({"schema": 1, "applies": ok}, sort_keys=True))
+        click.echo(_json({"applies": ok}))
     else:
         click.echo("applies" if ok else "does not apply")
     sys.exit(0 if ok else 1)
@@ -376,20 +348,14 @@ def calculus_cmd(graph_file, rule, a_set, b_set, c_set, d_set, as_json):
 @json_option
 def adjust_cmd(graph_file, a_set, b_set, c_set, d_set, j0, j1, h_set, as_json):
     """Check the adjustment criterion and print the formula on success."""
-    g = _load_graph(graph_file)
-    try:
-        ok, est = adjustment_check(
-            g, _split(a_set), _split(b_set), _split(c_set), _split(d_set),
-            _split(j0), _split(j1), _split(h_set))
-    except (ValueError, KeyError) as exc:
-        _fail(exc)
+    ok, est = adjustment_check(
+        _load_graph(graph_file), _split(a_set), _split(b_set), _split(c_set),
+        _split(d_set), _split(j0), _split(j1), _split(h_set))
+    text = format_estimand(est) if ok else None
     if as_json:
-        click.echo(json.dumps({
-            "schema": 1, "applies": ok,
-            "estimand": format_estimand(est) if ok else None,
-        }, sort_keys=True))
+        click.echo(_json({"applies": ok, "estimand": text}))
     else:
-        click.echo(format_estimand(est) if ok else "does not apply")
+        click.echo(text or "does not apply")
     sys.exit(0 if ok else 1)
 
 
@@ -402,16 +368,8 @@ def adjust_cmd(graph_file, a_set, b_set, c_set, d_set, j0, j1, h_set, as_json):
 @json_option
 def relation_cmd(graph_file, source, target, kind, as_json):
     """Single-pair causal relation over every represented graph."""
-    g = _load_graph(graph_file)
-    try:
-        verdict = causal_relation(g, source, target, kind)
-    except (ValueError, KeyError) as exc:
-        _fail(exc)
-    if as_json:
-        click.echo(json.dumps({"schema": 1, "verdict": verdict},
-                              sort_keys=True))
-    else:
-        click.echo(verdict)
+    verdict = causal_relation(_load_graph(graph_file), source, target, kind)
+    click.echo(_json({"verdict": verdict}) if as_json else verdict)
 
 
 def _hedge_line(H, Hprime, R) -> str:
@@ -429,36 +387,27 @@ def hedge_cmd(graph_file, a_set, b_set, as_json):
     """Run identification and, on Fail, construct a verified hedge."""
     g = _load_graph(graph_file)
     A, B = _split(a_set), _split(b_set)
-    try:
-        res = sidp(g, A, B)
-    except (ValueError, KeyError) as exc:
-        _fail(exc)
+    res = sidp(g, A, B)
     if not isinstance(res, FailCertificate):
         if as_json:
-            click.echo(json.dumps(
-                {"schema": 1, "identifiable": True}, sort_keys=True))
+            click.echo(_json({"identifiable": True}))
         else:
             click.echo("identifiable: " + format_estimand(res))
         sys.exit(1)
-    try:
-        mag, wit, h = hedge_witness(g, A, B, res)
-    except ValueError as exc:
-        _fail(exc)
+    mag, wit, h = hedge_witness(g, A, B, res)
     if as_json:
-        click.echo(json.dumps({
-            "schema": 1,
+        click.echo(_json({
             "identifiable": False,
             "certificate": str(res),
             "witness": _graph_json(wit),
             "hedge": {"H": sorted(h.H), "Hprime": sorted(h.Hprime),
                       "R": sorted(h.R)},
-        }, sort_keys=True))
+        }))
     else:
         click.echo(str(res))
         click.echo("witness:")
         click.echo(format_graph(wit).rstrip("\n"))
         click.echo(_hedge_line(h.H, h.Hprime, h.R))
-    sys.exit(0)
 
 
 @main.command("eval")
@@ -471,24 +420,15 @@ def hedge_cmd(graph_file, a_set, b_set, as_json):
 @json_option
 def eval_cmd(scm_file, estimand_file, zero_rows, as_json):
     """Evaluate an estimand against a model's observed distribution."""
-    try:
-        with open(scm_file) as fh:
-            scm = oc.parse_scm(fh.read())
-        if estimand_file == "-":
-            text = sys.stdin.read()
-        else:
-            with open(estimand_file) as fh:
-                text = fh.read()
-        est = parse_estimand(text)
-        if isinstance(est, (FailCertificate, ExchangeFail)):
-            _fail("cannot evaluate a failure certificate")
-        qv = oc.observational_kernel(scm)
-        k = oc.eval_estimand(est, qv, scm, zero_rows=zero_rows)
-    except (OSError, ValueError) as exc:
-        _fail(exc)
+    scm = oc.parse_scm(_read(scm_file))
+    est = parse_estimand(sys.stdin.read() if estimand_file == "-"
+                         else _read(estimand_file))
+    if isinstance(est, (FailCertificate, ExchangeFail)):
+        _fail("cannot evaluate a failure certificate")
+    qv = oc.observational_kernel(scm)
+    k = oc.eval_estimand(est, qv, scm, zero_rows=zero_rows)
     if as_json:
-        click.echo(json.dumps(
-            {"schema": 1, "kernel": oc.format_kernel(k)}, sort_keys=True))
+        click.echo(_json({"kernel": oc.format_kernel(k)}))
     else:
         click.echo(oc.format_kernel(k).rstrip("\n"))
 
@@ -501,22 +441,14 @@ def eval_cmd(scm_file, estimand_file, zero_rows, as_json):
 @json_option
 def enumerate_cmd(graph_file, membership, limit, as_json):
     """All maximal ancestral graphs refining the circle marks of a graph."""
-    g = _load_graph(graph_file)
-    try:
-        ms = enumerate_mags(
-            g, limit=limit,
-            membership=None if membership == "all" else membership)
-    except ValueError as exc:
-        _fail(exc)
+    ms = enumerate_mags(
+        _load_graph(graph_file), limit=limit,
+        membership=None if membership == "all" else membership)
     if as_json:
-        click.echo(json.dumps(
-            {"schema": 1, "count": len(ms),
-             "graphs": [_graph_json(m) for m in ms]}, sort_keys=True))
-    else:
-        for i, m in enumerate(ms):
-            if i:
-                click.echo("")
-            click.echo(format_graph(m).rstrip("\n"))
+        click.echo(_json({"count": len(ms),
+                          "graphs": [_graph_json(m) for m in ms]}))
+    elif ms:
+        click.echo("\n\n".join(format_graph(m).rstrip("\n") for m in ms))
 
 
 @main.command("random-scm")
@@ -526,12 +458,8 @@ def enumerate_cmd(graph_file, membership, limit, as_json):
 @click.option("--no-positivity", is_flag=True)
 def random_scm_cmd(graph_file, seed, domain, no_positivity):
     """Generate a reproducible random model for a graph."""
-    g = _load_graph(graph_file)
-    try:
-        scm = oc.random_scm(g, random.Random(_seed(seed)), domain=domain,
-                            positivity=not no_positivity)
-    except ValueError as exc:
-        _fail(exc)
+    scm = oc.random_scm(_load_graph(graph_file), random.Random(_seed(seed)),
+                        domain=domain, positivity=not no_positivity)
     click.echo(oc.format_scm(scm).rstrip("\n"))
 
 
@@ -544,34 +472,30 @@ def random_scm_cmd(graph_file, seed, domain, no_positivity):
 def pipeline_cmd(scm_file, a_set, b_set, as_json):
     """End to end: discover the partial graph from the model, identify,
     evaluate, and compare against the model's own interventional kernel."""
-    try:
-        with open(scm_file) as fh:
-            scm = oc.parse_scm(fh.read())
-        A, B = _split(a_set), _split(b_set)
-        orc = distribution_oracle(scm)
-        p = run_fci(orc)
-        res = sidp(p, A, B)
-        report = {"schema": 1, "graph": _graph_json(p)}
-        if isinstance(res, FailCertificate):
-            mag, wit, h = hedge_witness(p, A, B, res)
-            report.update({
-                "verdict": "FAIL-CERTIFIED",
-                "certificate": str(res),
-                "hedge": {"H": sorted(h.H), "Hprime": sorted(h.Hprime),
-                          "R": sorted(h.R)},
-            })
-        else:
-            got = oc.eval_estimand(res, orc.kernel, scm)
-            want = oc.interventional_kernel(scm, B, outputs=sorted(got.outputs))
-            match = oc.kernels_agree(got, want)
-            report.update({
-                "verdict": "MATCH" if match else "MISMATCH",
-                "estimand": format_estimand(res),
-            })
-    except (OSError, ValueError) as exc:
-        _fail(exc)
+    scm = oc.parse_scm(_read(scm_file))
+    A, B = _split(a_set), _split(b_set)
+    orc = distribution_oracle(scm)
+    p = run_fci(orc)
+    res = sidp(p, A, B)
+    report = {"graph": _graph_json(p)}
+    if isinstance(res, FailCertificate):
+        mag, wit, h = hedge_witness(p, A, B, res)
+        report.update({
+            "verdict": "FAIL-CERTIFIED",
+            "certificate": str(res),
+            "hedge": {"H": sorted(h.H), "Hprime": sorted(h.Hprime),
+                      "R": sorted(h.R)},
+        })
+    else:
+        got = oc.eval_estimand(res, orc.kernel, scm)
+        want = oc.interventional_kernel(scm, B, outputs=sorted(got.outputs))
+        match = oc.kernels_agree(got, want)
+        report.update({
+            "verdict": "MATCH" if match else "MISMATCH",
+            "estimand": format_estimand(res),
+        })
     if as_json:
-        click.echo(json.dumps(report, sort_keys=True))
+        click.echo(_json(report))
     else:
         for key in ("verdict", "certificate", "estimand"):
             if key in report:

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 
+from . import oracle as oc
 from .graph import (
     ARROW,
     CIRCLE,
@@ -77,8 +78,6 @@ class distribution_oracle(IndependenceOracle):
     selected observational distribution."""
 
     def __init__(self, scm):
-        from . import oracle as oc
-
         super().__init__()
         self.scm = scm
         self.kernel = oc.observational_kernel(scm)
@@ -86,8 +85,6 @@ class distribution_oracle(IndependenceOracle):
         self.outputs = tuple(self.kernel.outputs)
 
     def _query(self, A, B, C):
-        from . import oracle as oc
-
         I = set(self.inputs)
         C = C - I  # inputs are conditioned in every query anyway
         A, B = A - C, B - C
@@ -104,36 +101,7 @@ class distribution_oracle(IndependenceOracle):
             return oc.ci_test(self.kernel, A, B, C)
         if A - I:
             raise ValueError("mixed input/output sets are not supported")
-        return self._input_invariant(sorted(in_a), sorted(B), sorted(C))
-
-    def _input_invariant(self, ins, tgt, giv):
-        """Whether the conditional of tgt given giv is the same for every
-        value of the input variables ins (other inputs held fixed)."""
-        from . import oracle as oc
-
-        k = self.kernel
-        margin = k._rows(tuple(sorted(tgt + giv)))
-        drop = {k.context.index(v) for v in ins}
-        kg, kt = (oc._projection([margin.outputs.index(v) for v in s])
-                  for s in (giv, tgt))
-        seen = {}
-        for ctx, (_d, row) in margin.rows.items():
-            # integer weights of tgt for each giv assignment, zeros unseen
-            joint = {}
-            for vals, w in row.items():
-                if w:
-                    joint.setdefault(kg(vals), {})[kt(vals)] = w
-            reduced = tuple(v for i, v in enumerate(ctx) if i not in drop)
-            conds = seen.setdefault(reduced, {})
-            for key, sub in joint.items():
-                tot = sum(sub.values())
-                first, first_tot = conds.setdefault(key, (sub, tot))
-                # equal conditionals: same support, cross-multiplied weights
-                if first.keys() != sub.keys() or any(
-                    w * first_tot != first[t] * tot for t, w in sub.items()
-                ):
-                    return False
-        return True
+        return oc.input_invariant(self.kernel, in_a, B, C)
 
 
 # -- skeleton ----------------------------------------------------------------
@@ -373,29 +341,41 @@ class _Orienter:
                 return True  # the circle at j on i-j is gone
         return False
 
-    def _circle_paths(self, i, j):
-        """Uncovered paths i o-o k o-o ... o-o l o-o j over circle-circle
-        edges, with at least two inner nodes."""
-        out = []
-
-        def step(path):
+    def _uncovered_paths(self, i, ok, end=None):
+        """Uncovered paths out of i over edges v-w with ok(v, w), each
+        yielded as soon as it is found, in the order of a depth-first
+        search over sorted neighbours; no path is extended past end.  The
+        search keeps its own stack, so a long path costs no recursion, and
+        the yielded list is the search's own, valid until the next step."""
+        path, on = [i], {i}
+        stack = [iter(sorted(self.adj[i]))]
+        while stack:
             v = path[-1]
-            for w in sorted(self.adj[v]):
-                if w in path or w == j and len(path) < 3:
-                    continue
-                if not (
-                    self.mark(w, v) is CIRCLE and self.mark(v, w) is CIRCLE
-                ):
+            for w in stack[-1]:
+                if w in on or not ok(v, w):
                     continue
                 if len(path) >= 2 and w in self.adj[path[-2]]:
                     continue  # covered triple
-                if w == j:
-                    out.append(tuple(path) + (j,))
+                path.append(w)
+                yield path
+                if w == end:
+                    path.pop()
                     continue
-                step(path + [w])
+                on.add(w)
+                stack.append(iter(sorted(self.adj[w])))
+                break
+            else:
+                stack.pop()
+                on.discard(path.pop())
 
-        step([i])
-        return out
+    def _circle_paths(self, i, j):
+        """Uncovered paths i o-o k o-o ... o-o l o-o j over circle-circle
+        edges, with at least two inner nodes."""
+        def circles(v, w):
+            return self.mark(w, v) is CIRCLE and self.mark(v, w) is CIRCLE
+
+        return [tuple(p) for p in self._uncovered_paths(i, circles, j)
+                if p[-1] == j and len(p) >= 4]
 
     def r5(self):
         hit = False
@@ -476,22 +456,10 @@ class _Orienter:
     def _uncovered_pd_paths(self, i):
         """All (second node, end node) pairs of uncovered possibly directed
         paths out of i with at least one edge."""
-        out = set()
+        def forward(v, w):
+            return self.mark(w, v) is not ARROW  # no arrowhead back toward i
 
-        def step(path):
-            v = path[-1]
-            for w in sorted(self.adj[v]):
-                if w in path:
-                    continue
-                if self.mark(w, v) is ARROW:
-                    continue  # edge points back toward i
-                if len(path) >= 2 and w in self.adj[path[-2]]:
-                    continue
-                out.add((path[1] if len(path) > 1 else w, w))
-                step(path + [w])
-
-        step([i])
-        return out
+        return {(p[1], p[-1]) for p in self._uncovered_paths(i, forward)}
 
     def r9(self):
         hit = False

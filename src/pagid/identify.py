@@ -45,6 +45,7 @@ from .graph import (
     validate,
 )
 from .manipulate import (
+    _check_valid,
     _infer_class,
     _plain,
     hard_manipulate,
@@ -74,12 +75,6 @@ def _reading(g, cls: GraphClass | None):
     if cls is None and (g.latents or g.selections):
         g = mag_of(g)
     return g, cls or _infer_class(g)
-
-
-def _check_sopag(p: MixedGraph, cls: GraphClass):
-    problems = validate(p, cls)
-    if problems:
-        raise ValueError("invalid input graph: " + "; ".join(problems))
 
 
 # -- estimand trees ----------------------------------------------------------
@@ -337,7 +332,7 @@ def sidp(p, A, B, cls: GraphClass | None = None):
     ambiguity.  Without cls, a graph with latent or selection nodes is read
     through its MAG."""
     p, cls = _reading(p, cls)
-    _check_sopag(p, cls)
+    _check_valid(p, cls)
     A = frozenset(A)
     V = frozenset(p.outputs)
     D = l0_sets(p, A, B)
@@ -353,7 +348,7 @@ def scidp(p, A, B, C, cls: GraphClass | None = None):
     exchange rule allows it, move them back where the action-deletion rule
     allows it, then run sidp on what remains."""
     p, cls = _reading(p, cls)
-    _check_sopag(p, cls)
+    _check_valid(p, cls)
     A, B, C = frozenset(A), frozenset(B), frozenset(C)
     _disjoint(A, B, C)
     V = set(p.outputs)

@@ -80,7 +80,12 @@ def _check_unmanipulated(mg: ManipulatedGraph, cls: GraphClass):
             raise ValueError(
                 f"node id {v!r} collides with the regime-node namespace"
             )
-    problems = validate(mg.graph, cls)
+    _check_valid(mg.graph, cls)
+
+
+def _check_valid(g: MixedGraph, cls: GraphClass):
+    """Raise a ValueError naming every problem of g in the class cls."""
+    problems = validate(g, cls)
     if problems:
         raise ValueError("invalid input graph: " + "; ".join(problems))
 

@@ -514,6 +514,35 @@ def ci_test(k: Kernel, A, B, C=()) -> bool:
     return True
 
 
+def input_invariant(k: Kernel, I, B, C=()) -> bool:
+    """Whether the conditional of the outputs B given the outputs C is the
+    same for every value of the context variables I (the other context
+    variables held fixed), read off the kernel's integer margin over B and
+    C: equal support, and cross-multiplied weights."""
+    tgt, giv = sorted(B), sorted(C)
+    margin = k._rows(tuple(sorted(tgt + giv)))
+    drop = {k.context.index(v) for v in I}
+    kg, kt = (_projection([margin.outputs.index(v) for v in s])
+              for s in (giv, tgt))
+    seen = {}
+    for ctx, (_d, row) in margin.rows.items():
+        # integer weights of tgt for each giv assignment, zeros unseen
+        joint = {}
+        for vals, w in row.items():
+            if w:
+                joint.setdefault(kg(vals), {})[kt(vals)] = w
+        reduced = tuple(v for i, v in enumerate(ctx) if i not in drop)
+        conds = seen.setdefault(reduced, {})
+        for key, sub in joint.items():
+            tot = sum(sub.values())
+            first, first_tot = conds.setdefault(key, (sub, tot))
+            if first.keys() != sub.keys() or any(
+                w * first_tot != first[t] * tot for t, w in sub.items()
+            ):
+                return False
+    return True
+
+
 # -- estimand evaluation -----------------------------------------------------
 
 

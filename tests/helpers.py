@@ -33,6 +33,7 @@ from pagid.identify import Hedge, _as_output_graph, verify_hedge
 from pagid.manipulate import (
     ManipulatedGraph,
     _check_unmanipulated,
+    _check_valid,
     _infer_class,
     _soft_edges,
     as_manipulated,
@@ -917,7 +918,7 @@ def sidp_reference(p, A, B, cls=None):
     fixed down from all of V (``_assemble``, ``_fix_leaf``), so a leaf
     reuses none of the fixing done for another."""
     p, cls = idf._reading(p, cls)
-    idf._check_sopag(p, cls)
+    _check_valid(p, cls)
     A = frozenset(A)
     V = frozenset(p.outputs)
     D = idf.l0_sets(p, A, B)
@@ -1167,6 +1168,48 @@ def possible_d_sep_reference(adj, marks, x):
             seen.add((v, w))
             out.add(w)
             frontier.append((w, v))
+    return out
+
+
+def circle_paths_reference(o, i, j):
+    """Reference for ``fci._Orienter._circle_paths`` on the orienter o: the
+    same depth-first search as a recursion, one level per path node."""
+    out = []
+
+    def step(path):
+        v = path[-1]
+        for w in sorted(o.adj[v]):
+            if w in path or w == j and len(path) < 3:
+                continue
+            if not (o.mark(w, v) is CIRCLE and o.mark(v, w) is CIRCLE):
+                continue
+            if len(path) >= 2 and w in o.adj[path[-2]]:
+                continue  # covered triple
+            if w == j:
+                out.append(tuple(path) + (j,))
+                continue
+            step(path + [w])
+
+    step([i])
+    return out
+
+
+def uncovered_pd_paths_reference(o, i):
+    """Reference for ``fci._Orienter._uncovered_pd_paths`` on the orienter
+    o: the same depth-first search as a recursion."""
+    out = set()
+
+    def step(path):
+        v = path[-1]
+        for w in sorted(o.adj[v]):
+            if w in path or o.mark(w, v) is ARROW:
+                continue
+            if len(path) >= 2 and w in o.adj[path[-2]]:
+                continue
+            out.add((path[1] if len(path) > 1 else w, w))
+            step(path + [w])
+
+    step([i])
     return out
 
 

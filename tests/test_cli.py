@@ -8,15 +8,17 @@ import pytest
 from click.testing import CliRunner
 
 from pagid.cli import main
+from pagid.fci import fci, graph_oracle
 from pagid.graph import ARROW, TAIL, parse_graph
 from pagid.identify import (
     Base,
     Marginalize,
     format_estimand,
+    hedge_witness,
     parse_estimand,
     sidp,
 )
-from pagid.manipulate import parse_manipulated
+from pagid.manipulate import manipulate, parse_manipulated
 from pagid.represent import mag_of
 from pagid import oracle as oc
 
@@ -675,3 +677,132 @@ class TestSurface:
     def test_every_subcommand_keeps_its_options(self):
         assert {name: [_option_spec(p) for p in cmd.params]
                 for name, cmd in main.commands.items()} == self.SURFACE
+
+
+# the arguments each subcommand that reads --graph needs besides the graph
+GRAPH_COMMANDS = {
+    "adjust": ["--a", "a", "--b", "b"],
+    "calculus": ["--rule", "1", "--a", "a", "--b", "b"],
+    "canonical": [],
+    "enumerate-mags": [],
+    "hedge-witness": ["--a", "a", "--b", "b"],
+    "mag": [],
+    "manipulate": [],
+    "marginalize": [],
+    "random-scm": [],
+    "relation": ["--source", "a", "--target", "b", "--kind", "total"],
+    "scidp": ["--a", "a", "--b", "b"],
+    "sep": ["--a", "a", "--b", "b"],
+    "sidp": ["--a", "a", "--b", "b"],
+    "validate": [],
+}
+
+
+def _graph_args(command, path):
+    if command == "fci":
+        return ["fci", "--oracle", f"graph:{path}"]
+    return [command, "--graph", path] + GRAPH_COMMANDS[command]
+
+
+class TestErrorPath:
+    """Every error of every subcommand exits 2 with one ``error:`` line on
+    stderr and no traceback: the group, not each subcommand, turns the
+    exception into the message."""
+
+    def assert_error(self, r, message):
+        assert r.exit_code == 2, r.output
+        assert isinstance(r.exception, SystemExit)
+        assert r.stderr.startswith("error: " + message), r.stderr
+        assert len(r.stderr.splitlines()) == 1
+        assert "Traceback" not in r.output
+
+    def test_graph_commands_are_all_listed(self):
+        assert set(GRAPH_COMMANDS) == {
+            name for name, cmd in main.commands.items()
+            if any(p.name == "graph_file" for p in cmd.params)}
+
+    @pytest.mark.parametrize("command", sorted(GRAPH_COMMANDS) + ["fci"])
+    def test_malformed_graph_file(self, runner, tmp_path, command):
+        f = write(tmp_path, "g.txt",
+                  "node a output\nnode b output\nedge a >-- b\n")
+        r = runner.invoke(main, _graph_args(command, f))
+        self.assert_error(r, "line 3: bad edge token '>--'")
+
+    @pytest.mark.parametrize("args", [["mag"], ["canonical"], ["marginalize"],
+                                      ["fci"], ["fci", "--json"]],
+                             ids=["mag", "canonical", "marginalize", "fci",
+                                  "fci-json"])
+    def test_unwritable_out(self, runner, tmp_path, args):
+        f = write(tmp_path, "g.txt", BACKDOOR)
+        out = tmp_path / "missing" / "out.txt"
+        r = runner.invoke(main, _graph_args(args[0], f) + args[1:]
+                          + ["--out", str(out)])
+        self.assert_error(r, "[Errno 2] No such file or directory")
+        assert not out.exists()
+
+    def test_broken_pipe_keeps_clicks_handling(self, runner, tmp_path,
+                                               monkeypatch):
+        def closed(*_args):
+            raise BrokenPipeError(32, "Broken pipe")
+
+        monkeypatch.setattr("pagid.cli.validate", closed)
+        r = runner.invoke(main, ["validate", "--graph",
+                                 write(tmp_path, "g.txt", BACKDOOR)])
+        assert r.exit_code == 1
+        assert "error:" not in r.output
+
+    def test_unreadable_oracle_file(self, runner, tmp_path):
+        missing = str(tmp_path / "missing.txt")
+        for kind in ("graph", "scm"):
+            r = runner.invoke(main, ["fci", "--oracle", f"{kind}:{missing}"])
+            self.assert_error(r, "[Errno 2] No such file or directory")
+
+
+class TestJsonEdges:
+    """A --json edge is written as in the text format, so it parses back
+    to the same edge."""
+
+    GRAPH = "node a output\nnode b output\nnode c output\n"
+
+    @staticmethod
+    def reparsed(graph_json):
+        return parse_graph(
+            "".join(f"node {v} {k}\n" for v, k in graph_json["nodes"].items())
+            + "".join(f"edge {e}\n" for e in graph_json["edges"]))
+
+    def run(self, runner, tmp_path, text, args):
+        f = write(tmp_path, "g.txt", text)
+        r = runner.invoke(main, _graph_args(args[0], f) + args[1:]
+                          + ["--json"])
+        assert r.exit_code == 0, r.output
+        return parse_graph(text), json.loads(r.output)
+
+    def test_edge_tokens_match_the_text_format(self, runner, tmp_path):
+        g, data = self.run(runner, tmp_path,
+                           self.GRAPH + "edge c --> a\nedge a <-> b\n",
+                           ["manipulate"])
+        assert data["graph"]["edges"] == ["a <-- c", "a <-> b"]
+
+    @pytest.mark.parametrize("text", [
+        "edge c --> a\nedge a <-> b\n",
+        "edge b --> a\nedge c --> a\n",
+        "edge a --> b\nedge b --> c\nedge a <-> c\n",
+    ], ids=["bidirected", "collider", "confounded-chain"])
+    def test_mag_manipulate_and_fci(self, runner, tmp_path, text):
+        g, data = self.run(runner, tmp_path, self.GRAPH + text, ["mag"])
+        assert self.reparsed(data["graph"]) == mag_of(g)
+        g, data = self.run(runner, tmp_path, self.GRAPH + text,
+                           ["manipulate", "--soft", "a", "--hard", "c"])
+        assert self.reparsed(data["graph"]) == manipulate(g, ["a"], ["c"]).graph
+        g, data = self.run(runner, tmp_path, self.GRAPH + text, ["fci"])
+        assert self.reparsed(data["graph"]) == fci(graph_oracle(g))
+
+    @pytest.mark.parametrize("text, A, B", [
+        (CYCLE4, "a", "b"), (INPUT_PAG, "v3", "v0"),
+        (UNORIENTED_PAG, "v1", "v4"),
+    ], ids=["cycle4", "input-pag", "unoriented-pag"])
+    def test_hedge_witness(self, runner, tmp_path, text, A, B):
+        g, data = self.run(runner, tmp_path, text,
+                           ["hedge-witness", "--a", A, "--b", B])
+        _mag, wit, _h = hedge_witness(g, [A], [B], sidp(g, [A], [B]))
+        assert self.reparsed(data["witness"]) == wit

@@ -12,8 +12,11 @@ from pagid import fci as fci_mod
 from pagid.graph import (
     ARROW,
     CIRCLE,
+    OUTPUT,
+    Edge,
     GraphClass,
     Mark,
+    MixedGraph,
     NodeKind,
     TAIL,
     parse_graph,
@@ -31,10 +34,12 @@ from pagid.fci import (
 from pagid.oracle import ScmError, parse_scm, random_scm
 from pagid.represent import canonical_isadmg, enumerate_mags, mag_of
 from helpers import (
+    circle_paths_reference,
     fci_reference,
     possible_d_sep_reference,
     rand_isadmg,
     rand_mixed_graph,
+    uncovered_pd_paths_reference,
 )
 
 
@@ -415,6 +420,43 @@ class TestOrientErrors:
         g = orient(sk, seps)
         mk = marks_of(g)
         assert mk[("b", "a")] is ARROW and mk[("b", "d")] is ARROW
+
+
+class TestUncoveredPaths:
+    """R5, R9 and R10 search uncovered paths with an explicit stack; the
+    recursions they replaced (``helpers.circle_paths_reference``,
+    ``helpers.uncovered_pd_paths_reference``) give the same paths in the
+    same order."""
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32), st.integers(2, 8),
+           st.sampled_from([0.3, 0.5, 0.8]), st.integers(0, 2),
+           st.sampled_from([(TAIL, ARROW, CIRCLE), (CIRCLE,),
+                            (CIRCLE, CIRCLE, ARROW)]))
+    def test_agrees_with_recursion_on_any_marks(self, seed, n, p, n_in,
+                                                marks):
+        kinds = [NodeKind.INPUT] * n_in + [OUTPUT] * (n - n_in)
+        g = rand_mixed_graph(random.Random(seed), n=n, p=p, marks=marks,
+                             kinds=kinds)
+        o = fci_mod._Orienter(g, {}, g.inputs)
+        for i in o.nodes:
+            assert o._uncovered_pd_paths(i) == uncovered_pd_paths_reference(
+                o, i)
+            for j in o.nodes:
+                assert o._circle_paths(i, j) == circle_paths_reference(o, i, j)
+
+    @pytest.mark.parametrize("n", [50, 1500])
+    def test_long_chordless_circle_cycle(self, n):
+        # deeper than the recursion limit: the circle path R5 finds runs
+        # once around the cycle, and every edge becomes undirected
+        v = [f"v{t:04d}" for t in range(n)]
+        g = MixedGraph(dict.fromkeys(v, OUTPUT), [
+            Edge(v[t], CIRCLE, v[(t + 1) % n], CIRCLE) for t in range(n)])
+        seps = {frozenset((v[t - 1], v[(t + 1) % n])): frozenset({v[t]})
+                for t in range(n)}
+        p = orient(g, seps)
+        assert len(p.edges) == n
+        assert all((e.mark_a, e.mark_b) == (TAIL, TAIL) for e in p.edges)
 
 
 class TestFci:
