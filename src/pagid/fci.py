@@ -111,8 +111,9 @@ def _possible_d_sep(g: MixedGraph, x):
     """Possible-D-SEP(x) in g, x included: the nodes reached from x along
     walks that do not return to x and whose every inner node is a collider
     on the walk or the middle of a triangle (Zhang 2008, AIJ)."""
-    return _walk(g, [(x, None)], lambda prev, m_in, _v, m_out, w, _m_w:
-                 w != x and (m_in is m_out is ARROW or g.adjacent(prev, w)))
+    parent, _ = _walk(g, [(x, None)], lambda prev, m_in, _v, m_out, w, _m_w:
+                      w != x and (m_in is m_out is ARROW or g.adjacent(prev, w)))
+    return {v for v, _ in parent}
 
 
 def skeleton(oracle, I, V):

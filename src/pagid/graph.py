@@ -134,10 +134,14 @@ def as_class(cls):
 
 class MixedGraph:
     """Immutable mixed graph. Raw/ADMG graphs may carry parallel edges between
-    a pair (e.g. both a --> b and a <-> b); MAG/PAG validation rejects that."""
+    a pair (e.g. both a --> b and a <-> b); MAG/PAG validation rejects that.
+    ``_memo`` keeps what is read off one graph many times: visibility,
+    problems, class, input check, regime edges, and only the last
+    manipulation: keeping every manipulated graph would hold them all for
+    as long as this one lives."""
 
     __slots__ = ("_nodes", "_by_kind", "_edges", "_adj", "_eat", "_anc",
-                 "_vis", "_problems", "_hash")
+                 "_memo", "_hash")
 
     def __init__(self, nodes: dict[str, NodeKind], edges=()):
         self._nodes = dict(sorted(nodes.items()))
@@ -160,8 +164,7 @@ class MixedGraph:
         self._adj = adj
         self._eat: dict[str, tuple] = {}
         self._anc: dict[str, frozenset[str]] = {}
-        self._vis: dict[tuple[str, str], bool] = {}
-        self._problems: dict[GraphClass, tuple[str, ...]] = {}
+        self._memo: dict = {}
         self._hash = None
 
     # -- basic accessors ---------------------------------------------------
@@ -401,20 +404,20 @@ def _directed_cycle(g: MixedGraph) -> list[str] | None:
 
 def validate(g: MixedGraph, cls: GraphClass) -> list[str]:
     """Check the invariants of the requested graph class; empty list = valid.
-    The problems are found once per graph and class, and each call gets
-    its own copy of the list."""
+    The problems are kept on the graph per class; each call gets a copy."""
     if not isinstance(cls, GraphClass):
         cls = GraphClass(cls)
-    found = g._problems.get(cls)
+    found = g._memo.get(("problems", cls))
     if found is None:
-        found = g._problems[cls] = tuple(_problems(g, cls))
+        found = g._memo["problems", cls] = tuple(_problems(g, cls))
     return list(found)
 
 
 def _problems(g: MixedGraph, cls: GraphClass) -> list[str]:
     bad: list[str] = []
     inputs = set(g.inputs)
-    for e in g.edges:
+    edges = sorted(g.edges, key=Edge.sort_key)  # problems in a fixed order
+    for e in edges:
         for v in (e.a, e.b):
             if v in inputs and e.mark_at(v) is ARROW:
                 bad.append(f"arrowhead at input {v} on {format_edge(e)}")
@@ -424,7 +427,7 @@ def _problems(g: MixedGraph, cls: GraphClass) -> list[str]:
         return bad
 
     if cls is GraphClass.ADMG:
-        for e in g.edges:
+        for e in edges:
             if CIRCLE in (e.mark_a, e.mark_b):
                 bad.append(f"circle mark on {format_edge(e)}")
             if e.mark_a is TAIL and e.mark_b is TAIL:
@@ -440,7 +443,7 @@ def _problems(g: MixedGraph, cls: GraphClass) -> list[str]:
             if v < w and len(g.edges_between(v, w)) > 1:
                 bad.append(f"parallel edges between {v}, {w}")
     if cls is GraphClass.MAG:
-        for e in g.edges:
+        for e in edges:
             if CIRCLE in (e.mark_a, e.mark_b):
                 bad.append(f"circle mark on {format_edge(e)}")
     cyc = _directed_cycle(g)
@@ -449,7 +452,7 @@ def _problems(g: MixedGraph, cls: GraphClass) -> list[str]:
     else:
         for v in g.node_ids:
             anc = g.ancestors({v})
-            for w in g.spouses(v):
+            for w in sorted(g.spouses(v)):
                 if w in anc and w != v:
                     bad.append(f"almost directed cycle {w} in Anc({v}), {v}<->{w}")
     for v in g.node_ids:
@@ -474,7 +477,7 @@ def _problems(g: MixedGraph, cls: GraphClass) -> list[str]:
 # -- walk search -------------------------------------------------------------
 
 
-def _walk(g: MixedGraph, starts, passes, targets=None):
+def _walk(g: MixedGraph, starts, passes, targets=()):
     """Breadth-first search over walk states (v, e): the walk is at v and
     came in along the edge e, or e is None at its first node.  starts
     lists the first states in order; a start with an edge puts that edge's
@@ -482,17 +485,16 @@ def _walk(g: MixedGraph, starts, passes, targets=None):
     every edge, and any other node v towards w when
     passes(prev, m_in, v, m_out, w, m_w) holds: prev is the node before v,
     m_in and m_out are the marks at v of the edges in and out, and m_w is
-    the mark at w.  With targets, returns the shortest walk to a target as
-    (node, edge-to-next) steps ending with (node, None), or None; without,
-    the set of nodes reached."""
+    the mark at w.  Returns the parent of each state reached and the first
+    state at a target, or None; ``_trace`` reads the shortest walk back
+    from it, which callers asking only whether one exists skip."""
     parent = {}
-    hit = () if targets is None else targets
     for state in starts:
         if not g.has_node(state[0]):
             raise KeyError(state[0])
         parent.setdefault(state, None)
-        if state[0] in hit:
-            return _trace(parent, state)
+        if state[0] in targets:
+            return parent, state
     queue = list(parent)
     for state in queue:  # breadth first: the loop also visits what it appends
         v, e_in = state
@@ -505,22 +507,21 @@ def _walk(g: MixedGraph, starts, passes, targets=None):
             if nxt in parent:
                 continue
             parent[nxt] = state
-            if w in hit:
-                return _trace(parent, nxt)
+            if w in targets:
+                return parent, nxt
             queue.append(nxt)
-    return None if targets is not None else {v for v, _ in parent}
+    return parent, None
 
 
 def _trace(parent, state):
-    """The walk that ends in state, read back along parent."""
-    walk = [(state[0], None)]
+    """The walk that ends in state, read back along parent, or None."""
+    walk = [] if state is None else [(state[0], None)]
     while state is not None:
         v, e = state
         if e is not None:
             walk.append((e.other(v), e))
         state = parent[state]
-    walk.reverse()
-    return walk
+    return walk[::-1] or None
 
 
 def inducing_path_exists(g: MixedGraph, a: str, b: str, L, S) -> bool:
@@ -536,7 +537,7 @@ def inducing_path_exists(g: MixedGraph, a: str, b: str, L, S) -> bool:
             return False
         return v in anc if m_in is ARROW and m_out is ARROW else v in L
 
-    return _walk(g, [(a, None)], passes, {b}) is not None
+    return _walk(g, [(a, None)], passes, {b})[1] is not None
 
 
 # -- buckets / pc-components / regions ---------------------------------------
@@ -572,11 +573,10 @@ def buckets(g: MixedGraph, D) -> list[tuple[str, ...]]:
 def _is_visible(g: MixedGraph, a: str, b: str) -> bool:
     """Directed edge a --> b is visible: a is an input, or some c not adjacent
     to b has an arrowhead into a, or an arrowhead into the far end of a
-    bidirected chain of parents of b ending at a.  Answers are kept on the
-    graph, so they live as long as it does."""
-    found = g._vis.get((a, b))
+    bidirected chain of parents of b ending at a.  Kept on the graph."""
+    found = g._memo.get(("visible", a, b))
     if found is None:
-        found = g._vis[a, b] = _visible(g, a, b)
+        found = g._memo["visible", a, b] = _visible(g, a, b)
     return found
 
 
@@ -714,18 +714,18 @@ def discriminating_path(g: MixedGraph, y: str,
     such walk is a path: cutting out the stretch between two visits of a q
     keeps an arrowhead into it on both sides, and a is not adjacent to z,
     so it is never a q."""
-    if not g.adjacent(y, z):
-        return None
-    pa_z = g.parents(z)
+    pa_z = g.parents(z) if g.adjacent(y, z) else ()
     starts = [(q, e) for q, _my, mq, e in g.edges_at(y)
               if mq is ARROW and q in pa_z]
+    if not starts:
+        return None
     ends = {v for v in g.node_ids if v != z and not g.adjacent(v, z)}
 
     def passes(_prev, m_in, v, m_out, w, _m_w):
         return (m_in is m_out is ARROW and v in pa_z
                 and w != y and w != z)
 
-    walk = _walk(g, starts, passes, ends)
+    walk = _trace(*_walk(g, starts, passes, ends))
     return None if walk is None else tuple(v for v, _ in reversed(walk)) + (z,)
 
 

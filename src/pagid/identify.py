@@ -36,6 +36,7 @@ from .graph import (
     TAIL,
     Edge,
     MixedGraph,
+    _trace,
     _walk,
     as_class,
     bucket_topological_order,
@@ -608,7 +609,7 @@ def _anterior_violation(p: MixedGraph, A, B):
             if mb is not ARROW and w not in blocked
             and not (mb is TAIL and mw is ARROW and is_visible(p, b, w))
         ]
-        walk = _walk(p, starts, passes, A)
+        walk = _trace(*_walk(p, starts, passes, A))
         if walk is not None:
             return walk_nodes(walk)
     return None
@@ -628,7 +629,7 @@ def _confounded_child(p: MixedGraph, A, B):
                   if passes(b, None, b, mb, w, mw)]
         children = {w for w, mb, mw, _e in p.edges_at(b)
                     if mb is TAIL and mw is ARROW and w in D}
-        walk = _walk(p, starts, passes, children)
+        walk = _trace(*_walk(p, starts, passes, children))
         if walk is not None:
             return walk_nodes(walk)
     return None

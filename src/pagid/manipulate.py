@@ -73,7 +73,7 @@ def is_visible(g: MixedGraph, a: str, b: str) -> bool:
 def _check_unmanipulated(mg: ManipulatedGraph, cls: GraphClass):
     """A graph entering its first manipulation must be valid under the
     class it is manipulated as and keep clear of the regime-node names."""
-    if mg.regime_nodes or mg.hard_targets:
+    if mg.regime_nodes or mg.hard_targets or ("checked", cls) in mg.graph._memo:
         return
     for v in mg.graph.node_ids:
         if v.startswith(REGIME_PREFIX):
@@ -81,6 +81,7 @@ def _check_unmanipulated(mg: ManipulatedGraph, cls: GraphClass):
                 f"node id {v!r} collides with the regime-node namespace"
             )
     _check_valid(mg.graph, cls)
+    mg.graph._memo["checked", cls] = True
 
 
 def _check_valid(g: MixedGraph, cls: GraphClass):
@@ -110,7 +111,8 @@ def manipulate(g, D=(), T=(), cls: GraphClass | None = None) -> ManipulatedGraph
     """Combined manipulation: soft on D, then hard on T, as one graph build.
     The regime edges are read off the given graph; the hard rules then
     apply to the given edges and the regime edges together, the new regime
-    nodes counting as inputs, which equals hard after soft manipulation."""
+    nodes counting as inputs, which equals hard after soft manipulation.
+    Asked again for its last manipulation, a graph returns it unbuilt."""
     cls = as_class(cls)
     D, T = set(D), set(T)
     if D & T:
@@ -118,8 +120,12 @@ def manipulate(g, D=(), T=(), cls: GraphClass | None = None) -> ManipulatedGraph
     mg = as_manipulated(g, cls or _infer_class(g))
     if cls is None:
         cls = mg.base_class
+    graph, memo = mg.graph, mg.graph._memo
+    key = (mg.regime_nodes, mg.hard_targets, mg.soft_targets, mg.base_class,
+           frozenset(D), frozenset(T), cls)
+    if memo.get("last", (None,))[0] == key:
+        return memo["last"][1]
     _check_unmanipulated(mg, cls)
-    graph = mg.graph
     existing = mg.regime_map
     new_regimes = list(mg.regime_nodes)
     new_soft = list(mg.soft_targets)
@@ -130,7 +136,9 @@ def manipulate(g, D=(), T=(), cls: GraphClass | None = None) -> ManipulatedGraph
         if d in existing:
             continue
         kinds[regime_id(d)] = INPUT
-        soft_edges.extend(_soft_edges(graph, d, cls))
+        if ("soft", d, cls) not in memo:
+            memo["soft", d, cls] = _soft_edges(graph, d, cls)
+        soft_edges.extend(memo["soft", d, cls])
         new_regimes.append((d, regime_id(d)))
         new_soft.append(d)
 
@@ -160,7 +168,7 @@ def manipulate(g, D=(), T=(), cls: GraphClass | None = None) -> ManipulatedGraph
                     gone.add(e)
                     add.add(Edge(x, e.mark_at(x), y, TAIL))
     kinds.update(dict.fromkeys(T, INPUT))
-    return ManipulatedGraph(
+    memo["last"] = key, ManipulatedGraph(
         graph=graph.edit(kinds=kinds, drop=gone,
                          add=add.union(set(soft_edges) - gone)),
         regime_nodes=tuple(new_regimes),
@@ -168,6 +176,7 @@ def manipulate(g, D=(), T=(), cls: GraphClass | None = None) -> ManipulatedGraph
         soft_targets=tuple(sorted(new_soft)),
         base_class=mg.base_class,
     )
+    return memo["last"][1]
 
 
 def _soft_edges(g: MixedGraph, a: str, cls: GraphClass) -> list[Edge]:
@@ -211,14 +220,15 @@ def _soft_edges(g: MixedGraph, a: str, cls: GraphClass) -> list[Edge]:
 def _infer_class(g) -> GraphClass:
     """The class a graph is read as when none is given: a manipulation's
     base class; ADMG with latent or selection nodes; PAG with circle marks;
-    MAG for a valid MAG; ADMG otherwise."""
+    MAG for a valid MAG; ADMG otherwise.  The class is kept on the graph."""
     if isinstance(g, ManipulatedGraph):
         return g.base_class
-    if g.latents or g.selections:
-        return GraphClass.ADMG
-    if any(CIRCLE in (e.mark_a, e.mark_b) for e in g.edges):
-        return GraphClass.PAG
-    return GraphClass.ADMG if validate(g, GraphClass.MAG) else GraphClass.MAG
+    if "class" not in g._memo:
+        g._memo["class"] = (
+            GraphClass.ADMG if g.latents or g.selections else GraphClass.PAG
+            if any(CIRCLE in (e.mark_a, e.mark_b) for e in g.edges) else
+            GraphClass.ADMG if validate(g, GraphClass.MAG) else GraphClass.MAG)
+    return g._memo["class"]
 
 
 # -- serialization -----------------------------------------------------------

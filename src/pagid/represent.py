@@ -73,9 +73,9 @@ def canonical_isadmg(m: MixedGraph) -> MixedGraph:
     """Canonical represented graph of a MAG: undirected edges become a
     shared selection child, everything else is copied verbatim."""
     m = _plain(m)
-    for e in m.edges:
-        if CIRCLE in (e.mark_a, e.mark_b):
-            raise ValueError(f"circle mark on {format_edge(e)}: not a MAG")
+    circles = sorted(e for e in m.edges if CIRCLE in (e.mark_a, e.mark_b))
+    if circles:  # name the first in a fixed order
+        raise ValueError(f"circle mark on {format_edge(circles[0])}: not a MAG")
     nodes = {v: m.kind(v) for v in m.node_ids}
     edges = []
     for e in m.edges:
@@ -125,7 +125,7 @@ def enumerate_mags(p: MixedGraph, limit: int = 1 << 16, membership=None):
     MAGs it accepts."""
     p = _plain(p)
     slots = []
-    for e in p.edges:
+    for e in sorted(p.edges):
         for v in (e.a, e.b):
             if e.mark_at(v) is CIRCLE:
                 slots.append((e, v))

@@ -16,24 +16,25 @@ before that.
 
 from __future__ import annotations
 
-import functools
-
-from .graph import ARROW, CIRCLE, OUTPUT, TAIL, _walk
+from .graph import ARROW, CIRCLE, OUTPUT, TAIL, _trace, _walk
 from .manipulate import ManipulatedGraph, _plain
 
 
-def open_walk(g, A, B, C):
-    """Shortest id-open walk from A to the connecting targets, as a list of
-    (node, edge-to-next) steps ending with (node, None); None if separated."""
+def _id_search(g, A, B, C):
+    """The search for an id-open walk from A (see ``graph._walk``)."""
     graph = _plain(g)
     regimes = set(g.regime_ids) if isinstance(g, ManipulatedGraph) else set()
     cond = set(C)
     # graph.kind raises KeyError for an unknown node of C, before any search
     cond_v = {c for c in cond if graph.kind(c) is OUTPUT}
     targets = (set(B) | set(graph.inputs)) - cond
-    # the collider sets, each computed at its first use
-    anc_cond = functools.cache(lambda: graph.ancestors(cond))
-    poan_cond = functools.cache(lambda: graph.possible_ancestors(cond_v))
+    closures = {}  # the collider sets, each computed at its first use
+
+    def opens(v, possible):
+        if possible not in closures:
+            closures[possible] = (graph.possible_ancestors(cond_v) if possible
+                                  else graph.ancestors(cond))
+        return v in closures[possible]
 
     def passes(prev, m_in, v, m_out, w, _m_w):
         if m_in is TAIL or m_out is TAIL:
@@ -41,43 +42,50 @@ def open_walk(g, A, B, C):
         if m_in is CIRCLE and m_out is CIRCLE:
             return v not in cond and not graph.adjacent(prev, w)
         if m_in is ARROW and m_out is ARROW:
-            if prev in regimes or w in regimes or v in regimes:
-                return v in poan_cond()
-            return v in anc_cond()
+            return opens(v, prev in regimes or w in regimes or v in regimes)
         if m_in is CIRCLE and m_out is ARROW:
-            return prev in regimes and v in poan_cond()
+            return prev in regimes and opens(v, True)
         if m_in is ARROW and m_out is CIRCLE:
-            return w in regimes and v in poan_cond()
+            return w in regimes and opens(v, True)
         return False
 
     starts = [(a, None) for a in sorted(A) if a not in cond]
     return _walk(graph, starts, passes, targets)
 
 
+def open_walk(g, A, B, C):
+    """Shortest id-open walk from A to the connecting targets, as a list of
+    (node, edge-to-next) steps ending with (node, None); None if separated."""
+    return _trace(*_id_search(g, A, B, C))
+
+
 def id_separated(g, A, B, C=()) -> bool:
     """Asymmetric separation of A from B given C: no open walk from A to
     B, an input node, a regime node, or a hard target."""
-    return open_walk(g, A, B, C) is None
+    return _id_search(g, A, B, C)[1] is None
 
 
-def m_open_walk(g, A, B, C=()):
-    """Shortest m-open walk between A and B given C, or None."""
+def _m_search(g, A, B, C):
+    """The search for an m-open walk between A and B."""
     graph = _plain(g)
     cond = set(C)
     anc_cond = graph.ancestors(cond)
 
     def passes(_prev, m_in, v, m_out, _w, _m_w):
-        if m_in is ARROW and m_out is ARROW:
-            return v in anc_cond
-        return v not in cond
+        return v in anc_cond if m_in is m_out is ARROW else v not in cond
 
     starts = [(a, None) for a in sorted(A) if a not in cond]
     return _walk(graph, starts, passes, set(B) - cond)
 
 
+def m_open_walk(g, A, B, C=()):
+    """Shortest m-open walk between A and B given C, or None."""
+    return _trace(*_m_search(g, A, B, C))
+
+
 def d_separated(g, A, B, C=()) -> bool:
     """Classical symmetric m-separation (no circle marks expected)."""
-    return m_open_walk(g, A, B, C) is None
+    return _m_search(g, A, B, C)[1] is None
 
 
 def walk_nodes(walk):

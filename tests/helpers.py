@@ -21,6 +21,7 @@ from pagid.graph import (
     MixedGraph,
     OUTPUT,
     SELECTION,
+    _trace,
     _walk,
     as_class,
     bucket_topological_order,
@@ -1065,7 +1066,7 @@ def open_walk_reference(g, A, B, C):
         return False
 
     starts = [(a, None) for a in sorted(A) if a not in cond]
-    return _walk(graph, starts, passes, targets - cond)
+    return _trace(*_walk(graph, starts, passes, targets - cond))
 
 
 def orient_copag_reference(p: MixedGraph, protect=()):

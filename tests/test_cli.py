@@ -1,12 +1,16 @@
 """End-to-end tests for the command line interface."""
 
 import json
+import os
 import re
+import subprocess
+import sys
 
 import click
 import pytest
 from click.testing import CliRunner
 
+import pagid
 from pagid.cli import main
 from pagid.fci import fci, graph_oracle
 from pagid.graph import ARROW, TAIL, parse_graph
@@ -513,6 +517,51 @@ class TestEnumerateAndRandom:
                            env={"PAGC_SEED": "5"})
         r2 = runner.invoke(main, ["random-scm", "--graph", f, "--seed", "5"])
         assert r1.output == r2.output
+
+
+# several problems in every class, and circle marks on several edges
+MANY_PROBLEMS = (
+    "node i input\nnode j input\nnode k input\nnode a output\n"
+    "node b output\nnode c output\n"
+    "edge a --> i\nedge b --> j\nedge i --- j\nedge j --> k\n"
+    "edge a <-> k\nedge c o-> i\nedge b o-o c\n"
+)
+# four almost directed cycles at b: p --> mp --> b with p <-> b, and so on
+ALMOST_CYCLES = "node b output\n" + "".join(
+    f"node {v} output\nnode m{v} output\nedge {v} --> m{v}\n"
+    f"edge m{v} --> b\nedge {v} <-> b\n" for v in "pqrt")
+CIRCLES = (
+    "node a output\nnode b output\nnode c output\nnode d output\n"
+    "node e output\n"
+    "edge a o-o b\nedge b o-o c\nedge c o-> d\nedge d o-o e\n"
+)
+
+
+class TestHashSeed:
+    """The output does not depend on Python's string hashing, which differs
+    between processes unless PYTHONHASHSEED fixes it."""
+
+    @pytest.mark.parametrize("args,text", [
+        (["validate"], MANY_PROBLEMS),
+        (["validate", "--class", "admg"], MANY_PROBLEMS),
+        (["validate", "--class", "mag"], ALMOST_CYCLES),
+        (["canonical"], CIRCLES),
+        (["enumerate-mags"], CIRCLES),
+    ], ids=["validate", "validate-admg", "validate-mag", "canonical",
+          "enumerate-mags"])
+    def test_same_output_under_two_hash_seeds(self, tmp_path, args, text):
+        f = write(tmp_path, "g.txt", text)
+        src = os.path.dirname(os.path.dirname(pagid.__file__))
+        outs = []
+        for seed in ("1", "2"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            r = subprocess.run(
+                [sys.executable, "-c", "from pagid.cli import main; main()",
+                 args[0], "--graph", f, *args[1:]],
+                env=env, capture_output=True, text=True, timeout=60)
+            assert "Traceback" not in r.stderr
+            outs.append((r.returncode, r.stdout, r.stderr))
+        assert outs[0] == outs[1]
 
 
 class TestPipeline:

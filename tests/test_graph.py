@@ -506,6 +506,25 @@ class TestDiscriminatingPaths:
         assert discriminating_path(g, "y", "z") == ("a", "q0", "y", "z")
         assert time.monotonic() - t0 < 0.05
 
+    def test_no_start_reads_no_other_node(self, monkeypatch):
+        # a chordless o-o cycle: no arrowhead at any q next to y, so no
+        # discriminating path can start, whatever the nodes far from z
+        n = 200
+        vs = [f"v{i:03d}" for i in range(n)]
+        g = MixedGraph({v: OUTPUT for v in vs},
+                       [edge(v, CIRCLE, w, CIRCLE)
+                        for v, w in zip(vs, vs[1:] + vs[:1])])
+        calls = []
+        real = MixedGraph.adjacent
+
+        def counted(self, v, w):
+            calls.append((v, w))
+            return real(self, v, w)
+
+        monkeypatch.setattr(MixedGraph, "adjacent", counted)
+        assert discriminating_path(g, vs[0], vs[1]) is None
+        assert calls == [(vs[0], vs[1])]
+
     def test_long_collider_chain_needs_no_recursion(self):
         # a --> q0 <-> q1 <-> ... <-> q1499 <-> y, every q a parent of z
         n = 1500

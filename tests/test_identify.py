@@ -23,6 +23,7 @@ from pagid.graph import (
     GraphClass,
     MixedGraph,
     TAIL,
+    format_graph,
     parse_graph,
 )
 from pagid import oracle as oc
@@ -480,6 +481,43 @@ class TestCalculus:
             obs = Trim(obs, ("b",))
             doa = Trim(doa, ("b",))
             assert oc.kernels_agree(obs, doa) or oc.kernels_agree(doa, obs)
+
+
+class TestLastManipulation:
+    """A graph keeps its last manipulation, so checks that ask for the same
+    one in a row build its graph once."""
+
+    def builds(self, monkeypatch):
+        builds = []
+        real = MixedGraph.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(MixedGraph, "__init__", counted)
+        return builds
+
+    def test_rules_two_and_three_share_one_build(self, monkeypatch):
+        g = cycle4()
+        want = [calculus_check(cycle4(), rule, ["a"], ["b"], ["c1"], ["c2"])
+                for rule in (2, 3)]
+        builds = self.builds(monkeypatch)
+        got = [calculus_check(g, rule, ["a"], ["b"], ["c1"], ["c2"])
+               for rule in (2, 3)]
+        assert got == want
+        assert len(builds) == 1
+
+    def test_adjustment_scan_builds_once(self, monkeypatch):
+        g = parse_graph(BACKDOOR + "node d output\nedge d --> c\n")
+        scan = [(), ("c",), ("d",), ("c", "d")]
+        want = [adjustment_check(parse_graph(format_graph(g)), ["b"], ["a"],
+                                 J0=J, cls=ADMG) for J in scan]
+        assert any(ok for ok, _est in want)
+        builds = self.builds(monkeypatch)
+        assert [adjustment_check(g, ["b"], ["a"], J0=J, cls=ADMG)
+                for J in scan] == want
+        assert len(builds) == 1
 
 
 def Trim(k, outputs):

@@ -3,6 +3,7 @@
 import gc
 import itertools
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -476,3 +477,117 @@ class TestOneBuild:
         assert mg == manipulate_reference(m, ["a"], [regime_id("a")],
                                           GraphClass.MAG)
         assert mg.hard_targets == (regime_id("a"),)
+
+
+def fresh(g):
+    """g on a newly built graph, which has kept nothing yet."""
+    if isinstance(g, ManipulatedGraph):
+        return ManipulatedGraph(fresh(g.graph), g.regime_nodes, g.hard_targets,
+                                g.soft_targets, g.base_class)
+    return MixedGraph(g.nodes, g.edges)
+
+
+CLASSES = [None, GraphClass.ADMG, GraphClass.MAG, GraphClass.PAG, "mag",
+           GraphClass.RAW]
+
+
+@st.composite
+def call_sequences(draw):
+    """One graph object and a sequence of manipulations of it.  The graph is
+    a random MAG, FCI PAG or ADMG, or the graph of a manipulation of one,
+    which holds regime nodes.  Each call passes the graph itself or a
+    ManipulatedGraph over it that differs in bookkeeping or base class,
+    with a class and targets.  About one call in four repeats the one
+    before, and one in four repeats it on an input of the same base class.
+    Targets come from every node, regime ids and an unknown name, so calls
+    also fail in each way they can: overlapping targets, a soft target that
+    is no output, an unknown node, a regime-name collision and a graph that
+    is invalid under the class."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    kind = draw(st.sampled_from(["MAG", "PAG", "ADMG"]))
+    g = rand_isadmg(rng, n_out=draw(st.integers(2, 5)),
+                    n_sel=draw(st.integers(0, 1)),
+                    n_lat=draw(st.integers(0, 1)),
+                    n_in=1 if kind == "PAG" else draw(st.integers(0, 1)),
+                    p=draw(st.sampled_from([0.3, 0.5, 0.7])))
+    if kind == "MAG":
+        g = mag_of(g)
+    elif kind == "PAG":
+        g = fci(graph_oracle(g))
+    books = [((), (), ())]
+    if draw(st.booleans()):
+        d = draw(st.sampled_from(g.outputs))
+        mg = manipulate_reference(g, [d], (), GraphClass[kind])
+        g = mg.graph
+        # its bookkeeping, and each half of it alone
+        books += [(mg.regime_nodes, mg.hard_targets, mg.soft_targets),
+                  (mg.regime_nodes, (), ()), ((), (), mg.soft_targets)]
+    books.append(((), (draw(st.sampled_from(g.node_ids)),), ()))
+    inputs = [g] + [ManipulatedGraph(g, *book, base_class=c)
+                    for book in books for c in GraphClass]
+    outs = g.outputs
+    pool = list(g.node_ids) + [regime_id(v) for v in outs[:2]] + ["zz"]
+
+    def targets():
+        if draw(st.integers(0, 2)):
+            acts = draw(st.lists(st.sampled_from("-st"), min_size=len(outs),
+                                 max_size=len(outs)))
+            return ([v for v, r in zip(outs, acts) if r == "s"],
+                    [v for v, r in zip(outs, acts) if r == "t"])
+        return (draw(st.lists(st.sampled_from(pool), max_size=3)),
+                draw(st.lists(st.sampled_from(pool), max_size=3)))
+
+    calls = []
+    for _ in range(draw(st.integers(2, 8))):
+        step = draw(st.integers(0, 3)) if calls else 3
+        if step == 0:
+            calls.append(calls[-1])
+        elif step == 1:  # the same call on other bookkeeping, mostly
+            prev = calls[-1][0]
+            like = [h for h in inputs if getattr(h, "base_class", None)
+                    is getattr(prev, "base_class", None)]
+            calls.append((draw(st.sampled_from(like)), *calls[-1][1:]))
+        else:
+            calls.append((draw(st.sampled_from(inputs)), *targets(),
+                          draw(st.sampled_from(CLASSES))))
+    return g, calls
+
+
+class TestLastManipulation:
+    """A graph keeps its inferred class, its passes of the input check, the
+    regime edges of its soft targets and its last manipulation.  None of it
+    may change an answer or an error, or keep earlier results alive."""
+
+    @settings(max_examples=300)
+    @given(call_sequences())
+    def test_sequences_match_the_reference(self, case):
+        g, calls = case
+        for h, D, T, cls in calls:
+            got = outcome(manipulate, h, D, T, cls)
+            # equality of ManipulatedGraphs covers the bookkeeping too
+            assert got == outcome(manipulate_reference, fresh(h), D, T, cls)
+            assert outcome(manipulate, h, D, T, cls) == got
+
+    def test_errors_are_raised_again(self):
+        g = parse_graph("node a output\nnode b output\nedge a o-> b\n")
+        for _ in range(3):
+            with pytest.raises(ValueError, match="circle mark on a o-> b"):
+                manipulate(g, ["a"], (), GraphClass.MAG)
+            with pytest.raises(ValueError, match="overlapping targets"):
+                manipulate(g, ["a"], ["a"])
+            with pytest.raises(KeyError):
+                manipulate(g, ["zz"])
+            assert manipulate(g, ["a"]).graph.has_node(regime_id("a"))
+
+    def test_only_the_last_result_is_kept(self):
+        outs = [f"v{i}" for i in range(7)]
+        g = parse_graph("".join(f"node {v} output\n" for v in outs)
+                        + "".join(f"edge {v} --> {w}\n"
+                                  for v, w in zip(outs, outs[1:])))
+        targets = [T for k in range(1, 4)
+                   for T in itertools.combinations(outs, k)][:50]
+        refs = []
+        for T in targets:
+            refs.append(weakref.ref(manipulate(g, (), T)))
+        gc.collect()
+        assert [r() is None for r in refs] == [True] * 49 + [False]

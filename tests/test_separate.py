@@ -10,9 +10,12 @@ walks that are walks of the graph from A to a target.
 import random
 
 import networkx as nx
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from pagid.graph import ARROW, OUTPUT, TAIL, Edge, GraphClass, MixedGraph, parse_graph
+from pagid import graph as graph_mod
+from pagid.graph import (ARROW, OUTPUT, TAIL, Edge, GraphClass, MixedGraph,
+                         inducing_path_exists, parse_graph)
 from pagid.manipulate import hard_manipulate, manipulate, soft_manipulate
 from pagid.represent import enumerate_mags, mag_of
 from pagid.separate import (
@@ -357,3 +360,18 @@ class TestWalkSearch:
         assert (walk is None) == d_separated(mg, A, B, C)
         if walk is not None:
             assert_walk(graph, walk, A, B, C)
+
+    @given(manipulated_queries())
+    def test_separation_reads_no_walk_back(self, case):
+        mg, A, B, C = case
+        id_open = open_walk(mg, A, B, C) is not None
+        m_open = m_open_walk(mg, A, B, C) is not None
+        pairs = [(a, b) for a in A for b in B if a != b]
+        inducing = [inducing_path_exists(mg.graph, a, b, C, ())
+                    for a, b in pairs]
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graph_mod, "_trace", None)  # any call fails
+            assert id_separated(mg, A, B, C) != id_open
+            assert d_separated(mg, A, B, C) != m_open
+            assert [inducing_path_exists(mg.graph, a, b, C, ())
+                    for a, b in pairs] == inducing
