@@ -136,7 +136,7 @@ class MixedGraph:
     """Immutable mixed graph. Raw/ADMG graphs may carry parallel edges between
     a pair (e.g. both a --> b and a <-> b); MAG/PAG validation rejects that.
     ``_memo`` keeps what is read off one graph many times: visibility,
-    problems, class, input check, regime edges, and only the last
+    problems, class, reading, input check, regime edges, and only the last
     manipulation: keeping every manipulated graph would hold them all for
     as long as this one lives."""
 

@@ -64,17 +64,18 @@ def _reading(g, cls: GraphClass | None):
     so that those nodes are not ignored.  Read as an ADMG, latent nodes are
     projected out and selection nodes are rejected, since reading them
     through the MAG would change the class asked for.  Other classes keep
-    the graph as given."""
+    the graph as given.  A graph keeps what it is read as, per class."""
     g, cls = _plain(g), as_class(cls)
-    if cls is GraphClass.ADMG:
-        if g.selections:
-            raise ValueError(
-                f"selection nodes {', '.join(g.selections)} cannot be read "
-                "as an ADMG; omit the class to read the graph through its MAG"
-            )
-        return marginalize_latents(g), cls
-    if cls is None and (g.latents or g.selections):
-        g = mag_of(g)
+    if cls is GraphClass.ADMG and g.selections:
+        raise ValueError(
+            f"selection nodes {', '.join(g.selections)} cannot be read "
+            "as an ADMG; omit the class to read the graph through its MAG"
+        )
+    read = {None: mag_of, GraphClass.ADMG: marginalize_latents}.get(cls)
+    if read and (g.latents or g.selections):
+        if ("reading", cls) not in g._memo:
+            g._memo["reading", cls] = read(g)
+        g = g._memo["reading", cls]
     return g, cls or _infer_class(g)
 
 

@@ -8,8 +8,8 @@ values in lowest terms, but their arithmetic runs on integer rows (a
 denominator and integer numerators per context, ``_Rows``): a kernel's
 rows are scaled once and cached on it, and estimand evaluation builds
 Fractions only for its result.  CI queries read integer margins of those
-rows.  Selection variables are binary and the selection event is
-"value = 1" for every one of them.
+rows, grouped by the conditioning set's value.  Selection variables are
+binary and the selection event is "value = 1" for every one of them.
 
 An interventional kernel comes from one variable-elimination pass over
 the model's integer tables (``_eliminate``): the inputs, the intervened
@@ -487,7 +487,10 @@ def ci_test(k: Kernel, A, B, C=()) -> bool:
     """Exact conditional independence of A and B given C in every context
     of the kernel: P(a,b,c) P(c) = P(a,c) P(b,c) for every c and every a
     and b seen with it, read off the kernel's integer margin over A, B and
-    C (``Kernel._rows``).
+    C (``Kernel._rows``).  Each context row is read once, its cells grouped
+    by their value c of C; a group sums P(c), and P(a,c) and P(b,c) keyed
+    by a and by b alone.  A group of one cell w is skipped: P(c), P(a,c)
+    and P(b,c) are all w there, and w w = w w.
 
     Only the cells seen in the kernel are checked; the unseen ones follow.
     For one c, P(a,b,c) P(c) summed over the seen cells is P(c)^2, and so
@@ -501,16 +504,21 @@ def ci_test(k: Kernel, A, B, C=()) -> bool:
     margin = k._rows(tuple(sorted(A | B | C)))
     ka, kb, kc = (_projection([margin.outputs.index(v) for v in sorted(s)])
                   for s in (A, B, C))
-    for _d, pabc in margin.rows.values():
-        cells = [(kc(key), ka(key), kb(key), w) for key, w in pabc.items()]
-        pc, pac, pbc = {}, {}, {}
-        for c, a, b, w in cells:
-            pc[c] = pc.get(c, 0) + w
-            pac[c, a] = pac.get((c, a), 0) + w
-            pbc[c, b] = pbc.get((c, b), 0) + w
-        for c, a, b, w in cells:
-            if w * pc[c] != pac[c, a] * pbc[c, b]:
-                return False
+    for _d, row in margin.rows.values():
+        groups = {}
+        for cell in row.items():
+            groups.setdefault(kc(cell[0]), []).append(cell)
+        for cells in groups.values():
+            if len(cells) == 1:
+                continue
+            pc, pa, pb = sum(w for _key, w in cells), {}, {}
+            for key, w in cells:
+                a, b = ka(key), kb(key)
+                pa[a] = pa.get(a, 0) + w
+                pb[b] = pb.get(b, 0) + w
+            for key, w in cells:
+                if w * pc != pa[ka(key)] * pb[kb(key)]:
+                    return False
     return True
 
 

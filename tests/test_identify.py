@@ -18,6 +18,7 @@ from pagid import identify as idf
 from pagid.graph import (
     ARROW,
     CIRCLE,
+    LATENT,
     OUTPUT,
     Edge,
     GraphClass,
@@ -86,6 +87,12 @@ BACKDOOR = (
 CHAIN = (
     "node a output\nnode b output\nnode c output\n"
     "edge a --> b\nedge b --> c\n"
+)
+
+# a latent parent of a and b, and a --> c --> b
+BOW_VIA_C = (
+    "node l latent\nnode a output\nnode b output\nnode c output\n"
+    "edge l --> a\nedge l --> b\nedge a --> c\nedge c --> b\n"
 )
 
 
@@ -519,6 +526,30 @@ class TestLastManipulation:
                 for J in scan] == want
         assert len(builds) == 1
 
+    def test_a_latent_graph_keeps_its_reading(self, monkeypatch):
+        # the bow l --> a, l --> b with a --> c --> b, read through its MAG
+        # without a class: one build for the MAG, one for the manipulation
+        g = parse_graph(BOW_VIA_C)
+        want = [calculus_check(parse_graph(BOW_VIA_C), rule, ["c"], ["a"])
+                for rule in (2, 3)]
+        builds = self.builds(monkeypatch)
+        assert [calculus_check(g, rule, ["c"], ["a"])
+                for _ in range(10) for rule in (2, 3)] == want * 10
+        assert len(builds) == 2
+
+    def test_each_class_keeps_its_own_reading(self, monkeypatch):
+        # read as an ADMG the latent is projected out instead; the MAG
+        # reading kept on the same graph is not the one served
+        g, h = parse_graph(BOW_VIA_C), parse_graph(BOW_VIA_C)
+        calculus_check(g, 2, ["c"], ["a"])
+        builds = self.builds(monkeypatch)
+        want = calculus_check(h, 2, ["c"], ["a"], cls=ADMG)
+        once = len(builds)
+        builds.clear()
+        assert [calculus_check(g, 2, ["c"], ["a"], cls=ADMG)
+                for _ in range(20)] == [want] * 20
+        assert len(builds) == once > 1
+
 
 def Trim(k, outputs):
     return k.marginalize(set(k.outputs) - set(outputs))
@@ -646,6 +677,36 @@ class TestLatentSelectionReading:
             with pytest.raises(ValueError, match="selection nodes s0 .* "
                                "omit the class"):
                 check()
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32), st.data())
+    def test_identified_estimands_match_the_model(self, seed, data):
+        # the model is drawn with the latents as outputs and asked about
+        # the observed outputs only; selection stays at one node, since
+        # rand_isadmg may draw s0 --> s1, which random_scm rejects
+        rng = random.Random(seed)
+        g = rand_isadmg(rng, n_out=data.draw(st.integers(3, 5)),
+                        n_sel=data.draw(st.integers(0, 1)),
+                        n_lat=data.draw(st.integers(1, 2)),
+                        n_in=data.draw(st.integers(0, 1)), p=0.5)
+        shown = MixedGraph({v: OUTPUT if g.kind(v) is LATENT else g.kind(v)
+                            for v in g.node_ids}, g.edges)
+        scm = oc.random_scm(shown, rng)
+        qv = oc.interventional_kernel(scm, outputs=g.outputs)
+        A, B = _query(data.draw, g)
+        C = [v for v in g.outputs if v not in A + B][:1]
+        readings = [(g, None), (fci(graph_oracle(g)), None)]
+        if not g.selections:
+            readings.append((g, ADMG))
+        for graph, cls in readings:
+            for est, outs, cond in [
+                    (sidp(graph, A, B, cls), A, []),
+                    (scidp(graph, A, B, C, cls), A + C, C)]:
+                if isinstance(est, (FailCertificate, ExchangeFail)):
+                    continue
+                want = oc.interventional_kernel(scm, B, outputs=outs)
+                assert oc.kernels_agree(oc.eval_estimand(est, qv),
+                                        want.condition(cond)), (graph, cls)
 
 
 class TestHedges:

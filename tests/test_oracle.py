@@ -625,6 +625,118 @@ class TestIntegerPaths:
         assert not ci_test(k, ["a"], ["b"])
         assert not ci_test_reference(k, ["a"], ["b"])
 
+    @settings(max_examples=40)
+    @given(st.integers(0, 10**6), st.data())
+    def test_ci_test_matches_the_reference_on_five_outputs(self, seed, data):
+        # A and B of one or two nodes, C of up to three, disjoint
+        rng = random.Random(seed)
+        g = rand_isadmg(rng, n_out=5, n_sel=data.draw(st.integers(0, 1)),
+                        n_lat=0, n_in=data.draw(st.integers(0, 1)), p=0.4)
+        scm = random_scm(g, rng, domain=data.draw(st.integers(2, 3)),
+                         positivity=False)
+        try:
+            qv = observational_kernel(scm)
+        except ScmError:
+            return
+        for _ in range(4):
+            outs = data.draw(st.permutations(qv.outputs))
+            i = data.draw(st.integers(1, 2))
+            j = data.draw(st.integers(i + 1, i + 2))
+            A, B = outs[:i], outs[i:j]
+            C = outs[j:j + data.draw(st.integers(0, 5 - j))]
+            assert ci_test(qv, A, B, C) == ci_test_reference(qv, A, B, C), (
+                A, B, C)
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 10**6), st.data())
+    def test_input_invariant_matches_the_reference(self, seed, data):
+        # one or both of up to two inputs against multi-node B given C
+        rng = random.Random(seed)
+        g = rand_isadmg(rng, n_out=data.draw(st.integers(2, 4)),
+                        n_sel=data.draw(st.integers(0, 1)), n_lat=0,
+                        n_in=data.draw(st.integers(1, 2)), p=0.5)
+        scm = random_scm(g, rng, domain=data.draw(st.integers(2, 3)),
+                         positivity=False)
+        try:
+            ref = ReferenceDistributionOracle(scm)
+        except ScmError:
+            return
+        k = observational_kernel(scm)
+        for _ in range(4):
+            I = data.draw(st.lists(st.sampled_from(k.context), min_size=1,
+                                   unique=True))
+            outs = data.draw(st.permutations(k.outputs))
+            j = data.draw(st.integers(1, len(outs)))
+            B = outs[:j]
+            C = outs[j:j + data.draw(st.integers(0, len(outs) - j))]
+            assert oc.input_invariant(k, I, B, C) == ref._input_invariant(
+                set(I), sorted(B), sorted(C)), (I, B, C)
+
+
+def _binary_kernel(outputs, rows, context=()):
+    """A kernel over binary variables, its rows given as probability texts
+    per context and output assignment."""
+    outputs = tuple(outputs)
+    return Kernel(context, outputs, dict.fromkeys(context + outputs, 2), {
+        ctx: {out: Fraction(p) for out, p in row.items()}
+        for ctx, row in rows.items()})
+
+
+class TestCiTestCells:
+    """Hand cases of the grouped reading: a group by C's value with one
+    cell, a zero cell, and every context row read when C is empty."""
+
+    # c = 1 holds a product of uniform margins
+    PRODUCT = {(a, b, 1): "1/8" for a in (0, 1) for b in (0, 1)}
+
+    def agree(self, rows, C, want, context=()):
+        k = _binary_kernel("abc" if C else "ab", rows, context)
+        assert ci_test(k, ["a"], ["b"], C) is want
+        assert ci_test_reference(k, ["a"], ["b"], C) is want
+
+    def test_one_cell_group_is_skipped_but_not_the_rest(self):
+        one = {(0, 0, 0): "1/2"}
+        self.agree({(): {**one, **self.PRODUCT}}, ["c"], True)
+        tied = {(0, 0, 1): "1/4", (1, 1, 1): "1/4"}
+        self.agree({(): {**one, **tied}}, ["c"], False)
+
+    def test_zero_cell_in_a_group(self):
+        # a zero cell is unseen: two cells, one zero, are independent, but
+        # a zero beside two crossed cells is not
+        two = {(0, 0, 0): 0, (1, 1, 0): "1/2"}
+        self.agree({(): {**two, **self.PRODUCT}}, ["c"], True)
+        three = {(0, 0, 0): 0, (0, 1, 0): "1/4", (1, 0, 0): "1/4"}
+        self.agree({(): {**three, **self.PRODUCT}}, ["c"], False)
+
+    def test_empty_c_reads_every_context(self):
+        product = {(a, b): "1/4" for a in (0, 1) for b in (0, 1)}
+        tied = {(0, 0): "1/2", (1, 1): "1/2"}
+        self.agree({(0,): product, (1,): product}, [], True, ("i",))
+        self.agree({(0,): product, (1,): tied}, [], False, ("i",))
+        self.agree({(0,): tied, (1,): product}, [], False, ("i",))
+
+
+class TestInputInvariantCells:
+    """Hand cases of input invariance: the conditional may move with no
+    input of I, and a support that moves entirely is a change."""
+
+    def test_every_input_of_i_is_varied(self):
+        # b follows j and not i
+        k = _binary_kernel("b", {
+            (i, j): {(b,): "3/4" if b == j else "1/4" for b in (0, 1)}
+            for i in (0, 1) for j in (0, 1)}, ("i", "j"))
+        assert oc.input_invariant(k, ["i"], ["b"])
+        assert not oc.input_invariant(k, ["j"], ["b"])
+        assert not oc.input_invariant(k, ["i", "j"], ["b"])
+
+    def test_disjoint_supports_differ(self):
+        # given c = 0, b = i: no cell of that group is seen under both i
+        k = _binary_kernel("bc", {
+            (i,): {(i, 0): "1/2", (0, 1): "1/4", (1, 1): "1/4"}
+            for i in (0, 1)}, ("i",))
+        assert not oc.input_invariant(k, ["i"], ["b"], ["c"])
+        assert oc.input_invariant(k, ["i"], ["c"])
+
 
 def _same_result(got, want):
     """Run both: the same kernel, with the same rows and cells (zero cells
