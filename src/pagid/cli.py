@@ -48,7 +48,8 @@ from .identify import (
 )
 from .manipulate import format_manipulated, manipulate
 from .represent import canonical_isadmg, enumerate_mags, mag_of, marginalize_latents
-from .separate import d_separated, id_separated, open_walk, walk_nodes
+from .separate import (d_separated, id_separated, m_open_walk, open_walk,
+                       walk_nodes)
 
 _CLASSES = sorted(c.value for c in GraphClass)
 
@@ -238,8 +239,8 @@ def sep_cmd(graph_file, soft, hard, a_set, b_set, c_set, mode, explain, as_json)
     A, B, C = _split(a_set), _split(b_set), _split(c_set)
     sep = (id_separated if mode == "id" else d_separated)(mg, A, B, C)
     walk = None
-    if explain and not sep and mode == "id":
-        w = open_walk(mg, A, B, C)
+    if explain and not sep:
+        w = (open_walk if mode == "id" else m_open_walk)(mg, A, B, C)
         walk = walk_nodes(w) if w else None
     if as_json:
         click.echo(_json({"separated": sep, "walk": walk}))

@@ -143,21 +143,19 @@ def skeleton(oracle, I, V):
                     adj[x].discard(y)
                     adj[y].discard(x)
                     sepsets[frozenset((x, y))] = frozenset(C)
-                    return True
-        return False
+                    return
 
     # stage one: conditioning sets bounded by current adjacencies
     depth = 0
     while True:
-        progress = False
         pending = False
         for x in nodes:
             for y in sorted(adj[x]):
                 if len((adj[x] - {y}) - iset) < depth:
                     continue
                 pending = True
-                progress |= try_separate(x, y, adj[x], [depth])
-        if not pending and not progress:
+                try_separate(x, y, adj[x], [depth])
+        if not pending:
             break
         depth += 1
 
@@ -497,23 +495,15 @@ class _Orienter:
                 if len(into_k) < 2:
                     continue
                 reach = self._uncovered_pd_paths(i)
-                done = False
-                for j, l in itertools.permutations(into_k, 2):
-                    u1s = {u for u, end in reach if end == j}
-                    u2s = {u for u, end in reach if end == l}
-                    for u1 in sorted(u1s):
-                        for u2 in sorted(u2s):
-                            if u1 != u2 and u1 not in self.adj.get(u2, ()):
-                                hit |= self.set(
-                                    k, i, TAIL, "R10",
-                                    f"paths to {j} and {l} diverge",
-                                )
-                                done = True
-                                break
-                        if done:
-                            break
-                    if done:
-                        break
+                via = {j: sorted({u for u, end in reach if end == j})
+                       for j in into_k}
+                pair = next(
+                    ((j, l) for j, l in itertools.permutations(into_k, 2)
+                     for u1 in via[j] for u2 in via[l]
+                     if u1 != u2 and u1 not in self.adj.get(u2, ())), None)
+                if pair:
+                    hit |= self.set(k, i, TAIL, "R10",
+                                    "paths to %s and %s diverge" % pair)
         return hit
 
     def run(self):

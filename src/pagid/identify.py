@@ -8,7 +8,10 @@ value.  ``sidp`` is the IDP recursion of Jaber, Zhang & Bareinboim 2019
 target by region only when it is stuck.  Around the entry points sit the
 reduction set (``l0_sets``), checkers for the three calculus rules and the
 adjustment criterion, single-pair causal-relation criteria, and the
-construction and verification of hedge witnesses for failed runs.
+construction and verification of hedge witnesses for failed runs.  The
+calculus rules are written once (``_rule``): ``calculus_check``, both steps
+of ``scidp``, the causal relations, s-recoverability and the hedge's
+regime search each ask one rule instance.
 
 Estimands use six node kinds: Base (a c-factor Q[C]), Marginalize,
 Condition, OrderedProduct, BoxProduct (the assembly product evaluated along
@@ -347,8 +350,8 @@ def sidp(p, A, B, cls: GraphClass | None = None):
 def scidp(p, A, B, C, cls: GraphClass | None = None):
     """Identification of the kernel of X_A given X_C under hard manipulation
     of X_B: move bucket slices of B into the conditioning set while the
-    exchange rule allows it, move them back where the action-deletion rule
-    allows it, then run sidp on what remains."""
+    exchange rule (rule 2) allows it, move slices of the conditioning set
+    back where rule 2 allows it, then run sidp on what remains."""
     p, cls = _reading(p, cls)
     _check_valid(p, cls)
     A, B, C = frozenset(A), frozenset(B), frozenset(C)
@@ -356,47 +359,20 @@ def scidp(p, A, B, C, cls: GraphClass | None = None):
     V = set(p.outputs)
     if not A | B | C <= V:
         raise ValueError("A, B and C must consist of output nodes")
-    part = buckets(p, V)
+    part = [frozenset(bu) for bu in buckets(p, V)]
     D = _reduction_set(p, A | C, B)
-    Bc, Cc = set(B), set(C)
-
-    while True:
-        pick = None
-        for bu in part:
-            bset = set(bu)
-            if bset & D and not bset <= D and bset & Bc:
-                pick = bset
-                break
-        if pick is None:
-            break
-        Bt = pick & Bc
-        mg = manipulate(p, sorted(Bt), sorted(Bc - Bt), cls)
-        regimes = [regime_id(v) for v in sorted(Bt)]
-        if not id_separated(mg, sorted(A), regimes, sorted(Bc | Cc)):
-            return ExchangeFail(
-                bucket=frozenset(Bt), B=frozenset(Bc), C=frozenset(Cc)
-            )
-        Bc -= Bt
-        Cc |= Bt
+    Bc, Cc = B, C
+    while Bt := next((bu & Bc for bu in part
+                      if bu & D and not bu <= D and bu & Bc), None):
+        if not _rule(p, cls, 2, A, Bt, Cc, Bc - Bt):
+            return ExchangeFail(bucket=Bt, B=Bc, C=Cc)
+        Bc, Cc = Bc - Bt, Cc | Bt
         D = _reduction_set(p, A | Cc, Bc)
+    while Ci := next((bu & Cc for bu in part if bu & Cc
+                      and _rule(p, cls, 2, A, bu & Cc, Cc - bu, Bc)), None):
+        Bc, Cc = Bc | Ci, Cc - Ci
 
-    while True:
-        pick = None
-        for bu in part:
-            Ci = set(bu) & Cc
-            if not Ci:
-                continue
-            mg = manipulate(p, sorted(Ci), sorted(Bc), cls)
-            regimes = [regime_id(v) for v in sorted(Ci)]
-            if id_separated(mg, sorted(A), regimes, sorted(Bc | Cc)):
-                pick = Ci
-                break
-        if pick is None:
-            break
-        Bc |= pick
-        Cc -= pick
-
-    res = sidp(p, A | Cc, frozenset(Bc), cls)
+    res = sidp(p, A | Cc, Bc, cls)
     if isinstance(res, FailCertificate) or not Cc:
         return res
     return Condition(res, tuple(sorted(Cc)))
@@ -411,6 +387,19 @@ def _disjoint(*sets):
             raise ValueError(f"overlapping sets: {sorted(x & y)}")
 
 
+def _rule(g, cls, rule, A, B, C, D) -> bool:
+    """Whether calculus rule 1, 2 or 3 applies to the sets A, B, C and D on
+    g read as cls, unchecked.  A must be id-separated, after hard
+    manipulation of D, from B given C and D (rule 1); or, after soft
+    manipulation of B as well, from B's regime nodes given C and D, and B
+    under rule 2."""
+    if rule == 1:
+        return id_separated(manipulate(g, (), D, cls), A, B, C | D)
+    mg = manipulate(g, B, D, cls)
+    cond = B | C | D if rule == 2 else C | D
+    return id_separated(mg, A, [regime_id(v) for v in B], cond)
+
+
 def calculus_check(g, rule: int, A, B, C=(), D=(), cls=None) -> bool:
     """Whether a calculus rule applies: 1 inserts/deletes observations of B,
     2 exchanges actions on B with observations, 3 inserts/deletes actions
@@ -420,15 +409,9 @@ def calculus_check(g, rule: int, A, B, C=(), D=(), cls=None) -> bool:
     _disjoint(A, B, C, D)
     if not A or not B:
         raise ValueError("A and B must be non-empty")
-    if rule == 1:
-        mg = manipulate(g, (), sorted(D), cls)
-        return id_separated(mg, sorted(A), sorted(B), sorted(C | D))
-    if rule in (2, 3):
-        mg = manipulate(g, sorted(B), sorted(D), cls)
-        regimes = [regime_id(v) for v in sorted(B)]
-        cond = B | C | D if rule == 2 else C | D
-        return id_separated(mg, sorted(A), regimes, sorted(cond))
-    raise ValueError(f"unknown rule {rule!r}")
+    if rule not in (1, 2, 3):
+        raise ValueError(f"unknown rule {rule!r}")
+    return _rule(g, cls, rule, A, B, C, D)
 
 
 def adjustment_check(g, A, B, C=(), D=(), J0=(), J1=(), H=(), cls=None):
@@ -472,6 +455,7 @@ def causal_relation(g, a: str, b: str, kind: str, cls=None) -> str:
     """Whether a single-pair causal relation is absent in every represented
     graph (AllNo) or present in at least one (SomeYes)."""
     g, cls = _reading(g, cls)
+    _check_valid(g, cls)
     if a == b:
         raise ValueError("need two distinct nodes")
     for v in (a, b):
@@ -481,15 +465,11 @@ def causal_relation(g, a: str, b: str, kind: str, cls=None) -> str:
         arrow = any(ma is ARROW for _, ma, _, _ in g.edges_at(a))
         return ALL_NO if arrow else SOME_YES
     if kind == "direct":
-        rest = set(g.outputs) - {a, b}
-        mg = manipulate(g, [a], sorted(rest), cls)
-        sep = id_separated(mg, [b], [regime_id(a)], sorted(rest))
+        sep = _rule(g, cls, 3, {b}, {a}, set(), set(g.outputs) - {a, b})
     elif kind == "total":
-        mg = manipulate(g, [a], (), cls)
-        sep = id_separated(mg, [b], [regime_id(a)], ())
+        sep = _rule(g, cls, 3, {b}, {a}, set(), set())
     elif kind == "confounding":
-        mg = manipulate(g, [a], (), cls)
-        sep = id_separated(mg, [b], [regime_id(a)], [a])
+        sep = _rule(g, cls, 2, {b}, {a}, set(), set())
     else:
         raise ValueError(f"unknown relation kind {kind!r}")
     return ALL_NO if sep else SOME_YES
@@ -498,7 +478,8 @@ def causal_relation(g, a: str, b: str, kind: str, cls=None) -> str:
 def s_recoverability_check(g, A, B, cls=None) -> bool:
     """Whether the unselected interventional kernel is recoverable: the
     selected one must be identifiable and A must be id-separated, given B,
-    from the arrowhead-free nodes after hard manipulation of B."""
+    from the arrowhead-free nodes after hard manipulation of B: calculus
+    rule 1 with D = B."""
     g, cls = _reading(g, cls)
     A, B = frozenset(A), frozenset(B)
     if isinstance(sidp(g, A, B, cls), FailCertificate):
@@ -508,8 +489,7 @@ def s_recoverability_check(g, A, B, cls=None) -> bool:
         for v in g.outputs
         if all(mv is not ARROW for _, mv, _, _ in g.edges_at(v))
     ]
-    mg = hard_manipulate(g, sorted(B), cls)
-    return id_separated(mg, sorted(A), free, sorted(B))
+    return _rule(g, cls, 1, A, free, set(), B)
 
 
 # -- hedges ------------------------------------------------------------------
@@ -723,13 +703,10 @@ def maximal_regime_separated(wit: MixedGraph, A, B):
     and D is connected exactly when such a walk reaches an input, or
     reaches some d in D and can step into I__d."""
     go = _as_output_graph(wit)
-    cond = set(B) | set(wit.selections)
+    B, S = frozenset(B), frozenset(wit.selections)
     return frozenset(
-        s
-        for s in wit.selections
-        if id_separated(
-            manipulate(go, [s], B, GraphClass.ADMG), A, [regime_id(s)], cond
-        )
+        s for s in wit.selections
+        if _rule(go, GraphClass.ADMG, 2, A, {s}, S - {s}, B)
     )
 
 

@@ -44,7 +44,8 @@ from pagid.manipulate import (
     regime_id,
 )
 from pagid import identify as idf
-from pagid.oracle import DiscreteSCM, Kernel, ScmError, _assignments
+from pagid.oracle import (DiscreteSCM, Kernel, ScmError, _assignments,
+                          interventional_kernel, kernels_agree)
 from pagid.represent import canonical_isadmg, mag_of, split_id
 from pagid.separate import id_separated
 
@@ -927,6 +928,84 @@ def sidp_reference(p, A, B, cls=None):
     if isinstance(res, idf.FailCertificate) or D == A:
         return res
     return idf.Marginalize(res, D - A)
+
+
+def scidp_reference(p, A, B, C, cls=None):
+    """Reference for ``identify.scidp``: each calculus test written out as
+    its own manipulation and id-separation query, one bucket at a time.
+    Slices of B move into the conditioning set while the exchange rule
+    allows it, slices of the conditioning set move back where it allows
+    it, and sidp runs on what remains."""
+    p, cls = idf._reading(p, cls)
+    _check_valid(p, cls)
+    A, B, C = frozenset(A), frozenset(B), frozenset(C)
+    idf._disjoint(A, B, C)
+    V = set(p.outputs)
+    if not A | B | C <= V:
+        raise ValueError("A, B and C must consist of output nodes")
+    part = buckets(p, V)
+    D = idf._reduction_set(p, A | C, B)
+    Bc, Cc = set(B), set(C)
+
+    while True:
+        pick = None
+        for bu in part:
+            bset = set(bu)
+            if bset & D and not bset <= D and bset & Bc:
+                pick = bset
+                break
+        if pick is None:
+            break
+        Bt = pick & Bc
+        mg = manipulate(p, sorted(Bt), sorted(Bc - Bt), cls)
+        regimes = [regime_id(v) for v in sorted(Bt)]
+        if not id_separated(mg, sorted(A), regimes, sorted(Bc | Cc)):
+            return idf.ExchangeFail(
+                bucket=frozenset(Bt), B=frozenset(Bc), C=frozenset(Cc)
+            )
+        Bc -= Bt
+        Cc |= Bt
+        D = idf._reduction_set(p, A | Cc, Bc)
+
+    while True:
+        pick = None
+        for bu in part:
+            Ci = set(bu) & Cc
+            if not Ci:
+                continue
+            mg = manipulate(p, sorted(Ci), sorted(Bc), cls)
+            regimes = [regime_id(v) for v in sorted(Ci)]
+            if id_separated(mg, sorted(A), regimes, sorted(Bc | Cc)):
+                pick = Ci
+                break
+        if pick is None:
+            break
+        Bc |= pick
+        Cc -= pick
+
+    res = idf.sidp(p, A | Cc, frozenset(Bc), cls)
+    if isinstance(res, idf.FailCertificate) or not Cc:
+        return res
+    return idf.Condition(res, tuple(sorted(Cc)))
+
+
+def rule_equality(scm, rule, A, B, C, D):
+    """The kernel identity a calculus rule asserts, checked exactly."""
+    A, B, C, D = (sorted(s) for s in (A, B, C, D))
+    if rule == 1:
+        left = interventional_kernel(
+            scm, D, outputs=A + B + C).condition(B + C)
+        right = interventional_kernel(scm, D, outputs=A + C).condition(C)
+        return kernels_agree(left, right)
+    if rule == 2:
+        left = interventional_kernel(
+            scm, B + D, outputs=A + C).condition(C)
+        right = interventional_kernel(
+            scm, D, outputs=A + B + C).condition(B + C)
+        return left == right
+    left = interventional_kernel(scm, B + D, outputs=A + C).condition(C)
+    right = interventional_kernel(scm, D, outputs=A + C).condition(C)
+    return kernels_agree(left, right)
 
 
 def embed_front_door(rng: random.Random, g: MixedGraph):

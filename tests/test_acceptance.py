@@ -49,6 +49,7 @@ from helpers import (
     enumerate_represented,
     fixing_identifiable,
     rand_isadmg,
+    rule_equality,
     separation_failure_witness,
 )
 
@@ -527,25 +528,6 @@ def _boxes(node):
     return out
 
 
-def _rule_equality(scm, rule, A, B, C, D):
-    """The kernel identity a calculus rule asserts, checked exactly."""
-    A, B, C, D = (sorted(s) for s in (A, B, C, D))
-    if rule == 1:
-        left = oc.interventional_kernel(
-            scm, D, outputs=A + B + C).condition(B + C)
-        right = oc.interventional_kernel(scm, D, outputs=A + C).condition(C)
-        return oc.kernels_agree(left, right)
-    if rule == 2:
-        left = oc.interventional_kernel(
-            scm, B + D, outputs=A + C).condition(C)
-        right = oc.interventional_kernel(
-            scm, D, outputs=A + B + C).condition(B + C)
-        return left == right
-    left = oc.interventional_kernel(scm, B + D, outputs=A + C).condition(C)
-    right = oc.interventional_kernel(scm, D, outputs=A + C).condition(C)
-    return oc.kernels_agree(left, right)
-
-
 def test_criterion_10_calculus_and_adjustment_soundness():
     t0 = time.monotonic()
     rng = random.Random(110)
@@ -574,7 +556,7 @@ def test_criterion_10_calculus_and_adjustment_soundness():
             for rule in (1, 2, 3):
                 if calculus_check(m, rule, [a], [b], C, Dset):
                     rule_hits += 1
-                    assert _rule_equality(scm, rule, [a], [b], C, Dset), (
+                    assert rule_equality(scm, rule, [a], [b], C, Dset), (
                         m, rule, a, b, C, Dset)
         for a, b in itertools.permutations(outs, 2):
             for J in _subsets([v for v in outs if v not in (a, b)]):
@@ -595,9 +577,9 @@ def test_criterion_10_calculus_and_adjustment_soundness():
     )
     gc = oc.graph_of(chain)
     assert not calculus_check(gc, 1, ["b"], ["a"], cls=ADMG)
-    assert not _rule_equality(chain, 1, ["b"], ["a"], [], [])
+    assert not rule_equality(chain, 1, ["b"], ["a"], [], [])
     assert not calculus_check(gc, 3, ["b"], ["a"], cls=ADMG)
-    assert not _rule_equality(chain, 3, ["b"], ["a"], [], [])
+    assert not rule_equality(chain, 3, ["b"], ["a"], [], [])
     bow = oc.parse_scm(
         "var l kind=latent\nvar a parents=l\nvar b parents=a,l\n"
         "cpt l - 1/2 1/2\ncpt a 0 9/10 1/10\ncpt a 1 1/10 9/10\n"
@@ -606,7 +588,7 @@ def test_criterion_10_calculus_and_adjustment_soundness():
     )
     gb = oc.graph_of(bow)
     assert not calculus_check(gb, 2, ["b"], ["a"], cls=ADMG)
-    assert not _rule_equality(bow, 2, ["b"], ["a"], [], [])
+    assert not rule_equality(bow, 2, ["b"], ["a"], [], [])
     ok, _ = adjustment_check(gb, ["b"], ["a"], cls=ADMG)
     assert not ok
     finish(

@@ -227,6 +227,19 @@ class TestSep:
         assert r.output.splitlines()[0] == "connected"
         assert r.output.splitlines()[1].startswith("walk:")
 
+    def test_d_mode_explains_its_walk(self, runner, tmp_path):
+        # c is a collider: given c, a and b meet through it
+        f = write(tmp_path, "g.txt", "node a output\nnode b output\n"
+                  "node c output\nedge a --> c\nedge b --> c\n")
+        args = ["sep", "--graph", f, "--a", "a", "--b", "b", "--c", "c",
+                "--mode", "d", "--explain"]
+        r = runner.invoke(main, args)
+        assert r.exit_code == 0
+        assert r.output == "connected\nwalk: a c b\n"
+        r = runner.invoke(main, args + ["--json"])
+        assert json.loads(r.output) == {"schema": 1, "separated": False,
+                                        "walk": ["a", "c", "b"]}
+
     def test_manipulated_query(self, runner, tmp_path):
         f = write(tmp_path, "g.txt", CYCLE4)
         r = runner.invoke(main, ["sep", "--graph", f, "--soft", "b",
@@ -377,6 +390,18 @@ class TestIdentifyCommands:
         r = runner.invoke(main, ["relation", "--graph", f, "--source", "a",
                                  "--target", "c", "--kind", "total", "--json"])
         assert json.loads(r.output)["verdict"] == "SomeYes"
+
+    @pytest.mark.parametrize(
+        "kind", ["direct", "total", "confounding", "sel_ancestor"])
+    def test_relation_rejects_an_invalid_graph(self, runner, tmp_path, kind):
+        f = write(tmp_path, "g.txt",
+                  "node a output\nnode b output\nnode c output\n"
+                  "edge a --> b\nedge b --> c\nedge c --> a\n")
+        r = runner.invoke(main, ["relation", "--graph", f, "--source", "a",
+                                 "--target", "b", "--kind", kind])
+        assert r.exit_code == 2
+        assert r.output == ("error: invalid input graph: "
+                            "directed cycle a,b,c,a\n")
 
     def test_hedge_witness(self, runner, tmp_path):
         f = write(tmp_path, "g.txt", CYCLE4)

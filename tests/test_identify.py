@@ -70,6 +70,8 @@ from helpers import (
     rand_isadmg,
     rand_mixed_graph,
     regime_separated,
+    rule_equality,
+    scidp_reference,
     sidp_reference,
 )
 
@@ -678,26 +680,34 @@ class TestLatentSelectionReading:
                                "omit the class"):
                 check()
 
-    @settings(max_examples=100)
-    @given(st.integers(0, 2**32), st.data())
-    def test_identified_estimands_match_the_model(self, seed, data):
+    @staticmethod
+    def _model(seed, draw):
+        """A random graph with latent nodes, a model of it and the readings
+        a caller may ask for: no class, its FCI PAG, and an ADMG when it
+        has no selection node."""
         # the model is drawn with the latents as outputs and asked about
         # the observed outputs only; selection stays at one node, since
         # rand_isadmg may draw s0 --> s1, which random_scm rejects
         rng = random.Random(seed)
-        g = rand_isadmg(rng, n_out=data.draw(st.integers(3, 5)),
-                        n_sel=data.draw(st.integers(0, 1)),
-                        n_lat=data.draw(st.integers(1, 2)),
-                        n_in=data.draw(st.integers(0, 1)), p=0.5)
+        g = rand_isadmg(rng, n_out=draw(st.integers(3, 5)),
+                        n_sel=draw(st.integers(0, 1)),
+                        n_lat=draw(st.integers(1, 2)),
+                        n_in=draw(st.integers(0, 1)), p=0.5)
         shown = MixedGraph({v: OUTPUT if g.kind(v) is LATENT else g.kind(v)
                             for v in g.node_ids}, g.edges)
         scm = oc.random_scm(shown, rng)
-        qv = oc.interventional_kernel(scm, outputs=g.outputs)
-        A, B = _query(data.draw, g)
-        C = [v for v in g.outputs if v not in A + B][:1]
         readings = [(g, None), (fci(graph_oracle(g)), None)]
         if not g.selections:
             readings.append((g, ADMG))
+        return g, scm, readings
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 2**32), st.data())
+    def test_identified_estimands_match_the_model(self, seed, data):
+        g, scm, readings = self._model(seed, data.draw)
+        qv = oc.interventional_kernel(scm, outputs=g.outputs)
+        A, B = _query(data.draw, g)
+        C = [v for v in g.outputs if v not in A + B][:1]
         for graph, cls in readings:
             for est, outs, cond in [
                     (sidp(graph, A, B, cls), A, []),
@@ -707,6 +717,24 @@ class TestLatentSelectionReading:
                 want = oc.interventional_kernel(scm, B, outputs=outs)
                 assert oc.kernels_agree(oc.eval_estimand(est, qv),
                                         want.condition(cond)), (graph, cls)
+
+    @settings(max_examples=300)
+    @given(st.integers(0, 2**32), st.data())
+    def test_applying_rules_hold_on_the_model(self, seed, data):
+        # every rule calculus_check says applies, under each reading,
+        # must hold on the exact kernels
+        g, scm, readings = self._model(seed, data.draw)
+        A, B = _query(data.draw, g)
+        rest = [v for v in sorted(g.outputs) if v not in A + B]
+        roles = data.draw(st.lists(st.sampled_from("CD-"),
+                                   min_size=len(rest), max_size=len(rest)))
+        C = [v for v, r in zip(rest, roles) if r == "C"]
+        D = [v for v, r in zip(rest, roles) if r == "D"]
+        for graph, cls in readings:
+            for rule in (1, 2, 3):
+                if calculus_check(graph, rule, A, B, C, D, cls):
+                    assert rule_equality(scm, rule, A, B, C, D), (
+                        graph, cls, rule, A, B, C, D)
 
 
 class TestHedges:
@@ -1160,6 +1188,23 @@ class TestRegionRecursionReference:
         got = oc.eval_estimand(new, qv)
         assert oc.kernels_agree(got, want)
         assert oc.kernels_agree(got, oc.eval_estimand(old, qv))
+
+    @settings(max_examples=300)
+    @given(reference_cases(), st.data())
+    def test_scidp_prints_as_the_reference(self, case, data):
+        # scidp checks each calculus rule through one helper; the
+        # reference writes every check out as its own separation query
+        p, cls, A, B, _scm = case
+        rest = [v for v in sorted(p.outputs) if v not in A + B]
+        C = [v for v in rest if data.draw(st.booleans())]
+
+        def text(res):
+            if isinstance(res, (FailCertificate, ExchangeFail)):
+                return str(res)
+            return format_estimand(res)
+
+        assert text(scidp(p, A, B, C, cls)) == text(
+            scidp_reference(p, A, B, C, cls))
 
 
 class TestValidationCache:
