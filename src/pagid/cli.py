@@ -1,15 +1,15 @@
 """Command-line front end.
 
-Every pipeline stage is a subcommand of ``pagc``: graph validation and
-transforms, separation queries, skeleton discovery, identification,
-calculus/adjustment checks, witness construction, estimand evaluation and
-model generation.  Exit codes: 0 on success, 1 on a domain-level negative
-result (identification Fail, rule not applicable), 2 on an error.  A usage
-error prints click's usage message; every other error (a parse error, an
-unknown node, an invalid graph, an unreadable input, an unwritable
-``--out``) prints one ``error: ...`` line on stderr, from one place
-(``_Pagc``).  ``--json`` switches any subcommand to structured output: one
-writer adds ``"schema": 1``, and edges use the text format's tokens.
+Every pipeline stage, from graph validation to model generation, is a
+subcommand of ``pagc``.  Exit codes: 0 on success, 1 on a domain-level
+negative result (identification Fail, rule not applicable), 2 on an error.
+A usage error prints click's usage message; every other error prints one
+``error: ...`` line on stderr, from one place (``_Pagc``).  A node of a set
+option (``--a``, ``--soft``, ``--nodes``, ...) missing from the graph or
+model is named as ``unknown node <v>``, the first in sorted order, before
+any overlap or kind check.  ``--json`` switches any subcommand to
+structured output: one writer adds ``"schema": 1``, and edges use the text
+format's tokens.
 """
 
 from __future__ import annotations
@@ -41,7 +41,7 @@ from .identify import (
     calculus_check,
     causal_relation,
     format_estimand,
-    hedge_witness,
+    hedge_witness, l0_sets,
     parse_estimand,
     scidp,
     sidp,
@@ -475,6 +475,9 @@ def pipeline_cmd(scm_file, a_set, b_set, as_json):
     evaluate, and compare against the model's own interventional kernel."""
     scm = oc.parse_scm(_read(scm_file))
     A, B = _split(a_set), _split(b_set)
+    model = MixedGraph(scm.kinds)  # discovery drops latents: check them here
+    model.check_nodes(A, B)
+    l0_sets(model, A, B)
     orc = distribution_oracle(scm)
     p = run_fci(orc)
     res = sidp(p, A, B)

@@ -40,10 +40,10 @@ _set = object.__setattr__
 class Edge:
     """Edge with one mark per endpoint, stored with a <= b lexicographically.
 
-    Immutable.  The hash is computed once, when the edge is built, because
-    graph construction and set operations hash every edge many times.  Its
-    value is hash((a, mark_a, b, mark_b)): searches visit edges in set
-    order, which follows the hash, so answers depend on this value."""
+    Immutable.  The hash is computed once, as edges are hashed many times;
+    its value, hash((a, mark_a, b, mark_b)), changes with PYTHONHASHSEED.
+    No output follows it: searches take neighbours in ``edges_at``'s sorted
+    order, and printing and validation sort the edges (``sort_key``)."""
 
     __slots__ = ("a", "mark_a", "b", "mark_b", "_hash")
 
@@ -187,6 +187,13 @@ class MixedGraph:
     def has_node(self, v: str) -> bool:
         return v in self._nodes
 
+    def check_nodes(self, *sets):
+        """Raise KeyError for the sets' first unknown node in sorted order."""
+        for s in sets:
+            for v in s:
+                if v not in self._nodes:
+                    raise KeyError(min(set().union(*sets) - self._nodes.keys()))
+
     def of_kind(self, kind: NodeKind) -> tuple[str, ...]:
         return self._by_kind.get(kind, ())
 
@@ -270,9 +277,7 @@ class MixedGraph:
 
     def induced(self, keep) -> "MixedGraph":
         keep = set(keep)
-        unknown = keep - set(self._nodes)
-        if unknown:
-            raise KeyError(f"unknown nodes {sorted(unknown)}")
+        self.check_nodes(keep)
         nodes = {v: k for v, k in self._nodes.items() if v in keep}
         edges = {e for e in self._edges if e.a in keep and e.b in keep}
         return MixedGraph(nodes, edges)
@@ -300,11 +305,8 @@ class MixedGraph:
     # -- reachability closures ---------------------------------------------
 
     def _closure(self, X, step) -> set[str]:
-        for v in X:
-            if v not in self._nodes:
-                raise KeyError(v)
-        seen = set(X)
-        frontier = list(X)
+        self.check_nodes(X)
+        seen, frontier = set(X), list(X)
         while frontier:
             v = frontier.pop()
             for w in step(v):
@@ -318,7 +320,8 @@ class MixedGraph:
         out = set()
         for v in X:
             cached = self._anc.get(v)
-            if cached is None:
+            if cached is None:  # an unknown node is never kept
+                self.check_nodes(X)
                 cached = frozenset(self._closure((v,), self.parents))
                 self._anc[v] = cached
             out |= cached
@@ -490,8 +493,6 @@ def _walk(g: MixedGraph, starts, passes, targets=()):
     from it, which callers asking only whether one exists skip."""
     parent = {}
     for state in starts:
-        if not g.has_node(state[0]):
-            raise KeyError(state[0])
         parent.setdefault(state, None)
         if state[0] in targets:
             return parent, state
@@ -527,6 +528,7 @@ def _trace(parent, state):
 def inducing_path_exists(g: MixedGraph, a: str, b: str, L, S) -> bool:
     """Walk from a to b whose non-endnodes are each in L or colliders, with
     every collider an ancestor of {a, b} union S."""
+    g.check_nodes((a, b), L, S)
     if a == b:
         raise ValueError("endpoints must differ")
     L = set(L)
@@ -714,6 +716,7 @@ def discriminating_path(g: MixedGraph, y: str,
     such walk is a path: cutting out the stretch between two visits of a q
     keeps an arrowhead into it on both sides, and a is not adjacent to z,
     so it is never a q."""
+    g.check_nodes((y, z))
     pa_z = g.parents(z) if g.adjacent(y, z) else ()
     starts = [(q, e) for q, _my, mq, e in g.edges_at(y)
               if mq is ARROW and q in pa_z]

@@ -61,14 +61,15 @@ from .represent import canonical_isadmg, mag_of, marginalize_latents
 from .separate import id_separated, walk_nodes
 
 
-def _reading(g, cls: GraphClass | None):
-    """The graph and class an entry point works on.  Without a class, a
-    graph with explicit latent or selection nodes is read through its MAG,
-    so that those nodes are not ignored.  Read as an ADMG, latent nodes are
-    projected out and selection nodes are rejected, since reading them
-    through the MAG would change the class asked for.  Other classes keep
-    the graph as given.  A graph keeps what it is read as, per class."""
+def _reading(g, cls: GraphClass | None, *sets):
+    """The graph and class an entry point works on, once the graph as given
+    has every node of the sets.  Without a class, latent or selection nodes
+    are read through the MAG, so that they are not ignored.  Read as an
+    ADMG, latent nodes are projected out and selection nodes are rejected:
+    reading them through the MAG would change the class asked for.  Other
+    classes keep the graph.  A graph keeps what it is read as, per class."""
     g, cls = _plain(g), as_class(cls)
+    g.check_nodes(*sets)
     if cls is GraphClass.ADMG and g.selections:
         raise ValueError(
             f"selection nodes {', '.join(g.selections)} cannot be read "
@@ -266,11 +267,8 @@ class ExchangeFail:
 
 
 def _reduction_set(p: MixedGraph, A, B) -> frozenset:
-    """D: the possible anteriors of A in the graph over the outputs not in
-    B."""
-    return frozenset(
-        p.induced(set(p.outputs) - set(B)).possible_anteriors(A)
-    )
+    """D: the possible anteriors of A in the graph on the outputs not in B."""
+    return frozenset(p.induced(set(p.outputs) - set(B)).possible_anteriors(A))
 
 
 def l0_sets(p, A, B) -> frozenset:
@@ -336,9 +334,9 @@ def sidp(p, A, B, cls: GraphClass | None = None):
     directed edges of a graph read as an ADMG carry no hidden-confounding
     ambiguity.  Without cls, a graph with latent or selection nodes is read
     through its MAG."""
-    p, cls = _reading(p, cls)
+    A, B = frozenset(A), frozenset(B)
+    p, cls = _reading(p, cls, A, B)
     _check_valid(p, cls)
-    A = frozenset(A)
     V = frozenset(p.outputs)
     D = l0_sets(p, A, B)
     res = _identify(D, V, Base(V), p, cls is GraphClass.ADMG)
@@ -352,9 +350,9 @@ def scidp(p, A, B, C, cls: GraphClass | None = None):
     of X_B: move bucket slices of B into the conditioning set while the
     exchange rule (rule 2) allows it, move slices of the conditioning set
     back where rule 2 allows it, then run sidp on what remains."""
-    p, cls = _reading(p, cls)
-    _check_valid(p, cls)
     A, B, C = frozenset(A), frozenset(B), frozenset(C)
+    p, cls = _reading(p, cls, A, B, C)
+    _check_valid(p, cls)
     _disjoint(A, B, C)
     V = set(p.outputs)
     if not A | B | C <= V:
@@ -404,8 +402,8 @@ def calculus_check(g, rule: int, A, B, C=(), D=(), cls=None) -> bool:
     """Whether a calculus rule applies: 1 inserts/deletes observations of B,
     2 exchanges actions on B with observations, 3 inserts/deletes actions
     on B; all relative to conditioning on C under hard manipulation of D."""
-    g, cls = _reading(g, cls)
     A, B, C, D = (frozenset(s) for s in (A, B, C, D))
+    g, cls = _reading(g, cls, A, B, C, D)
     _disjoint(A, B, C, D)
     if not A or not B:
         raise ValueError("A and B must be non-empty")
@@ -419,8 +417,8 @@ def adjustment_check(g, A, B, C=(), D=(), J0=(), J1=(), H=(), cls=None):
     of B and hard manipulation of D.  On success also return the adjustment
     estimand, summing the kernel of A given B, C and the adjustment set J
     against the kernel of J given C."""
-    g, cls = _reading(g, cls)
     A, B, C, D, J0, J1, H = (frozenset(s) for s in (A, B, C, D, J0, J1, H))
+    g, cls = _reading(g, cls, A, B, C, D, J0, J1, H)
     _disjoint(A, B, C, D, J0, J1, H)
     if not A or not B:
         raise ValueError("A and B must be non-empty")
@@ -454,13 +452,10 @@ SOME_YES = "SomeYes"
 def causal_relation(g, a: str, b: str, kind: str, cls=None) -> str:
     """Whether a single-pair causal relation is absent in every represented
     graph (AllNo) or present in at least one (SomeYes)."""
-    g, cls = _reading(g, cls)
+    g, cls = _reading(g, cls, (a, b))
     _check_valid(g, cls)
     if a == b:
         raise ValueError("need two distinct nodes")
-    for v in (a, b):
-        if not g.has_node(v):
-            raise KeyError(v)
     if kind == "sel_ancestor":
         arrow = any(ma is ARROW for _, ma, _, _ in g.edges_at(a))
         return ALL_NO if arrow else SOME_YES
@@ -480,8 +475,8 @@ def s_recoverability_check(g, A, B, cls=None) -> bool:
     selected one must be identifiable and A must be id-separated, given B,
     from the arrowhead-free nodes after hard manipulation of B: calculus
     rule 1 with D = B."""
-    g, cls = _reading(g, cls)
     A, B = frozenset(A), frozenset(B)
+    g, cls = _reading(g, cls, A, B)
     if isinstance(sidp(g, A, B, cls), FailCertificate):
         return False
     free = [
@@ -559,18 +554,17 @@ def verify_hedge(g, A, B, h: Hedge) -> bool:
     and R ancestral to A once B is hard-manipulated."""
     g = _plain(g)
     A, B = set(A), set(B)
+    g.check_nodes(A, B)
     if not h.Hprime <= h.H or not h.R <= h.Hprime:
         return False
     if not h.H & B or h.Hprime & B:
-        return False
-    if not h.H <= set(g.node_ids):
         return False
     if not _is_cforest(g, h.H, h.forest_edges, h.R):
         return False
     if not _is_cforest(g, h.Hprime, h.forest_prime_edges, h.R):
         return False
     go = _as_output_graph(g)
-    mg = hard_manipulate(go, sorted(B & set(go.node_ids)), GraphClass.ADMG)
+    mg = hard_manipulate(go, sorted(B), GraphClass.ADMG)
     return h.R <= mg.graph.ancestors(A)
 
 
@@ -702,12 +696,10 @@ def maximal_regime_separated(wit: MixedGraph, A, B):
     So the open walks that reach no regime node are the same for every D,
     and D is connected exactly when such a walk reaches an input, or
     reaches some d in D and can step into I__d."""
-    go = _as_output_graph(wit)
-    B, S = frozenset(B), frozenset(wit.selections)
-    return frozenset(
-        s for s in wit.selections
-        if _rule(go, GraphClass.ADMG, 2, A, {s}, S - {s}, B)
-    )
+    wit.check_nodes(A, B)
+    go, B, S = _as_output_graph(wit), frozenset(B), frozenset(wit.selections)
+    return frozenset(s for s in wit.selections
+                     if _rule(go, GraphClass.ADMG, 2, A, {s}, S - {s}, B))
 
 
 def hedge_witness(p, A, B, cert):
@@ -737,10 +729,10 @@ def hedge_witness(p, A, B, cert):
     check it as a property on random MAGs and on FCI PAGs with and
     without inputs.  Raises ValueError if the certificate does not match,
     or if the orientation or the hedge does not verify."""
-    p, cls = _reading(p, None)
+    A, B = frozenset(A), frozenset(B)
+    p, cls = _reading(p, None, A, B)
     if not isinstance(cert, FailCertificate):
         raise ValueError("hedge witness needs a failure certificate")
-    A, B = frozenset(A), frozenset(B)
     if not (cert.C <= cert.T <= set(p.outputs)):
         raise ValueError("certificate does not match the graph")
     mag = p

@@ -108,30 +108,30 @@ def hard_manipulate(g, T, cls: GraphClass | None = None) -> ManipulatedGraph:
 
 
 def manipulate(g, D=(), T=(), cls: GraphClass | None = None) -> ManipulatedGraph:
-    """Combined manipulation: soft on D, then hard on T, as one graph build.
-    The regime edges are read off the given graph; the hard rules then
-    apply to the given edges and the regime edges together, the new regime
-    nodes counting as inputs, which equals hard after soft manipulation.
-    Asked again for its last manipulation, a graph returns it unbuilt."""
+    """Combined manipulation: soft on D, then hard on T, as one graph build,
+    equal to hard after soft manipulation: the regime edges are read off the
+    given graph, the hard rules apply to them and the given edges, and a
+    hard target may name a new regime node, an input.  Asked again for its
+    last manipulation, a graph returns it unbuilt."""
     cls = as_class(cls)
     D, T = set(D), set(T)
-    if D & T:
-        raise ValueError(f"overlapping targets {sorted(D & T)}")
     mg = as_manipulated(g, cls or _infer_class(g))
-    if cls is None:
-        cls = mg.base_class
+    cls = cls or mg.base_class
     graph, memo = mg.graph, mg.graph._memo
     key = (mg.regime_nodes, mg.hard_targets, mg.soft_targets, mg.base_class,
            frozenset(D), frozenset(T), cls)
     if memo.get("last", (None,))[0] == key:
         return memo["last"][1]
+    graph.check_nodes(D, T.difference(map(regime_id, D)))
+    if D & T:
+        raise ValueError(f"overlapping targets {sorted(D & T)}")
     _check_unmanipulated(mg, cls)
     existing = mg.regime_map
     new_regimes = list(mg.regime_nodes)
     new_soft = list(mg.soft_targets)
     kinds, soft_edges = {}, []
     for d in sorted(D):
-        if graph.kind(d) is not OUTPUT:  # KeyError if d is unknown
+        if graph.kind(d) is not OUTPUT:
             raise ValueError(f"soft target {d} is not an output node")
         if d in existing:
             continue

@@ -98,6 +98,7 @@ def marginalize_latents(a: MixedGraph, drop=None) -> MixedGraph:
     pass through them as non-colliders into direct edges."""
     a = _plain(a)
     todo = sorted(set(a.latents) if drop is None else set(drop))
+    a.check_nodes(todo)
     for l in todo:
         if a.kind(l) is not LATENT:
             raise ValueError(f"{l} is not a latent node")

@@ -16,24 +16,23 @@ before that.
 
 from __future__ import annotations
 
-from .graph import ARROW, CIRCLE, OUTPUT, TAIL, _trace, _walk
+from .graph import ARROW, CIRCLE, TAIL, _trace, _walk
 from .manipulate import ManipulatedGraph, _plain
 
 
 def _id_search(g, A, B, C):
     """The search for an id-open walk from A (see ``graph._walk``)."""
-    graph = _plain(g)
+    graph, cond = _plain(g), set(C)
+    graph.check_nodes(A, B, cond)
     regimes = set(g.regime_ids) if isinstance(g, ManipulatedGraph) else set()
-    cond = set(C)
-    # graph.kind raises KeyError for an unknown node of C, before any search
-    cond_v = {c for c in cond if graph.kind(c) is OUTPUT}
     targets = (set(B) | set(graph.inputs)) - cond
     closures = {}  # the collider sets, each computed at its first use
 
     def opens(v, possible):
         if possible not in closures:
-            closures[possible] = (graph.possible_ancestors(cond_v) if possible
-                                  else graph.ancestors(cond))
+            closures[possible] = (
+                graph.possible_ancestors(cond.intersection(graph.outputs))
+                if possible else graph.ancestors(cond))
         return v in closures[possible]
 
     def passes(prev, m_in, v, m_out, w, _m_w):
@@ -67,8 +66,8 @@ def id_separated(g, A, B, C=()) -> bool:
 
 def _m_search(g, A, B, C):
     """The search for an m-open walk between A and B."""
-    graph = _plain(g)
-    cond = set(C)
+    graph, cond = _plain(g), set(C)
+    graph.check_nodes(A, B, cond)
     anc_cond = graph.ancestors(cond)
 
     def passes(_prev, m_in, v, m_out, _w, _m_w):

@@ -1026,9 +1026,18 @@ def embed_front_door(rng: random.Random, g: MixedGraph):
 # -- manipulation and id-separation: references for the one-build forms -----
 
 
+def _unknown_first(g, nodes):
+    """Raise KeyError for the first node, in sorted order, that g lacks."""
+    graph = g.graph if isinstance(g, ManipulatedGraph) else g
+    for v in sorted(set(nodes)):
+        if not graph.has_node(v):
+            raise KeyError(v)
+
+
 def _soft_manipulate_reference(g, D, cls=None) -> ManipulatedGraph:
     """Soft manipulation as its own graph build."""
     cls = as_class(cls)
+    _unknown_first(g, D)
     mg = as_manipulated(g, cls or _infer_class(g))
     if cls is None:
         cls = mg.base_class
@@ -1039,8 +1048,6 @@ def _soft_manipulate_reference(g, D, cls=None) -> ManipulatedGraph:
     new_soft = list(mg.soft_targets)
     new_nodes, new_edges = {}, []
     for d in sorted(set(D)):
-        if not graph.has_node(d):
-            raise KeyError(d)
         if graph.kind(d) is not OUTPUT:
             raise ValueError(f"soft target {d} is not an output node")
         if d in existing:
@@ -1062,6 +1069,7 @@ def _soft_manipulate_reference(g, D, cls=None) -> ManipulatedGraph:
 def _hard_manipulate_reference(g, T, cls=None) -> ManipulatedGraph:
     """Hard manipulation as its own graph build."""
     cls = as_class(cls)
+    _unknown_first(g, T)
     mg = as_manipulated(g, cls or _infer_class(g))
     if cls is None:
         cls = mg.base_class
@@ -1069,8 +1077,6 @@ def _hard_manipulate_reference(g, T, cls=None) -> ManipulatedGraph:
     graph = mg.graph
     T = sorted(set(T))
     for t in T:
-        if not graph.has_node(t):
-            raise KeyError(t)
         if graph.kind(t) not in (INPUT, OUTPUT):
             raise ValueError(f"hard target {t} is not an input or output node")
     inputs = set(graph.inputs)
@@ -1108,8 +1114,11 @@ def _hard_manipulate_reference(g, T, cls=None) -> ManipulatedGraph:
 
 def manipulate_reference(g, D=(), T=(), cls=None) -> ManipulatedGraph:
     """Reference for ``manipulate.manipulate``: soft manipulation on D and
-    then hard manipulation on T, each as its own graph build."""
+    then hard manipulation on T, each as its own graph build.  An unknown
+    node comes before every other error; a hard target may be a regime
+    node that the soft step makes."""
     cls = as_class(cls)
+    _unknown_first(g, set(T) - {regime_id(d) for d in D} | set(D))
     if set(D) & set(T):
         raise ValueError(f"overlapping targets {sorted(set(D) & set(T))}")
     mg = as_manipulated(g, cls or _infer_class(g))

@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -70,6 +71,24 @@ UNORIENTED_PAG = (
     "edge v0 <-o v4\nedge v1 o-o v2\nedge v2 o-o v3\nedge v3 o-o v4\n"
     "edge v2 o-o v4\n"
 )
+
+
+# input, latent and output nodes, for the wrong-kind messages
+KINDS = (
+    "node i input\nnode l latent\nnode a output\nnode c output\n"
+    "edge i --> a\nedge l --> a\nedge l --> c\nedge a --> c\n"
+)
+CHAIN_INPUT = (
+    "node i input\nnode a output\nnode b output\nnode c output\n"
+    "edge i --> a\nedge a --> b\nedge b --> c\n"
+)
+CONFOUNDED = "node a output\nnode c output\nedge a --> c\nedge a <-> c\n"
+
+
+def model_text(graph_text, seed=0):
+    """A random model of a graph, in the model file format."""
+    return oc.format_scm(oc.random_scm(parse_graph(graph_text),
+                                       random.Random(seed)))
 
 
 @pytest.fixture
@@ -243,7 +262,7 @@ class TestSep:
     def test_manipulated_query(self, runner, tmp_path):
         f = write(tmp_path, "g.txt", CYCLE4)
         r = runner.invoke(main, ["sep", "--graph", f, "--soft", "b",
-                                 "--a", "a", "--b", "I[b]",
+                                 "--a", "a", "--b", "I__b",
                                  "--c", "c1,c2", "--json"])
         assert r.exit_code == 0
         assert json.loads(r.output)["separated"] is True
@@ -342,7 +361,28 @@ class TestIdentifyCommands:
                   "node c output\nedge a --> b\nedge b --> c\n")
         r = runner.invoke(main, ["scidp", "--graph", f] + args)
         assert r.exit_code == 2
-        assert "A, B and C must consist of output nodes" in r.output
+        assert r.output == "error: unknown node zz\n"
+
+    @pytest.mark.parametrize("node", ["i", "l"], ids=["input", "latent"])
+    @pytest.mark.parametrize("command, message", [
+        ("sidp", "A and B must consist of output nodes"),
+        ("scidp", "A, B and C must consist of output nodes"),
+        ("hedge-witness", "A and B must consist of output nodes"),
+        ("pipeline", "A and B must consist of output nodes"),
+    ])
+    def test_a_node_of_the_wrong_kind_is_no_unknown_node(
+            self, runner, tmp_path, command, message, node):
+        # the pipeline's model has the input i and the latent l__a__c that
+        # realizes a <-> c; discovery keeps neither as an output
+        if command == "pipeline":
+            text = model_text("node i input\n" + CONFOUNDED + "edge i --> a\n")
+            args = ["--scm", write(tmp_path, "m.scm", text)]
+            node = {"l": "l__a__c"}.get(node, node)
+        else:
+            args = ["--graph", write(tmp_path, "g.txt", KINDS)]
+        r = runner.invoke(main, [command, *args, "--a", node, "--b", "a"])
+        assert r.exit_code == 2
+        assert r.output == f"error: {message}\n"
 
     @pytest.mark.parametrize("args", [
         ["manipulate", "--soft", "zz"],
@@ -562,27 +602,124 @@ CIRCLES = (
 )
 
 
+# each subcommand's required arguments, on nodes that CHAIN_INPUT and
+# CONFOUNDED both have
+SET_ARGS = {
+    "adjust": ["--a", "c", "--b", "a"],
+    "calculus": ["--rule", "1", "--a", "c", "--b", "a"],
+    "hedge-witness": ["--a", "c", "--b", "a"],
+    "pipeline": ["--a", "c", "--b", "a"],
+    "relation": ["--source", "a", "--target", "c", "--kind", "total"],
+    "scidp": ["--a", "c", "--b", "a"],
+    "sep": ["--a", "c", "--b", "a"],
+    "sidp": ["--a", "c", "--b", "a"],
+}
+# every text option names a node set, except these
+NOT_SETS = ("--graph", "--oracle", "--scm", "--estimand")
+SET_OPTIONS = [
+    (name, p.opts[0], mode)
+    for name, cmd in sorted(main.commands.items()) for p in cmd.params
+    if isinstance(p.type, click.types.StringParamType)
+    and p.opts[0] not in NOT_SETS
+    for mode in ([[], ["--mode", "d"]] if name == "sep" else [[]])
+]
+
+
+class TestUnknownNodes:
+    """An unknown node in any set option of any subcommand exits 2 with one
+    line that names it, before any other check.  The options are read off
+    the commands, so an option added later is covered too."""
+
+    def test_the_options_are_found(self):
+        found = {(name, option) for name, option, _mode in SET_OPTIONS}
+        assert {("adjust", "--j1"), ("marginalize", "--nodes"),
+                ("relation", "--target"), ("sep", "--soft")} <= found
+        assert {name for name, _option, _mode in SET_OPTIONS} == set(
+            SET_ARGS) | {"manipulate", "marginalize"}
+
+    @pytest.mark.parametrize("text", [CHAIN_INPUT, CONFOUNDED],
+                             ids=["chain-with-input", "confounded"])
+    @pytest.mark.parametrize(
+        "command, option, mode", SET_OPTIONS,
+        ids=["-".join([c, *m[1:], o.lstrip("-")]) for c, o, m in SET_OPTIONS])
+    def test_every_set_option_names_it(self, runner, tmp_path, text,
+                                       command, option, mode):
+        if command == "pipeline":
+            args = ["--scm", write(tmp_path, "m.scm", model_text(text))]
+        else:
+            args = ["--graph", write(tmp_path, "g.txt", text)]
+        rest = list(SET_ARGS.get(command, []))
+        if option in rest:
+            rest[rest.index(option) + 1] = "zz"
+        else:
+            rest += [option, "zz"]
+        r = runner.invoke(main, [command, *args, *rest, *mode])
+        assert r.exit_code == 2, r.output
+        assert isinstance(r.exception, SystemExit)
+        assert r.output == "error: unknown node zz\n"
+
+
+# a graph with input, latent and selection nodes, and its FCI PAG
+FCI_ADMG = (
+    "node i0 input\nnode l0 latent\nnode s0 selection\nnode v0 output\n"
+    "node v1 output\nnode v2 output\nnode v3 output\nnode v4 output\n"
+    "node v5 output\n"
+    "edge i0 --> v3\nedge i0 --> v4\nedge l0 <-> v1\nedge l0 <-> v4\n"
+    "edge v0 --> v1\nedge v3 --> v0\nedge v4 --> v0\nedge v2 --> v1\n"
+    "edge v4 --> v1\nedge v5 --> v1\nedge v2 --> v4\n"
+)
+FCI_PAG = (
+    "node i0 input\nnode v0 output\nnode v1 output\nnode v2 output\n"
+    "node v3 output\nnode v4 output\nnode v5 output\n"
+    "edge i0 --o v3\nedge i0 --> v4\nedge v0 --> v1\nedge v3 --> v0\n"
+    "edge v4 --> v0\nedge v2 --> v1\nedge v4 --> v1\nedge v5 o-> v1\n"
+    "edge v2 o-> v4\n"
+)
+# a model whose discovered graph leaves marks open and fails identification
+CONFOUNDED_MODEL = model_text(
+    "node i input\nnode a output\nnode b output\nnode c output\n"
+    "node d output\nedge i --> a\nedge a --> b\nedge b --> c\n"
+    "edge d --> c\nedge a <-> b\n")
+
+
 class TestHashSeed:
     """The output does not depend on Python's string hashing, which differs
-    between processes unless PYTHONHASHSEED fixes it."""
+    between processes unless PYTHONHASHSEED fixes it.  FILE stands for the
+    input file."""
 
     @pytest.mark.parametrize("args,text", [
-        (["validate"], MANY_PROBLEMS),
-        (["validate", "--class", "admg"], MANY_PROBLEMS),
-        (["validate", "--class", "mag"], ALMOST_CYCLES),
-        (["canonical"], CIRCLES),
-        (["enumerate-mags"], CIRCLES),
+        (["validate", "--graph", "FILE"], MANY_PROBLEMS),
+        (["validate", "--graph", "FILE", "--class", "admg"], MANY_PROBLEMS),
+        (["validate", "--graph", "FILE", "--class", "mag"], ALMOST_CYCLES),
+        (["canonical", "--graph", "FILE"], CIRCLES),
+        (["enumerate-mags", "--graph", "FILE"], CIRCLES),
+        (["sidp", "--graph", "FILE", "--a", "v5", "--b", "v4"], FCI_PAG),
+        (["scidp", "--graph", "FILE", "--a", "v1", "--b", "v0",
+          "--c", "v4"], FCI_PAG),
+        (["calculus", "--graph", "FILE", "--rule", "2", "--a", "a",
+          "--b", "b", "--c", "c1,c2"], CYCLE4),
+        (["adjust", "--graph", "FILE", "--a", "v1", "--b", "v0",
+          "--c", "v2,v3,v4"], FCI_PAG),
+        (["relation", "--graph", "FILE", "--source", "v2", "--target", "v1",
+          "--kind", "total"], FCI_PAG),
+        (["hedge-witness", "--graph", "FILE", "--a", "v1", "--b", "v2"],
+         FCI_PAG),
+        (["fci", "--trace", "--oracle", "graph:FILE"], FCI_ADMG),
+        (["fci", "--trace", "--oracle", "scm:FILE"], CONFOUNDED_MODEL),
+        (["pipeline", "--scm", "FILE", "--a", "c", "--b", "b"],
+         CONFOUNDED_MODEL),
     ], ids=["validate", "validate-admg", "validate-mag", "canonical",
-          "enumerate-mags"])
+          "enumerate-mags", "sidp", "scidp", "calculus", "adjust",
+          "relation", "hedge-witness", "fci-graph", "fci-scm", "pipeline"])
     def test_same_output_under_two_hash_seeds(self, tmp_path, args, text):
-        f = write(tmp_path, "g.txt", text)
+        f = write(tmp_path, "input.txt", text)
         src = os.path.dirname(os.path.dirname(pagid.__file__))
         outs = []
         for seed in ("1", "2"):
             env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
             r = subprocess.run(
                 [sys.executable, "-c", "from pagid.cli import main; main()",
-                 args[0], "--graph", f, *args[1:]],
+                 *(a.replace("FILE", f) for a in args)],
                 env=env, capture_output=True, text=True, timeout=60)
             assert "Traceback" not in r.stderr
             outs.append((r.returncode, r.stdout, r.stderr))
