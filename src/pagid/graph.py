@@ -25,6 +25,10 @@ class NodeKind(Enum):
     SELECTION = "selection"
 
 
+# Members are singletons compared by identity, so the C-level identity hash
+# serves; Enum's own hashes the member name in Python on every lookup.
+Mark.__hash__ = NodeKind.__hash__ = object.__hash__
+
 TAIL, ARROW, CIRCLE = Mark.TAIL, Mark.ARROW, Mark.CIRCLE
 INPUT, OUTPUT, LATENT, SELECTION = (
     NodeKind.INPUT,
@@ -41,7 +45,8 @@ class Edge:
     """Edge with one mark per endpoint, stored with a <= b lexicographically.
 
     Immutable.  The hash is computed once, as edges are hashed many times;
-    its value, hash((a, mark_a, b, mark_b)), changes with PYTHONHASHSEED.
+    its value, hash((a, mark_a, b, mark_b)), changes with PYTHONHASHSEED
+    and, through the marks' identity hash, from process to process.
     No output follows it: searches take neighbours in ``edges_at``'s sorted
     order, and printing and validation sort the edges (``sort_key``)."""
 
@@ -547,6 +552,7 @@ def inducing_path_exists(g: MixedGraph, a: str, b: str, L, S) -> bool:
 
 def buckets(g: MixedGraph, D) -> list[tuple[str, ...]]:
     """Partition of D by connectivity via arrowhead-free paths within g_D."""
+    g.check_nodes(D)
     D = sorted(set(D))
     idx = {v: v for v in D}
 
@@ -616,6 +622,7 @@ def pc_component(
 
     Both clauses are one search from all of B: the union of the searches
     from each b is the search from their union."""
+    g.check_nodes(D, B)
     D, B = set(D), set(B)
     if not B <= D:
         raise ValueError(f"{sorted(B - D)} not in D")
@@ -654,6 +661,7 @@ def pc_component(
 
 def region(g: MixedGraph, D, B, directed_visible: bool = False) -> tuple[str, ...]:
     """Bucket closure of the pc-components of B within g_D."""
+    g.check_nodes(D, B)
     D = set(D)
     out: set[str] = set()
     lookup = {v: bu for bu in buckets(g, D) for v in bu}

@@ -554,14 +554,35 @@ def input_invariant(k: Kernel, I, B, C=()) -> bool:
 # -- estimand evaluation -----------------------------------------------------
 
 
+# The last call's kernel, scm and zero_rows, and the rows of every node
+# evaluated against them, by shallow key (see eval_estimand).
+_slot = (None, None, None, {})
+
+
 def eval_estimand(e, qv: Kernel, scm=None, zero_rows: str = "error") -> Kernel:
     """Evaluate an estimand against the observational kernel Q[V].
     When an SCM is supplied, base leaves other than Q[V] are computed from
     it directly (useful for checking identities).  Each distinct node is
-    evaluated once per call, however many nodes share it, children first
-    and without recursion (``identify._postorder``), in integer rows
-    (``_Rows``); Fractions are built only for the result."""
+    evaluated children first and without recursion (``identify._postorder``),
+    in integer rows (``_Rows``); Fractions are built only for the result.
+
+    One slot keeps the rows of every node evaluated against the last call's
+    qv, scm and zero_rows, so the estimands checked against one kernel
+    share their subterms' arithmetic.  A call with another qv or scm
+    object, or another zero_rows, empties the slot first, so only the last
+    kernel's rows stay alive.  A node is looked up by its class, its
+    ``_data()`` and the ids of its children's rows in the slot: an O(1)
+    key, where ``_Node`` equality would walk the whole subterm.  Like
+    ``Kernel._rows``, the slot assumes that a kernel's table (and an scm's)
+    is not changed after its first use.  A node whose evaluation raises is
+    not kept, so it raises again."""
     from . import identify as idf
+
+    global _slot
+    last_qv, last_scm, last_zero_rows, memo = _slot
+    if last_qv is not qv or last_scm is not scm or last_zero_rows != zero_rows:
+        memo = {}
+        _slot = (qv, scm, zero_rows, memo)
 
     domains = qv.domains
     rows = {}  # id(node) -> _Rows, filled children first
@@ -620,7 +641,14 @@ def eval_estimand(e, qv: Kernel, scm=None, zero_rows: str = "error") -> Kernel:
     if isinstance(e, idf.Base):
         return base(e)
     for node in idf._postorder(e):
-        rows[id(node)] = ev_node(node)
+        key = (type(node), node._data(),
+               tuple(id(ev(c)) for c in idf._children(node)))
+        hit = memo.get(key)
+        if hit is None:
+            # setdefault: should another thread have stored this key
+            # meanwhile, its rows win, so the ids in every key stay alive
+            hit = memo.setdefault(key, ev_node(node))
+        rows[id(node)] = hit
     return rows[id(e)].kernel()
 
 

@@ -13,8 +13,11 @@ from hypothesis import given, settings, strategies as st
 from pagid.fci import fci, graph_oracle
 from pagid.graph import (
     GraphClass,
+    buckets,
     discriminating_path,
     inducing_path_exists,
+    pc_component,
+    region,
 )
 from pagid.identify import (
     Hedge,
@@ -78,6 +81,9 @@ ENTRIES = {
     "possible_descendants": (
         lambda g, X: _plain(g).possible_descendants(X), "s"),
     "marginalize_latents": (marginalize_latents, "s"),
+    "buckets": (lambda g, D: buckets(_plain(g), D), "s"),
+    "pc_component": (lambda g, D, B: pc_component(_plain(g), D, B), "ss"),
+    "region": (lambda g, D, B: region(_plain(g), D, B), "ss"),
 }
 
 

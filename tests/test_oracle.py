@@ -2,10 +2,12 @@
 algebra, interventional and selected distributions, independence testing,
 estimand evaluation, and serialization."""
 
+import gc
 import itertools
 import math
 import random
 import time
+import weakref
 from fractions import Fraction
 from unittest import mock
 
@@ -839,6 +841,99 @@ class TestKernelRows:
                 _same_result(
                     lambda: eval_estimand(e, qv, scm, zero_rows),
                     lambda: eval_estimand_reference(e, qv, scm, zero_rows))
+
+
+class TestEstimandSlot:
+    """eval_estimand keeps the rows of every node it evaluated against the
+    last kernel, scm and zero_rows, and reuses them for equal subterms."""
+
+    @settings(max_examples=60)
+    @given(st.lists(random_models(), min_size=2, max_size=2), st.data())
+    def test_interleaved_calls_match_the_reference(self, scms, data):
+        # sidp and scidp estimands of two models, each built twice (equal
+        # estimands, separate objects), evaluated in a drawn order against
+        # their own model's kernel, with and without the model, under
+        # both zero_rows modes
+        cases = []
+        for scm in scms:
+            try:
+                qv = observational_kernel(scm)
+            except ScmError:
+                continue
+            outs = list(scm.outputs)
+            A = data.draw(st.lists(st.sampled_from(outs), min_size=1,
+                                   max_size=len(outs) - 1, unique=True))
+            rest = [v for v in outs if v not in A]
+            for _ in range(2):
+                g = graph_of(scm)
+                for e in (idf.sidp(g, A, rest[:1]),
+                          idf.scidp(g, A, rest[:1], rest[1:2])):
+                    if not isinstance(e, (idf.FailCertificate,
+                                          idf.ExchangeFail)):
+                        cases.append((e, qv, scm))
+        if not cases:
+            return
+        for _ in range(12):
+            e, qv, scm = data.draw(st.sampled_from(cases))
+            scm = data.draw(st.sampled_from([scm, None]))
+            zero_rows = data.draw(st.sampled_from(["error", "uniform"]))
+            _same_result(
+                lambda: eval_estimand(e, qv, scm, zero_rows),
+                lambda: eval_estimand_reference(e, qv, scm, zero_rows))
+
+    def test_a_zero_probability_error_is_raised_again(self):
+        k = Kernel((), ("a", "b"), {"a": 2, "b": 2},
+                   {(): {(0, 0): Fraction(1)}})
+
+        def estimand():
+            return idf.Marginalize(
+                idf.Condition(idf.Base(frozenset("ab")), ("a",)),
+                frozenset())
+
+        e = estimand()
+        for again in (e, e, None, e, estimand()):
+            if again is None:  # the same kernel, under the other mode
+                got = eval_estimand(e, k, zero_rows="uniform")
+                assert got.value({"a": 1, "b": 1}) == Fraction(1, 2)
+                continue
+            with pytest.raises(ScmError, match="probability-zero"):
+                eval_estimand(again, k)
+
+    def test_only_the_last_kernel_stays_alive(self):
+        e = idf.Condition(idf.Marginalize(idf.Base(frozenset("abc")),
+                                          frozenset("a")), ("b",))
+        # two models against one kernel, then two kernels without a model
+        models = [chain(), chain()]
+        kernels = [observational_kernel(models[0]),
+                   observational_kernel(chain()),
+                   observational_kernel(chain())]
+        eval_estimand(e, kernels[0], models[0])
+        eval_estimand(e, kernels[0], models[1])
+        eval_estimand(e, kernels[1])
+        eval_estimand(e, kernels[2])
+        refs = [weakref.ref(x) for x in models + kernels]
+        del models, kernels
+        gc.collect()
+        assert [r() is not None for r in refs] == [False] * 4 + [True]
+
+    def test_an_equal_deep_estimand_is_evaluated_in_linear_time(self):
+        # keyed on node equality, each lookup would compare the whole
+        # chain below the node, which is quadratic in the depth
+        qv = observational_kernel(chain())
+
+        def deep():
+            e = idf.Base(frozenset(qv.outputs))
+            for _ in range(4000):
+                e = idf.Marginalize(e, frozenset())
+            return e
+
+        want = eval_estimand(deep(), qv)
+        e = deep()
+        start = time.perf_counter()
+        got = eval_estimand(e, qv)
+        assert time.perf_counter() - start < 2.0
+        assert _same_kernel(got, want)
+        assert len(oc._slot[-1]) == 4001  # nothing evaluated again
 
 
 class TestMarginCache:
