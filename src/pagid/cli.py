@@ -10,6 +10,12 @@ model is named as ``unknown node <v>``, the first in sorted order, before
 any overlap or kind check.  ``--json`` switches any subcommand to
 structured output: one writer adds ``"schema": 1``, and edges use the text
 format's tokens.
+
+Every subcommand ends in one call to ``_answer``, which prints its answer
+(or writes it to ``--out``) and exits with its code; only ``_answer`` and
+``_fail`` print or exit.  The one exception is ``fci``: its ``--trace``
+lines go to stderr, and under ``--json`` its ``--out`` file gets the text
+format.
 """
 
 from __future__ import annotations
@@ -86,10 +92,26 @@ def _json(payload: dict) -> str:
     return json.dumps({"schema": 1, **payload}, sort_keys=True)
 
 
+def _answer(as_json, payload, text, code=0, out=None):
+    """The one answer path: the payload as JSON under --json, else the text
+    (nothing when it is None), printed or written to ``out``; then exit
+    with ``code``."""
+    body = _json(payload) if as_json else text
+    if out:
+        with open(out, "w") as fh:
+            fh.write(body + "\n")
+    elif body is not None:
+        click.echo(body)
+    sys.exit(code)
+
+
 _DOT_HEAD = {TAIL: "none", ARROW: "normal", CIRCLE: "odot"}
 
 
-def _dot(g: MixedGraph) -> str:
+def _graph_text(g: MixedGraph, as_dot: bool = False) -> str:
+    """A graph in the text format, or in Graphviz dot; no final newline."""
+    if not as_dot:
+        return format_graph(g).rstrip("\n")
     lines = ["digraph g {", "  edge [dir=both];"]
     shapes = {"input": "box", "selection": "diamond", "latent": "ellipse"}
     for v, k in g.nodes.items():
@@ -101,21 +123,7 @@ def _dot(g: MixedGraph) -> str:
             f" arrowhead={_DOT_HEAD[e.mark_b]}];"
         )
     lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def _emit_graph(g: MixedGraph, as_json: bool, as_dot: bool, out=None):
-    if as_json:
-        text = _json({"graph": _graph_json(g)})
-    elif as_dot:
-        text = _dot(g).rstrip("\n")
-    else:
-        text = format_graph(g).rstrip("\n")
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text + "\n")
-    else:
-        click.echo(text)
+    return "\n".join(lines)
 
 
 def _seed(value):
@@ -162,14 +170,8 @@ dot_option = click.option("--dot", "as_dot", is_flag=True)
 def validate_cmd(graph_file, cls, as_json):
     """Check a graph against the invariants of a graph class."""
     problems = validate(_load_graph(graph_file), cls)
-    if as_json:
-        click.echo(_json({"valid": not problems, "problems": problems}))
-    else:
-        for p in problems:
-            click.echo(p)
-        if not problems:
-            click.echo("valid")
-    sys.exit(0 if not problems else 1)
+    _answer(as_json, {"valid": not problems, "problems": problems},
+            "\n".join(problems or ["valid"]), int(bool(problems)))
 
 
 @main.command("mag")
@@ -179,7 +181,9 @@ def validate_cmd(graph_file, cls, as_json):
 @click.option("--out", type=click.Path(dir_okay=False))
 def mag_cmd(graph_file, as_json, as_dot, out):
     """Project a represented graph onto its maximal ancestral graph."""
-    _emit_graph(mag_of(_load_graph(graph_file)), as_json, as_dot, out)
+    g = mag_of(_load_graph(graph_file))
+    _answer(as_json, {"graph": _graph_json(g)}, _graph_text(g, as_dot),
+            out=out)
 
 
 @main.command("canonical")
@@ -189,7 +193,9 @@ def mag_cmd(graph_file, as_json, as_dot, out):
 @click.option("--out", type=click.Path(dir_okay=False))
 def canonical_cmd(graph_file, as_json, as_dot, out):
     """Canonical represented graph of a maximal ancestral graph."""
-    _emit_graph(canonical_isadmg(_load_graph(graph_file)), as_json, as_dot, out)
+    g = canonical_isadmg(_load_graph(graph_file))
+    _answer(as_json, {"graph": _graph_json(g)}, _graph_text(g, as_dot),
+            out=out)
 
 
 @main.command("marginalize")
@@ -201,7 +207,8 @@ def canonical_cmd(graph_file, as_json, as_dot, out):
 def marginalize_cmd(graph_file, nodes, as_json, as_dot, out):
     """Eliminate latent nodes from a represented graph."""
     g = marginalize_latents(_load_graph(graph_file), _split(nodes) or None)
-    _emit_graph(g, as_json, as_dot, out)
+    _answer(as_json, {"graph": _graph_json(g)}, _graph_text(g, as_dot),
+            out=out)
 
 
 @main.command("manipulate")
@@ -213,12 +220,10 @@ def marginalize_cmd(graph_file, nodes, as_json, as_dot, out):
 def manipulate_cmd(graph_file, soft, hard, cls, as_json):
     """Apply soft and hard manipulations and print the result."""
     mg = manipulate(_load_graph(graph_file), _split(soft), _split(hard), cls)
-    if as_json:
-        click.echo(_json({"graph": _graph_json(mg.graph),
-                          "soft": sorted(mg.soft_targets),
-                          "hard": sorted(mg.hard_targets)}))
-    else:
-        click.echo(format_manipulated(mg).rstrip("\n"))
+    _answer(as_json, {"graph": _graph_json(mg.graph),
+                      "soft": sorted(mg.soft_targets),
+                      "hard": sorted(mg.hard_targets)},
+            format_manipulated(mg).rstrip("\n"))
 
 
 @main.command("sep")
@@ -238,16 +243,13 @@ def sep_cmd(graph_file, soft, hard, a_set, b_set, c_set, mode, explain, as_json)
     mg = manipulate(g, _split(soft), _split(hard)) if (soft or hard) else g
     A, B, C = _split(a_set), _split(b_set), _split(c_set)
     sep = (id_separated if mode == "id" else d_separated)(mg, A, B, C)
-    walk = None
+    walk, text = None, "separated" if sep else "connected"
     if explain and not sep:
         w = (open_walk if mode == "id" else m_open_walk)(mg, A, B, C)
-        walk = walk_nodes(w) if w else None
-    if as_json:
-        click.echo(_json({"separated": sep, "walk": walk}))
-    else:
-        click.echo("separated" if sep else "connected")
-        if walk:
-            click.echo("walk: " + " ".join(walk))
+        if w:
+            walk = walk_nodes(w)
+            text += "\nwalk: " + " ".join(walk)
+    _answer(as_json, {"separated": sep, "walk": walk}, text)
 
 
 @main.command("fci")
@@ -268,28 +270,24 @@ def fci_cmd(oracle_spec, out, trace, as_json, as_dot):
         orc = distribution_oracle(oc.parse_scm(_read(path)))
     log = [] if trace else None
     p = run_fci(orc, trace=log)
+    payload = {"graph": _graph_json(p), **({"trace": log} if trace else {})}
+    text = _graph_text(p, as_dot and not as_json)
+    # the exception to the one answer path (see the module docstring)
     if not as_json:
         for line in log or ():
             click.echo(line, err=True)
-        _emit_graph(p, False, as_dot, out)
-        return
-    payload = {"graph": _graph_json(p)}
-    if trace:
-        payload["trace"] = log
-    click.echo(_json(payload))
-    if out:
-        _emit_graph(p, False, False, out)
+    elif out:
+        click.echo(_json(payload))
+        as_json = False
+    _answer(as_json, payload, text, out=out)
 
 
-def _emit_estimand(res, as_json):
+def _estimand(res):
+    """The payload, text and exit code of a sidp or scidp result."""
     failed = isinstance(res, (FailCertificate, ExchangeFail))
     text = str(res) if failed else format_estimand(res)
-    if as_json:
-        click.echo(_json({"ok": not failed,
-                          "certificate" if failed else "estimand": text}))
-    else:
-        click.echo(text)
-    sys.exit(1 if failed else 0)
+    return ({"ok": not failed, "certificate" if failed else "estimand": text},
+            text, int(failed))
 
 
 @main.command("sidp")
@@ -301,7 +299,7 @@ def _emit_estimand(res, as_json):
 def sidp_cmd(graph_file, a_set, b_set, cls, as_json):
     """Identify the kernel of A under hard manipulation of B."""
     g = _load_graph(graph_file)
-    _emit_estimand(sidp(g, _split(a_set), _split(b_set), cls), as_json)
+    _answer(as_json, *_estimand(sidp(g, _split(a_set), _split(b_set), cls)))
 
 
 @main.command("scidp")
@@ -315,7 +313,7 @@ def scidp_cmd(graph_file, a_set, b_set, c_set, cls, as_json):
     """Identify the kernel of A given C under hard manipulation of B."""
     g = _load_graph(graph_file)
     res = scidp(g, _split(a_set), _split(b_set), _split(c_set), cls)
-    _emit_estimand(res, as_json)
+    _answer(as_json, *_estimand(res))
 
 
 @main.command("calculus")
@@ -330,11 +328,8 @@ def calculus_cmd(graph_file, rule, a_set, b_set, c_set, d_set, as_json):
     """Check whether a calculus rule applies."""
     ok = calculus_check(_load_graph(graph_file), rule, _split(a_set),
                         _split(b_set), _split(c_set), _split(d_set))
-    if as_json:
-        click.echo(_json({"applies": ok}))
-    else:
-        click.echo("applies" if ok else "does not apply")
-    sys.exit(0 if ok else 1)
+    _answer(as_json, {"applies": ok}, "applies" if ok else "does not apply",
+            int(not ok))
 
 
 @main.command("adjust")
@@ -353,11 +348,8 @@ def adjust_cmd(graph_file, a_set, b_set, c_set, d_set, j0, j1, h_set, as_json):
         _load_graph(graph_file), _split(a_set), _split(b_set), _split(c_set),
         _split(d_set), _split(j0), _split(j1), _split(h_set))
     text = format_estimand(est) if ok else None
-    if as_json:
-        click.echo(_json({"applies": ok, "estimand": text}))
-    else:
-        click.echo(text or "does not apply")
-    sys.exit(0 if ok else 1)
+    _answer(as_json, {"applies": ok, "estimand": text},
+            text or "does not apply", int(not ok))
 
 
 @main.command("relation")
@@ -370,13 +362,18 @@ def adjust_cmd(graph_file, a_set, b_set, c_set, d_set, j0, j1, h_set, as_json):
 def relation_cmd(graph_file, source, target, kind, as_json):
     """Single-pair causal relation over every represented graph."""
     verdict = causal_relation(_load_graph(graph_file), source, target, kind)
-    click.echo(_json({"verdict": verdict}) if as_json else verdict)
+    _answer(as_json, {"verdict": verdict}, verdict)
 
 
-def _hedge_line(H, Hprime, R) -> str:
-    """The hedge as hedge-witness and pipeline print it."""
+def _hedge_json(h) -> dict:
+    """A hedge as hedge-witness and pipeline write it under --json."""
+    return {"H": sorted(h.H), "Hprime": sorted(h.Hprime), "R": sorted(h.R)}
+
+
+def _hedge_line(hedge: dict) -> str:
+    """A hedge, from its --json form, as the text answers print it."""
     return "hedge: H={%s} H'={%s} R={%s}" % tuple(
-        ",".join(sorted(s)) for s in (H, Hprime, R))
+        ",".join(hedge[k]) for k in ("H", "Hprime", "R"))
 
 
 @main.command("hedge-witness")
@@ -389,26 +386,17 @@ def hedge_cmd(graph_file, a_set, b_set, as_json):
     g = _load_graph(graph_file)
     A, B = _split(a_set), _split(b_set)
     res = sidp(g, A, B)
-    if not isinstance(res, FailCertificate):
-        if as_json:
-            click.echo(_json({"identifiable": True}))
-        else:
-            click.echo("identifiable: " + format_estimand(res))
-        sys.exit(1)
-    mag, wit, h = hedge_witness(g, A, B, res)
-    if as_json:
-        click.echo(_json({
-            "identifiable": False,
-            "certificate": str(res),
-            "witness": _graph_json(wit),
-            "hedge": {"H": sorted(h.H), "Hprime": sorted(h.Hprime),
-                      "R": sorted(h.R)},
-        }))
+    if isinstance(res, FailCertificate):
+        _mag, wit, h = hedge_witness(g, A, B, res)
+        hedge = _hedge_json(h)
+        payload = {"identifiable": False, "certificate": str(res),
+                   "witness": _graph_json(wit), "hedge": hedge}
+        text = "\n".join([str(res), "witness:", _graph_text(wit),
+                          _hedge_line(hedge)])
     else:
-        click.echo(str(res))
-        click.echo("witness:")
-        click.echo(format_graph(wit).rstrip("\n"))
-        click.echo(_hedge_line(h.H, h.Hprime, h.R))
+        payload = {"identifiable": True}
+        text = "identifiable: " + format_estimand(res)
+    _answer(as_json, payload, text, int(payload["identifiable"]))
 
 
 @main.command("eval")
@@ -426,12 +414,9 @@ def eval_cmd(scm_file, estimand_file, zero_rows, as_json):
                          else _read(estimand_file))
     if isinstance(est, (FailCertificate, ExchangeFail)):
         _fail("cannot evaluate a failure certificate")
-    qv = oc.observational_kernel(scm)
-    k = oc.eval_estimand(est, qv, scm, zero_rows=zero_rows)
-    if as_json:
-        click.echo(_json({"kernel": oc.format_kernel(k)}))
-    else:
-        click.echo(oc.format_kernel(k).rstrip("\n"))
+    text = oc.format_kernel(oc.eval_estimand(
+        est, oc.observational_kernel(scm), scm, zero_rows=zero_rows))
+    _answer(as_json, {"kernel": text}, text.rstrip("\n"))
 
 
 @main.command("enumerate-mags")
@@ -442,14 +427,10 @@ def eval_cmd(scm_file, estimand_file, zero_rows, as_json):
 @json_option
 def enumerate_cmd(graph_file, membership, limit, as_json):
     """All maximal ancestral graphs refining the circle marks of a graph."""
-    ms = enumerate_mags(
-        _load_graph(graph_file), limit=limit,
-        membership=None if membership == "all" else membership)
-    if as_json:
-        click.echo(_json({"count": len(ms),
-                          "graphs": [_graph_json(m) for m in ms]}))
-    elif ms:
-        click.echo("\n\n".join(format_graph(m).rstrip("\n") for m in ms))
+    ms = enumerate_mags(_load_graph(graph_file), limit, membership)
+    _answer(as_json,
+            {"count": len(ms), "graphs": [_graph_json(m) for m in ms]},
+            "\n\n".join(_graph_text(m) for m in ms) if ms else None)
 
 
 @main.command("random-scm")
@@ -461,7 +442,7 @@ def random_scm_cmd(graph_file, seed, domain, no_positivity):
     """Generate a reproducible random model for a graph."""
     scm = oc.random_scm(_load_graph(graph_file), random.Random(_seed(seed)),
                         domain=domain, positivity=not no_positivity)
-    click.echo(oc.format_scm(scm).rstrip("\n"))
+    _answer(False, None, oc.format_scm(scm).rstrip("\n"))
 
 
 @main.command("pipeline")
@@ -483,30 +464,18 @@ def pipeline_cmd(scm_file, a_set, b_set, as_json):
     res = sidp(p, A, B)
     report = {"graph": _graph_json(p)}
     if isinstance(res, FailCertificate):
-        mag, wit, h = hedge_witness(p, A, B, res)
-        report.update({
-            "verdict": "FAIL-CERTIFIED",
-            "certificate": str(res),
-            "hedge": {"H": sorted(h.H), "Hprime": sorted(h.Hprime),
-                      "R": sorted(h.R)},
-        })
+        _mag, _wit, h = hedge_witness(p, A, B, res)
+        report.update(verdict="FAIL-CERTIFIED", certificate=str(res),
+                      hedge=_hedge_json(h))
     else:
         got = oc.eval_estimand(res, orc.kernel, scm)
         want = oc.interventional_kernel(scm, B, outputs=sorted(got.outputs))
         match = oc.kernels_agree(got, want)
-        report.update({
-            "verdict": "MATCH" if match else "MISMATCH",
-            "estimand": format_estimand(res),
-        })
-    if as_json:
-        click.echo(_json(report))
-    else:
-        for key in ("verdict", "certificate", "estimand"):
-            if key in report:
-                click.echo(f"{key}: {report[key]}")
-        if "hedge" in report:
-            click.echo(_hedge_line(**report["hedge"]))
-    sys.exit(0 if report["verdict"] == "MATCH" else 1)
+        report.update(verdict="MATCH" if match else "MISMATCH",
+                      estimand=format_estimand(res))
+    text = "\n".join(_hedge_line(v) if k == "hedge" else f"{k}: {v}"
+                     for k, v in report.items() if k != "graph")
+    _answer(as_json, report, text, int(report["verdict"] != "MATCH"))
 
 
 if __name__ == "__main__":

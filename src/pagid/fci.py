@@ -23,9 +23,11 @@ from .graph import (
     OUTPUT,
     TAIL,
     Edge,
+    GraphClass,
     MixedGraph,
     _walk,
     discriminating_path,
+    validate,
 )
 from .separate import d_separated
 
@@ -60,9 +62,14 @@ class IndependenceOracle:
 
 class graph_oracle(IndependenceOracle):
     """Separation queries against a known graph, conditioning on its
-    selection nodes and (implicitly) its input nodes."""
+    selection nodes and (implicitly) its input nodes.  The graph must be
+    valid as an ADMG or as a MAG; otherwise a ValueError names its
+    problems as an ADMG."""
 
     def __init__(self, g: MixedGraph):
+        problems = validate(g, GraphClass.ADMG)
+        if problems and validate(g, GraphClass.MAG):
+            raise ValueError("invalid input graph: " + "; ".join(problems))
         super().__init__()
         self.g = g
         self.inputs = g.inputs

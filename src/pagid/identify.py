@@ -57,7 +57,7 @@ from .manipulate import (
     manipulate,
     regime_id,
 )
-from .represent import canonical_isadmg, mag_of, marginalize_latents
+from .represent import mag_of, marginalize_latents, path_witness
 from .separate import id_separated, walk_nodes
 
 
@@ -658,23 +658,6 @@ def _orient_copag(p: MixedGraph, protect=()):
     return m
 
 
-def _direct_witness(m: MixedGraph, path):
-    """The canonical represented graph of m (``canonical_isadmg``) in which
-    the first edge of the path gains a parallel bidirected edge (none if it
-    is bidirected already) and the path's undirected edges also point
-    along the path."""
-    along = [
-        Edge(x, TAIL, y, ARROW)
-        for x, y in zip(path, path[1:])
-        if m.edges_between(x, y)[0] == Edge(x, TAIL, y, TAIL)
-    ]
-    first = Edge(path[0], ARROW, path[1], ARROW)
-    wit = canonical_isadmg(m).edit(add=[first] + along)
-    if validate(wit, GraphClass.ADMG):
-        raise ValueError("path witness is not a valid represented graph")
-    return wit
-
-
 def maximal_regime_separated(wit: MixedGraph, A, B):
     """The largest subset D of the selection nodes whose regime indicators
     are id-separated from A given B and all selection nodes, after soft
@@ -715,7 +698,7 @@ def hedge_witness(p, A, B, cert):
       path to A whose first edge b --> c is invisible or b --- c.  The MAG
       also represents the graph in which that edge gains a parallel
       b <-> c and the path's undirected edges, read as split selection
-      children, point along the path (``_direct_witness``);
+      children, point along the path (``represent.path_witness``);
     - a confounded child b <-> w ... <-> c: a bidirected path to a child c
       of b through nodes anterior to A avoiding B.  These nodes all have
       arrowheads, so in a MAG they reach A along directed paths.
@@ -743,7 +726,7 @@ def hedge_witness(p, A, B, cert):
     chain = path[:2] if path else _confounded_child(mag, A, B)
     if chain is None:
         raise ValueError("no violation found for the certificate")
-    wit = _direct_witness(mag, path or chain)
+    wit = path_witness(mag, path or chain)
     spouses = tuple(Edge(x, ARROW, y, ARROW) for x, y in zip(chain, chain[1:]))
     h = Hedge(
         H=frozenset(chain),

@@ -11,8 +11,10 @@ The three workhorse maps are:
                   walks through them into direct edges.
 
 On top of these sit ``enumerate_mags`` (all MAGs represented by a partial
-graph) and ``bidirected_witness`` (a represented graph in which an
-invisible directed edge is confounded).
+graph), ``path_witness`` (a represented graph in which the first edge of
+a path is confounded and its undirected edges point along it) and its
+two-node case ``bidirected_witness`` (an invisible directed edge
+confounded).
 """
 
 from __future__ import annotations
@@ -119,11 +121,16 @@ def marginalize_latents(a: MixedGraph, drop=None) -> MixedGraph:
 # -- enumeration -------------------------------------------------------------
 
 
-def enumerate_mags(p: MixedGraph, limit: int = 1 << 16, membership=None):
+def enumerate_mags(p: MixedGraph, limit: int = 1 << 16,
+                   membership: str = "all"):
     """All MAGs obtained by resolving every circle mark of p into a tail or
-    an arrowhead.  membership=None keeps every valid MAG; "copag" keeps
-    those whose discovered partial graph is p again; a callable keeps the
-    MAGs it accepts."""
+    an arrowhead, at most ``limit`` (>= 1) resolutions.  membership "all"
+    keeps every valid MAG; "copag" keeps those whose discovered partial
+    graph is p again."""
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, not {limit}")
+    if membership not in ("all", "copag"):
+        raise ValueError(f"unknown membership {membership!r}")
     p = _plain(p)
     slots = []
     for e in sorted(p.edges):
@@ -132,12 +139,7 @@ def enumerate_mags(p: MixedGraph, limit: int = 1 << 16, membership=None):
                 slots.append((e, v))
     if 2 ** len(slots) > limit:
         raise ValueError(f"too many circle marks ({len(slots)}) to enumerate")
-    check = membership
-    if membership == "copag":
-        from .fci import fci, graph_oracle
-
-        def check(m):
-            return fci(graph_oracle(canonical_isadmg(m)), m.nodes) == p
+    from .fci import fci, graph_oracle
 
     out = []
     for choice in itertools.product((TAIL, ARROW), repeat=len(slots)):
@@ -158,7 +160,8 @@ def enumerate_mags(p: MixedGraph, limit: int = 1 << 16, membership=None):
         m = MixedGraph(p.nodes, edges)
         if validate(m, GraphClass.MAG):
             continue
-        if check is not None and not check(m):
+        if membership == "copag" and fci(
+                graph_oracle(canonical_isadmg(m)), m.nodes) != p:
             continue
         out.append(m)
     return out
@@ -167,15 +170,29 @@ def enumerate_mags(p: MixedGraph, limit: int = 1 << 16, membership=None):
 # -- witnesses ---------------------------------------------------------------
 
 
+def path_witness(m: MixedGraph, path) -> MixedGraph:
+    """The canonical represented graph of m (``canonical_isadmg``) in which
+    the first edge of the path gains a parallel bidirected edge (none if it
+    is bidirected already) and the path's undirected edges also point
+    along the path."""
+    along = [Edge(x, TAIL, y, ARROW) for x, y in zip(path, path[1:])
+             if m.edges_between(x, y)[0] == Edge(x, TAIL, y, TAIL)]
+    first = Edge(path[0], ARROW, path[1], ARROW)
+    wit = canonical_isadmg(m).edit(add=[first] + along)
+    if validate(wit, GraphClass.ADMG):
+        raise ValueError("path witness is not a valid represented graph")
+    return wit
+
+
 def bidirected_witness(m: MixedGraph, a: str, b: str) -> MixedGraph:
     """Represented graph of m in which the invisible directed edge a --> b
-    gains a parallel bidirected edge."""
+    gains a parallel bidirected edge: the path witness of a, b."""
     m = _plain(m)
     es = m.edges_between(a, b)
     if len(es) != 1 or es[0] != Edge(a, TAIL, b, ARROW):
         raise ValueError(f"no directed edge {a} --> {b}")
     if is_visible(m, a, b):
         raise ValueError(f"{a} --> {b} is visible; no bidirected witness")
-    w = canonical_isadmg(m).edit(add=[Edge(a, ARROW, b, ARROW)])
+    w = path_witness(m, [a, b])
     assert mag_of(w) == m
     return w

@@ -83,6 +83,16 @@ CHAIN_INPUT = (
     "edge i --> a\nedge a --> b\nedge b --> c\n"
 )
 CONFOUNDED = "node a output\nnode c output\nedge a --> c\nedge a <-> c\n"
+COLLIDER = (
+    "node a output\nnode b output\nnode c output\n"
+    "edge b --> a\nedge c --> a\n"
+)
+CIRCLE = "node a output\nnode b output\nedge a o-> b\n"
+# no orientation of a o-> b keeps b --- c ancestral: no MAG at all
+NO_MAG = (
+    "node a output\nnode b output\nnode c output\n"
+    "edge a o-> b\nedge b --- c\n"
+)
 
 
 def model_text(graph_text, seed=0):
@@ -294,6 +304,28 @@ class TestFciCommand:
         assert r.exit_code == 0
         data = json.loads(r.output)
         assert data["schema"] == 1 and "graph" in data
+
+    @pytest.mark.parametrize("text, problems", [
+        ("edge a --> b\nedge b --> c\nedge c --> a\n",
+         "directed cycle a,b,c,a"),
+        ("edge a o-> b\nedge b <-o c\n",
+         "circle mark on a o-> b; circle mark on b <-o c"),
+    ], ids=["cycle", "pag"])
+    def test_graph_oracle_rejects_an_invalid_graph(self, runner, tmp_path,
+                                                   text, problems):
+        # valid neither as an ADMG nor as a MAG: no model to query
+        f = write(tmp_path, "g.txt",
+                  "node a output\nnode b output\nnode c output\n" + text)
+        r = runner.invoke(main, ["fci", "--oracle", f"graph:{f}"])
+        assert r.exit_code == 2
+        assert r.output == f"error: invalid input graph: {problems}\n"
+
+    def test_graph_oracle_takes_a_mag_with_undirected_edges(self, runner,
+                                                           tmp_path):
+        f = write(tmp_path, "g.txt", CYCLE4)
+        r = runner.invoke(main, ["fci", "--oracle", f"graph:{f}"])
+        assert r.exit_code == 0
+        assert parse_graph(r.output) == parse_graph(CYCLE4)
 
     def test_bad_oracle_spec(self, runner):
         r = runner.invoke(main, ["fci", "--oracle", "nope"])
@@ -569,6 +601,13 @@ class TestEnumerateAndRandom:
         assert r.exit_code == 0
         assert json.loads(r.output)["count"] == 1
 
+    def test_enumerate_limit_below_one(self, runner, tmp_path):
+        f = write(tmp_path, "g.txt", BACKDOOR)
+        r = runner.invoke(main, ["enumerate-mags", "--graph", f,
+                                 "--limit", "0"])
+        assert r.exit_code == 2
+        assert r.output == "error: limit must be at least 1, not 0\n"
+
     def test_random_scm_deterministic(self, runner, tmp_path):
         f = write(tmp_path, "g.txt", BACKDOOR)
         r1 = runner.invoke(main, ["random-scm", "--graph", f, "--seed", "4"])
@@ -680,12 +719,21 @@ CONFOUNDED_MODEL = model_text(
     "node i input\nnode a output\nnode b output\nnode c output\n"
     "node d output\nedge i --> a\nedge a --> b\nedge b --> c\n"
     "edge d --> c\nedge a <-> b\n")
+# a confounded chain with a selection node, and its model (the confounder
+# becomes a latent variable); eval reads the back-door estimand from stdin
+SELECTED_CHAIN = (
+    "node a output\nnode b output\nnode c output\nnode s selection\n"
+    "edge a --> b\nedge b --> c\nedge a <-> c\nedge c --> s\n"
+)
+SELECTED_MODEL = model_text(SELECTED_CHAIN)
+BACKDOOR_ESTIMAND = (
+    "(marg (a) (prod (cond (a b) (Q (a b c))) (marg (b c) (Q (a b c)))))")
 
 
 class TestHashSeed:
     """The output does not depend on Python's string hashing, which differs
     between processes unless PYTHONHASHSEED fixes it.  FILE stands for the
-    input file."""
+    input file; stdin holds BACKDOOR_ESTIMAND."""
 
     @pytest.mark.parametrize("args,text", [
         (["validate", "--graph", "FILE"], MANY_PROBLEMS),
@@ -708,9 +756,19 @@ class TestHashSeed:
         (["fci", "--trace", "--oracle", "scm:FILE"], CONFOUNDED_MODEL),
         (["pipeline", "--scm", "FILE", "--a", "c", "--b", "b"],
          CONFOUNDED_MODEL),
+        (["mag", "--graph", "FILE"], FCI_ADMG),
+        (["marginalize", "--graph", "FILE"], FCI_ADMG),
+        (["manipulate", "--graph", "FILE", "--soft", "v2", "--hard", "v0"],
+         FCI_PAG),
+        (["sep", "--graph", "FILE", "--a", "v1", "--b", "v3", "--explain"],
+         FCI_PAG),
+        (["eval", "--scm", "FILE", "--estimand", "-"], SELECTED_MODEL),
+        (["random-scm", "--graph", "FILE", "--seed", "3"], SELECTED_CHAIN),
     ], ids=["validate", "validate-admg", "validate-mag", "canonical",
           "enumerate-mags", "sidp", "scidp", "calculus", "adjust",
-          "relation", "hedge-witness", "fci-graph", "fci-scm", "pipeline"])
+          "relation", "hedge-witness", "fci-graph", "fci-scm", "pipeline",
+          "mag", "marginalize", "manipulate", "sep-explain", "eval",
+          "random-scm"])
     def test_same_output_under_two_hash_seeds(self, tmp_path, args, text):
         f = write(tmp_path, "input.txt", text)
         src = os.path.dirname(os.path.dirname(pagid.__file__))
@@ -720,10 +778,576 @@ class TestHashSeed:
             r = subprocess.run(
                 [sys.executable, "-c", "from pagid.cli import main; main()",
                  *(a.replace("FILE", f) for a in args)],
-                env=env, capture_output=True, text=True, timeout=60)
+                env=env, capture_output=True, text=True, timeout=60,
+                input=BACKDOOR_ESTIMAND)
             assert "Traceback" not in r.stderr
             outs.append((r.returncode, r.stdout, r.stderr))
         assert outs[0] == outs[1]
+
+
+# a model whose discovered graph orients a --> b: the pipeline matches
+MATCH_MODEL = model_text(
+    "node c1 output\nnode c2 output\nnode a output\nnode b output\n"
+    "edge c1 --> a\nedge c2 --> a\nedge a --> b\n", 6)
+
+
+class TestAnswers:
+    """Every subcommand's answer, byte for byte: the exit code, stdout,
+    stderr and the --out file (None when none is written).  Each runs in
+    text mode and under --json, with --dot and --out where it offers them,
+    and on each of its exit codes.  In the arguments FILE names the input,
+    EST a file holding ESTIMAND and OUT the --out file; stdin holds a
+    failure certificate."""
+
+    ESTIMAND = "(marg (a) (Q (a b)))"
+
+    CASES = {
+        'validate': (
+            ['validate', '--graph', 'FILE'], BACKDOOR, 0,
+            'valid\n',
+            '', None),
+        'validate-json': (
+            ['validate', '--graph', 'FILE', '--json'], BACKDOOR, 0,
+            '{"problems": [], "schema": 1, "valid": true}\n',
+            '', None),
+        'validate-invalid': (
+            ['validate', '--graph', 'FILE', '--class', 'admg'], CIRCLE, 1,
+            'circle mark on a o-> b\n',
+            '', None),
+        'validate-invalid-json': (
+            ['validate', '--graph', 'FILE', '--class', 'admg', '--json'],
+            CIRCLE, 1,
+            ('{"problems": ["circle mark on a o-> b"], "schema": 1, "valid": '
+             'false}\n'),
+            '', None),
+        'mag': (
+            ['mag', '--graph', 'FILE'], LATENT_BOW, 0,
+            'node a output\nnode b output\nedge a --> b\n',
+            '', None),
+        'mag-json': (
+            ['mag', '--graph', 'FILE', '--json'], LATENT_BOW, 0,
+            ('{"graph": {"edges": ["a --> b"], "nodes": {"a": "output", "b": '
+             '"output"}}, "schema": 1}\n'),
+            '', None),
+        'mag-dot': (
+            ['mag', '--graph', 'FILE', '--dot'], LATENT_BOW, 0,
+            ('digraph g {\n'
+             '  edge [dir=both];\n'
+             '  "a";\n'
+             '  "b";\n'
+             '  "a" -> "b" [arrowtail=none, arrowhead=normal];\n'
+             '}\n'),
+            '', None),
+        'mag-out': (
+            ['mag', '--graph', 'FILE', '--out', 'OUT'], LATENT_BOW, 0,
+            '',
+            '', 'node a output\nnode b output\nedge a --> b\n'),
+        'mag-json-out': (
+            ['mag', '--graph', 'FILE', '--json', '--out', 'OUT'], LATENT_BOW,
+            0,
+            '',
+            '',
+            ('{"graph": {"edges": ["a --> b"], "nodes": {"a": "output", "b": '
+             '"output"}}, "schema": 1}\n')),
+        'mag-dot-out': (
+            ['mag', '--graph', 'FILE', '--dot', '--out', 'OUT'], LATENT_BOW,
+            0,
+            '',
+            '',
+            ('digraph g {\n'
+             '  edge [dir=both];\n'
+             '  "a";\n'
+             '  "b";\n'
+             '  "a" -> "b" [arrowtail=none, arrowhead=normal];\n'
+             '}\n')),
+        'canonical': (
+            ['canonical', '--graph', 'FILE'], VISIBLE, 0,
+            ('node a output\n'
+             'node b output\n'
+             'node c1 output\n'
+             'edge a --> b\n'
+             'edge a <-> c1\n'),
+            '', None),
+        'canonical-json': (
+            ['canonical', '--graph', 'FILE', '--json'], VISIBLE, 0,
+            ('{"graph": {"edges": ["a --> b", "a <-> c1"], "nodes": {"a": "ou'
+             'tput", "b": "output", "c1": "output"}}, "schema": 1}\n'),
+            '', None),
+        'canonical-dot': (
+            ['canonical', '--graph', 'FILE', '--dot'], VISIBLE, 0,
+            ('digraph g {\n'
+             '  edge [dir=both];\n'
+             '  "a";\n'
+             '  "b";\n'
+             '  "c1";\n'
+             '  "a" -> "b" [arrowtail=none, arrowhead=normal];\n'
+             '  "a" -> "c1" [arrowtail=normal, arrowhead=normal];\n'
+             '}\n'),
+            '', None),
+        'canonical-out': (
+            ['canonical', '--graph', 'FILE', '--out', 'OUT'], VISIBLE, 0,
+            '',
+            '',
+            ('node a output\n'
+             'node b output\n'
+             'node c1 output\n'
+             'edge a --> b\n'
+             'edge a <-> c1\n')),
+        'canonical-json-out': (
+            ['canonical', '--graph', 'FILE', '--json', '--out', 'OUT'],
+            VISIBLE, 0,
+            '',
+            '',
+            ('{"graph": {"edges": ["a --> b", "a <-> c1"], "nodes": {"a": "ou'
+             'tput", "b": "output", "c1": "output"}}, "schema": 1}\n')),
+        'canonical-dot-out': (
+            ['canonical', '--graph', 'FILE', '--dot', '--out', 'OUT'],
+            VISIBLE, 0,
+            '',
+            '',
+            ('digraph g {\n'
+             '  edge [dir=both];\n'
+             '  "a";\n'
+             '  "b";\n'
+             '  "c1";\n'
+             '  "a" -> "b" [arrowtail=none, arrowhead=normal];\n'
+             '  "a" -> "c1" [arrowtail=normal, arrowhead=normal];\n'
+             '}\n')),
+        'marginalize': (
+            ['marginalize', '--graph', 'FILE', '--nodes', 'l'], LATENT_BOW, 0,
+            'node a output\nnode b output\nedge a --> b\nedge a <-> b\n',
+            '', None),
+        'marginalize-json': (
+            ['marginalize', '--graph', 'FILE', '--nodes', 'l', '--json'],
+            LATENT_BOW, 0,
+            ('{"graph": {"edges": ["a --> b", "a <-> b"], "nodes": {"a": "out'
+             'put", "b": "output"}}, "schema": 1}\n'),
+            '', None),
+        'marginalize-dot': (
+            ['marginalize', '--graph', 'FILE', '--nodes', 'l', '--dot'],
+            LATENT_BOW, 0,
+            ('digraph g {\n'
+             '  edge [dir=both];\n'
+             '  "a";\n'
+             '  "b";\n'
+             '  "a" -> "b" [arrowtail=none, arrowhead=normal];\n'
+             '  "a" -> "b" [arrowtail=normal, arrowhead=normal];\n'
+             '}\n'),
+            '', None),
+        'marginalize-out': (
+            ['marginalize', '--graph', 'FILE', '--nodes', 'l', '--out',
+            'OUT'], LATENT_BOW, 0,
+            '',
+            '', 'node a output\nnode b output\nedge a --> b\nedge a <-> b\n'),
+        'marginalize-json-out': (
+            ['marginalize', '--graph', 'FILE', '--nodes', 'l', '--json',
+            '--out', 'OUT'], LATENT_BOW, 0,
+            '',
+            '',
+            ('{"graph": {"edges": ["a --> b", "a <-> b"], "nodes": {"a": "out'
+             'put", "b": "output"}}, "schema": 1}\n')),
+        'marginalize-dot-out': (
+            ['marginalize', '--graph', 'FILE', '--nodes', 'l', '--dot',
+            '--out', 'OUT'], LATENT_BOW, 0,
+            '',
+            '',
+            ('digraph g {\n'
+             '  edge [dir=both];\n'
+             '  "a";\n'
+             '  "b";\n'
+             '  "a" -> "b" [arrowtail=none, arrowhead=normal];\n'
+             '  "a" -> "b" [arrowtail=normal, arrowhead=normal];\n'
+             '}\n')),
+        'manipulate': (
+            ['manipulate', '--graph', 'FILE', '--soft', 'a', '--hard', 'c'],
+            BACKDOOR, 0,
+            ('soft a\n'
+             'hard c\n'
+             'node I__a input\n'
+             'node a output\n'
+             'node b output\n'
+             'node c input\n'
+             'edge I__a --> a\n'
+             'edge I__a --> b\n'
+             'edge a --> b\n'
+             'edge a <-- c\n'
+             'edge b <-- c\n'),
+            '', None),
+        'manipulate-json': (
+            ['manipulate', '--graph', 'FILE', '--soft', 'a', '--hard', 'c',
+            '--json'], BACKDOOR, 0,
+            ('{"graph": {"edges": ["I__a --> a", "I__a --> b", "a --> b", "a '
+             '<-- c", "b <-- c"], "nodes": {"I__a": "input", "a": "output", "'
+             'b": "output", "c": "input"}}, "hard": ["c"], "schema": 1, "soft'
+             '": ["a"]}\n'),
+            '', None),
+        'sep': (
+            ['sep', '--graph', 'FILE', '--a', 'a', '--b', 'c', '--c', 'b'],
+            CHAIN_INPUT, 0,
+            'connected\n',
+            '', None),
+        'sep-json': (
+            ['sep', '--graph', 'FILE', '--a', 'a', '--b', 'c', '--c', 'b',
+            '--json'], CHAIN_INPUT, 0,
+            '{"schema": 1, "separated": false, "walk": null}\n',
+            '', None),
+        'sep-connected': (
+            ['sep', '--graph', 'FILE', '--a', 'a', '--b', 'c'], CHAIN_INPUT,
+            0,
+            'connected\n',
+            '', None),
+        'sep-explain': (
+            ['sep', '--graph', 'FILE', '--a', 'a', '--b', 'c', '--explain'],
+            CHAIN_INPUT, 0,
+            'connected\nwalk: a i\n',
+            '', None),
+        'sep-explain-json': (
+            ['sep', '--graph', 'FILE', '--a', 'a', '--b', 'c', '--explain',
+            '--json'], CHAIN_INPUT, 0,
+            '{"schema": 1, "separated": false, "walk": ["a", "i"]}\n',
+            '', None),
+        'sep-d-explain': (
+            ['sep', '--graph', 'FILE', '--a', 'a', '--b', 'c', '--mode', 'd',
+            '--explain'], CHAIN_INPUT, 0,
+            'connected\nwalk: a b c\n',
+            '', None),
+        'fci': (
+            ['fci', '--oracle', 'graph:FILE'], COLLIDER, 0,
+            ('node a output\n'
+             'node b output\n'
+             'node c output\n'
+             'edge a <-o b\n'
+             'edge a <-o c\n'),
+            '', None),
+        'fci-json': (
+            ['fci', '--oracle', 'graph:FILE', '--json'], COLLIDER, 0,
+            ('{"graph": {"edges": ["a <-o b", "a <-o c"], "nodes": {"a": "out'
+             'put", "b": "output", "c": "output"}}, "schema": 1}\n'),
+            '', None),
+        'fci-dot': (
+            ['fci', '--oracle', 'graph:FILE', '--dot'], COLLIDER, 0,
+            ('digraph g {\n'
+             '  edge [dir=both];\n'
+             '  "a";\n'
+             '  "b";\n'
+             '  "c";\n'
+             '  "a" -> "b" [arrowtail=normal, arrowhead=odot];\n'
+             '  "a" -> "c" [arrowtail=normal, arrowhead=odot];\n'
+             '}\n'),
+            '', None),
+        'fci-trace': (
+            ['fci', '--oracle', 'graph:FILE', '--trace'], COLLIDER, 0,
+            ('node a output\n'
+             'node b output\n'
+             'node c output\n'
+             'edge a <-o b\n'
+             'edge a <-o c\n'),
+            ('R0 arrowhead at a on b-a because a not in sepset(b,c)\n'
+             'R0 arrowhead at a on c-a because a not in sepset(b,c)\n'),
+            None),
+        'fci-json-trace': (
+            ['fci', '--oracle', 'graph:FILE', '--json', '--trace'], COLLIDER,
+            0,
+            ('{"graph": {"edges": ["a <-o b", "a <-o c"], "nodes": {"a": "out'
+             'put", "b": "output", "c": "output"}}, "schema": 1, "trace": ["R'
+             '0 arrowhead at a on b-a because a not in sepset(b,c)", "R0 arro'
+             'whead at a on c-a because a not in sepset(b,c)"]}\n'),
+            '', None),
+        'fci-out': (
+            ['fci', '--oracle', 'graph:FILE', '--out', 'OUT'], COLLIDER, 0,
+            '',
+            '',
+            ('node a output\n'
+             'node b output\n'
+             'node c output\n'
+             'edge a <-o b\n'
+             'edge a <-o c\n')),
+        'fci-json-out': (
+            ['fci', '--oracle', 'graph:FILE', '--json', '--out', 'OUT'],
+            COLLIDER, 0,
+            ('{"graph": {"edges": ["a <-o b", "a <-o c"], "nodes": {"a": "out'
+             'put", "b": "output", "c": "output"}}, "schema": 1}\n'),
+            '',
+            ('node a output\n'
+             'node b output\n'
+             'node c output\n'
+             'edge a <-o b\n'
+             'edge a <-o c\n')),
+        'fci-dot-out': (
+            ['fci', '--oracle', 'graph:FILE', '--dot', '--out', 'OUT'],
+            COLLIDER, 0,
+            '',
+            '',
+            ('digraph g {\n'
+             '  edge [dir=both];\n'
+             '  "a";\n'
+             '  "b";\n'
+             '  "c";\n'
+             '  "a" -> "b" [arrowtail=normal, arrowhead=odot];\n'
+             '  "a" -> "c" [arrowtail=normal, arrowhead=odot];\n'
+             '}\n')),
+        'fci-trace-out': (
+            ['fci', '--oracle', 'graph:FILE', '--trace', '--out', 'OUT'],
+            COLLIDER, 0,
+            '',
+            ('R0 arrowhead at a on b-a because a not in sepset(b,c)\n'
+             'R0 arrowhead at a on c-a because a not in sepset(b,c)\n'),
+            ('node a output\n'
+             'node b output\n'
+             'node c output\n'
+             'edge a <-o b\n'
+             'edge a <-o c\n')),
+        'fci-json-dot-out': (
+            ['fci', '--oracle', 'graph:FILE', '--json', '--dot', '--out',
+            'OUT'], COLLIDER, 0,
+            ('{"graph": {"edges": ["a <-o b", "a <-o c"], "nodes": {"a": "out'
+             'put", "b": "output", "c": "output"}}, "schema": 1}\n'),
+            '',
+            ('node a output\n'
+             'node b output\n'
+             'node c output\n'
+             'edge a <-o b\n'
+             'edge a <-o c\n')),
+        'fci-scm': (
+            ['fci', '--oracle', 'scm:FILE'], TestEval.SCM, 0,
+            'node a output\nnode b output\nedge a o-o b\n',
+            '', None),
+        'fci-bad-oracle': (
+            ['fci', '--oracle', 'nope'], COLLIDER, 2,
+            '',
+            'error: --oracle must be graph:FILE or scm:FILE\n', None),
+        'sidp': (
+            ['sidp', '--graph', 'FILE', '--a', 'b', '--b', 'a'], BACKDOOR, 1,
+            'FAIL C={b,c} T={a,b,c}\n',
+            '', None),
+        'sidp-json': (
+            ['sidp', '--graph', 'FILE', '--a', 'b', '--b', 'a', '--json'],
+            BACKDOOR, 1,
+            ('{"certificate": "FAIL C={b,c} T={a,b,c}", "ok": false, "schema"'
+             ': 1}\n'),
+            '', None),
+        'sidp-1': (
+            ['sidp', '--graph', 'FILE', '--a', 'c', '--b', 'a'], CONFOUNDED,
+            1,
+            'FAIL C={c} T={a,c}\n',
+            '', None),
+        'sidp-1-json': (
+            ['sidp', '--graph', 'FILE', '--a', 'c', '--b', 'a', '--json'],
+            CONFOUNDED, 1,
+            ('{"certificate": "FAIL C={c} T={a,c}", "ok": false, "schema": 1}'
+             '\n'),
+            '', None),
+        'scidp': (
+            ['scidp', '--graph', 'FILE', '--a', 'b', '--b', 'a', '--c', 'c'],
+            BACKDOOR, 1,
+            'FAIL C={b,c} T={a,b,c}\n',
+            '', None),
+        'scidp-json': (
+            ['scidp', '--graph', 'FILE', '--a', 'b', '--b', 'a', '--c', 'c',
+            '--json'], BACKDOOR, 1,
+            ('{"certificate": "FAIL C={b,c} T={a,b,c}", "ok": false, "schema"'
+             ': 1}\n'),
+            '', None),
+        'scidp-1': (
+            ['scidp', '--graph', 'FILE', '--a', 'c', '--b', 'a'], CONFOUNDED,
+            1,
+            'FAIL C={c} T={a,c}\n',
+            '', None),
+        'scidp-1-json': (
+            ['scidp', '--graph', 'FILE', '--a', 'c', '--b', 'a', '--json'],
+            CONFOUNDED, 1,
+            ('{"certificate": "FAIL C={c} T={a,c}", "ok": false, "schema": 1}'
+             '\n'),
+            '', None),
+        'calculus': (
+            ['calculus', '--graph', 'FILE', '--rule', '2', '--a', 'a', '--b',
+            'b', '--c', 'c1,c2'], CYCLE4, 0,
+            'applies\n',
+            '', None),
+        'calculus-json': (
+            ['calculus', '--graph', 'FILE', '--rule', '2', '--a', 'a', '--b',
+            'b', '--c', 'c1,c2', '--json'], CYCLE4, 0,
+            '{"applies": true, "schema": 1}\n',
+            '', None),
+        'calculus-1': (
+            ['calculus', '--graph', 'FILE', '--rule', '2', '--a', 'a', '--b',
+            'b'], CYCLE4, 1,
+            'does not apply\n',
+            '', None),
+        'calculus-1-json': (
+            ['calculus', '--graph', 'FILE', '--rule', '2', '--a', 'a', '--b',
+            'b', '--json'], CYCLE4, 1,
+            '{"applies": false, "schema": 1}\n',
+            '', None),
+        'adjust': (
+            ['adjust', '--graph', 'FILE', '--a', 'b', '--b', 'a'], VISIBLE, 0,
+            '(cond (a) (marg (c1) (Q (a b c1))))\n',
+            '', None),
+        'adjust-json': (
+            ['adjust', '--graph', 'FILE', '--a', 'b', '--b', 'a', '--json'],
+            VISIBLE, 0,
+            ('{"applies": true, "estimand": "(cond (a) (marg (c1) (Q (a b c1)'
+             ')))", "schema": 1}\n'),
+            '', None),
+        'adjust-1': (
+            ['adjust', '--graph', 'FILE', '--a', 'b', '--b', 'a', '--j0',
+            'c'], BACKDOOR, 1,
+            'does not apply\n',
+            '', None),
+        'adjust-1-json': (
+            ['adjust', '--graph', 'FILE', '--a', 'b', '--b', 'a', '--j0', 'c',
+            '--json'], BACKDOOR, 1,
+            '{"applies": false, "estimand": null, "schema": 1}\n',
+            '', None),
+        'hedge-witness-hedge': (
+            ['hedge-witness', '--graph', 'FILE', '--a', 'c', '--b', 'a'],
+            CONFOUNDED, 0,
+            ('FAIL C={c} T={a,c}\n'
+             'witness:\n'
+             'node a output\n'
+             'node c output\n'
+             'edge a --> c\n'
+             'edge a <-> c\n'
+             "hedge: H={a,c} H'={c} R={c}\n"),
+            '', None),
+        'hedge-witness-hedge-json': (
+            ['hedge-witness', '--graph', 'FILE', '--a', 'c', '--b', 'a',
+            '--json'], CONFOUNDED, 0,
+            ('{"certificate": "FAIL C={c} T={a,c}", "hedge": {"H": ["a", "c"]'
+             ', "Hprime": ["c"], "R": ["c"]}, "identifiable": false, "schema"'
+             ': 1, "witness": {"edges": ["a --> c", "a <-> c"], "nodes": {"a"'
+             ': "output", "c": "output"}}}\n'),
+            '', None),
+        'hedge-witness-identifiable': (
+            ['hedge-witness', '--graph', 'FILE', '--a', 'b', '--b', 'a'],
+            VISIBLE, 1,
+            ('identifiable: (let ((%0 (prod (cond (a c1) (Q (a b c1))) (marg '
+             '(a b) (Q (a b c1)))))) (prod (cond (b c1) %0) (marg (c1) %0)))'
+             '\n'),
+            '', None),
+        'hedge-witness-identifiable-json': (
+            ['hedge-witness', '--graph', 'FILE', '--a', 'b', '--b', 'a',
+            '--json'], VISIBLE, 1,
+            '{"identifiable": true, "schema": 1}\n',
+            '', None),
+        'relation': (
+            ['relation', '--graph', 'FILE', '--source', 'a', '--target', 'c',
+            '--kind', 'total'], BACKDOOR, 0,
+            'AllNo\n',
+            '', None),
+        'relation-json': (
+            ['relation', '--graph', 'FILE', '--source', 'a', '--target', 'c',
+            '--kind', 'total', '--json'], BACKDOOR, 0,
+            '{"schema": 1, "verdict": "AllNo"}\n',
+            '', None),
+        'eval': (
+            ['eval', '--scm', 'FILE', '--estimand', 'EST'], TestEval.SCM, 0,
+            'b\tp\n0\t1/2\n1\t1/2\n',
+            '', None),
+        'eval-json': (
+            ['eval', '--scm', 'FILE', '--estimand', 'EST', '--json'],
+            TestEval.SCM, 0,
+            '{"kernel": "b\\tp\\n0\\t1/2\\n1\\t1/2\\n", "schema": 1}\n',
+            '', None),
+        'eval-certificate': (
+            ['eval', '--scm', 'FILE', '--estimand', '-'], TestEval.SCM, 2,
+            '',
+            'error: cannot evaluate a failure certificate\n', None),
+        'enumerate-mags': (
+            ['enumerate-mags', '--graph', 'FILE'], CIRCLE, 0,
+            ('node a output\n'
+             'node b output\n'
+             'edge a --> b\n'
+             '\n'
+             'node a output\n'
+             'node b output\n'
+             'edge a <-> b\n'),
+            '', None),
+        'enumerate-mags-json': (
+            ['enumerate-mags', '--graph', 'FILE', '--json'], CIRCLE, 0,
+            ('{"count": 2, "graphs": [{"edges": ["a --> b"], "nodes": {"a": "'
+             'output", "b": "output"}}, {"edges": ["a <-> b"], "nodes": {"a":'
+             ' "output", "b": "output"}}], "schema": 1}\n'),
+            '', None),
+        'enumerate-mags-copag': (
+            ['enumerate-mags', '--graph', 'FILE', '--membership', 'copag'],
+            CIRCLE, 0,
+            '',
+            '', None),
+        'enumerate-mags-none': (
+            ['enumerate-mags', '--graph', 'FILE'], NO_MAG, 0,
+            '',
+            '', None),
+        'enumerate-mags-none-json': (
+            ['enumerate-mags', '--graph', 'FILE', '--json'], NO_MAG, 0,
+            '{"count": 0, "graphs": [], "schema": 1}\n',
+            '', None),
+        'random-scm': (
+            ['random-scm', '--graph', 'FILE', '--seed', '4'], BACKDOOR, 0,
+            ('var a kind=output domain=2 parents=c\n'
+             'var b kind=output domain=2 parents=a,c\n'
+             'var c kind=output domain=2\n'
+             'cpt a 0 4/9 5/9\n'
+             'cpt a 1 2/9 7/9\n'
+             'cpt b 0,0 8/11 3/11\n'
+             'cpt b 0,1 1/2 1/2\n'
+             'cpt b 1,0 1/8 7/8\n'
+             'cpt b 1,1 5/6 1/6\n'
+             'cpt c - 2/5 3/5\n'),
+            '', None),
+        'pipeline': (
+            ['pipeline', '--scm', 'FILE', '--a', 'b', '--b', 'a'],
+            MATCH_MODEL, 0,
+            ('verdict: MATCH\n'
+             'estimand: (let ((%0 (prod (cond (a c1 c2) (Q (a b c1 c2))) (mar'
+             'g (a b) (Q (a b c1 c2))))) (%1 (prod (cond (b c1 c2) %0) (marg '
+             '(c1) %0)))) (prod (cond (b c2) %1) (marg (c2) %1)))\n'),
+            '', None),
+        'pipeline-json': (
+            ['pipeline', '--scm', 'FILE', '--a', 'b', '--b', 'a', '--json'],
+            MATCH_MODEL, 0,
+            ('{"estimand": "(let ((%0 (prod (cond (a c1 c2) (Q (a b c1 c2))) '
+             '(marg (a b) (Q (a b c1 c2))))) (%1 (prod (cond (b c1 c2) %0) (m'
+             'arg (c1) %0)))) (prod (cond (b c2) %1) (marg (c2) %1)))", "grap'
+             'h": {"edges": ["a --> b", "a <-o c1", "a <-o c2"], "nodes": {"a'
+             '": "output", "b": "output", "c1": "output", "c2": "output"}}, "'
+             'schema": 1, "verdict": "MATCH"}\n'),
+            '', None),
+        'pipeline-1': (
+            ['pipeline', '--scm', 'FILE', '--a', 'c', '--b', 'b'],
+            CONFOUNDED_MODEL, 1,
+            ('verdict: FAIL-CERTIFIED\n'
+             'certificate: FAIL C={c,d} T={a,b,c,d}\n'
+             "hedge: H={b,c} H'={c} R={c}\n"),
+            '', None),
+        'pipeline-1-json': (
+            ['pipeline', '--scm', 'FILE', '--a', 'c', '--b', 'b', '--json'],
+            CONFOUNDED_MODEL, 1,
+            ('{"certificate": "FAIL C={c,d} T={a,b,c,d}", "graph": {"edges": '
+             '["a o-- i", "a o-o b", "b --> c", "b o-- i", "c <-o d"], "nodes'
+             '": {"a": "output", "b": "output", "c": "output", "d": "output",'
+             ' "i": "input"}}, "hedge": {"H": ["b", "c"], "Hprime": ["c"], "R'
+             '": ["c"]}, "schema": 1, "verdict": "FAIL-CERTIFIED"}\n'),
+            '', None),
+    }
+
+    def test_every_subcommand_is_covered(self):
+        assert {case[0][0] for case in self.CASES.values()} == set(
+            main.commands)
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_answer(self, runner, tmp_path, name):
+        args, text, code, stdout, stderr, filed = self.CASES[name]
+        paths = {"FILE": write(tmp_path, "input.txt", text),
+                 "EST": write(tmp_path, "estimand.txt", self.ESTIMAND),
+                 "OUT": str(tmp_path / "out.txt")}
+        r = runner.invoke(main, [paths[a] if a in ("EST", "OUT")
+                                 else a.replace("FILE", paths["FILE"])
+                                 for a in args],
+                          input="FAIL C={a} T={a,b}\n")
+        assert (r.exit_code, r.stdout, r.stderr) == (code, stdout, stderr)
+        out = tmp_path / "out.txt"
+        assert (out.read_text() if out.exists() else None) == filed
 
 
 class TestPipeline:

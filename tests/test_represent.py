@@ -157,6 +157,23 @@ class TestEnumerateMags:
             # so no orientation keeps both the arrowhead and b --- c
         assert enumerate_mags(p) == []
 
+    def test_limit_below_one_is_rejected(self):
+        # not read as "too many circle marks" on a graph without any
+        p = parse_graph("node a output\nnode b output\nedge a --> b\n")
+        with pytest.raises(ValueError, match="limit must be at least 1"):
+            enumerate_mags(p, limit=0)
+
+    def test_unknown_membership_is_named(self):
+        p = parse_graph("node a output\nnode b output\nedge a o-> b\n")
+        with pytest.raises(ValueError, match="unknown membership 'some'"):
+            enumerate_mags(p, membership="some")
+        assert enumerate_mags(p, membership="all") == enumerate_mags(p)
+
+    def test_a_callable_membership_is_rejected(self):
+        p = parse_graph("node a output\nnode b output\nedge a o-> b\n")
+        with pytest.raises(ValueError, match="unknown membership"):
+            enumerate_mags(p, membership=lambda m: True)
+
 
 class TestWitnesses:
     def test_bidirected_witness_on_invisible_edge(self):
