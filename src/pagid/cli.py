@@ -14,8 +14,8 @@ format's tokens.
 Every subcommand ends in one call to ``_answer``, which prints its answer
 (or writes it to ``--out``) and exits with its code; only ``_answer`` and
 ``_fail`` print or exit.  The one exception is ``fci``: its ``--trace``
-lines go to stderr, and under ``--json`` its ``--out`` file gets the text
-format.
+lines go to stderr, and under ``--json`` its ``--out`` file gets the graph
+in the text format, or in dot under ``--dot``.
 """
 
 from __future__ import annotations
@@ -271,7 +271,7 @@ def fci_cmd(oracle_spec, out, trace, as_json, as_dot):
     log = [] if trace else None
     p = run_fci(orc, trace=log)
     payload = {"graph": _graph_json(p), **({"trace": log} if trace else {})}
-    text = _graph_text(p, as_dot and not as_json)
+    text = _graph_text(p, as_dot)
     # the exception to the one answer path (see the module docstring)
     if not as_json:
         for line in log or ():

@@ -384,16 +384,22 @@ class MixedGraph:
 
 
 def _directed_cycle(g: MixedGraph) -> list[str] | None:
-    """Return a cycle of definite directed edges, or None.  Depth first,
-    children in sorted order, with an explicit stack: a long directed
-    chain must not hit the recursion limit."""
+    """Return a cycle of definite directed edges, or None."""
+    return _cycle(g.node_ids, g.children)
+
+
+def _cycle(nodes, children) -> list[str] | None:
+    """Return a cycle of the relation children (a function from a node to
+    its children) over nodes, or None.  Depth first, children in sorted
+    order, with an explicit stack: a long directed chain must not hit the
+    recursion limit."""
     color: dict[str, int] = {}  # 1 on the current path, 2 done
-    for root in g.node_ids:
+    for root in nodes:
         if root in color:
             continue
         color[root] = 1
         path = [root]
-        todo = [iter(sorted(g.children(root)))]
+        todo = [iter(sorted(children(root)))]
         while todo:
             for w in todo[-1]:
                 c = color.get(w)
@@ -402,7 +408,7 @@ def _directed_cycle(g: MixedGraph) -> list[str] | None:
                 if c is None:
                     color[w] = 1
                     path.append(w)
-                    todo.append(iter(sorted(g.children(w))))
+                    todo.append(iter(sorted(children(w))))
                     break
             else:
                 color[path.pop()] = 2

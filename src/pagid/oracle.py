@@ -3,13 +3,13 @@
 Everything in this module is exact; there is no floating point.  Each
 model scales every table to integer weights once (per variable, by the lcm
 of its denominators), so the joint weights of one context share a common
-scale and are summed as integers.  Kernels expose fractions.Fraction
-values in lowest terms, but their arithmetic runs on integer rows (a
-denominator and integer numerators per context, ``_Rows``): a kernel's
-rows are scaled once and cached on it, and estimand evaluation builds
-Fractions only for its result.  CI queries read integer margins of those
-rows, grouped by the conditioning set's value.  Selection variables are
-binary and the selection event is "value = 1" for every one of them.
+scale and are summed as integers.  A kernel is held as integer rows, a
+denominator and integer numerators per context, and all kernel arithmetic
+runs on them; the Fraction table of a kernel built from rows is made only
+when it is read.  CI queries read integer margins of those rows, kept on
+the kernel and grouped by the conditioning set's value.  Selection
+variables are binary and the selection event is "value = 1" for every one
+of them.
 
 An interventional kernel comes from one variable-elimination pass over
 the model's integer tables (``_eliminate``): the inputs, the intervened
@@ -21,13 +21,13 @@ and a Fraction enumeration, as references.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import operator
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple
 
 from .graph import (
     ARROW,
@@ -41,6 +41,7 @@ from .graph import (
     MixedGraph,
     NodeKind,
     _KINDS,
+    _cycle,
     validate,
 )
 from .represent import marginalize_latents
@@ -120,19 +121,11 @@ class DiscreteSCM:
                                    f"entry {min(row)}")
                 if sum(row) != 1:
                     raise ScmError(f"table row {key} of {v} sums to {sum(row)}")
-        # acyclicity over the functional parent relation (Kahn's algorithm)
-        indegree = {v: len(self.parents.get(v, ())) for v in self.domains}
         children = {}
-        for v in self.domains:
-            for p in self.parents.get(v, ()):
+        for v, ps in self.parents.items():
+            for p in ps:
                 children.setdefault(p, []).append(v)
-        ready = [v for v, n in indegree.items() if n == 0]
-        for p in ready:  # grows while it is read
-            for v in children.get(p, ()):
-                indegree[v] -= 1
-                if indegree[v] == 0:
-                    ready.append(v)
-        if len(ready) < len(self.domains):
+        if _cycle(self.domains, lambda v: children.get(v, ())):
             raise ScmError("cyclic parent relation")
 
     # -- convenience views --------------------------------------------------
@@ -185,15 +178,42 @@ def _projection(idx):
     return operator.itemgetter(*idx) if idx else lambda t: ()
 
 
-@dataclass(frozen=True)
 class Kernel:
     """Exact conditional distribution table: for every assignment of the
-    context variables, a distribution over the output variables."""
+    context variables, a distribution over the output variables.
 
-    context: tuple
-    outputs: tuple
-    domains: dict
-    table: dict
+    A kernel is its integer rows: ``rows`` maps each context assignment to
+    (d, {output assignment: n}), so a cell's value is n / d, zero cells
+    kept as the table that built them keeps them.  ``table`` holds the same
+    cells, in the same order, as Fractions in lowest terms: the table a
+    kernel was built from, or one built from the rows on its first read
+    and then kept.  Margins over output sets (``_margin``) are kept too;
+    like the table, they stay outside ==, hash and repr, and assume that a
+    kernel is not changed after its first use."""
+
+    def __init__(self, context, outputs, domains, table):
+        """A kernel from its Fraction table; each row is scaled once, by
+        the lcm of its denominators."""
+        self.context, self.outputs, self.domains = context, outputs, domains
+        self.rows = {}
+        for ctx, row in table.items():
+            d = math.lcm(*(p.denominator for p in row.values()))
+            self.rows[ctx] = (d, {out: p.numerator * (d // p.denominator)
+                                  for out, p in row.items()})
+        self.table = table
+
+    @classmethod
+    def _of(cls, context, outputs, domains, rows) -> "Kernel":
+        """A kernel from its integer rows, with no Fraction built."""
+        k = cls.__new__(cls)
+        k.context, k.outputs, k.domains = context, outputs, domains
+        k.rows = rows
+        return k
+
+    @functools.cached_property
+    def table(self) -> dict:
+        return {ctx: {out: Fraction(n, d) for out, n in row.items()}
+                for ctx, (d, row) in self.rows.items()}
 
     def check(self):
         want_ctx = set(_assignments(self.domains, self.context))
@@ -209,63 +229,6 @@ class Kernel:
         return self.table[ctx].get(out, Fraction(0))
 
     def marginalize(self, over) -> "Kernel":
-        return self._rows().marginalize(over).kernel()
-
-    def condition(self, on, zero_rows: str = "error") -> "Kernel":
-        return self._rows().condition(on, zero_rows).kernel()
-
-    def _rows(self, names=None) -> "_Rows":
-        """The kernel in integer rows, or with names (a sorted tuple of
-        outputs) its margin over them.  Each row is scaled by the lcm of
-        its denominators, unless the kernel was built from rows and keeps
-        them; the rows and each margin are built once per kernel and kept
-        outside the dataclass fields (==, hash and repr)."""
-        margins = self.__dict__.get("_margins")
-        if margins is None:
-            rows = {}
-            for ctx, row in self.table.items():
-                d = math.lcm(*(p.denominator for p in row.values()))
-                rows[ctx] = (d, {out: p.numerator * (d // p.denominator)
-                                 for out, p in row.items()})
-            margins = {None: _Rows(self.context, self.outputs, self.domains,
-                                   rows)}
-            object.__setattr__(self, "_margins", margins)
-        hit = margins.get(names)
-        if hit is None:
-            hit = margins[names] = margins[None].marginalize(
-                set(self.outputs) - set(names))
-        return hit
-
-    def __eq__(self, other):
-        if not isinstance(other, Kernel):
-            return NotImplemented
-        return set(self.context) == set(other.context) and kernels_agree(
-            self, other
-        )
-
-    def __hash__(self):
-        return hash((frozenset(self.context), frozenset(self.outputs)))
-
-
-class _Rows(NamedTuple):
-    """Kernel arithmetic in integers: rows maps each context assignment to
-    (denominator, {output assignment: numerator}), so a cell's value is
-    numerator / denominator.  Zero cells are kept as the Fraction tables
-    keep them; ``kernel`` builds the Fractions once, for a result."""
-
-    context: tuple
-    outputs: tuple
-    domains: dict
-    rows: dict
-
-    def kernel(self) -> Kernel:
-        k = Kernel(self.context, self.outputs, self.domains, {
-            ctx: {out: Fraction(n, d) for out, n in row.items()}
-            for ctx, (d, row) in self.rows.items()})
-        object.__setattr__(k, "_margins", {None: self})
-        return k
-
-    def marginalize(self, over) -> "_Rows":
         over = set(over)
         if not over <= set(self.outputs):
             raise ScmError("marginalizing variables outside the outputs")
@@ -278,9 +241,9 @@ class _Rows(NamedTuple):
                 k = key(out)
                 new[k] = new.get(k, 0) + n
             rows[ctx] = (d, new)
-        return _Rows(self.context, keep, self.domains, rows)
+        return Kernel._of(self.context, keep, self.domains, rows)
 
-    def condition(self, on, zero_rows: str = "error") -> "_Rows":
+    def condition(self, on, zero_rows: str = "error") -> "Kernel":
         """Each group's integer sum becomes its row's denominator."""
         on = tuple(sorted(set(on)))
         if not set(on) <= set(self.outputs):
@@ -303,12 +266,37 @@ class _Rows(NamedTuple):
                     sub = dict.fromkeys(_assignments(self.domains, keep), 1)
                     total = len(sub)
                 rows[ctx + on_val] = (total, sub)
-        return _Rows(self.context + on, keep, self.domains, rows)
+        return Kernel._of(self.context + on, keep, self.domains, rows)
+
+    def _margin(self, names) -> "Kernel":
+        """The margin over names, a sorted tuple of outputs, built once per
+        kernel and names."""
+        margins = self.__dict__.setdefault("_margins", {})
+        hit = margins.get(names)
+        if hit is None:
+            hit = margins[names] = self.marginalize(
+                set(self.outputs) - set(names))
+        return hit
+
+    def __repr__(self):
+        return (f"Kernel(context={self.context!r}, outputs={self.outputs!r}, "
+                f"domains={self.domains!r}, table={self.table!r})")
+
+    def __eq__(self, other):
+        if not isinstance(other, Kernel):
+            return NotImplemented
+        return set(self.context) == set(other.context) and kernels_agree(
+            self, other
+        )
+
+    def __hash__(self):
+        return hash((frozenset(self.context), frozenset(self.outputs)))
 
 
 def kernels_agree(got: Kernel, want: Kernel) -> bool:
-    """Whether got equals want on every assignment.  got may carry context
-    variables that want lacks, and must then not depend on them."""
+    """Whether got equals want on every assignment, by cross-multiplying
+    their integer rows.  got may carry context variables that want lacks,
+    and must then not depend on them."""
     if set(got.outputs) != set(want.outputs):
         return False
     if not set(want.context) <= set(got.context):
@@ -316,29 +304,31 @@ def kernels_agree(got: Kernel, want: Kernel) -> bool:
     key_ctx = _projection([got.context.index(v) for v in want.context])
     key_out = _projection([got.outputs.index(v) for v in want.outputs])
     for ctx in _assignments(got.domains, got.context):
-        row, want_row = got.table[ctx], want.table[key_ctx(ctx)]
+        (d, row), (want_d, want_row) = got.rows[ctx], want.rows[key_ctx(ctx)]
         for out in _assignments(got.domains, got.outputs):
-            if row.get(out, 0) != want_row.get(key_out(out), 0):
+            if row.get(out, 0) * want_d != want_row.get(key_out(out), 0) * d:
                 return False
     return True
 
 
-def _product(factors, domains, zero_rows: str = "error") -> _Rows:
-    """Ordered product of integer-row kernels: each cell multiplies the
-    factors' numerators and denominators, and each row is put on the lcm
-    of its cells' denominators and reduced by one gcd."""
+def kernel_product(kernels, domains, zero_rows: str = "error") -> Kernel:
+    """Ordered product of conditional kernels: the joint over the union of
+    the outputs, each factor reading its context off the full assignment.
+    Each cell multiplies the factors' numerators and denominators, and each
+    row is put on the lcm of its cells' denominators and reduced by one
+    gcd."""
     outputs = []
-    for f in factors:
+    for f in kernels:
         for v in f.outputs:
             if v in outputs:
                 raise ScmError(f"output {v} repeated across factors")
             outputs.append(v)
     outputs = tuple(sorted(outputs))
-    context = tuple(sorted({v for f in factors for v in f.context}
+    context = tuple(sorted({v for f in kernels for v in f.context}
                            - set(outputs)))
     names = context + outputs
     reads = [(f.rows, *(_projection([names.index(v) for v in s])
-                        for s in (f.context, f.outputs))) for f in factors]
+                        for s in (f.context, f.outputs))) for f in kernels]
     rows = {}
     for ctx in _assignments(domains, context):
         cells = {}
@@ -361,19 +351,12 @@ def _product(factors, domains, zero_rows: str = "error") -> _Rows:
         total = sum(row.values())
         if total != d and not (zero_rows == "uniform" and total == 0):
             raise ScmError(f"product row {ctx} sums to {Fraction(total, d)}")
-    return _Rows(context, outputs, domains, rows)
-
-
-def kernel_product(kernels, domains, zero_rows: str = "error") -> Kernel:
-    """Ordered product of conditional kernels: the joint over the union of
-    the outputs, each factor reading its context off the full assignment."""
-    return _product([k._rows() for k in kernels], domains, zero_rows).kernel()
+    return Kernel._of(context, outputs, domains, rows)
 
 
 def kernel_compose(outer: Kernel, inner: Kernel, over, domains) -> Kernel:
     """Composition: sum over the shared variables of outer * inner."""
-    joint = _product([outer._rows(), inner._rows()], domains)
-    return joint.marginalize(over).kernel()
+    return kernel_product([outer, inner], domains).marginalize(over)
 
 
 # -- distributions -----------------------------------------------------------
@@ -437,7 +420,8 @@ def interventional_kernel(
     """P(X_outputs | X_S = 1 || do(X_do_vars), X_I) as an exact kernel with
     the inputs and intervened variables as context.  One elimination pass
     (``_eliminate``) leaves factors over the context and the outputs only;
-    each context's row is read off their product and normalized."""
+    each context's row is read off their product, its sum the row's
+    denominator."""
     do_vars = tuple(sorted(set(do_vars)))
     for v in do_vars + tuple(outputs or ()):
         if v not in scm.kinds:
@@ -456,7 +440,7 @@ def interventional_kernel(
     names = context + outputs
     reads = [(t, _projection([names.index(x) for x in s])) for s, t in
              _eliminate(scm, do_vars, names, condition_selection)]
-    table = {}
+    rows = {}
     for ctx_vals in _assignments(scm.domains, context):
         weights = {}
         for out in _assignments(scm.domains, outputs):
@@ -467,8 +451,8 @@ def interventional_kernel(
         if total == 0:
             raise ScmError("selection event has probability zero in context "
                            f"{dict(zip(context, ctx_vals))}")
-        table[ctx_vals] = {k: Fraction(p, total) for k, p in weights.items()}
-    return Kernel(context, outputs, dict(scm.domains), table)
+        rows[ctx_vals] = (total, weights)
+    return Kernel._of(context, outputs, dict(scm.domains), rows)
 
 
 def c_factor(scm: DiscreteSCM, C) -> Kernel:
@@ -487,7 +471,7 @@ def ci_test(k: Kernel, A, B, C=()) -> bool:
     """Exact conditional independence of A and B given C in every context
     of the kernel: P(a,b,c) P(c) = P(a,c) P(b,c) for every c and every a
     and b seen with it, read off the kernel's integer margin over A, B and
-    C (``Kernel._rows``).  Each context row is read once, its cells grouped
+    C (``Kernel._margin``).  Each context row is read once, its cells grouped
     by their value c of C; a group sums P(c), and P(a,c) and P(b,c) keyed
     by a and by b alone.  A group of one cell w is skipped: P(c), P(a,c)
     and P(b,c) are all w there, and w w = w w.
@@ -501,7 +485,7 @@ def ci_test(k: Kernel, A, B, C=()) -> bool:
     for s, name in ((A, "A"), (B, "B"), (C, "C")):
         if not s <= set(k.outputs):
             raise ScmError(f"{name} contains variables outside the kernel")
-    margin = k._rows(tuple(sorted(A | B | C)))
+    margin = k._margin(tuple(sorted(A | B | C)))
     ka, kb, kc = (_projection([margin.outputs.index(v) for v in sorted(s)])
                   for s in (A, B, C))
     for _d, row in margin.rows.values():
@@ -528,7 +512,7 @@ def input_invariant(k: Kernel, I, B, C=()) -> bool:
     variables held fixed), read off the kernel's integer margin over B and
     C: equal support, and cross-multiplied weights."""
     tgt, giv = sorted(B), sorted(C)
-    margin = k._rows(tuple(sorted(tgt + giv)))
+    margin = k._margin(tuple(sorted(tgt + giv)))
     drop = {k.context.index(v) for v in I}
     kg, kt = (_projection([margin.outputs.index(v) for v in s])
               for s in (giv, tgt))
@@ -554,7 +538,7 @@ def input_invariant(k: Kernel, I, B, C=()) -> bool:
 # -- estimand evaluation -----------------------------------------------------
 
 
-# The last call's kernel, scm and zero_rows, and the rows of every node
+# The last call's kernel, scm and zero_rows, and the kernel of every node
 # evaluated against them, by shallow key (see eval_estimand).
 _slot = (None, None, None, {})
 
@@ -564,18 +548,20 @@ def eval_estimand(e, qv: Kernel, scm=None, zero_rows: str = "error") -> Kernel:
     When an SCM is supplied, base leaves other than Q[V] are computed from
     it directly (useful for checking identities).  Each distinct node is
     evaluated children first and without recursion (``identify._postorder``),
-    in integer rows (``_Rows``); Fractions are built only for the result.
+    in integer rows; no Fraction is built.
 
-    One slot keeps the rows of every node evaluated against the last call's
-    qv, scm and zero_rows, so the estimands checked against one kernel
-    share their subterms' arithmetic.  A call with another qv or scm
-    object, or another zero_rows, empties the slot first, so only the last
-    kernel's rows stay alive.  A node is looked up by its class, its
-    ``_data()`` and the ids of its children's rows in the slot: an O(1)
-    key, where ``_Node`` equality would walk the whole subterm.  Like
-    ``Kernel._rows``, the slot assumes that a kernel's table (and an scm's)
-    is not changed after its first use.  A node whose evaluation raises is
-    not kept, so it raises again."""
+    One slot keeps the kernel of every node evaluated against the last
+    call's qv, scm and zero_rows, so the estimands checked against one
+    kernel share their subterms' arithmetic.  A call with another qv or
+    scm object, or another zero_rows, empties the slot first, so only the
+    last kernel's nodes stay alive.  A node is looked up by its class, its
+    ``_data()`` and the ids of its children's kernels in the slot: an O(1)
+    key, where ``_Node`` equality would walk the whole subterm.  The
+    returned kernel may be the slot's own object (or qv itself), so it is
+    shared with every later call that evaluates an equal estimand.  Like a
+    kernel's margins, the slot assumes that a kernel (and an scm) is not
+    changed after its first use.  A node whose evaluation raises is not
+    kept, so it raises again."""
     from . import identify as idf
 
     global _slot
@@ -585,7 +571,7 @@ def eval_estimand(e, qv: Kernel, scm=None, zero_rows: str = "error") -> Kernel:
         _slot = (qv, scm, zero_rows, memo)
 
     domains = qv.domains
-    rows = {}  # id(node) -> _Rows, filled children first
+    kernels = {}  # id(node) -> Kernel, filled children first
 
     def base(node) -> Kernel:
         if set(node.over) == set(qv.outputs):
@@ -596,19 +582,19 @@ def eval_estimand(e, qv: Kernel, scm=None, zero_rows: str = "error") -> Kernel:
             f"base kernel over {node.over} is not the observed kernel"
         )
 
-    def ev(node) -> _Rows:
-        return rows[id(node)]
+    def ev(node) -> Kernel:
+        return kernels[id(node)]
 
-    def ev_node(node) -> _Rows:
+    def ev_node(node) -> Kernel:
         if isinstance(node, idf.Base):
-            return base(node)._rows()
+            return base(node)
         if isinstance(node, idf.Marginalize):
             return ev(node.child).marginalize(node.over)
         if isinstance(node, idf.Condition):
             return ev(node.child).condition(node.on, zero_rows)
         if isinstance(node, idf.OrderedProduct):
-            return _product([ev(c) for c in node.children], domains,
-                            zero_rows)
+            return kernel_product([ev(c) for c in node.children], domains,
+                                  zero_rows)
         if isinstance(node, idf.BoxProduct):
             left = ev(node.left)
             right = ev(node.right)
@@ -632,24 +618,22 @@ def eval_estimand(e, qv: Kernel, scm=None, zero_rows: str = "error") -> Kernel:
                     factor = factor.condition(given, zero_rows)
                 factors.append(factor)
                 seen.extend(bucket)
-            return _product(factors, domains, zero_rows)
+            return kernel_product(factors, domains, zero_rows)
         if isinstance(node, idf.Compose):
-            joint = _product([ev(node.outer), ev(node.inner)], domains)
-            return joint.marginalize(node.over)
+            return kernel_compose(ev(node.outer), ev(node.inner), node.over,
+                                  domains)
         raise ScmError(f"unknown estimand node {node!r}")
 
-    if isinstance(e, idf.Base):
-        return base(e)
     for node in idf._postorder(e):
         key = (type(node), node._data(),
                tuple(id(ev(c)) for c in idf._children(node)))
         hit = memo.get(key)
         if hit is None:
             # setdefault: should another thread have stored this key
-            # meanwhile, its rows win, so the ids in every key stay alive
+            # meanwhile, its kernel wins, so the ids in every key stay alive
             hit = memo.setdefault(key, ev_node(node))
-        rows[id(node)] = hit
-    return rows[id(e)].kernel()
+        kernels[id(node)] = hit
+    return kernels[id(e)]
 
 
 # -- parsing and serialization -----------------------------------------------

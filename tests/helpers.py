@@ -45,7 +45,7 @@ from pagid.manipulate import (
 )
 from pagid import identify as idf
 from pagid.oracle import (DiscreteSCM, Kernel, ScmError, _assignments,
-                          interventional_kernel, kernels_agree)
+                          _projection, interventional_kernel, kernels_agree)
 from pagid.represent import canonical_isadmg, mag_of, split_id
 from pagid.separate import id_separated
 
@@ -791,6 +791,23 @@ def kernel_product_reference(kernels, domains, zero_rows="error") -> Kernel:
         if total != 1 and not (zero_rows == "uniform" and total == 0):
             raise ScmError(f"product row {ctx} sums to {total}")
     return Kernel(context, outputs, domains, table)
+
+
+def kernels_agree_reference(got: Kernel, want: Kernel) -> bool:
+    """Reference for ``oracle.kernels_agree``: the Fraction tables compared
+    cell by cell."""
+    if set(got.outputs) != set(want.outputs):
+        return False
+    if not set(want.context) <= set(got.context):
+        return False
+    key_ctx = _projection([got.context.index(v) for v in want.context])
+    key_out = _projection([got.outputs.index(v) for v in want.outputs])
+    for ctx in _assignments(got.domains, got.context):
+        row, want_row = got.table[ctx], want.table[key_ctx(ctx)]
+        for out in _assignments(got.domains, got.outputs):
+            if row.get(out, 0) != want_row.get(key_out(out), 0):
+                return False
+    return True
 
 
 def kernel_compose_reference(outer, inner, over, domains) -> Kernel:

@@ -1103,11 +1103,14 @@ class TestAnswers:
             ('{"graph": {"edges": ["a <-o b", "a <-o c"], "nodes": {"a": "out'
              'put", "b": "output", "c": "output"}}, "schema": 1}\n'),
             '',
-            ('node a output\n'
-             'node b output\n'
-             'node c output\n'
-             'edge a <-o b\n'
-             'edge a <-o c\n')),
+            ('digraph g {\n'
+             '  edge [dir=both];\n'
+             '  "a";\n'
+             '  "b";\n'
+             '  "c";\n'
+             '  "a" -> "b" [arrowtail=normal, arrowhead=odot];\n'
+             '  "a" -> "c" [arrowtail=normal, arrowhead=odot];\n'
+             '}\n')),
         'fci-scm': (
             ['fci', '--oracle', 'scm:FILE'], TestEval.SCM, 0,
             'node a output\nnode b output\nedge a o-o b\n',

@@ -48,6 +48,7 @@ from helpers import (
     interventional_kernel_reference,
     kernel_compose_reference,
     kernel_product_reference,
+    kernels_agree_reference,
     marginalize_reference,
     rand_isadmg,
     selected_kernel_reference,
@@ -154,6 +155,10 @@ class TestScmValidation:
                 "var a parents=c\nvar b parents=a\nvar c parents=b\n"
                 + "".join(f"cpt {v} {x} 1 0\n" for v in "abc" for x in "01")
             )
+
+    def test_self_loop_rejected(self):
+        with pytest.raises(ScmError, match="cyclic parent relation"):
+            parse_scm("var a parents=a\ncpt a 0 1 0\ncpt a 1 0 1\n")
 
     def test_deep_chain_does_not_recurse(self):
         # v0000 <- v0001 <- ... <- v1199: the sink sorts first
@@ -465,15 +470,16 @@ class TestEvalEstimand:
         got = eval_estimand(e, k, zero_rows="uniform")
         assert got.value({"a": 1, "b": 1}) == Fraction(1, 2)
 
-    def test_only_the_result_is_built_as_a_kernel(self):
-        # every leaf of the chain's estimand is Q[V]; the inner nodes stay
-        # in integer rows
+    def test_no_fraction_is_built(self):
+        # the model's kernel and every node of the chain's estimand stay in
+        # integer rows; only reading the result's table builds Fractions
         scm = chain()
-        qv = observational_kernel(scm)
         e = idf.sidp(graph_of(scm), ["c"], ["a"], GraphClass.ADMG)
-        with mock.patch.object(oc, "Kernel", wraps=oc.Kernel) as built:
+        with mock.patch.object(oc, "Fraction", wraps=Fraction) as built:
+            qv = observational_kernel(scm)
             got = eval_estimand(e, qv)
-        assert built.call_count == 1
+        assert built.call_count == 0
+        assert _same_kernel(got, eval_estimand_reference(e, qv))
         assert got == interventional_kernel(scm, ["a"], outputs=["c"])
 
 
@@ -810,6 +816,66 @@ class TestKernelRows:
         ]:
             _same_result(got, want)
 
+    @settings(max_examples=150)
+    @given(st.integers(0, 10**6))
+    def test_agreement_matches_the_reference(self, seed):
+        # want against got: want with up to two more context variables,
+        # the variables listed in another order, its rows rescaled, and
+        # sometimes one row redrawn; and against an unrelated kernel
+        rng = random.Random(seed)
+        domains = {v: rng.choice([2, 3]) for v in "abcde"}
+        names = list(domains)
+        rng.shuffle(names)
+        n = rng.randint(1, 2)
+        outs, ctx = names[:n], rng.sample(names[n:], rng.randint(0, 2))
+        want = _random_kernel(rng, domains, outs, ctx)
+        rest = [v for v in names[n:] if v not in ctx]
+        extra = rng.sample(rest, rng.randint(0, min(2, len(rest))))
+        got_ctx = tuple(rng.sample(ctx + extra, len(ctx) + len(extra)))
+        got_outs = tuple(rng.sample(outs, n))
+        redrawn = _random_kernel(rng, domains, got_outs, ())
+        rows = {}
+        for c in itertools.product(*[range(domains[v]) for v in got_ctx]):
+            at = dict(zip(got_ctx, c))
+            d, row = want.rows[tuple(at[v] for v in ctx)]
+            if rng.random() < 0.1:
+                d, row = redrawn.rows[()]
+            m = rng.randint(1, 3)
+            rows[c] = (d * m, {
+                tuple(dict(zip(outs, o))[v] for v in got_outs): w * m
+                for o, w in row.items()})
+        got = Kernel._of(got_ctx, got_outs, domains, rows)
+        other = _random_kernel(rng, domains, outs, ctx)
+        for x, y in [(got, want), (want, got), (got, other), (other, want)]:
+            assert kernels_agree(x, y) == kernels_agree_reference(x, y)
+
+    @settings(max_examples=100)
+    @given(st.integers(0, 10**6))
+    def test_tables_round_trip(self, seed):
+        # a kernel built from a table gives that table back; a kernel built
+        # from rows gives a table that builds the same cells in the same
+        # order, zero cells included
+        rng = random.Random(seed)
+        domains = {v: rng.choice([2, 3]) for v in "abcd"}
+        names = list(domains)
+        rng.shuffle(names)
+        n = rng.randint(1, 3)
+        k = _random_kernel(rng, domains, names[:n],
+                           rng.sample(names[n:], rng.randint(0, 1)))
+        table = {ctx: dict(row) for ctx, row in k.table.items()}
+        assert Kernel(k.context, k.outputs, domains, table).table is table
+        for built in (k.marginalize(rng.sample(names[:n], rng.randint(0, n))),
+                      k.condition(names[:1], "uniform"),
+                      kernel_product([k], domains, "uniform")):
+            assert [(ctx, list(row.items()))
+                    for ctx, row in built.table.items()] == [
+                (ctx, [(out, Fraction(n, d)) for out, n in row.items()])
+                for ctx, (d, row) in built.rows.items()]
+            again = Kernel(built.context, built.outputs, domains, built.table)
+            _same_result(lambda: Kernel._of(again.context, again.outputs,
+                                            domains, again.rows),
+                         lambda: built)
+
     @settings(max_examples=60)
     @given(random_models(), st.data())
     def test_estimands_match_the_reference(self, scm, data):
@@ -940,9 +1006,13 @@ class TestMarginCache:
     """CI queries read integer margins kept on the kernel."""
 
     def test_each_row_is_scaled_once(self):
+        # the model's kernel is built from integer rows and never scaled; a
+        # kernel built from its Fraction table is scaled once per row, when
+        # it is built, and not by the queries
         rng = random.Random(5)
         g = rand_isadmg(rng, n_out=5, n_sel=1, n_in=2, p=0.5)
-        orc = distribution_oracle(random_scm(g, rng, domain=2))
+        scm = random_scm(g, rng, domain=2)
+        orc = distribution_oracle(scm)
         names = orc.inputs + orc.outputs
         queries = rng.sample([
             ({a}, {b}, C)
@@ -958,7 +1028,17 @@ class TestMarginCache:
         with mock.patch.object(oc.math, "lcm", wraps=math.lcm) as lcm:
             for q in queries:
                 orc.query(*q)
-        assert lcm.call_count == len(orc.kernel.table) > 1
+        assert lcm.call_count == 0
+        k = orc.kernel
+        from_table = distribution_oracle(scm)
+        with mock.patch.object(oc.math, "lcm", wraps=math.lcm) as lcm:
+            from_table.kernel = Kernel(k.context, k.outputs, k.domains,
+                                       k.table)
+        assert lcm.call_count == len(k.table) > 1
+        with mock.patch.object(oc.math, "lcm", wraps=math.lcm) as lcm:
+            for q in queries:
+                assert from_table.query(*q) == orc.query(*q)
+        assert lcm.call_count == 0
 
     @settings(max_examples=80)
     @given(random_models(), st.data())
