@@ -10,8 +10,8 @@ reduction set (``l0_sets``), checkers for the three calculus rules and the
 adjustment criterion, single-pair causal-relation criteria, and the
 construction and verification of hedge witnesses for failed runs.  The
 calculus rules are written once (``_rule``): ``calculus_check``, both steps
-of ``scidp``, the causal relations, s-recoverability and the hedge's
-regime search each ask one rule instance.
+of ``scidp``, the causal relations and s-recoverability each ask one rule
+instance; the hedge's regime search asks for every selection node at once.
 
 Estimands use six node kinds: Base (a c-factor Q[C]), Marginalize,
 Condition, OrderedProduct, BoxProduct (the assembly product evaluated along
@@ -58,7 +58,7 @@ from .manipulate import (
     regime_id,
 )
 from .represent import mag_of, marginalize_latents, path_witness
-from .separate import id_separated, walk_nodes
+from .separate import _id_search, id_separated, walk_nodes
 
 
 def _reading(g, cls: GraphClass | None, *sets):
@@ -387,15 +387,16 @@ def _disjoint(*sets):
 
 def _rule(g, cls, rule, A, B, C, D) -> bool:
     """Whether calculus rule 1, 2 or 3 applies to the sets A, B, C and D on
-    g read as cls, unchecked.  A must be id-separated, after hard
-    manipulation of D, from B given C and D (rule 1); or, after soft
-    manipulation of B as well, from B's regime nodes given C and D, and B
-    under rule 2."""
+    g read as cls, unchecked.  After soft manipulation of B and hard
+    manipulation of D, A must be id-separated from B's regime nodes given
+    C, D and, under rule 2, B.  Rule 1 asks for B given C, D and the regime
+    nodes: dead ends, as after hard manipulation alone (see ``separate``).
+    Its soft targets are the outputs in B - D, as B may hold an input."""
+    soft = B if rule != 1 else B.intersection(g.outputs) - D
+    mg, regimes = manipulate(g, soft, D, cls), {regime_id(v) for v in soft}
     if rule == 1:
-        return id_separated(manipulate(g, (), D, cls), A, B, C | D)
-    mg = manipulate(g, B, D, cls)
-    cond = B | C | D if rule == 2 else C | D
-    return id_separated(mg, A, [regime_id(v) for v in B], cond)
+        return id_separated(mg, A, B, C | D | regimes)
+    return id_separated(mg, A, regimes, B | C | D if rule == 2 else C | D)
 
 
 def calculus_check(g, rule: int, A, B, C=(), D=(), cls=None) -> bool:
@@ -479,11 +480,8 @@ def s_recoverability_check(g, A, B, cls=None) -> bool:
     g, cls = _reading(g, cls, A, B)
     if isinstance(sidp(g, A, B, cls), FailCertificate):
         return False
-    free = [
-        v
-        for v in g.outputs
-        if all(mv is not ARROW for _, mv, _, _ in g.edges_at(v))
-    ]
+    free = {v for v in g.outputs
+            if all(mv is not ARROW for _, mv, _, _ in g.edges_at(v))}
     return _rule(g, cls, 1, A, free, set(), B)
 
 
@@ -501,9 +499,11 @@ class Hedge:
 
 def _as_output_graph(g: MixedGraph) -> MixedGraph:
     """Selection nodes recast as outputs, so they can be manipulated and
-    conditioned on like ordinary nodes."""
-    sel = {s: OUTPUT for s in g.selections}
-    return g.edit(kinds=sel)
+    conditioned on like ordinary nodes; the graph keeps it."""
+    if "as_output" not in g._memo:
+        sel = dict.fromkeys(g.selections, OUTPUT)
+        g._memo["as_output"] = g.edit(kinds=sel)
+    return g._memo["as_output"]
 
 
 def _is_cforest(g: MixedGraph, nodes, edges, R) -> bool:
@@ -663,26 +663,19 @@ def maximal_regime_separated(wit: MixedGraph, A, B):
     are id-separated from A given B and all selection nodes, after soft
     manipulation of D and hard manipulation of B.
 
-    This is the set of selection nodes s that pass the test for D = {s}
-    alone, so it takes |S| tests, not 2^|S|.  D is separated exactly when
-    each {d} in D is:
-
-    - Read as an ADMG, soft manipulation of D adds only I__d --> d for each
-      d in D, and the hard manipulation of B is the same for every D.
-    - Every I__d is an input, so it is a connecting target, and a walk
-      ends at the first target it reaches.  I__d is therefore never inside
-      a walk; a walk to it is a walk to d and one step into I__d, and
-      whether that step is open depends only on how the walk reaches d.
-    - I__d has no parents, so it changes neither the ancestors nor the
-      possible ancestors of the conditioning set at any other node.
-
-    So the open walks that reach no regime node are the same for every D,
-    and D is connected exactly when such a walk reaches an input, or
-    reaches some d in D and can step into I__d."""
+    Conditioned regime nodes are dead ends (see ``separate``), so one
+    manipulation, soft on every selection node, and one search from A given
+    B, the selection nodes and the regime nodes answer it.  Read as an
+    ADMG, I__s --> s is the only edge at I__s: the answer is empty if the
+    search reaches an input, and otherwise every s whose I__s it missed."""
     wit.check_nodes(A, B)
-    go, B, S = _as_output_graph(wit), frozenset(B), frozenset(wit.selections)
-    return frozenset(s for s in wit.selections
-                     if _rule(go, GraphClass.ADMG, 2, A, {s}, S - {s}, B))
+    go, S = _as_output_graph(wit), set(wit.selections)
+    mg = manipulate(go, S, B, GraphClass.ADMG)
+    parent, hit = _id_search(mg, A, (), S | set(B) | set(mg.regime_ids))
+    if hit is not None:
+        return frozenset()
+    reached = {v for v, _e in parent}
+    return frozenset(s for s in S if regime_id(s) not in reached)
 
 
 def hedge_witness(p, A, B, cert):

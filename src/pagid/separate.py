@@ -12,6 +12,13 @@ rules for passing a node over the graph core's one walk search
 possible ancestors of the conditioning set only when it first meets a
 collider that needs them; most walks reach a target, or run out of edges,
 before that.
+
+A conditioned regime node is a dead end: I__d is an input with no parents
+and a tail at every edge, so no id-open walk passes through it, it is never
+a collider, and it adds no ancestor or possible ancestor but itself.  The
+hard rules treat the given edges the same with or without regime edges, so
+conditioned regime nodes leave every walk that does not end at one as it
+was without them.
 """
 
 from __future__ import annotations

@@ -1006,6 +1006,14 @@ def scidp_reference(p, A, B, C, cls=None):
     return idf.Condition(res, tuple(sorted(Cc)))
 
 
+def rule_one_reference(g, cls, A, B, C=(), D=()) -> bool:
+    """Reference for calculus rule 1 on g read as cls (``identify._rule``):
+    A id-separated from B given C and D after the hard manipulation of D
+    alone, with no regime node."""
+    mg = manipulate(g, (), D, cls)
+    return id_separated(mg, sorted(A), sorted(B), sorted(set(C) | set(D)))
+
+
 def rule_equality(scm, rule, A, B, C, D):
     """The kernel identity a calculus rule asserts, checked exactly."""
     A, B, C, D = (sorted(s) for s in (A, B, C, D))

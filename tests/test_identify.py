@@ -15,6 +15,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pagid import graph as graph_mod
 from pagid import identify as idf
+from pagid import manipulate as manip_mod
 from pagid.graph import (
     ARROW,
     CIRCLE,
@@ -71,6 +72,7 @@ from helpers import (
     rand_mixed_graph,
     regime_separated,
     rule_equality,
+    rule_one_reference,
     scidp_reference,
     sidp_reference,
 )
@@ -517,6 +519,17 @@ class TestLastManipulation:
         assert got == want
         assert len(builds) == 1
 
+    def test_all_three_rules_share_one_build(self, monkeypatch):
+        # rule 1 reads the graph of rules 2 and 3: soft on B, hard on D
+        g = cycle4()
+        want = [calculus_check(cycle4(), rule, ["a"], ["b"], ["c1"], ["c2"])
+                for rule in (1, 2, 3)]
+        builds = self.builds(monkeypatch)
+        got = [calculus_check(g, rule, ["a"], ["b"], ["c1"], ["c2"])
+               for rule in (1, 2, 3)]
+        assert got == want
+        assert len(builds) == 1
+
     def test_adjustment_scan_builds_once(self, monkeypatch):
         g = parse_graph(BACKDOOR + "node d output\nedge d --> c\n")
         scan = [(), ("c",), ("d",), ("c", "d")]
@@ -551,6 +564,108 @@ class TestLastManipulation:
         assert [calculus_check(g, 2, ["c"], ["a"], cls=ADMG)
                 for _ in range(20)] == [want] * 20
         assert len(builds) == once > 1
+
+
+def _outcome(f, *args):
+    """What a call gives: its value, or the type and text of its error."""
+    try:
+        return f(*args)
+    except ValueError as e:
+        return type(e), str(e)
+
+
+@st.composite
+def rule_one_cases(draw):
+    """A random isADMG with up to two latent, selection and input nodes
+    each, read without a class, as its MAG, as its FCI PAG, or as an ADMG
+    when it has no selection node; and disjoint A, B, C and D over the
+    observed nodes of that reading, inputs included, A and B non-empty."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = rand_isadmg(rng, n_out=draw(st.integers(3, 6)),
+                    n_sel=draw(st.integers(0, 2)),
+                    n_lat=draw(st.integers(0, 2)),
+                    n_in=draw(st.integers(0, 2)),
+                    p=draw(st.sampled_from([0.3, 0.5, 0.7])))
+    readings = [(g, None), (mag_of(g), GraphClass.MAG),
+                (fci(graph_oracle(g)), None)]
+    if not g.selections:
+        readings.append((g, ADMG))
+    graph, cls = draw(st.sampled_from(readings))
+    read, _ = idf._reading(graph, cls)
+    nodes = sorted(set(read.outputs) | set(read.inputs))
+    A = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=2,
+                      unique=True))
+    rest = [v for v in nodes if v not in A]
+    B = draw(st.lists(st.sampled_from(rest), min_size=1, max_size=3,
+                      unique=True))
+    rest = [v for v in rest if v not in B]
+    roles = draw(st.lists(st.sampled_from("CD-"), min_size=len(rest),
+                          max_size=len(rest)))
+    C = [v for v, r in zip(rest, roles) if r == "C"]
+    D = [v for v, r in zip(rest, roles) if r == "D"]
+    return graph, cls, A, B, C, D
+
+
+class TestRuleOne:
+    """Rule 1 reads the graph of rules 2 and 3, soft on the outputs of
+    B - D, and conditions on their regime nodes as well.  The hard
+    manipulation of D alone, conditioned on C and D, is the reference."""
+
+    @staticmethod
+    def reference(g, cls, A, B, C=(), D=()):
+        g, cls = idf._reading(g, cls, A, B, C, D)
+        return rule_one_reference(g, cls, A, B, C, D)
+
+    @staticmethod
+    def recoverability_reference(g, cls, A, B):
+        g, cls = idf._reading(g, cls, A, B)
+        if isinstance(sidp(g, A, B, cls), FailCertificate):
+            return False
+        free = [v for v in g.outputs
+                if all(mv is not ARROW for _, mv, _, _ in g.edges_at(v))]
+        return rule_one_reference(g, cls, A, free, (), B)
+
+    @settings(max_examples=300, deadline=None)
+    @given(rule_one_cases())
+    def test_matches_the_hard_only_rule(self, case):
+        graph, cls, A, B, C, D = case
+        assert _outcome(calculus_check, graph, 1, A, B, C, D, cls) == (
+            _outcome(self.reference, graph, cls, A, B, C, D))
+        assert _outcome(s_recoverability_check, graph, A, B, cls) == (
+            _outcome(self.recoverability_reference, graph, cls, A, B))
+
+    def test_the_regime_nodes_are_conditioned(self):
+        # I__a --o b copies a o-o b, and x o-> b then steps into I__a
+        # through the possible ancestor b of c; unconditioned, I__a would
+        # be a connecting input that a itself is not
+        g = parse_graph(
+            "node x output\nnode b output\nnode a output\nnode c output\n"
+            "edge x o-> b\nedge a o-o b\nedge b o-> c\n"
+        )
+        assert calculus_check(g, 1, ["x"], ["a"], ["c"])
+        assert self.reference(g, None, ["x"], ["a"], ["c"])
+
+    def test_b_holds_an_input(self):
+        # x is an input, and no input can be a soft target
+        g = parse_graph(
+            "node x input\nnode a output\nnode b output\nnode c output\n"
+            "edge x --> c\nedge c --> a\nedge b --> c\n"
+        )
+        for B, C, want in [(["x"], ["c"], True), (["x"], [], False),
+                           (["x", "b"], ["c"], True), (["x", "b"], [], False)]:
+            assert calculus_check(g, 1, ["a"], B, C) is want
+            assert self.reference(g, None, ["a"], B, C) is want
+
+    def test_b_meets_d(self):
+        # s-recoverability asks rule 1 with D = B over the free nodes b
+        # and w: b is in D, and w is softly manipulated
+        g = parse_graph(
+            "node w output\nnode a output\nnode b output\nnode c output\n"
+            "edge w --> a\nedge a --> c\n"
+        )
+        for B, want in [(["b"], False), (["a", "b"], True)]:
+            assert s_recoverability_check(g, ["c"], B) is want
+            assert self.recoverability_reference(g, None, ["c"], B) is want
 
 
 def Trim(k, outputs):
@@ -749,10 +864,8 @@ class TestHedges:
         "edge b --> s3\nedge c1 --> s3\nedge c1 --> s4\nedge a --> s4\n"
     )
 
-    def test_cycle4_witness_hedge(self):
-        wit = parse_graph(self.WIT)
-        assert mag_of(wit) == cycle4()
-        h = Hedge(
+    def _cycle4_hedge(self):
+        return Hedge(
             H=frozenset({"b", "c2"}),
             Hprime=frozenset({"c2"}),
             R=frozenset({"c2"}),
@@ -762,9 +875,32 @@ class TestHedges:
             ),
             forest_prime_edges=(),
         )
+
+    def test_cycle4_witness_hedge(self):
+        wit = parse_graph(self.WIT)
+        assert mag_of(wit) == cycle4()
+        h = self._cycle4_hedge()
         S = set(wit.selections)
         assert maximal_regime_separated(wit, ["a"], ["b"]) == frozenset()
         assert verify_hedge(wit, {"a"} | S, {"b"}, h)
+
+    def test_one_output_graph_per_witness(self, monkeypatch):
+        # the regime search and the verification read one output-kind
+        # graph, checked once as an ADMG
+        wit, h = parse_graph(self.WIT), self._cycle4_hedge()
+        checks = []
+        real = manip_mod._check_valid
+
+        def counted(g, cls):
+            checks.append(cls)
+            return real(g, cls)
+
+        monkeypatch.setattr(manip_mod, "_check_valid", counted)
+        D = maximal_regime_separated(wit, ["a"], ["b"])
+        assert verify_hedge(
+            wit, {"a"} | (set(wit.selections) - D), {"b"} | D, h
+        )
+        assert checks == [ADMG]
 
     def test_cycle4_constructed_witness(self):
         cert = sidp(cycle4(), ["a"], ["b"])
@@ -941,6 +1077,28 @@ class TestRegimeSearch:
         D = maximal_regime_separated(wit, ["a"], ["b"])
         assert D == frozenset(f"s{i}" for i in range(5, 10))
         assert len(calls) <= len(wit.selections)
+
+    @pytest.mark.parametrize("k", [3, 5, 8])
+    def test_one_manipulation_whatever_the_selection_count(self, k,
+                                                           monkeypatch):
+        # selection nodes hang off the target a and the treatment b in
+        # turn; those off b are separated
+        text = "node a output\nnode b output\nedge b --> a\n"
+        for i in range(k):
+            text += f"node s{i} selection\nedge {'ab'[i % 2]} --> s{i}\n"
+        wit = parse_graph(text)
+        want = maximal_regime_separated_bruteforce(wit, ["a"], ["b"])
+        calls = []
+        real = idf.manipulate
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(idf, "manipulate", counted)
+        D = maximal_regime_separated(parse_graph(text), ["a"], ["b"])
+        assert D == want == frozenset(f"s{i}" for i in range(1, k, 2))
+        assert len(calls) == 1
 
 
 @st.composite
