@@ -1,9 +1,9 @@
 """Causal identification from ancestral graphs under selection bias.
 
 Subpackages:
-    graph       mixed-graph data model and structural queries
+    graph       mixed-graph data model, structural queries, edge visibility
     represent   translations between graph classes and proof-driven witnesses
-    manipulate  edge visibility and hard/soft manipulation operators
+    manipulate  hard/soft manipulation operators
     separate    id-separation and classical m-separation
     fci         constraint-based discovery of partial ancestral graphs
     identify    identification algorithms, calculus checks, hedges

@@ -159,7 +159,8 @@ def graph_option(f):
 
 
 json_option = click.option("--json", "as_json", is_flag=True)
-dot_option = click.option("--dot", "as_dot", is_flag=True)
+dot_option = click.option("--dot", "as_dot", is_flag=True,
+                          help="Graphviz dot output; ignored under --json.")
 
 
 @main.command("validate")
@@ -239,8 +240,8 @@ def manipulate_cmd(graph_file, soft, hard, cls, as_json):
 @json_option
 def sep_cmd(graph_file, soft, hard, a_set, b_set, c_set, mode, explain, as_json):
     """Separation query, optionally after manipulation."""
-    g = _load_graph(graph_file)
-    mg = manipulate(g, _split(soft), _split(hard)) if (soft or hard) else g
+    g, D, T = _load_graph(graph_file), _split(soft), _split(hard)
+    mg = manipulate(g, D, T) if D or T else g
     A, B, C = _split(a_set), _split(b_set), _split(c_set)
     sep = (id_separated if mode == "id" else d_separated)(mg, A, B, C)
     walk, text = None, "separated" if sep else "connected"
@@ -258,7 +259,8 @@ def sep_cmd(graph_file, soft, hard, a_set, b_set, c_set, mode, explain, as_json)
 @click.option("--out", type=click.Path(dir_okay=False))
 @click.option("--trace", is_flag=True)
 @json_option
-@dot_option
+@click.option("--dot", "as_dot", is_flag=True,
+              help="Graphviz dot output; under --json, only in the --out file.")
 def fci_cmd(oracle_spec, out, trace, as_json, as_dot):
     """Recover a partial graph from an independence oracle."""
     kind, _, path = oracle_spec.partition(":")

@@ -584,7 +584,7 @@ def buckets(g: MixedGraph, D) -> list[tuple[str, ...]]:
     return [tuple(sorted(groups[r])) for r in sorted(groups)]
 
 
-def _is_visible(g: MixedGraph, a: str, b: str) -> bool:
+def is_visible(g: MixedGraph, a: str, b: str) -> bool:
     """Directed edge a --> b is visible: a is an input, or some c not adjacent
     to b has an arrowhead into a, or an arrowhead into the far end of a
     bidirected chain of parents of b ending at a.  Kept on the graph."""
@@ -636,7 +636,7 @@ def pc_component(
     def visible(e: Edge) -> bool:
         for x, y in ((e.a, e.b), (e.b, e.a)):
             if e.mark_at(x) is TAIL and e.mark_at(y) is ARROW:
-                return directed_visible or _is_visible(g, x, y)
+                return directed_visible or is_visible(g, x, y)
         return False
 
     out = set(B)

@@ -44,6 +44,7 @@ from .graph import (
     as_class,
     bucket_topological_order,
     buckets,
+    is_visible,
     pc_component,
     region,
     validate,
@@ -51,9 +52,7 @@ from .graph import (
 from .manipulate import (
     _check_valid,
     _infer_class,
-    _plain,
     hard_manipulate,
-    is_visible,
     manipulate,
     regime_id,
 )
@@ -61,14 +60,14 @@ from .represent import mag_of, marginalize_latents, path_witness
 from .separate import _id_search, id_separated, walk_nodes
 
 
-def _reading(g, cls: GraphClass | None, *sets):
+def _reading(g: MixedGraph, cls: GraphClass | None, *sets):
     """The graph and class an entry point works on, once the graph as given
     has every node of the sets.  Without a class, latent or selection nodes
     are read through the MAG, so that they are not ignored.  Read as an
     ADMG, latent nodes are projected out and selection nodes are rejected:
     reading them through the MAG would change the class asked for.  Other
     classes keep the graph.  A graph keeps what it is read as, per class."""
-    g, cls = _plain(g), as_class(cls)
+    cls = as_class(cls)
     g.check_nodes(*sets)
     if cls is GraphClass.ADMG and g.selections:
         raise ValueError(
@@ -271,10 +270,9 @@ def _reduction_set(p: MixedGraph, A, B) -> frozenset:
     return frozenset(p.induced(set(p.outputs) - set(B)).possible_anteriors(A))
 
 
-def l0_sets(p, A, B) -> frozenset:
+def l0_sets(p: MixedGraph, A, B) -> frozenset:
     """The set D of the reduction step (``_reduction_set``), after checking
     that A is non-empty and that A and B are disjoint sets of outputs."""
-    p = _plain(p)
     A, B = frozenset(A), frozenset(B)
     V = set(p.outputs)
     if not A:
@@ -548,11 +546,10 @@ def _is_cforest(g: MixedGraph, nodes, edges, R) -> bool:
     return True
 
 
-def verify_hedge(g, A, B, h: Hedge) -> bool:
+def verify_hedge(g: MixedGraph, A, B, h: Hedge) -> bool:
     """Structural check of a hedge for (A, B) in the graph g: nested node
     sets meeting/missing B, both kept edge sets forming forests rooted at R,
     and R ancestral to A once B is hard-manipulated."""
-    g = _plain(g)
     A, B = set(A), set(B)
     g.check_nodes(A, B)
     if not h.Hprime <= h.H or not h.R <= h.Hprime:

@@ -1,6 +1,7 @@
-"""Edge visibility and the hard/soft manipulation operators.  ``manipulate``
-implements both, soft first and then hard, as one graph build; the other
-two are its one-sided calls."""
+"""The hard/soft manipulation operators.  ``manipulate`` implements both,
+soft first and then hard, as one graph build; the other two are its
+one-sided calls.  Edge visibility, which the soft rules read, lives in the
+graph core (``graph.is_visible``)."""
 
 from __future__ import annotations
 
@@ -15,9 +16,9 @@ from .graph import (
     INPUT,
     MixedGraph,
     OUTPUT,
-    _is_visible,
     as_class,
     format_graph,
+    is_visible,
     parse_graph_with_headers,
     validate,
 )
@@ -31,25 +32,19 @@ def regime_id(d: str) -> str:
 
 @dataclass(frozen=True)
 class ManipulatedGraph:
-    """A graph together with its manipulation bookkeeping.
-
-    regime_nodes maps each soft target d to its regime indicator node I__d.
-    hard_targets have been turned into input-kind nodes with no incoming
-    arrowheads; soft_targets keep their kind but gained a regime parent."""
+    """A manipulation: the manipulated graph, its targets and the class it
+    was manipulated as.  hard_targets have been turned into input-kind
+    nodes with no incoming arrowheads; each soft target d kept its kind
+    but gained the regime indicator parent I__d."""
 
     graph: MixedGraph
-    regime_nodes: tuple[tuple[str, str], ...] = ()
     hard_targets: tuple[str, ...] = ()
     soft_targets: tuple[str, ...] = ()
     base_class: GraphClass = GraphClass.MAG
 
     @property
-    def regime_map(self) -> dict[str, str]:
-        return dict(self.regime_nodes)
-
-    @property
     def regime_ids(self) -> tuple[str, ...]:
-        return tuple(i for _, i in self.regime_nodes)
+        return tuple(map(regime_id, self.soft_targets))
 
 
 def _plain(g) -> MixedGraph:
@@ -57,23 +52,10 @@ def _plain(g) -> MixedGraph:
     return g.graph if isinstance(g, ManipulatedGraph) else g
 
 
-def as_manipulated(g, cls: GraphClass = GraphClass.MAG) -> ManipulatedGraph:
-    if isinstance(g, ManipulatedGraph):
-        return g
-    return ManipulatedGraph(graph=g, base_class=cls)
-
-
-def is_visible(g: MixedGraph, a: str, b: str) -> bool:
-    """Whether the directed edge a --> b is visible: its directedness is
-    certified by an input origin or a qualifying non-adjacent witness.
-    The answer is kept on the graph (``graph._is_visible``)."""
-    return _is_visible(_plain(g), a, b)
-
-
 def _check_unmanipulated(mg: ManipulatedGraph, cls: GraphClass):
     """A graph entering its first manipulation must be valid under the
     class it is manipulated as and keep clear of the regime-node names."""
-    if mg.regime_nodes or mg.hard_targets or ("checked", cls) in mg.graph._memo:
+    if mg.soft_targets or mg.hard_targets or ("checked", cls) in mg.graph._memo:
         return
     for v in mg.graph.node_ids:
         if v.startswith(REGIME_PREFIX):
@@ -115,10 +97,11 @@ def manipulate(g, D=(), T=(), cls: GraphClass | None = None) -> ManipulatedGraph
     last manipulation, a graph returns it unbuilt."""
     cls = as_class(cls)
     D, T = set(D), set(T)
-    mg = as_manipulated(g, cls or _infer_class(g))
+    mg = g if isinstance(g, ManipulatedGraph) else ManipulatedGraph(
+        g, base_class=cls or _infer_class(g))
     cls = cls or mg.base_class
     graph, memo = mg.graph, mg.graph._memo
-    key = (mg.regime_nodes, mg.hard_targets, mg.soft_targets, mg.base_class,
+    key = (mg.hard_targets, mg.soft_targets, mg.base_class,
            frozenset(D), frozenset(T), cls)
     if memo.get("last", (None,))[0] == key:
         return memo["last"][1]
@@ -126,21 +109,17 @@ def manipulate(g, D=(), T=(), cls: GraphClass | None = None) -> ManipulatedGraph
     if D & T:
         raise ValueError(f"overlapping targets {sorted(D & T)}")
     _check_unmanipulated(mg, cls)
-    existing = mg.regime_map
-    new_regimes = list(mg.regime_nodes)
-    new_soft = list(mg.soft_targets)
+    soft = set(mg.soft_targets)
     kinds, soft_edges = {}, []
     for d in sorted(D):
         if graph.kind(d) is not OUTPUT:
             raise ValueError(f"soft target {d} is not an output node")
-        if d in existing:
+        if d in soft:
             continue
         kinds[regime_id(d)] = INPUT
         if ("soft", d, cls) not in memo:
             memo["soft", d, cls] = _soft_edges(graph, d, cls)
         soft_edges.extend(memo["soft", d, cls])
-        new_regimes.append((d, regime_id(d)))
-        new_soft.append(d)
 
     for t in sorted(T):  # a regime node made above is an input
         if (kinds.get(t) or graph.kind(t)) not in (INPUT, OUTPUT):
@@ -171,9 +150,8 @@ def manipulate(g, D=(), T=(), cls: GraphClass | None = None) -> ManipulatedGraph
     memo["last"] = key, ManipulatedGraph(
         graph=graph.edit(kinds=kinds, drop=gone,
                          add=add.union(set(soft_edges) - gone)),
-        regime_nodes=tuple(new_regimes),
         hard_targets=tuple(sorted(set(mg.hard_targets) | T)),
-        soft_targets=tuple(sorted(new_soft)),
+        soft_targets=tuple(sorted(soft | D)),
         base_class=mg.base_class,
     )
     return memo["last"][1]
@@ -217,12 +195,11 @@ def _soft_edges(g: MixedGraph, a: str, cls: GraphClass) -> list[Edge]:
     return new_edges
 
 
-def _infer_class(g) -> GraphClass:
-    """The class a graph is read as when none is given: a manipulation's
-    base class; ADMG with latent or selection nodes; PAG with circle marks;
-    MAG for a valid MAG; ADMG otherwise.  The class is kept on the graph."""
-    if isinstance(g, ManipulatedGraph):
-        return g.base_class
+def _infer_class(g: MixedGraph) -> GraphClass:
+    """The class a plain graph is read as when none is given: ADMG with
+    latent or selection nodes; PAG with circle marks; MAG for a valid MAG;
+    ADMG otherwise.  The class is kept on the graph.  A manipulation's
+    class is its base class."""
     if "class" not in g._memo:
         g._memo["class"] = (
             GraphClass.ADMG if g.latents or g.selections else GraphClass.PAG
@@ -244,13 +221,11 @@ def format_manipulated(mg: ManipulatedGraph) -> str:
 def parse_manipulated(text: str, cls: GraphClass = GraphClass.MAG) -> ManipulatedGraph:
     g, headers = parse_graph_with_headers(text)
     soft = tuple(sorted(headers["soft"]))
-    regimes = tuple((d, regime_id(d)) for d in soft)
-    for _, i in regimes:
+    for i in map(regime_id, soft):
         if not g.has_node(i):
             raise ValueError(f"missing regime node {i} for soft target")
     return ManipulatedGraph(
         graph=g,
-        regime_nodes=regimes,
         hard_targets=tuple(sorted(headers["hard"])),
         soft_targets=soft,
         base_class=cls,

@@ -34,9 +34,9 @@ from .graph import (
     MixedGraph,
     format_edge,
     inducing_path_exists,
+    is_visible,
     validate,
 )
-from .manipulate import _plain, is_visible
 
 
 def mag_of(a: MixedGraph) -> MixedGraph:
@@ -44,7 +44,6 @@ def mag_of(a: MixedGraph) -> MixedGraph:
     input and output nodes, connect pairs joined by an inducing path, and
     put a tail exactly at endpoints that are ancestors of the other end or
     of a selection node."""
-    a = _plain(a)
     problems = validate(a, GraphClass.ADMG)
     if problems:
         raise ValueError("not a valid ADMG: " + "; ".join(problems))
@@ -74,7 +73,6 @@ def split_id(a: str, b: str) -> str:
 def canonical_isadmg(m: MixedGraph) -> MixedGraph:
     """Canonical represented graph of a MAG: undirected edges become a
     shared selection child, everything else is copied verbatim."""
-    m = _plain(m)
     circles = sorted(e for e in m.edges if CIRCLE in (e.mark_a, e.mark_b))
     if circles:  # name the first in a fixed order
         raise ValueError(f"circle mark on {format_edge(circles[0])}: not a MAG")
@@ -98,7 +96,6 @@ def canonical_isadmg(m: MixedGraph) -> MixedGraph:
 def marginalize_latents(a: MixedGraph, drop=None) -> MixedGraph:
     """Eliminate latent nodes (all by default) by splicing the walks that
     pass through them as non-colliders into direct edges."""
-    a = _plain(a)
     todo = sorted(set(a.latents) if drop is None else set(drop))
     a.check_nodes(todo)
     for l in todo:
@@ -131,7 +128,6 @@ def enumerate_mags(p: MixedGraph, limit: int = 1 << 16,
         raise ValueError(f"limit must be at least 1, not {limit}")
     if membership not in ("all", "copag"):
         raise ValueError(f"unknown membership {membership!r}")
-    p = _plain(p)
     slots = []
     for e in sorted(p.edges):
         for v in (e.a, e.b):
@@ -187,7 +183,6 @@ def path_witness(m: MixedGraph, path) -> MixedGraph:
 def bidirected_witness(m: MixedGraph, a: str, b: str) -> MixedGraph:
     """Represented graph of m in which the invisible directed edge a --> b
     gains a parallel bidirected edge: the path witness of a, b."""
-    m = _plain(m)
     es = m.edges_between(a, b)
     if len(es) != 1 or es[0] != Edge(a, TAIL, b, ARROW):
         raise ValueError(f"no directed edge {a} --> {b}")

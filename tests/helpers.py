@@ -37,7 +37,6 @@ from pagid.manipulate import (
     _check_valid,
     _infer_class,
     _soft_edges,
-    as_manipulated,
     hard_manipulate,
     is_visible,
     manipulate,
@@ -1051,6 +1050,14 @@ def embed_front_door(rng: random.Random, g: MixedGraph):
 # -- manipulation and id-separation: references for the one-build forms -----
 
 
+def as_manipulated(g, cls=None) -> ManipulatedGraph:
+    """g as a manipulation record: g itself, or a plain graph with no
+    targets, manipulated as cls or else as its inferred class."""
+    if isinstance(g, ManipulatedGraph):
+        return g
+    return ManipulatedGraph(graph=g, base_class=cls or _infer_class(g))
+
+
 def _unknown_first(g, nodes):
     """Raise KeyError for the first node, in sorted order, that g lacks."""
     graph = g.graph if isinstance(g, ManipulatedGraph) else g
@@ -1063,28 +1070,23 @@ def _soft_manipulate_reference(g, D, cls=None) -> ManipulatedGraph:
     """Soft manipulation as its own graph build."""
     cls = as_class(cls)
     _unknown_first(g, D)
-    mg = as_manipulated(g, cls or _infer_class(g))
+    mg = as_manipulated(g, cls)
     if cls is None:
         cls = mg.base_class
     _check_unmanipulated(mg, cls)
     graph = mg.graph
-    existing = mg.regime_map
-    new_regimes = list(mg.regime_nodes)
     new_soft = list(mg.soft_targets)
     new_nodes, new_edges = {}, []
     for d in sorted(set(D)):
         if graph.kind(d) is not OUTPUT:
             raise ValueError(f"soft target {d} is not an output node")
-        if d in existing:
+        if d in new_soft:
             continue
         new_nodes[regime_id(d)] = INPUT
         new_edges.extend(_soft_edges(graph, d, cls))
-        existing[d] = regime_id(d)
-        new_regimes.append((d, regime_id(d)))
         new_soft.append(d)
     return ManipulatedGraph(
         graph=graph.edit(kinds=new_nodes, add=new_edges),
-        regime_nodes=tuple(new_regimes),
         hard_targets=mg.hard_targets,
         soft_targets=tuple(sorted(new_soft)),
         base_class=mg.base_class,
@@ -1095,7 +1097,7 @@ def _hard_manipulate_reference(g, T, cls=None) -> ManipulatedGraph:
     """Hard manipulation as its own graph build."""
     cls = as_class(cls)
     _unknown_first(g, T)
-    mg = as_manipulated(g, cls or _infer_class(g))
+    mg = as_manipulated(g, cls)
     if cls is None:
         cls = mg.base_class
     _check_unmanipulated(mg, cls)
@@ -1130,7 +1132,6 @@ def _hard_manipulate_reference(g, T, cls=None) -> ManipulatedGraph:
                     add.add(Edge(x, e.mark_at(x), y, TAIL))
     return ManipulatedGraph(
         graph=graph.edit(kinds=dict.fromkeys(T, INPUT), drop=gone, add=add),
-        regime_nodes=mg.regime_nodes,
         hard_targets=tuple(sorted(set(mg.hard_targets) | tset)),
         soft_targets=mg.soft_targets,
         base_class=mg.base_class,
@@ -1146,7 +1147,7 @@ def manipulate_reference(g, D=(), T=(), cls=None) -> ManipulatedGraph:
     _unknown_first(g, set(T) - {regime_id(d) for d in D} | set(D))
     if set(D) & set(T):
         raise ValueError(f"overlapping targets {sorted(set(D) & set(T))}")
-    mg = as_manipulated(g, cls or _infer_class(g))
+    mg = as_manipulated(g, cls)
     mg = _soft_manipulate_reference(mg, D, cls)
     mg = _hard_manipulate_reference(mg, T, cls)
     return mg

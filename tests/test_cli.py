@@ -278,6 +278,35 @@ class TestSep:
         assert json.loads(r.output)["separated"] is True
 
 
+    @pytest.mark.parametrize("empty", [["--soft", ","], ["--hard", ","],
+                                       ["--soft", "", "--hard", ",,"]])
+    def test_an_empty_target_list_is_no_manipulation(self, runner, tmp_path,
+                                                     empty):
+        # a directed cycle, valid in no class a manipulation reads it as
+        f = write(tmp_path, "g.txt", "node a output\nnode b output\n"
+                  "node c output\nedge a --> b\nedge b --> c\nedge c --> a\n")
+        args = ["sep", "--graph", f, "--a", "a", "--b", "c"]
+        plain, given = runner.invoke(main, args), runner.invoke(main, args + empty)
+        assert (plain.exit_code, plain.output) == (0, "connected\n")
+        assert (given.exit_code, given.output) == (plain.exit_code, plain.output)
+
+
+class TestDotHelp:
+    """Each command's --dot help states what --dot does under --json."""
+
+    @pytest.mark.parametrize("command, rule", [
+        ("mag", "ignored under --json"),
+        ("canonical", "ignored under --json"),
+        ("marginalize", "ignored under --json"),
+        ("fci", "under --json, only in the --out file"),
+    ])
+    def test_dot_help_states_the_json_rule(self, runner, command, rule):
+        r = runner.invoke(main, [command, "--help"])
+        assert r.exit_code == 0
+        line = " ".join(r.output.split())
+        assert re.search(r"--dot Graphviz dot output; " + re.escape(rule), line)
+
+
 class TestFciCommand:
     def test_graph_oracle(self, runner, tmp_path):
         f = write(tmp_path, "g.txt",

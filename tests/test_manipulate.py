@@ -20,6 +20,7 @@ from pagid.graph import (
     parse_graph,
 )
 from pagid.manipulate import (
+    REGIME_PREFIX,
     ManipulatedGraph,
     _infer_class,
     format_manipulated,
@@ -350,7 +351,7 @@ class TestClassInference:
         assert _infer_class(pag) is GraphClass.PAG
         assert _infer_class(mag) is GraphClass.MAG
         assert _infer_class(not_mag) is GraphClass.ADMG
-        assert _infer_class(soft_manipulate(mag, ["a"], GraphClass.ADMG)) is (
+        assert soft_manipulate(mag, ["a"], GraphClass.ADMG).base_class is (
             GraphClass.ADMG
         )
 
@@ -479,10 +480,31 @@ class TestOneBuild:
         assert mg.hard_targets == (regime_id("a"),)
 
 
+class TestRegimeNodes:
+    """The premise of "a conditioned regime node is a dead end" (see the
+    separate module docstring): the regime nodes of a manipulation are the
+    regime ids of its soft targets, and each is an input with a tail at
+    every edge."""
+
+    @settings(max_examples=300)
+    @given(manipulation_cases())
+    def test_regime_nodes_are_tailed_inputs(self, case):
+        g, cls, D, T = case
+        mg = outcome(manipulate, g, D, T, cls)
+        if not isinstance(mg, ManipulatedGraph):
+            return
+        regimes = {v for v in mg.graph.node_ids
+                   if v.startswith(REGIME_PREFIX)}
+        assert set(mg.regime_ids) == regimes
+        for v in regimes:
+            assert mg.graph.kind(v) is INPUT
+            assert all(mv is TAIL for _, mv, _, _ in mg.graph.edges_at(v))
+
+
 def fresh(g):
     """g on a newly built graph, which has kept nothing yet."""
     if isinstance(g, ManipulatedGraph):
-        return ManipulatedGraph(fresh(g.graph), g.regime_nodes, g.hard_targets,
+        return ManipulatedGraph(fresh(g.graph), g.hard_targets,
                                 g.soft_targets, g.base_class)
     return MixedGraph(g.nodes, g.edges)
 
@@ -514,15 +536,13 @@ def call_sequences(draw):
         g = mag_of(g)
     elif kind == "PAG":
         g = fci(graph_oracle(g))
-    books = [((), (), ())]
+    books = [((), ())]
     if draw(st.booleans()):
         d = draw(st.sampled_from(g.outputs))
         mg = manipulate_reference(g, [d], (), GraphClass[kind])
         g = mg.graph
-        # its bookkeeping, and each half of it alone
-        books += [(mg.regime_nodes, mg.hard_targets, mg.soft_targets),
-                  (mg.regime_nodes, (), ()), ((), (), mg.soft_targets)]
-    books.append(((), (draw(st.sampled_from(g.node_ids)),), ()))
+        books.append((mg.hard_targets, mg.soft_targets))  # its bookkeeping
+    books.append(((draw(st.sampled_from(g.node_ids)),), ()))
     inputs = [g] + [ManipulatedGraph(g, *book, base_class=c)
                     for book in books for c in GraphClass]
     outs = g.outputs

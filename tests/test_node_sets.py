@@ -61,15 +61,20 @@ ENTRIES = {
     "manipulate": (manipulate, "ss"),
     "soft_manipulate": (soft_manipulate, "s"),
     "hard_manipulate": (hard_manipulate, "s"),
-    "sidp": (sidp, "ss"),
-    "scidp": (scidp, "sss"),
-    "calculus_check": (lambda g, *s: calculus_check(g, 2, *s), "ssss"),
-    "adjustment_check": (adjustment_check, "sssssss"),
+    "sidp": (lambda g, *s: sidp(_plain(g), *s), "ss"),
+    "scidp": (lambda g, *s: scidp(_plain(g), *s), "sss"),
+    "calculus_check": (
+        lambda g, *s: calculus_check(_plain(g), 2, *s), "ssss"),
+    "adjustment_check": (
+        lambda g, *s: adjustment_check(_plain(g), *s), "sssssss"),
     "causal_relation": (
-        lambda g, a, b: causal_relation(g, a, b, "total"), "nn"),
-    "s_recoverability_check": (s_recoverability_check, "ss"),
-    "hedge_witness": (lambda g, A, B: hedge_witness(g, A, B, None), "ss"),
-    "verify_hedge": (lambda g, A, B: verify_hedge(g, A, B, NO_HEDGE), "ss"),
+        lambda g, a, b: causal_relation(_plain(g), a, b, "total"), "nn"),
+    "s_recoverability_check": (
+        lambda g, *s: s_recoverability_check(_plain(g), *s), "ss"),
+    "hedge_witness": (
+        lambda g, A, B: hedge_witness(_plain(g), A, B, None), "ss"),
+    "verify_hedge": (
+        lambda g, A, B: verify_hedge(_plain(g), A, B, NO_HEDGE), "ss"),
     "maximal_regime_separated": (
         lambda g, A, B: maximal_regime_separated(_plain(g), A, B), "ss"),
     "discriminating_path": (
@@ -80,7 +85,8 @@ ENTRIES = {
     "ancestors": (lambda g, X: _plain(g).ancestors(X), "s"),
     "possible_descendants": (
         lambda g, X: _plain(g).possible_descendants(X), "s"),
-    "marginalize_latents": (marginalize_latents, "s"),
+    "marginalize_latents": (
+        lambda g, X: marginalize_latents(_plain(g), X), "s"),
     "buckets": (lambda g, D: buckets(_plain(g), D), "s"),
     "pc_component": (lambda g, D, B: pc_component(_plain(g), D, B), "ss"),
     "region": (lambda g, D, B: region(_plain(g), D, B), "ss"),
@@ -182,5 +188,5 @@ class TestKnownNodes:
             open_walk_reference, g, A, B, C)
         assert outcome(manipulate, g, D, T, cls) == outcome(
             manipulate_reference, g, D, T, cls)
-        assert outcome(scidp, g, A, B, C) == outcome(
-            scidp_reference, g, A, B, C)
+        assert outcome(scidp, _plain(g), A, B, C) == outcome(
+            scidp_reference, _plain(g), A, B, C)
