@@ -46,15 +46,8 @@ class IndependenceOracle:
     inputs: tuple = ()
     outputs: tuple = ()
 
-    def __init__(self):
-        self._memo = {}
-
     def query(self, A, B, C=()) -> bool:
-        A, B, C = frozenset(A), frozenset(B), frozenset(C)
-        key = (frozenset((A, B)), C)
-        if key not in self._memo:
-            self._memo[key] = self._query(A, B, C)
-        return self._memo[key]
+        return self._query(frozenset(A), frozenset(B), frozenset(C))
 
     def _query(self, A, B, C):  # pragma: no cover - abstract
         raise NotImplementedError
@@ -70,7 +63,6 @@ class graph_oracle(IndependenceOracle):
         problems = validate(g, GraphClass.ADMG)
         if problems and validate(g, GraphClass.MAG):
             raise ValueError("invalid input graph: " + "; ".join(problems))
-        super().__init__()
         self.g = g
         self.inputs = g.inputs
         self.outputs = g.outputs
@@ -85,7 +77,6 @@ class distribution_oracle(IndependenceOracle):
     selected observational distribution."""
 
     def __init__(self, scm):
-        super().__init__()
         self.scm = scm
         self.kernel = oc.observational_kernel(scm)
         self.inputs = tuple(self.kernel.context)
@@ -128,7 +119,11 @@ def skeleton(oracle, I, V):
     edge x-y once some conditioning set separates x from y, first searching
     neighbourhood subsets by size and then Possible-D-SEP sets.  Returns
     the all-circle skeleton and the table of separating sets (inputs are
-    left implicit in every separating set)."""
+    left implicit in every separating set).
+
+    Each (x, y, C) goes to the oracle once.  Stage two skips the subsets of
+    x's stage-one adjacency: stage one asked each such S at depth |S| and
+    found x and y dependent, since x - y survived it."""
     I, V = sorted(set(I)), sorted(set(V))
     iset = set(I)
     nodes = sorted(iset | set(V))
@@ -138,23 +133,29 @@ def skeleton(oracle, I, V):
             continue
         adj[x].add(y)
         adj[y].add(x)
-    sepsets = {}
+    sepsets, answers = {}, {}
 
-    def try_separate(x, y, pool, sizes):
+    def try_separate(x, y, pool, sizes, dependent=None):
         """Remove x - y and record its separating set, if some subset of
-        pool with a size in sizes separates them; smallest sizes first."""
-        cands = sorted(pool - {x, y} - iset)
+        pool with a size in sizes separates them; smallest sizes first,
+        past the subsets of dependent."""
+        cands, pair = sorted(pool - {x, y} - iset), (min(x, y), max(x, y))
         for size in sizes:
             for C in itertools.combinations(cands, size):
-                if oracle.query({x}, {y}, C):
+                if dependent is not None and dependent.issuperset(C):
+                    continue
+                key = (*pair, C)
+                independent = answers.get(key)
+                if independent is None:
+                    independent = answers[key] = oracle.query({x}, {y}, C)
+                if independent:
                     adj[x].discard(y)
                     adj[y].discard(x)
                     sepsets[frozenset((x, y))] = frozenset(C)
                     return
 
     # stage one: conditioning sets bounded by current adjacencies
-    depth = 0
-    while True:
+    for depth in itertools.count():
         pending = False
         for x in nodes:
             for y in sorted(adj[x]):
@@ -164,7 +165,6 @@ def skeleton(oracle, I, V):
                 try_separate(x, y, adj[x], [depth])
         if not pending:
             break
-        depth += 1
 
     kinds = {v: INPUT if v in iset else OUTPUT for v in nodes}
 
@@ -177,6 +177,7 @@ def skeleton(oracle, I, V):
     colliders = _Orienter(circles(), sepsets, iset)
     colliders.r0()
     marks = colliders.marks
+    stage_one = {v: set(adj[v]) for v in nodes}
     built = None
     for x in nodes:
         # over the edges left by now: stage two removes edges as it goes,
@@ -187,7 +188,7 @@ def skeleton(oracle, I, V):
                                    for u in nodes for w in adj[u] if u < w])
         pds = _possible_d_sep(g, x)
         for y in sorted(adj[x]):
-            try_separate(x, y, pds, range(len(nodes)))
+            try_separate(x, y, pds, range(len(nodes)), stage_one[x])
     return circles(), sepsets
 
 

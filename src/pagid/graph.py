@@ -25,9 +25,16 @@ class NodeKind(Enum):
     SELECTION = "selection"
 
 
+class GraphClass(Enum):
+    RAW = "raw"
+    ADMG = "admg"
+    MAG = "mag"
+    PAG = "pag"
+
+
 # Members are singletons compared by identity, so the C-level identity hash
 # serves; Enum's own hashes the member name in Python on every lookup.
-Mark.__hash__ = NodeKind.__hash__ = object.__hash__
+Mark.__hash__ = NodeKind.__hash__ = GraphClass.__hash__ = object.__hash__
 
 TAIL, ARROW, CIRCLE = Mark.TAIL, Mark.ARROW, Mark.CIRCLE
 INPUT, OUTPUT, LATENT, SELECTION = (
@@ -122,13 +129,6 @@ def bidirected(x: str, y: str) -> Edge:
 
 def undirected(x: str, y: str) -> Edge:
     return Edge(x, TAIL, y, TAIL)
-
-
-class GraphClass(Enum):
-    RAW = "raw"
-    ADMG = "admg"
-    MAG = "mag"
-    PAG = "pag"
 
 
 def as_class(cls):

@@ -383,18 +383,20 @@ def _disjoint(*sets):
             raise ValueError(f"overlapping sets: {sorted(x & y)}")
 
 
-def _rule(g, cls, rule, A, B, C, D) -> bool:
+def _rule(g, cls, rule, A, B, C, D, checked=False) -> bool:
     """Whether calculus rule 1, 2 or 3 applies to the sets A, B, C and D on
-    g read as cls, unchecked.  After soft manipulation of B and hard
-    manipulation of D, A must be id-separated from B's regime nodes given
-    C, D and, under rule 2, B.  Rule 1 asks for B given C, D and the regime
-    nodes: dead ends, as after hard manipulation alone (see ``separate``).
-    Its soft targets are the outputs in B - D, as B may hold an input."""
+    g read as cls, unchecked, and their nodes too where checked says that
+    g has them.  After soft manipulation of B and hard manipulation of D,
+    A must be id-separated from B's regime nodes given C, D and, under
+    rule 2, B.  Rule 1 asks for B given C, D and the regime nodes: dead
+    ends, as after hard manipulation alone (see ``separate``).  Its soft
+    targets are the outputs in B - D, as B may hold an input."""
     soft = B if rule != 1 else B.intersection(g.outputs) - D
-    mg, regimes = manipulate(g, soft, D, cls), {regime_id(v) for v in soft}
-    if rule == 1:
-        return id_separated(mg, A, B, C | D | regimes)
-    return id_separated(mg, A, regimes, B | C | D if rule == 2 else C | D)
+    mg = manipulate(g, soft, D, cls, checked=checked)
+    regimes = {regime_id(v) for v in soft}
+    sets = ((B, C | D | regimes) if rule == 1 else
+            (regimes, B | C | D if rule == 2 else C | D))
+    return _id_search(mg, A, *sets, checked)[1] is None
 
 
 def calculus_check(g, rule: int, A, B, C=(), D=(), cls=None) -> bool:
@@ -402,13 +404,14 @@ def calculus_check(g, rule: int, A, B, C=(), D=(), cls=None) -> bool:
     2 exchanges actions on B with observations, 3 inserts/deletes actions
     on B; all relative to conditioning on C under hard manipulation of D."""
     A, B, C, D = (frozenset(s) for s in (A, B, C, D))
-    g, cls = _reading(g, cls, A, B, C, D)
+    read, cls = _reading(g, cls, A, B, C, D)
     _disjoint(A, B, C, D)
     if not A or not B:
         raise ValueError("A and B must be non-empty")
     if rule not in (1, 2, 3):
         raise ValueError(f"unknown rule {rule!r}")
-    return _rule(g, cls, rule, A, B, C, D)
+    # the reading checked the sets on g; on a projection of g, the search does
+    return _rule(read, cls, rule, A, B, C, D, checked=read is g)
 
 
 def adjustment_check(g, A, B, C=(), D=(), J0=(), J1=(), H=(), cls=None):

@@ -89,12 +89,14 @@ def hard_manipulate(g, T, cls: GraphClass | None = None) -> ManipulatedGraph:
     return manipulate(g, (), T, cls)
 
 
-def manipulate(g, D=(), T=(), cls: GraphClass | None = None) -> ManipulatedGraph:
+def manipulate(g, D=(), T=(), cls: GraphClass | None = None,
+               checked=False) -> ManipulatedGraph:
     """Combined manipulation: soft on D, then hard on T, as one graph build,
     equal to hard after soft manipulation: the regime edges are read off the
     given graph, the hard rules apply to them and the given edges, and a
     hard target may name a new regime node, an input.  Asked again for its
-    last manipulation, a graph returns it unbuilt."""
+    last manipulation, a graph returns it unbuilt.  checked says that the
+    graph has every node of D and T."""
     cls = as_class(cls)
     D, T = set(D), set(T)
     mg = g if isinstance(g, ManipulatedGraph) else ManipulatedGraph(
@@ -105,7 +107,8 @@ def manipulate(g, D=(), T=(), cls: GraphClass | None = None) -> ManipulatedGraph
            frozenset(D), frozenset(T), cls)
     if memo.get("last", (None,))[0] == key:
         return memo["last"][1]
-    graph.check_nodes(D, T.difference(map(regime_id, D)))
+    if not checked:
+        graph.check_nodes(D, T.difference(map(regime_id, D)))
     if D & T:
         raise ValueError(f"overlapping targets {sorted(D & T)}")
     _check_unmanipulated(mg, cls)

@@ -1,9 +1,10 @@
 """Exact discrete structural-causal-model engine.
 
-Everything in this module is exact; there is no floating point.  Each
-model scales every table to integer weights once (per variable, by the lcm
-of its denominators), so the joint weights of one context share a common
-scale and are summed as integers.  A kernel is held as integer rows, a
+Everything in this module is exact; there is no floating point.  A model
+is its integer weights, each table scaled by the lcm of its denominators
+(``parse_scm`` reads them straight from the text), so the joint weights of
+one context share a common scale and are summed as integers; its Fraction
+tables are built only when read.  A kernel is held as integer rows, a
 denominator and integer numerators per context, and all kernel arithmetic
 runs on them; the Fraction table of a kernel built from rows is made only
 when it is read.  CI queries read integer margins of those rows, kept on
@@ -26,6 +27,7 @@ import itertools
 import math
 import operator
 import random
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -56,8 +58,9 @@ class DiscreteSCM:
     """Finite-domain model: per-variable domain sizes, ordered parent lists
     and exact-rational conditional probability tables.  Input variables
     have no table; they are context for every computed kernel.  ``weights``
-    holds each table scaled to integers by the lcm of its denominators, and
-    ``_by_kind`` the sorted variables of each kind."""
+    holds each table scaled to integers by the lcm of its denominators (in
+    ``_scales``), ``cpts`` the tables given or else built from the weights
+    on first read, and ``_by_kind`` the sorted variables of each kind."""
 
     domains: dict
     kinds: dict
@@ -65,21 +68,40 @@ class DiscreteSCM:
     cpts: dict
 
     def __post_init__(self):
+        self._weigh({v: {k: [p.as_integer_ratio() for p in row]
+                         for k, row in rows.items()}
+                     for v, rows in self.cpts.items()})
+
+    @classmethod
+    def _of(cls, domains, kinds, parents, tables) -> "DiscreteSCM":
+        """A model from tables of (numerator, denominator) pairs."""
+        scm = cls.__new__(cls)
+        scm.__dict__.update(domains=domains, kinds=kinds, parents=parents)
+        scm._weigh(tables)
+        return scm
+
+    def __getattr__(self, name):
+        """``cpts`` of a model made by ``_of``, built on its first read."""
+        if name != "cpts":
+            raise AttributeError(name)
+        self.__dict__["cpts"] = {v: {
+            k: tuple(Fraction(w, self._scales[v]) for w in row)
+            for k, row in rows.items()} for v, rows in self.weights.items()}
+        return self.cpts
+
+    def _weigh(self, tables):
+        """Scale each table to integers by the lcm of its denominators in
+        lowest terms, outside the fields (== and repr); then check."""
+        weights, scales = {}, {}
+        for v, rows in tables.items():
+            scales[v] = s = math.lcm(*(d // math.gcd(n, d) for row in
+                                       rows.values() for n, d in row))
+            weights[v] = {k: tuple(n * s // d for n, d in row)
+                          for k, row in rows.items()}
+        self.__dict__.update(weights=weights, _scales=scales, _by_kind={
+            k: tuple(v for v in sorted(self.kinds) if self.kinds[v] is k)
+            for k in set(self.kinds.values())})
         self.check()
-        # integer tables, outside the dataclass fields (== and repr)
-        weights = {}
-        for v, rows in self.cpts.items():
-            scale = math.lcm(*(p.denominator for row in rows.values() for p in row))
-            weights[v] = {
-                k: tuple(p.numerator * (scale // p.denominator) for p in row)
-                for k, row in rows.items()
-            }
-        object.__setattr__(self, "weights", weights)
-        by_kind = {}
-        for v in sorted(self.kinds):
-            by_kind.setdefault(self.kinds[v], []).append(v)
-        object.__setattr__(self, "_by_kind",
-                           {k: tuple(vs) for k, vs in by_kind.items()})
 
     def check(self):
         for v, n in self.domains.items():
@@ -102,25 +124,24 @@ class DiscreteSCM:
                 raise ScmError(f"input variable {v} cannot have parents")
         for v in self.domains:
             if self.kinds[v] is INPUT:
-                if v in self.cpts:
+                if v in self.weights:
                     raise ScmError(f"input variable {v} cannot have a table")
                 continue
-            if v not in self.cpts:
+            if v not in self.weights:
                 raise ScmError(f"missing table for {v}")
-            ps = self.parents.get(v, ())
-            shape = [self.domains[p] for p in ps]
-            rows = self.cpts[v]
-            want = set(itertools.product(*[range(n) for n in shape]))
-            if set(rows) != want:
+            rows, scale = self.weights[v], self._scales[v]
+            if set(rows) != set(_assignments(self.domains,
+                                             self.parents.get(v, ()))):
                 raise ScmError(f"table of {v} does not cover parent domain")
             for key, row in rows.items():
                 if len(row) != self.domains[v]:
                     raise ScmError(f"table row of {v} has wrong width")
                 if min(row) < 0:
                     raise ScmError(f"table row {key} of {v} has negative "
-                                   f"entry {min(row)}")
-                if sum(row) != 1:
-                    raise ScmError(f"table row {key} of {v} sums to {sum(row)}")
+                                   f"entry {Fraction(min(row), scale)}")
+                if sum(row) != scale:
+                    raise ScmError(f"table row {key} of {v} sums to "
+                                   f"{Fraction(sum(row), scale)}")
         children = {}
         for v, ps in self.parents.items():
             for p in ps:
@@ -639,6 +660,16 @@ def eval_estimand(e, qv: Kernel, scm=None, zero_rows: str = "error") -> Kernel:
 # -- parsing and serialization -----------------------------------------------
 
 
+def _ratio(text):
+    """A probability as a (numerator, denominator) pair: ASCII digits with
+    an optional sign and an optional /digits are read as integers, any
+    other token (or a zero denominator) through Fraction."""
+    num, _, den = text.partition("/")
+    if re.fullmatch(r"[+-]?[0-9]+(/[0-9]+)?", text) and int(den or 1):
+        return int(num), int(den or 1)
+    return Fraction(text).as_integer_ratio()
+
+
 def _parse_number(lineno, what, text, kind):
     """kind(text), or an ScmError naming the line."""
     try:
@@ -688,8 +719,8 @@ def parse_scm(text: str) -> DiscreteSCM:
             else:
                 key = tuple(_parse_number(lineno, f"table key of {name}", x,
                                           int) for x in key_txt.split(","))
-            row = tuple(_parse_number(lineno, f"probability of {name}", x,
-                                      Fraction) for x in parts[3:])
+            row = [_parse_number(lineno, f"probability of {name}", x, _ratio)
+                   for x in parts[3:]]
             if key in cpts.setdefault(name, {}):
                 raise ScmError(f"line {lineno}: duplicate row {key} of {name}")
             cpts[name][key] = row
@@ -703,7 +734,7 @@ def parse_scm(text: str) -> DiscreteSCM:
         if s not in domains:
             raise ScmError(f"line {lineno}: unknown selection variable {s}")
         kinds[s] = SELECTION
-    return DiscreteSCM(domains, kinds, parents, cpts)
+    return DiscreteSCM._of(domains, kinds, parents, cpts)
 
 
 def format_scm(scm: DiscreteSCM) -> str:
@@ -789,10 +820,9 @@ def random_scm(
                 weights = [rng.randint(0, 8) for _ in range(domains[v])]
                 if sum(weights) == 0:
                     weights[rng.randrange(domains[v])] = 1
-            total = sum(weights)
-            rows[key] = tuple(Fraction(w, total) for w in weights)
+            rows[key] = [(w, sum(weights)) for w in weights]
         cpts[v] = rows
-    scm = DiscreteSCM(domains, kinds, {v: tuple(p) for v, p in parents.items()},
-                      cpts)
+    scm = DiscreteSCM._of(domains, kinds,
+                          {v: tuple(p) for v, p in parents.items()}, cpts)
     assert graph_of(scm) == graph
     return scm

@@ -27,10 +27,12 @@ from .graph import ARROW, CIRCLE, TAIL, _trace, _walk
 from .manipulate import ManipulatedGraph, _plain
 
 
-def _id_search(g, A, B, C):
-    """The search for an id-open walk from A (see ``graph._walk``)."""
+def _id_search(g, A, B, C, checked=False):
+    """The search for an id-open walk from A (see ``graph._walk``); checked
+    says that the graph has every node of the sets."""
     graph, cond = _plain(g), set(C)
-    graph.check_nodes(A, B, cond)
+    if not checked:
+        graph.check_nodes(A, B, cond)
     regimes = set(g.regime_ids) if isinstance(g, ManipulatedGraph) else set()
     targets = (set(B) | set(graph.inputs)) - cond
     closures = {}  # the collider sets, each computed at its first use

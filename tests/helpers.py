@@ -1468,6 +1468,66 @@ def fci_reference(oracle, trace=None):
     return _ReferenceOrienter(sk, sepsets, sk.inputs, trace).run(), sepsets
 
 
+def skeleton_reference(oracle, I, V):
+    """Reference for ``fci.skeleton``: the adjacency search as it was before
+    it kept a table of answers and before stage two skipped the subsets of
+    the stage-one adjacency.  Every subset is handed to ``oracle.query``,
+    in the order of the search."""
+    I, V = sorted(set(I)), sorted(set(V))
+    iset = set(I)
+    nodes = sorted(iset | set(V))
+    adj = {v: set() for v in nodes}
+    for x, y in itertools.combinations(nodes, 2):
+        if x in iset and y in iset:
+            continue
+        adj[x].add(y)
+        adj[y].add(x)
+    sepsets = {}
+
+    def try_separate(x, y, pool, sizes):
+        cands = sorted(pool - {x, y} - iset)
+        for size in sizes:
+            for C in itertools.combinations(cands, size):
+                if oracle.query({x}, {y}, C):
+                    adj[x].discard(y)
+                    adj[y].discard(x)
+                    sepsets[frozenset((x, y))] = frozenset(C)
+                    return
+
+    depth = 0
+    while True:
+        pending = False
+        for x in nodes:
+            for y in sorted(adj[x]):
+                if len((adj[x] - {y}) - iset) < depth:
+                    continue
+                pending = True
+                try_separate(x, y, adj[x], [depth])
+        if not pending:
+            break
+        depth += 1
+
+    kinds = {v: INPUT if v in iset else OUTPUT for v in nodes}
+
+    def circles():
+        return MixedGraph(kinds, [Edge(u, CIRCLE, w, CIRCLE)
+                                  for u in nodes for w in adj[u] if u < w])
+
+    colliders = fci_mod._Orienter(circles(), sepsets, iset)
+    colliders.r0()
+    marks = colliders.marks
+    built = None
+    for x in nodes:
+        if built != len(sepsets):
+            built = len(sepsets)
+            g = MixedGraph(kinds, [Edge(u, marks[(w, u)], w, marks[(u, w)])
+                                   for u in nodes for w in adj[u] if u < w])
+        pds = fci_mod._possible_d_sep(g, x)
+        for y in sorted(adj[x]):
+            try_separate(x, y, pds, range(len(nodes)))
+    return circles(), sepsets
+
+
 def graph_of_reference(scm: DiscreteSCM) -> MixedGraph:
     """Reference for ``oracle.graph_of``, the projection it replaced:
     functional parents become directed edges, each pair of children of a

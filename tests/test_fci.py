@@ -39,6 +39,7 @@ from helpers import (
     possible_d_sep_reference,
     rand_isadmg,
     rand_mixed_graph,
+    skeleton_reference,
     uncovered_pd_paths_reference,
 )
 
@@ -312,6 +313,124 @@ class TestAgainstReference:
         line = "R4 tail at v3 on v4-v3 because discriminating path "
         assert got[-1] == line + "i0-v1-v3-v4"
         assert want[-1] == line + "i0-v0-v1-v3-v4"
+
+
+def _skeleton_outcome(search, oracle):
+    """The PAG, separating sets and orientation trace (the lines of
+    ``pagc fci --trace``) of one skeleton search on oracle; FciConflict
+    stands for the PAG where orientation clashes."""
+    sk, sepsets = search(oracle, oracle.inputs, oracle.outputs)
+    trace = []
+    try:
+        pag = orient(sk, sepsets, oracle.inputs, trace)
+    except FciConflict:
+        pag = FciConflict
+    return pag, sepsets, trace
+
+
+class _Recording(IndependenceOracle):
+    """Hands every query to oracle and records it, with the number of
+    queries asked before stage two's collider marks (the first R0)."""
+
+    def __init__(self, oracle):
+        self.oracle, self.asked = oracle, []
+        self.inputs, self.outputs = oracle.inputs, oracle.outputs
+
+    def _query(self, A, B, C):
+        self.asked.append((A, B, C))
+        return self.oracle._query(A, B, C)
+
+    def skeleton(self):
+        """Run the skeleton search; return the number of stage-one queries
+        and the stage-one adjacency."""
+        first, real_r0 = [], fci_mod._Orienter.r0
+
+        def r0(orienter):
+            if not first:
+                first.append((len(self.asked),
+                              {v: set(ns) for v, ns in orienter.adj.items()}))
+            return real_r0(orienter)
+
+        with mock.patch.object(fci_mod._Orienter, "r0", r0):
+            skeleton(self, self.inputs, self.outputs)
+        return first[0]
+
+
+# stage two removes v1 - v4 here, given v0, v2, v3 and v7 from
+# Possible-D-SEP(v1), where v2 is not adjacent to v1
+STAGE_TWO_REMOVAL = (
+    "node i0 input\n" + "".join(f"node v{i} output\n" for i in range(8))
+    + "edge i0 --> v0\nedge i0 --> v2\nedge i0 --> v4\nedge i0 --> v5\n"
+    "edge i0 --> v7\nedge v0 --> v1\nedge v0 <-> v2\nedge v3 --> v1\n"
+    "edge v1 <-> v5\nedge v1 <-> v7\nedge v2 <-> v3\nedge v2 --> v7\n"
+    "edge v3 <-> v4\nedge v3 --> v5\nedge v4 --> v5\nedge v7 --> v4\n"
+    "edge v7 --> v6\n"
+)
+
+
+class TestSkeletonAgainstReference:
+    """``skeleton`` against ``helpers.skeleton_reference``, the search that
+    asked the oracle every subset: the same PAG, separating sets and
+    trace, and each question asked once."""
+
+    @settings(max_examples=120)
+    @given(st.integers(0, 2**32), st.integers(3, 8), st.integers(0, 2),
+           st.integers(0, 1), st.integers(0, 1),
+           st.sampled_from([0.3, 0.5, 0.7]))
+    def test_graph_oracles(self, seed, n_out, n_lat, n_sel, n_in, p):
+        a = rand_isadmg(random.Random(seed), n_out=n_out, n_sel=n_sel,
+                        n_lat=n_lat, n_in=n_in, p=p)
+        for g in (a, mag_of(a)):
+            orc = graph_oracle(g)
+            assert (_skeleton_outcome(skeleton, orc)
+                    == _skeleton_outcome(skeleton_reference, orc))
+
+    @settings(max_examples=60)
+    @given(st.integers(0, 2**32), st.integers(3, 5), st.integers(0, 1),
+           st.integers(0, 1), st.sampled_from([0.5, 0.7]), st.booleans())
+    def test_distribution_oracles(self, seed, n_out, n_sel, n_in, p,
+                                  positivity):
+        g = rand_isadmg(random.Random(seed), n_out=n_out, n_sel=n_sel,
+                        n_in=n_in, p=p)
+        try:
+            orc = distribution_oracle(
+                random_scm(g, random.Random(seed), positivity=positivity))
+        except ScmError:  # a selection event of probability zero
+            return
+        assert (_skeleton_outcome(skeleton, orc)
+                == _skeleton_outcome(skeleton_reference, orc))
+
+    @staticmethod
+    def _check_asks(orc):
+        """Each (x, y, C) reaches the oracle once, and stage two asks no
+        subset of the asking end's stage-one adjacency.  Returns the
+        stage-two questions."""
+        start, adjacency = orc.skeleton()
+        keys = [(A | B, C) for A, B, C in orc.asked]
+        assert len(keys) == len(set(keys))
+        later = orc.asked[start:]
+        for (x,), _, C in later:
+            assert not C <= adjacency[x], (x, C)
+        return later
+
+    @settings(max_examples=80)
+    @given(st.integers(0, 2**32), st.integers(3, 8), st.integers(0, 2),
+           st.integers(0, 1), st.integers(0, 1),
+           st.sampled_from([0.3, 0.5, 0.7]))
+    def test_each_question_is_asked_once(self, seed, n_out, n_lat, n_sel,
+                                         n_in, p):
+        a = rand_isadmg(random.Random(seed), n_out=n_out, n_sel=n_sel,
+                        n_lat=n_lat, n_in=n_in, p=p)
+        self._check_asks(_Recording(graph_oracle(a)))
+
+    def test_stage_two_still_removes_edges(self):
+        g = parse_graph(STAGE_TWO_REMOVAL)
+        later = self._check_asks(_Recording(graph_oracle(g)))
+        assert ({"v1"}, {"v4"}, {"v0", "v2", "v3", "v7"}) in later
+        sk, sepsets = skeleton(graph_oracle(g), g.inputs, g.outputs)
+        assert not sk.adjacent("v1", "v4")
+        assert (sk, sepsets) == skeleton_reference(graph_oracle(g), g.inputs,
+                                                   g.outputs)
 
 
 class TestOrientationGoldens:

@@ -6,6 +6,8 @@ named by a KeyError, whatever else is wrong with the call.  With known
 nodes the answers equal the references."""
 
 import random
+import sys
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -13,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from pagid.fci import fci, graph_oracle
 from pagid.graph import (
     GraphClass,
+    MixedGraph,
     buckets,
     discriminating_path,
     inducing_path_exists,
@@ -190,3 +193,47 @@ class TestKnownNodes:
             manipulate_reference, g, D, T, cls)
         assert outcome(scidp, _plain(g), A, B, C) == outcome(
             scidp_reference, _plain(g), A, B, C)
+
+
+class TestOneCheckPerQuestion:
+    """``calculus_check`` looks its node sets up once, on the graph as
+    given, where the reading keeps that graph; where the reading projects
+    latent or selection nodes out, the search checks the sets again.  The
+    places that check a question's sets are the reading, the manipulation
+    and the walk search; the graph core's own entries (such as
+    ``ancestors``) check their arguments apart from these."""
+
+    SITES = {"_reading", "manipulate", "_id_search"}
+
+    def _checks(self, *args):
+        real, callers = MixedGraph.check_nodes, []
+
+        def spy(g, *sets):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(g, *sets)
+
+        with mock.patch.object(MixedGraph, "check_nodes", spy):
+            outcome(calculus_check, *args)
+        return sum(c in self.SITES for c in callers)
+
+    @pytest.mark.parametrize("kind", ["MAG", "PAG"])
+    def test_one_check_per_calculus_question(self, kind):
+        for seed in range(20):
+            a = rand_isadmg(random.Random(seed), n_out=5, n_sel=1, n_lat=1,
+                            n_in=1)
+            g = mag_of(a) if kind == "MAG" else fci(graph_oracle(a))
+            v = random.Random(seed).sample(g.outputs, 4)
+            for rule in (1, 2, 3):
+                # a fresh graph, so that no manipulation is remembered
+                fresh = MixedGraph(dict(g.nodes), g.edges)
+                assert self._checks(fresh, rule, v[:1], v[1:2], v[2:3],
+                                    v[3:]) == 1
+
+    def test_a_projected_reading_still_checks(self):
+        g = rand_isadmg(random.Random(1), n_out=3, n_sel=0, n_lat=1, n_in=0)
+        (l,) = g.latents
+        a, b, c = g.outputs
+        with pytest.raises(KeyError) as exc:
+            calculus_check(g, 2, [a], [b], [c, l])
+        assert exc.value.args == (l,)
+        assert self._checks(g, 2, [a], [b], [c]) > 1

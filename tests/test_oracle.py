@@ -3,6 +3,7 @@ algebra, interventional and selected distributions, independence testing,
 estimand evaluation, and serialization."""
 
 import gc
+import hashlib
 import itertools
 import math
 import random
@@ -14,7 +15,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pagid.graph import INPUT, LATENT, GraphClass, Mark, parse_graph
+from pagid.graph import INPUT, LATENT, OUTPUT, GraphClass, Mark, parse_graph
 from pagid.represent import mag_of
 from pagid.separate import d_separated
 from pagid import identify as idf
@@ -194,6 +195,106 @@ class TestScmValidation:
                 "var a\nvar l kind=latent parents=a\n"
                 "cpt a - 1/2 1/2\ncpt l 0 1 0\ncpt l 1 0 1\n"
             )
+
+
+# sha256 of format_scm and repr of the random_scm models drawn in
+# TestIntegerParse.test_random_models_print_as_before, as random_scm gave
+# them when it built its models from Fraction tables
+RANDOM_MODELS_SHA256 = (
+    "8b628d218f87c2953ea4b519c2270b69a30dbb35ce3c3f6c2176f6c7a3c0e8b7")
+
+
+def _fraction_tables(text):
+    """The tables of a model text as Fraction rows, one Fraction per token:
+    what ``parse_scm`` handed the constructor before it read integers."""
+    cpts = {}
+    for parts in map(str.split, text.splitlines()):
+        if parts and parts[0] == "cpt":
+            key = () if parts[2] == "-" else tuple(map(int, parts[2].split(",")))
+            cpts.setdefault(parts[1], {})[key] = tuple(map(Fraction, parts[3:]))
+    return cpts
+
+
+def _parsed(text):
+    """What parse_scm makes of text: the model's weights, Fraction tables
+    and repr, or the error text."""
+    try:
+        scm = parse_scm(text)
+    except ScmError as e:
+        return str(e)
+    return scm.weights, scm.cpts, repr(scm)
+
+
+class TestIntegerParse:
+    """``parse_scm`` reads ASCII ratios straight into integer weights and
+    any other token through Fraction; the model is the one the Fraction
+    path gives, with the same repr, and every error text is the same."""
+
+    TOKENS = ["1/2", "2/4", "0", "1", "0.5", "1_0/20", "-1/2", "1/0",
+              "1/-2", "x", "+1/2", "00/8", "1/00"]
+
+    @pytest.mark.parametrize("rest", ["1/2", "1/3", "3/2 0"])
+    @pytest.mark.parametrize("token", TOKENS)
+    def test_integer_path_equals_fraction_path(self, token, rest):
+        domain = 1 + len(rest.split())
+        text = f"var a domain={domain}\ncpt a - {token} {rest}\n"
+        got = _parsed(text)
+        with mock.patch.object(oc, "_ratio",
+                               lambda t: Fraction(t).as_integer_ratio()):
+            assert _parsed(text) == got
+        if not isinstance(got, str):
+            want = DiscreteSCM({"a": domain}, {"a": OUTPUT}, {"a": ()},
+                               _fraction_tables(text))
+            assert got == (want.weights, want.cpts, repr(want))
+
+    @pytest.mark.parametrize("token, message", [
+        ("1/0", "line 2: probability of a '1/0' is not a number"),
+        ("1/-2", "line 2: probability of a '1/-2' is not a number"),
+        ("x", "line 2: probability of a 'x' is not a number"),
+        ("0", "table row () of a sums to 1/2"),
+        ("1/6", "table row () of a sums to 2/3"),
+        ("1", "table row () of a sums to 3/2"),
+        ("-1/2", "table row () of a has negative entry -1/2"),
+    ])
+    def test_error_texts(self, token, message):
+        assert _parsed(f"var a\ncpt a - {token} 1/2\n") == message
+
+    def test_lowest_terms(self):
+        scm = parse_scm("var a\nvar b parents=a\ncpt a - 2/4 0.5\n"
+                        "cpt b 0 2/6 4/6\ncpt b 1 1_0/20 1/2\n")
+        assert scm.weights == {"a": {(): (1, 1)},
+                               "b": {(0,): (2, 4), (1,): (3, 3)}}
+        assert scm.cpts["b"][(0,)] == (Fraction(1, 3), Fraction(2, 3))
+
+    @settings(max_examples=40)
+    @given(st.integers(0, 2**32), st.integers(1, 4), st.integers(0, 1),
+           st.integers(0, 1), st.integers(2, 3), st.booleans())
+    def test_models_are_their_weights(self, seed, n_out, n_sel, n_in, domain,
+                                      positivity):
+        g = rand_isadmg(random.Random(seed), n_out=n_out, n_sel=n_sel,
+                        n_in=n_in, p=0.5)
+        scm = random_scm(g, random.Random(seed), domain, positivity)
+        text = format_scm(scm)
+        got = parse_scm(text)
+        want = DiscreteSCM(got.domains, got.kinds, got.parents,
+                           _fraction_tables(text))
+        assert got == scm == want and got.weights == want.weights
+        assert repr(got) == repr(want) and got.cpts == want.cpts
+        assert format_scm(got) == text
+        with pytest.raises(TypeError):
+            hash(got)
+
+    def test_random_models_print_as_before(self):
+        """format_scm and repr of random_scm models, digested: the bytes
+        they printed as when random_scm built Fraction tables."""
+        digest = hashlib.sha256()
+        for seed in range(40):
+            rng = random.Random(seed)
+            g = rand_isadmg(rng, n_out=rng.randint(1, 5),
+                            n_sel=rng.randint(0, 1), n_in=rng.randint(0, 1))
+            scm = random_scm(g, rng, rng.randint(2, 3), seed % 2 == 0)
+            digest.update((format_scm(scm) + repr(scm)).encode())
+        assert digest.hexdigest() == RANDOM_MODELS_SHA256
 
 
 class TestGraphOf:
