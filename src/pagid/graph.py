@@ -309,26 +309,35 @@ class MixedGraph:
 
     # -- reachability closures ---------------------------------------------
 
-    def _closure(self, X, step) -> set[str]:
-        self.check_nodes(X)
+    def _closure(self, X, step, cut=(), checked=False) -> set[str]:
+        """What step reaches from X, and X, expanding no node in cut;
+        checked says that the graph has every node of X."""
+        if not checked:
+            self.check_nodes(X)
         seen, frontier = set(X), list(X)
         while frontier:
             v = frontier.pop()
+            if v in cut:
+                continue
             for w in step(v):
                 if w not in seen:
                     seen.add(w)
                     frontier.append(w)
         return seen
 
-    def ancestors(self, X) -> set[str]:
-        """Reflexive-transitive closure along directed edges into X."""
+    def ancestors(self, X, cut=(), checked=False) -> set[str]:
+        """Reflexive-transitive closure along directed edges into X; see
+        ``_closure`` for cut and checked."""
+        if cut:
+            return self._closure(X, self.parents, cut, checked)
+        if not checked:
+            self.check_nodes(X)
         out = set()
         for v in X:
             cached = self._anc.get(v)
-            if cached is None:  # an unknown node is never kept
-                self.check_nodes(X)
-                cached = frozenset(self._closure((v,), self.parents))
-                self._anc[v] = cached
+            if cached is None:
+                cached = self._anc[v] = frozenset(
+                    self._closure((v,), self.parents, checked=True))
             out |= cached
         return out
 
@@ -347,9 +356,10 @@ class MixedGraph:
 
         return self._closure(X, preds)
 
-    def possible_ancestors(self, X) -> set[str]:
+    def possible_ancestors(self, X, cut=(), checked=False) -> set[str]:
         """Closure along potentially directed paths into X: each edge has no
-        arrowhead at the near end and no tail at the far end."""
+        arrowhead at the near end and no tail at the far end.  See
+        ``_closure`` for cut and checked."""
 
         def preds(w):
             return {
@@ -358,7 +368,7 @@ class MixedGraph:
                 if mu is not ARROW and mw is not TAIL
             }
 
-        return self._closure(X, preds)
+        return self._closure(X, preds, cut, checked)
 
     def possible_anteriors(self, X) -> set[str]:
         """Closure along potentially anterior paths into X: each edge merely

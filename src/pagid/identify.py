@@ -54,10 +54,11 @@ from .manipulate import (
     _infer_class,
     hard_manipulate,
     manipulate,
+    manipulate_for_search,
     regime_id,
 )
 from .represent import mag_of, marginalize_latents, path_witness
-from .separate import _id_search, id_separated, walk_nodes
+from .separate import _id_search, walk_nodes
 
 
 def _reading(g: MixedGraph, cls: GraphClass | None, *sets):
@@ -390,13 +391,15 @@ def _rule(g, cls, rule, A, B, C, D, checked=False) -> bool:
     A must be id-separated from B's regime nodes given C, D and, under
     rule 2, B.  Rule 1 asks for B given C, D and the regime nodes: dead
     ends, as after hard manipulation alone (see ``separate``).  Its soft
-    targets are the outputs in B - D, as B may hold an input."""
+    targets are the outputs in B - D, as B may hold an input.  Every rule
+    conditions on D, so the search reads the soft manipulation alone,
+    with D as dead ends (``separate``)."""
     soft = B if rule != 1 else B.intersection(g.outputs) - D
-    mg = manipulate(g, soft, D, cls, checked=checked)
+    mg, dead = manipulate_for_search(g, soft, D, cls, checked)
     regimes = {regime_id(v) for v in soft}
     sets = ((B, C | D | regimes) if rule == 1 else
             (regimes, B | C | D if rule == 2 else C | D))
-    return _id_search(mg, A, *sets, checked)[1] is None
+    return _id_search(mg, A, *sets, checked, dead)[1] is None
 
 
 def calculus_check(g, rule: int, A, B, C=(), D=(), cls=None) -> bool:
@@ -418,25 +421,22 @@ def adjustment_check(g, A, B, C=(), D=(), J0=(), J1=(), H=(), cls=None):
     """General adjustment: check the three premises under soft manipulation
     of B and hard manipulation of D.  On success also return the adjustment
     estimand, summing the kernel of A given B, C and the adjustment set J
-    against the kernel of J given C."""
+    against the kernel of J given C.  Every premise conditions on D, so
+    the searches read the soft manipulation alone, with D as dead ends
+    (``separate``)."""
     A, B, C, D, J0, J1, H = (frozenset(s) for s in (A, B, C, D, J0, J1, H))
-    g, cls = _reading(g, cls, A, B, C, D, J0, J1, H)
+    read, cls = _reading(g, cls, A, B, C, D, J0, J1, H)
     _disjoint(A, B, C, D, J0, J1, H)
     if not A or not B:
         raise ValueError("A and B must be non-empty")
-    J = J0 | J1
-    mg = manipulate(g, sorted(B), sorted(D), cls)
-    regimes = [regime_id(v) for v in sorted(B)]
-    ok = (
-        id_separated(mg, sorted(J0 | H), regimes, sorted(C | D))
-        and id_separated(
-            mg, sorted(A), sorted(J1) + regimes, sorted(B | C | D | J0 | H)
-        )
-        and id_separated(mg, sorted(H), sorted(B), sorted(set(regimes) | C | D | J))
-    )
-    if not ok:
+    J, checked = J0 | J1, read is g  # as in calculus_check
+    mg, dead = manipulate_for_search(read, B, D, cls, checked)
+    regimes = frozenset(map(regime_id, B))
+    if not all(_id_search(mg, *sets, checked, dead)[1] is None for sets in (
+            (J0 | H, regimes, C | D), (A, J1 | regimes, B | C | D | J0 | H),
+            (H, B, regimes | C | D | J))):
         return False, None
-    W = frozenset(set(g.outputs) - D)
+    W = frozenset(set(read.outputs) - D)
     base = Base(W)
     outer = Condition(
         Marginalize(base, W - (A | B | C | J)), tuple(sorted(B | C | J))
@@ -454,21 +454,18 @@ SOME_YES = "SomeYes"
 def causal_relation(g, a: str, b: str, kind: str, cls=None) -> str:
     """Whether a single-pair causal relation is absent in every represented
     graph (AllNo) or present in at least one (SomeYes)."""
-    g, cls = _reading(g, cls, (a, b))
-    _check_valid(g, cls)
+    read, cls = _reading(g, cls, (a, b))
+    _check_valid(read, cls)
     if a == b:
         raise ValueError("need two distinct nodes")
     if kind == "sel_ancestor":
-        arrow = any(ma is ARROW for _, ma, _, _ in g.edges_at(a))
+        arrow = any(ma is ARROW for _, ma, _, _ in read.edges_at(a))
         return ALL_NO if arrow else SOME_YES
-    if kind == "direct":
-        sep = _rule(g, cls, 3, {b}, {a}, set(), set(g.outputs) - {a, b})
-    elif kind == "total":
-        sep = _rule(g, cls, 3, {b}, {a}, set(), set())
-    elif kind == "confounding":
-        sep = _rule(g, cls, 2, {b}, {a}, set(), set())
-    else:
+    rule = {"direct": 3, "total": 3, "confounding": 2}.get(kind)
+    if rule is None:
         raise ValueError(f"unknown relation kind {kind!r}")
+    D = set(read.outputs) - {a, b} if kind == "direct" else set()
+    sep = _rule(read, cls, rule, {b}, {a}, set(), D, read is g)
     return ALL_NO if sep else SOME_YES
 
 

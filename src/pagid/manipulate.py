@@ -52,18 +52,20 @@ def _plain(g) -> MixedGraph:
     return g.graph if isinstance(g, ManipulatedGraph) else g
 
 
-def _check_unmanipulated(mg: ManipulatedGraph, cls: GraphClass):
+def _check_unmanipulated(g, cls: GraphClass):
     """A graph entering its first manipulation must be valid under the
     class it is manipulated as and keep clear of the regime-node names."""
-    if mg.soft_targets or mg.hard_targets or ("checked", cls) in mg.graph._memo:
+    graph = _plain(g)
+    if graph is not g and (g.soft_targets or g.hard_targets) or (
+            ("checked", cls) in graph._memo):
         return
-    for v in mg.graph.node_ids:
+    for v in graph.node_ids:
         if v.startswith(REGIME_PREFIX):
             raise ValueError(
                 f"node id {v!r} collides with the regime-node namespace"
             )
-    _check_valid(mg.graph, cls)
-    mg.graph._memo["checked", cls] = True
+    _check_valid(graph, cls)
+    graph._memo["checked", cls] = True
 
 
 def _check_valid(g: MixedGraph, cls: GraphClass):
@@ -97,36 +99,25 @@ def manipulate(g, D=(), T=(), cls: GraphClass | None = None,
     hard target may name a new regime node, an input.  Asked again for its
     last manipulation, a graph returns it unbuilt.  checked says that the
     graph has every node of D and T."""
-    cls = as_class(cls)
-    D, T = set(D), set(T)
-    mg = g if isinstance(g, ManipulatedGraph) else ManipulatedGraph(
-        g, base_class=cls or _infer_class(g))
-    cls = cls or mg.base_class
-    graph, memo = mg.graph, mg.graph._memo
-    key = (mg.hard_targets, mg.soft_targets, mg.base_class,
+    graph = _plain(g)
+    memo = graph._memo
+    key = (g is not graph and (g.hard_targets, g.soft_targets, g.base_class),
            frozenset(D), frozenset(T), cls)
     if memo.get("last", (None,))[0] == key:
         return memo["last"][1]
-    if not checked:
-        graph.check_nodes(D, T.difference(map(regime_id, D)))
-    if D & T:
-        raise ValueError(f"overlapping targets {sorted(D & T)}")
-    _check_unmanipulated(mg, cls)
+    _, D, T, cls = key
+    cls = as_class(cls)
+    mg = g if g is not graph else ManipulatedGraph(
+        g, base_class=cls or _infer_class(g))
+    cls = cls or mg.base_class
+    _check_targets(mg, D, T, cls, checked)
     soft = set(mg.soft_targets)
     kinds, soft_edges = {}, []
-    for d in sorted(D):
-        if graph.kind(d) is not OUTPUT:
-            raise ValueError(f"soft target {d} is not an output node")
-        if d in soft:
-            continue
+    for d in sorted(D - soft):
         kinds[regime_id(d)] = INPUT
         if ("soft", d, cls) not in memo:
             memo["soft", d, cls] = _soft_edges(graph, d, cls)
         soft_edges.extend(memo["soft", d, cls])
-
-    for t in sorted(T):  # a regime node made above is an input
-        if (kinds.get(t) or graph.kind(t)) not in (INPUT, OUTPUT):
-            raise ValueError(f"hard target {t} is not an input or output node")
     inputs = set(graph.inputs).union(kinds)
     non_input_targets = T - inputs
     fixed = T | inputs
@@ -158,6 +149,36 @@ def manipulate(g, D=(), T=(), cls: GraphClass | None = None,
         base_class=mg.base_class,
     )
     return memo["last"][1]
+
+
+def _check_targets(g, D, T, cls: GraphClass, checked=False):
+    """A manipulation's checks in order: an unknown node (unless checked),
+    a node in D and T, the graph, a soft target not an output node, and a
+    hard target not an input or output node (a new regime node is input)."""
+    graph, made = _plain(g), set(map(regime_id, D))
+    if not checked:
+        graph.check_nodes(D, T - made)
+    if D & T:
+        raise ValueError(f"overlapping targets {sorted(D & T)}")
+    _check_unmanipulated(g, cls)
+    for d in sorted(D):
+        if graph.kind(d) is not OUTPUT:
+            raise ValueError(f"soft target {d} is not an output node")
+    for t in sorted(T - made):
+        if graph.kind(t) not in (INPUT, OUTPUT):
+            raise ValueError(f"hard target {t} is not an input or output node")
+
+
+def manipulate_for_search(g, D, T, cls: GraphClass, checked=False):
+    """For a search that conditions on every hard target, the graph it
+    reads and its dead ends: the soft manipulation and the non-input
+    targets where those are dead ends (see ``separate``), else (on a raw
+    graph, or one with latent or selection nodes) manipulate(g, D, T, cls)
+    and none.  Raises what manipulate(g, D, T, cls) raises."""
+    if cls is GraphClass.RAW or g.latents or g.selections:
+        return manipulate(g, D, T, cls, checked), frozenset()
+    _check_targets(g, D, T, cls, checked)
+    return manipulate(g, D, (), cls, True), T.difference(g.inputs)
 
 
 def _soft_edges(g: MixedGraph, a: str, cls: GraphClass) -> list[Edge]:

@@ -13,12 +13,19 @@ possible ancestors of the conditioning set only when it first meets a
 collider that needs them; most walks reach a target, or run out of edges,
 before that.
 
-A conditioned regime node is a dead end: I__d is an input with no parents
-and a tail at every edge, so no id-open walk passes through it, it is never
-a collider, and it adds no ancestor or possible ancestor but itself.  The
-hard rules treat the given edges the same with or without regime edges, so
-conditioned regime nodes leave every walk that does not end at one as it
-was without them.
+Two kinds of conditioned node are dead ends: no id-open walk passes one,
+it is never a collider, and the closures of the conditioning set need not
+expand it.  A regime node I__d is an input with no parents and a tail at
+every edge, and the hard rules treat the given edges the same with or
+without regime edges, so conditioned regime nodes leave every walk that
+does not end at one as it was.  On a MAG, an ADMG, or a PAG over input and
+output nodes, the hard rules leave a non-input target d only tails: they
+drop each edge with an arrowhead at d or between fixed nodes, and turn a
+circle at d into a tail.  Each edge they drop or re-mark for d ends at d,
+so a walk that does not pass d, and the adjacency of the nodes it passes,
+are as they were, and the closures are those that do not expand d, less d.
+So a search whose conditioning set holds every hard target may read the
+graph before the hard manipulation, with the non-input targets dead ends.
 """
 
 from __future__ import annotations
@@ -27,9 +34,10 @@ from .graph import ARROW, CIRCLE, TAIL, _trace, _walk
 from .manipulate import ManipulatedGraph, _plain
 
 
-def _id_search(g, A, B, C, checked=False):
+def _id_search(g, A, B, C, checked=False, dead=frozenset()):
     """The search for an id-open walk from A (see ``graph._walk``); checked
-    says that the graph has every node of the sets."""
+    says that the graph has every node of the sets, and dead names nodes
+    of C read as dead ends: hard targets not yet manipulated (see above)."""
     graph, cond = _plain(g), set(C)
     if not checked:
         graph.check_nodes(A, B, cond)
@@ -39,9 +47,9 @@ def _id_search(g, A, B, C, checked=False):
 
     def opens(v, possible):
         if possible not in closures:
-            closures[possible] = (
-                graph.possible_ancestors(cond.intersection(graph.outputs))
-                if possible else graph.ancestors(cond))
+            closures[possible] = (graph.possible_ancestors(
+                cond.intersection(graph.outputs), dead, True)
+                if possible else graph.ancestors(cond, dead, True)) - dead
         return v in closures[possible]
 
     def passes(prev, m_in, v, m_out, w, _m_w):

@@ -46,7 +46,7 @@ from pagid import identify as idf
 from pagid.oracle import (DiscreteSCM, Kernel, ScmError, _assignments,
                           _projection, interventional_kernel, kernels_agree)
 from pagid.represent import canonical_isadmg, mag_of, split_id
-from pagid.separate import id_separated
+from pagid.separate import _id_search, id_separated
 
 MARKS = (TAIL, ARROW, CIRCLE)
 
@@ -1011,6 +1011,36 @@ def rule_one_reference(g, cls, A, B, C=(), D=()) -> bool:
     alone, with no regime node."""
     mg = manipulate(g, (), D, cls)
     return id_separated(mg, sorted(A), sorted(B), sorted(set(C) | set(D)))
+
+
+def rule_reference(g, cls, rule, A, B, C, D, checked=False) -> bool:
+    """Reference for ``identify._rule``: the same rule on the graph built
+    by soft manipulation of the soft targets and hard manipulation of D,
+    searched without dead ends."""
+    soft = B if rule != 1 else B.intersection(g.outputs) - D
+    mg = manipulate(g, soft, D, cls, checked=checked)
+    regimes = {regime_id(v) for v in soft}
+    sets = ((B, C | D | regimes) if rule == 1 else
+            (regimes, B | C | D if rule == 2 else C | D))
+    return _id_search(mg, A, *sets, checked)[1] is None
+
+
+def adjustment_premises_reference(g, cls, A, B, C, D, J0, J1, H) -> bool:
+    """Reference for the three premises of ``identify.adjustment_check`` on
+    g read as cls: soft manipulation of B and hard manipulation of D as
+    one graph, searched without dead ends."""
+    A, B, C, D, J0, J1, H = (frozenset(s) for s in (A, B, C, D, J0, J1, H))
+    J = J0 | J1
+    mg = manipulate(g, sorted(B), sorted(D), cls)
+    regimes = [regime_id(v) for v in sorted(B)]
+    return (
+        id_separated(mg, sorted(J0 | H), regimes, sorted(C | D))
+        and id_separated(
+            mg, sorted(A), sorted(J1) + regimes, sorted(B | C | D | J0 | H)
+        )
+        and id_separated(mg, sorted(H), sorted(B),
+                         sorted(set(regimes) | C | D | J))
+    )
 
 
 def rule_equality(scm, rule, A, B, C, D):

@@ -9,6 +9,7 @@ truncated factorization as the independent reference.
 
 import itertools
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -60,6 +61,7 @@ from pagid.represent import canonical_isadmg, mag_of
 from helpers import (
     _find_hedge,
     _witness_pool,
+    adjustment_premises_reference,
     anterior_violation_reference,
     confounded_child_reference,
     district_of,
@@ -73,6 +75,7 @@ from helpers import (
     regime_separated,
     rule_equality,
     rule_one_reference,
+    rule_reference,
     scidp_reference,
     sidp_reference,
 )
@@ -541,6 +544,20 @@ class TestLastManipulation:
                 for J in scan] == want
         assert len(builds) == 1
 
+    def test_a_scan_over_d_builds_once(self, monkeypatch):
+        # every rule conditions on D, which the search reads off the soft
+        # manipulation on B: one build, whatever D is
+        g = cycle4()
+        scan = [(rule, C, D) for rule in (1, 2, 3)
+                for C, D in [((), ()), ((), ("c1",)), (("c1",), ("c2",)),
+                             ((), ("c1", "c2"))]]
+        want = [calculus_check(cycle4(), rule, ["a"], ["b"], C, D)
+                for rule, C, D in scan]
+        builds = self.builds(monkeypatch)
+        assert [calculus_check(g, rule, ["a"], ["b"], C, D)
+                for rule, C, D in scan] == want
+        assert len(builds) == 1
+
     def test_a_latent_graph_keeps_its_reading(self, monkeypatch):
         # the bow l --> a, l --> b with a --> c --> b, read through its MAG
         # without a class: one build for the MAG, one for the manipulation
@@ -666,6 +683,170 @@ class TestRuleOne:
         for B, want in [(["b"], False), (["a", "b"], True)]:
             assert s_recoverability_check(g, ["c"], B) is want
             assert self.recoverability_reference(g, None, ["c"], B) is want
+
+
+def _said(f, *args):
+    """What a call gives, as text: its answer, its estimand or failure
+    printed, or the type and text of its error."""
+    try:
+        out = f(*args)
+    except (KeyError, ValueError) as e:
+        return type(e).__name__, str(e)
+    if isinstance(out, tuple):  # adjustment_check's verdict and formula
+        return out[0], out[1] and format_estimand(out[1])
+    if isinstance(out, (bool, str, FailCertificate, ExchangeFail)):
+        return str(out)
+    return format_estimand(out)
+
+
+def adjustment_reference(g, A, B, C, D, J0, J1, H, cls):
+    """``adjustment_check`` with its premises asked of the graph built by
+    soft manipulation of B and hard manipulation of D."""
+    A, B, C, D, J0, J1, H = (frozenset(s) for s in (A, B, C, D, J0, J1, H))
+    g, cls = idf._reading(g, cls, A, B, C, D, J0, J1, H)
+    idf._disjoint(A, B, C, D, J0, J1, H)
+    if not A or not B:
+        raise ValueError("A and B must be non-empty")
+    J = J0 | J1
+    if not adjustment_premises_reference(g, cls, A, B, C, D, J0, J1, H):
+        return False, None
+    W = frozenset(set(g.outputs) - D)
+    outer = Condition(Marginalize(Base(W), W - (A | B | C | J)),
+                      tuple(sorted(B | C | J)))
+    if not J:
+        return True, outer
+    inner = Condition(Marginalize(Base(W), W - (C | J)), tuple(sorted(C)))
+    return True, Compose(outer, inner, tuple(sorted(J)))
+
+
+@st.composite
+def dead_end_cases(draw):
+    """A random isADMG with latent, selection and input nodes, read without
+    a class, as its MAG, as its FCI PAG, or as an ADMG when it has no
+    selection node; disjoint A, B, C, D, J0, J1 and H over the observed
+    nodes of that reading, A and B non-empty.  Now and then D also holds a
+    latent, selection or unknown node, and B an input."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = rand_isadmg(rng, n_out=draw(st.integers(3, 6)),
+                    n_sel=draw(st.integers(0, 2)),
+                    n_lat=draw(st.integers(0, 2)),
+                    n_in=draw(st.integers(0, 2)),
+                    p=draw(st.sampled_from([0.3, 0.5, 0.7])))
+    readings = [(g, None), (mag_of(g), GraphClass.MAG),
+                (fci(graph_oracle(g)), None)]
+    if not g.selections:
+        readings.append((g, ADMG))
+    graph, cls = draw(st.sampled_from(readings))
+    read, _ = idf._reading(graph, cls)
+    nodes = sorted(set(read.outputs) | set(read.inputs))
+    A = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=2,
+                      unique=True))
+    rest = [v for v in nodes if v not in A]
+    if not rest:
+        rest = ["zz"]
+    B = draw(st.lists(st.sampled_from(rest), min_size=1, max_size=3,
+                      unique=True))
+    rest = [v for v in rest if v not in B]
+    roles = draw(st.lists(st.sampled_from("CDJjH--"), min_size=len(rest),
+                          max_size=len(rest)))
+    sets = {r: [v for v, x in zip(rest, roles) if x == r] for r in "CDJjH"}
+    odd = sorted(set(g.latents) | set(g.selections)) + ["zz"]
+    if draw(st.booleans()):
+        sets["D"].append(draw(st.sampled_from(odd)))
+        inputs = [v for v in read.inputs if v not in A]
+        if inputs and draw(st.booleans()):
+            B.append(draw(st.sampled_from(inputs)))
+    return graph, cls, A, B, *(sets[r] for r in "CDJjH")
+
+
+def _fresh(g):
+    return MixedGraph(dict(g.nodes), g.edges)
+
+
+class TestHardTargetsAsDeadEnds:
+    """Every question of the calculus rules and the adjustment premises
+    conditions on its hard targets D, so the search reads the soft
+    manipulation with D as dead ends.  The references build the hard
+    manipulation and search it plainly; answers, printed estimands and
+    errors must be theirs."""
+
+    @staticmethod
+    def referenced(f, *args):
+        with mock.patch.object(idf, "_rule", rule_reference):
+            return _said(f, *args)
+
+    @settings(max_examples=300, deadline=None)
+    @given(dead_end_cases())
+    def test_answers_equal_the_references(self, case):
+        graph, cls, A, B, C, D, J0, J1, H = case
+        for rule in (1, 2, 3):
+            assert _said(calculus_check, graph, rule, A, B, C, D, cls) == (
+                self.referenced(calculus_check, _fresh(graph), rule, A, B, C,
+                                D, cls))
+        for f, args in [(scidp, (A, B, C, cls)),
+                        (s_recoverability_check, (A, B, cls))]:
+            assert _said(f, graph, *args) == self.referenced(
+                f, _fresh(graph), *args)
+        for kind in ("direct", "total", "confounding"):
+            args = (A[0], B[0], kind, cls)
+            assert _said(causal_relation, graph, *args) == self.referenced(
+                causal_relation, _fresh(graph), *args)
+        args = (A, B, C, D, J0, J1, H, cls)
+        assert _said(adjustment_check, graph, *args) == _said(
+            adjustment_reference, _fresh(graph), *args)
+
+    def test_a_collider_whose_way_into_c_enters_d(self):
+        # a --> m <-- b with m --> d: m is an ancestor of the conditioning
+        # set only through d, whose arrowheads the hard rules drop
+        g = parse_graph("node a output\nnode m output\nnode b output\n"
+                        "node d output\n"
+                        "edge a --> m\nedge b --> m\nedge m --> d\n")
+        assert calculus_check(g, 1, ["a"], ["b"], [], ["d"], "mag")
+        assert rule_reference(g, GraphClass.MAG, 1, frozenset("a"),
+                              frozenset("b"), frozenset(), frozenset("d"))
+
+    def test_a_possible_ancestor_only_through_d(self):
+        # I__b --> v is the regime edge of b o-> v, so the collider
+        # a o-> v <-- I__b needs v possibly ancestral to C and D: only
+        # through v o-> d, which the hard rules drop
+        g = parse_graph("node a output\nnode v output\nnode b output\n"
+                        "node d output\n"
+                        "edge a o-> v\nedge b o-> v\nedge v o-> d\n")
+        for rule in (2, 3):
+            assert calculus_check(g, rule, ["a"], ["b"], [], ["d"], "pag")
+            assert rule_reference(g, GraphClass.PAG, rule, frozenset("a"),
+                                  frozenset("b"), frozenset(), frozenset("d"))
+
+    @pytest.mark.parametrize("cls, text, sets", [
+        (GraphClass.RAW,
+         "node v0 output\nnode v1 output\nnode v2 output\n"
+         "node v3 latent\nnode v4 output\nedge v0 o-> v1\n"
+         "edge v0 <-o v2\nedge v0 o-o v4\nedge v1 --o v2\nedge v1 --> v3\n",
+         ("v0", "v1", "v4", "v2")),
+        (GraphClass.PAG,
+         "node v0 output\nnode v1 output\nnode v2 selection\n"
+         "node v3 output\nnode v4 latent\nnode v5 output\n"
+         "edge v0 <-> v2\nedge v0 <-- v3\nedge v0 <-> v4\nedge v1 --> v2\n"
+         "edge v1 <-- v5\nedge v2 --o v3\nedge v2 o-> v4\n",
+         ("v5", "v1", "v0", "v3")),
+    ], ids=["raw", "pag"])
+    def test_a_circle_left_at_d_is_no_dead_end(self, cls, text, sets):
+        # on a raw graph, and at a latent or selection neighbour on a
+        # partial graph, the hard rules keep a circle at d: the closures
+        # expand d, so the search reads the hard manipulation as built
+        g = parse_graph(text)
+        A, B, C, D = (frozenset([v]) for v in sets)
+        assert calculus_check(g, 3, A, B, C, D, cls) is False
+        assert rule_reference(g, cls, 3, A, B, C, D) is False
+
+    def test_a_walk_that_meets_d_as_a_collider(self):
+        # a --> d <-- I__b: d is conditioned, but has no arrowheads left
+        g = parse_graph("node a output\nnode b output\nnode d output\n"
+                        "edge a --> d\nedge b --> d\n")
+        assert calculus_check(g, 3, ["a"], ["b"], [], ["d"], "mag")
+        assert adjustment_check(g, ["a"], ["b"], D=["d"], cls="mag")[0]
+        assert rule_reference(g, GraphClass.MAG, 3, frozenset("a"),
+                              frozenset("b"), frozenset(), frozenset("d"))
 
 
 def Trim(k, outputs):

@@ -8,6 +8,7 @@ import weakref
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pagid import manipulate as manip_mod
 from pagid.fci import fci, graph_oracle
 from pagid.graph import (
     ARROW,
@@ -611,3 +612,24 @@ class TestLastManipulation:
             refs.append(weakref.ref(manipulate(g, (), T)))
         gc.collect()
         assert [r() is None for r in refs] == [True] * 49 + [False]
+
+
+class TestCheapLastHit:
+    """Asked again for its last manipulation with the same arguments, a
+    graph answers from its memo before it reads the class, copies the
+    target sets or wraps the graph."""
+
+    def test_a_hit_does_no_work(self, monkeypatch):
+        g = parse_graph("node a output\nnode b output\nedge a --> b\n")
+        D, T = frozenset("a"), frozenset("b")
+        first = manipulate(g, D, T, GraphClass.MAG)
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a hit did work")
+
+        for name in ("as_class", "_infer_class", "_check_targets"):
+            monkeypatch.setattr(manip_mod, name, boom)
+        monkeypatch.setattr(ManipulatedGraph, "__init__", boom)
+        assert manipulate(g, D, T, GraphClass.MAG) is first
+        with pytest.raises(AssertionError, match="a hit did work"):
+            manipulate(g, D, T, GraphClass.PAG)

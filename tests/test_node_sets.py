@@ -14,9 +14,11 @@ from hypothesis import given, settings, strategies as st
 
 from pagid.fci import fci, graph_oracle
 from pagid.graph import (
+    OUTPUT,
     GraphClass,
     MixedGraph,
     buckets,
+    directed,
     discriminating_path,
     inducing_path_exists,
     pc_component,
@@ -42,7 +44,8 @@ from pagid.manipulate import (
     soft_manipulate,
 )
 from pagid.represent import mag_of, marginalize_latents
-from pagid.separate import d_separated, id_separated, m_open_walk, open_walk
+from pagid.separate import (_id_search, d_separated, id_separated,
+                            m_open_walk, open_walk)
 
 from helpers import (
     manipulate_reference,
@@ -196,16 +199,17 @@ class TestKnownNodes:
 
 
 class TestOneCheckPerQuestion:
-    """``calculus_check`` looks its node sets up once, on the graph as
-    given, where the reading keeps that graph; where the reading projects
-    latent or selection nodes out, the search checks the sets again.  The
-    places that check a question's sets are the reading, the manipulation
-    and the walk search; the graph core's own entries (such as
-    ``ancestors``) check their arguments apart from these."""
+    """``calculus_check``, ``adjustment_check`` and ``causal_relation`` look
+    their node sets up once, on the graph as given, where the reading keeps
+    that graph; where the reading projects latent or selection nodes out,
+    the search checks the sets again.  The places that check a question's
+    sets are the reading, the manipulation's checks and the walk search;
+    the graph core's own entries (such as ``ancestors``) check their
+    arguments apart from these."""
 
-    SITES = {"_reading", "manipulate", "_id_search"}
+    SITES = {"_reading", "manipulate", "_check_targets", "_id_search"}
 
-    def _checks(self, *args):
+    def _checks(self, *args, f=calculus_check):
         real, callers = MixedGraph.check_nodes, []
 
         def spy(g, *sets):
@@ -213,7 +217,7 @@ class TestOneCheckPerQuestion:
             return real(g, *sets)
 
         with mock.patch.object(MixedGraph, "check_nodes", spy):
-            outcome(calculus_check, *args)
+            outcome(f, *args)
         return sum(c in self.SITES for c in callers)
 
     @pytest.mark.parametrize("kind", ["MAG", "PAG"])
@@ -229,6 +233,21 @@ class TestOneCheckPerQuestion:
                 assert self._checks(fresh, rule, v[:1], v[1:2], v[2:3],
                                     v[3:]) == 1
 
+    @pytest.mark.parametrize("kind", ["MAG", "PAG"])
+    def test_one_check_per_adjustment_and_relation(self, kind):
+        for seed in range(20):
+            a = rand_isadmg(random.Random(seed), n_out=5, n_sel=1, n_lat=1,
+                            n_in=1)
+            g = mag_of(a) if kind == "MAG" else fci(graph_oracle(a))
+            v = random.Random(seed).sample(g.outputs, 5)
+            fresh = MixedGraph(dict(g.nodes), g.edges)
+            assert self._checks(fresh, v[:1], v[1:2], v[2:3], v[3:4], v[4:],
+                                f=adjustment_check) == 1
+            for relation in ("direct", "total", "confounding"):
+                fresh = MixedGraph(dict(g.nodes), g.edges)
+                assert self._checks(fresh, v[0], v[1], relation,
+                                    f=causal_relation) == 1
+
     def test_a_projected_reading_still_checks(self):
         g = rand_isadmg(random.Random(1), n_out=3, n_sel=0, n_lat=1, n_in=0)
         (l,) = g.latents
@@ -237,3 +256,32 @@ class TestOneCheckPerQuestion:
             calculus_check(g, 2, [a], [b], [c, l])
         assert exc.value.args == (l,)
         assert self._checks(g, 2, [a], [b], [c]) > 1
+
+
+class TestClosureChecks:
+    """A collider closure looks its set up once per call, and not at all
+    when the walk search, which has checked its sets, asks for it."""
+
+    def _checks(self, f, *args):
+        with mock.patch.object(MixedGraph, "check_nodes", autospec=True,
+                               side_effect=MixedGraph.check_nodes) as spy:
+            f(*args)
+        return spy.call_count
+
+    def test_once_per_call(self):
+        g = rand_isadmg(random.Random(4), n_out=6, n_sel=0, n_lat=0, n_in=0)
+        X = g.outputs[:3]
+        for f in (g.ancestors, g.possible_ancestors):
+            assert self._checks(f, X) == 1
+            with pytest.raises(KeyError) as exc:
+                f([*X, "zz", "yy"])
+            assert exc.value.args == ("yy",)
+
+    def test_none_under_a_checked_search(self):
+        # a --> m <-- b with m --> c: the collider m makes the search ask
+        # for the ancestors of C
+        g = MixedGraph({v: OUTPUT for v in "abcm"},
+                       [directed("a", "m"), directed("b", "m"),
+                        directed("m", "c")])
+        assert self._checks(_id_search, g, {"a"}, {"b"}, {"c"}, True) == 0
+        assert _id_search(g, {"a"}, {"b"}, {"c"}, True)[1] is not None
