@@ -2,10 +2,16 @@
 and the structural queries everything else is built on (reachability closures,
 buckets, pc-components, regions, inducing paths, discriminating paths).
 
-``_walk`` is the one walk search.  Separation (``separate``), inducing
-paths, discriminating paths, Possible-D-SEP (``fci``) and the violations a
-hedge is read off (``identify``) are rules for passing a node over it;
-only FCI's circle and uncovered paths enumerate simple paths instead."""
+Three traversals serve everything.  ``MixedGraph._closure`` reaches node
+sets: ancestors and their kin, buckets, visibility chains and the c-forest
+check of a hedge (``identify``).  ``_walk`` is the one walk search:
+separation (``separate``), inducing paths, discriminating paths,
+Possible-D-SEP (``fci``) and the violations a hedge is read off are rules
+for passing a node over it; only FCI's circle and uncovered paths enumerate
+simple paths instead.  ``_cycle`` walks depth first, for directed cycles.
+``pc_component``'s collider chain keeps its own loop: as a closure it would
+read each chain node's edges twice, once to grow the chain and once to
+collect the ends of its paths."""
 
 from __future__ import annotations
 
@@ -145,15 +151,16 @@ class MixedGraph:
     manipulation: keeping every manipulated graph would hold them all for
     as long as this one lives."""
 
-    __slots__ = ("_nodes", "_by_kind", "_edges", "_adj", "_eat", "_anc",
-                 "_memo", "_hash")
+    __slots__ = ("_nodes", "inputs", "outputs", "latents", "selections",
+                 "_edges", "_adj", "_eat", "_anc", "_memo", "_hash")
 
     def __init__(self, nodes: dict[str, NodeKind], edges=()):
         self._nodes = dict(sorted(nodes.items()))
-        by_kind: dict[NodeKind, list[str]] = {}
+        by_kind: dict[NodeKind, list[str]] = {k: [] for k in NodeKind}
         for v, k in self._nodes.items():
-            by_kind.setdefault(k, []).append(v)
-        self._by_kind = {k: tuple(vs) for k, vs in by_kind.items()}
+            by_kind[k].append(v)
+        self.inputs, self.outputs, self.latents, self.selections = map(
+            tuple, by_kind.values())
         es = set()
         for e in edges:
             if e.a not in self._nodes or e.b not in self._nodes:
@@ -200,23 +207,8 @@ class MixedGraph:
                     raise KeyError(min(set().union(*sets) - self._nodes.keys()))
 
     def of_kind(self, kind: NodeKind) -> tuple[str, ...]:
-        return self._by_kind.get(kind, ())
-
-    @property
-    def inputs(self) -> tuple[str, ...]:
-        return self.of_kind(INPUT)
-
-    @property
-    def outputs(self) -> tuple[str, ...]:
-        return self.of_kind(OUTPUT)
-
-    @property
-    def latents(self) -> tuple[str, ...]:
-        return self.of_kind(LATENT)
-
-    @property
-    def selections(self) -> tuple[str, ...]:
-        return self.of_kind(SELECTION)
+        """The field of kind's nodes, such as ``inputs``, in name order."""
+        return getattr(self, kind.value + "s")
 
     def adjacent(self, v: str, w: str) -> bool:
         return w in self._adj.get(v, {})
@@ -567,31 +559,23 @@ def inducing_path_exists(g: MixedGraph, a: str, b: str, L, S) -> bool:
 
 
 def buckets(g: MixedGraph, D) -> list[tuple[str, ...]]:
-    """Partition of D by connectivity via arrowhead-free paths within g_D."""
+    """Partition of D by connectivity via arrowhead-free paths within g_D:
+    the closures of its nodes in sorted order, each from the first node
+    no earlier one reached."""
     g.check_nodes(D)
-    D = sorted(set(D))
-    idx = {v: v for v in D}
+    D = set(D)
 
-    def find(v):
-        while idx[v] != v:
-            idx[v] = idx[idx[v]]
-            v = idx[v]
-        return v
+    def step(v):
+        return [w for w, mv, mw, _ in g.edges_at(v)
+                if mv is not ARROW and mw is not ARROW and w in D]
 
-    def union(v, w):
-        rv, rw = find(v), find(w)
-        if rv != rw:
-            idx[max(rv, rw)] = min(rv, rw)
-
-    dset = set(D)
-    for e in g.edges:
-        if e.a in dset and e.b in dset:
-            if e.mark_a is not ARROW and e.mark_b is not ARROW:
-                union(e.a, e.b)
-    groups: dict[str, list[str]] = {}
-    for v in D:
-        groups.setdefault(find(v), []).append(v)
-    return [tuple(sorted(groups[r])) for r in sorted(groups)]
+    out, seen = [], set()
+    for v in sorted(D):
+        if v not in seen:
+            part = g._closure((v,), step, checked=True)
+            seen |= part
+            out.append(tuple(sorted(part)))
+    return out
 
 
 def is_visible(g: MixedGraph, a: str, b: str) -> bool:

@@ -50,9 +50,9 @@ from .graph import (
     validate,
 )
 from .manipulate import (
+    _check_targets,
     _check_valid,
     _infer_class,
-    hard_manipulate,
     manipulate,
     manipulate_for_search,
     regime_id,
@@ -511,45 +511,33 @@ def _is_cforest(g: MixedGraph, nodes, edges, R) -> bool:
     nodes, R = set(nodes), set(R)
     if not nodes or not R <= nodes:
         return False
-    child = {}
-    bi_adj = {v: set() for v in nodes}
+    spouses, parents = {v: [] for v in nodes}, {v: [] for v in nodes}
+    tails = set()
     for e in edges:
         if e not in g.edges or not {e.a, e.b} <= nodes:
             return False
         if e.mark_a is ARROW and e.mark_b is ARROW:
-            bi_adj[e.a].add(e.b)
-            bi_adj[e.b].add(e.a)
+            spouses[e.a].append(e.b)
+            spouses[e.b].append(e.a)
         elif {e.mark_a, e.mark_b} == {TAIL, ARROW}:
             tail = e.a if e.mark_a is TAIL else e.b
-            if tail in child:
+            if tail in tails:
                 return False
-            child[tail] = e.other(tail)
+            tails.add(tail)
+            parents[e.other(tail)].append(tail)
         else:
             return False
-    if set(child) != nodes - R:
-        return False
-    seen = {min(nodes)}
-    frontier = [min(nodes)]
-    while frontier:
-        for w in bi_adj[frontier.pop()] - seen:
-            seen.add(w)
-            frontier.append(w)
-    if seen != nodes:
-        return False
-    for v in nodes:
-        hops = 0
-        while v not in R:
-            if hops > len(nodes):
-                return False  # the directed edges form a cycle
-            v = child[v]
-            hops += 1
-    return True
+    return (tails == nodes - R
+            and g._closure((min(nodes),), spouses.get, checked=True) == nodes
+            and g._closure(R, parents.get, checked=True) == nodes)
 
 
 def verify_hedge(g: MixedGraph, A, B, h: Hedge) -> bool:
     """Structural check of a hedge for (A, B) in the graph g: nested node
     sets meeting/missing B, both kept edge sets forming forests rooted at R,
-    and R ancestral to A once B is hard-manipulated."""
+    and R ancestral to A once B is hard-manipulated: ancestral along the
+    parents of the nodes outside B, as B's arrowheads are what the hard
+    manipulation removes.  Raises what that manipulation raises."""
     A, B = set(A), set(B)
     g.check_nodes(A, B)
     if not h.Hprime <= h.H or not h.R <= h.Hprime:
@@ -561,8 +549,8 @@ def verify_hedge(g: MixedGraph, A, B, h: Hedge) -> bool:
     if not _is_cforest(g, h.Hprime, h.forest_prime_edges, h.R):
         return False
     go = _as_output_graph(g)
-    mg = hard_manipulate(go, sorted(B), GraphClass.ADMG)
-    return h.R <= mg.graph.ancestors(A)
+    _check_targets(go, frozenset(), frozenset(B), GraphClass.ADMG)
+    return h.R <= go.ancestors(A, B, checked=True)
 
 
 def _anterior_violation(p: MixedGraph, A, B):

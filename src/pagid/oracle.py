@@ -60,7 +60,8 @@ class DiscreteSCM:
     have no table; they are context for every computed kernel.  ``weights``
     holds each table scaled to integers by the lcm of its denominators (in
     ``_scales``), ``cpts`` the tables given or else built from the weights
-    on first read, and ``_by_kind`` the sorted variables of each kind."""
+    on first read, and ``inputs``, ``outputs``, ``latents`` and
+    ``selections`` the sorted variables of each kind."""
 
     domains: dict
     kinds: dict
@@ -98,9 +99,9 @@ class DiscreteSCM:
                                        rows.values() for n, d in row))
             weights[v] = {k: tuple(n * s // d for n, d in row)
                           for k, row in rows.items()}
-        self.__dict__.update(weights=weights, _scales=scales, _by_kind={
-            k: tuple(v for v in sorted(self.kinds) if self.kinds[v] is k)
-            for k in set(self.kinds.values())})
+        self.__dict__.update(weights=weights, _scales=scales, **{
+            k.value + "s": tuple(v for v in sorted(self.kinds)
+                                 if self.kinds[v] is k) for k in NodeKind})
         self.check()
 
     def check(self):
@@ -148,27 +149,6 @@ class DiscreteSCM:
                 children.setdefault(p, []).append(v)
         if _cycle(self.domains, lambda v: children.get(v, ())):
             raise ScmError("cyclic parent relation")
-
-    # -- convenience views --------------------------------------------------
-
-    def of_kind(self, kind: NodeKind):
-        return self._by_kind.get(kind, ())
-
-    @property
-    def inputs(self):
-        return self.of_kind(INPUT)
-
-    @property
-    def outputs(self):
-        return self.of_kind(OUTPUT)
-
-    @property
-    def latents(self):
-        return self.of_kind(LATENT)
-
-    @property
-    def selections(self):
-        return self.of_kind(SELECTION)
 
 
 def graph_of(scm: DiscreteSCM) -> MixedGraph:

@@ -137,17 +137,12 @@ def enumerate_mags(p: MixedGraph, limit: int = 1 << 16,
         raise ValueError(f"too many circle marks ({len(slots)}) to enumerate")
     from .fci import fci, graph_oracle
 
+    # an arrowhead at an input is never valid, so a circle there is a tail
+    choices = [(TAIL,) if p.kind(v) is INPUT else (TAIL, ARROW)
+               for _e, v in slots]
     out = []
-    for choice in itertools.product((TAIL, ARROW), repeat=len(slots)):
-        marks = {}
-        ok = True
-        for (e, v), mk in zip(slots, choice):
-            if mk is ARROW and p.kind(v) is INPUT:
-                ok = False
-                break
-            marks[(e, v)] = mk
-        if not ok:
-            continue
+    for choice in itertools.product(*choices):
+        marks = dict(zip(slots, choice))
         edges = []
         for e in p.edges:
             ma = marks.get((e, e.a), e.mark_a)

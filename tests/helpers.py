@@ -214,6 +214,35 @@ def anteriors_oracle(g, X):
     )
 
 
+def buckets_reference(g: MixedGraph, D) -> list[tuple[str, ...]]:
+    """Reference for ``graph.buckets``: a union-find over the arrowhead-free
+    edges within D, each part named by its smallest node."""
+    g.check_nodes(D)
+    D = sorted(set(D))
+    idx = {v: v for v in D}
+
+    def find(v):
+        while idx[v] != v:
+            idx[v] = idx[idx[v]]
+            v = idx[v]
+        return v
+
+    def union(v, w):
+        rv, rw = find(v), find(w)
+        if rv != rw:
+            idx[max(rv, rw)] = min(rv, rw)
+
+    dset = set(D)
+    for e in g.edges:
+        if e.a in dset and e.b in dset:
+            if e.mark_a is not ARROW and e.mark_b is not ARROW:
+                union(e.a, e.b)
+    groups: dict[str, list[str]] = {}
+    for v in D:
+        groups.setdefault(find(v), []).append(v)
+    return [tuple(sorted(groups[r])) for r in sorted(groups)]
+
+
 def fixing_identifiable(g, S):
     """Independent check that the factor of S is reachable by iterated
     fixing in the directed-mixed graph g: repeatedly remove a node outside
@@ -323,6 +352,48 @@ def enumerate_represented(
                 yield cand
 
 
+def enumerate_mags_reference(p: MixedGraph, limit: int = 1 << 16,
+                             membership: str = "all"):
+    """Reference for ``represent.enumerate_mags``: every tail/arrowhead
+    choice per circle mark, skipping those with an arrowhead at an
+    input."""
+    if limit < 1:
+        raise ValueError(f"limit must be at least 1, not {limit}")
+    if membership not in ("all", "copag"):
+        raise ValueError(f"unknown membership {membership!r}")
+    slots = []
+    for e in sorted(p.edges):
+        for v in (e.a, e.b):
+            if e.mark_at(v) is CIRCLE:
+                slots.append((e, v))
+    if 2 ** len(slots) > limit:
+        raise ValueError(f"too many circle marks ({len(slots)}) to enumerate")
+    out = []
+    for choice in itertools.product((TAIL, ARROW), repeat=len(slots)):
+        marks = {}
+        ok = True
+        for (e, v), mk in zip(slots, choice):
+            if mk is ARROW and p.kind(v) is INPUT:
+                ok = False
+                break
+            marks[(e, v)] = mk
+        if not ok:
+            continue
+        edges = []
+        for e in p.edges:
+            ma = marks.get((e, e.a), e.mark_a)
+            mb = marks.get((e, e.b), e.mark_b)
+            edges.append(Edge(e.a, ma, e.b, mb))
+        m = MixedGraph(p.nodes, edges)
+        if validate(m, GraphClass.MAG):
+            continue
+        if membership == "copag" and fci_mod.fci(
+                fci_mod.graph_oracle(canonical_isadmg(m)), m.nodes) != p:
+            continue
+        out.append(m)
+    return out
+
+
 def separation_failure_witness(m: MixedGraph, A, B, C=(), D=(), T=()):
     """A represented graph of the MAG m in which A is not id-separated from
     B given C together with the selection nodes, after manipulating softly
@@ -386,6 +457,66 @@ def _forest_edges(g: MixedGraph, nodes, R):
             return None
         edges.append(best)
     return tuple(edges)
+
+
+def is_cforest_reference(g: MixedGraph, nodes, edges, R) -> bool:
+    """Reference for ``identify._is_cforest``: a breadth-first search over
+    the kept bidirected edges, and a walk along each node's one child,
+    counting hops to catch a cycle."""
+    nodes, R = set(nodes), set(R)
+    if not nodes or not R <= nodes:
+        return False
+    child = {}
+    bi_adj = {v: set() for v in nodes}
+    for e in edges:
+        if e not in g.edges or not {e.a, e.b} <= nodes:
+            return False
+        if e.mark_a is ARROW and e.mark_b is ARROW:
+            bi_adj[e.a].add(e.b)
+            bi_adj[e.b].add(e.a)
+        elif {e.mark_a, e.mark_b} == {TAIL, ARROW}:
+            tail = e.a if e.mark_a is TAIL else e.b
+            if tail in child:
+                return False
+            child[tail] = e.other(tail)
+        else:
+            return False
+    if set(child) != nodes - R:
+        return False
+    seen = {min(nodes)}
+    frontier = [min(nodes)]
+    while frontier:
+        for w in bi_adj[frontier.pop()] - seen:
+            seen.add(w)
+            frontier.append(w)
+    if seen != nodes:
+        return False
+    for v in nodes:
+        hops = 0
+        while v not in R:
+            if hops > len(nodes):
+                return False  # the directed edges form a cycle
+            v = child[v]
+            hops += 1
+    return True
+
+
+def verify_hedge_reference(g: MixedGraph, A, B, h: Hedge) -> bool:
+    """Reference for ``identify.verify_hedge``: R must be ancestral to A in
+    the hard manipulation of B, built as a graph."""
+    A, B = set(A), set(B)
+    g.check_nodes(A, B)
+    if not h.Hprime <= h.H or not h.R <= h.Hprime:
+        return False
+    if not h.H & B or h.Hprime & B:
+        return False
+    if not is_cforest_reference(g, h.H, h.forest_edges, h.R):
+        return False
+    if not is_cforest_reference(g, h.Hprime, h.forest_prime_edges, h.R):
+        return False
+    go = _as_output_graph(g)
+    mg = hard_manipulate(go, sorted(B), GraphClass.ADMG)
+    return h.R <= mg.graph.ancestors(A)
 
 
 def _find_hedge(wit: MixedGraph, A, B):

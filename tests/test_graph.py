@@ -31,13 +31,17 @@ from pagid.graph import (
     undirected,
     validate,
 )
+from pagid.fci import fci, graph_oracle
+from pagid.represent import mag_of
 from helpers import (
     anteriors_oracle,
+    buckets_reference,
     directed_cycle_recursive,
     discriminating_paths_reference,
     inducing_path_oracle,
     possible_ancestors_oracle,
     possible_anteriors_oracle,
+    rand_isadmg,
     rand_mixed_graph,
 )
 
@@ -295,6 +299,33 @@ class TestBuckets:
             flat = [v for bu in part for v in bu]
             assert sorted(flat) == sorted(D)
             assert len(set(flat)) == len(flat)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 2**32), st.sampled_from(["isadmg", "mag", "pag"]),
+           st.data())
+    def test_equals_the_union_find_reference(self, seed, reading, data):
+        # the buckets, in the same order, on isADMGs with input, latent and
+        # selection nodes, their MAGs and their FCI PAGs; D now and then
+        # names unknown nodes, and the first in sorted order is raised
+        rng = random.Random(seed)
+        g = rand_isadmg(rng, n_out=rng.randint(2, 6), n_sel=rng.randint(0, 2),
+                        n_lat=rng.randint(0, 2), n_in=rng.randint(0, 2),
+                        p=rng.choice([0.3, 0.5, 0.7]))
+        if reading == "mag":
+            g = mag_of(g)
+        elif reading == "pag":
+            g = fci(graph_oracle(g))
+        unknown = ["zz", "a0"] if data.draw(st.booleans()) else []
+        D = data.draw(st.lists(st.sampled_from([*g.node_ids, *unknown]),
+                               unique=True))
+
+        def said(f):
+            try:
+                return f(g, D)
+            except KeyError as e:
+                return str(e)
+
+        assert said(buckets) == said(buckets_reference)
 
 
 class TestPcRegion:

@@ -68,6 +68,7 @@ from helpers import (
     embed_front_door,
     enumerate_represented,
     fixing_identifiable,
+    is_cforest_reference,
     maximal_regime_separated_bruteforce,
     orient_copag_reference,
     rand_isadmg,
@@ -78,6 +79,7 @@ from helpers import (
     rule_reference,
     scidp_reference,
     sidp_reference,
+    verify_hedge_reference,
 )
 
 ADMG = GraphClass.ADMG
@@ -1451,6 +1453,138 @@ class TestCompleteness:
         else:
             for wit in _witness_pool(m):
                 assert _find_hedge(wit, *_hedge_targets(wit, A, B)) is None
+
+
+def _failed_hedge(case):
+    """The MAG case's hedge from ``hedge_witness``, its witness and target
+    pair, or None when sidp identifies the query."""
+    m, A, B = case
+    cert = sidp(m, A, B)
+    if not isinstance(cert, FailCertificate):
+        return None
+    _mag, wit, h = hedge_witness(m, A, B, cert)
+    return wit, h, *_hedge_targets(wit, A, B)
+
+
+def _cforest_mutants(rng, g, nodes, edges, R):
+    """Cases (graph, nodes, kept edges, R) made from a c-forest by one
+    change each: a child cycle, a second directed edge out of a node, a
+    bidirected edge dropped (which may split the district), an edge with
+    an end outside the nodes, and a kept edge dropped."""
+    out = []
+    child = {e.a if e.mark_a is TAIL else e.b: e for e in edges
+             if e.mark_a is not e.mark_b}
+    into_r = sorted(v for v, e in child.items() if e.other(v) in R)
+    if into_r:  # v --> r with r in R; r --> v closes a cycle
+        v = rng.choice(into_r)
+        r = child[v].other(v)
+        back = Edge(r, TAIL, v, ARROW)
+        out.append((g.edit(add=[back]), nodes, (*edges, back), R - {r}))
+    v = rng.choice(sorted(nodes))
+    others = sorted(w for w in nodes if w != v and not (
+        v in child and child[v].other(v) == w))
+    if others:
+        extra = Edge(v, TAIL, rng.choice(others), ARROW)
+        out.append((g.edit(add=[extra]), nodes, (*edges, extra), R))
+    bi = [e for e in edges if e.mark_a is e.mark_b is ARROW]
+    if bi:
+        gone = rng.choice(bi)
+        out.append((g, nodes, tuple(e for e in edges if e != gone), R))
+    outside = sorted(e for e in g.edges if not {e.a, e.b} <= nodes)
+    if outside:
+        out.append((g, nodes, (*edges, rng.choice(outside)), R))
+    if edges:
+        gone = rng.choice(edges)
+        out.append((g, nodes, tuple(e for e in edges if e != gone), R))
+    return out
+
+
+class TestCforests:
+    """``_is_cforest`` reads a district and the way into R as two closures;
+    ``verify_hedge`` reads R's way into A as the ancestors that do not
+    expand B.  Both must agree with the bodies they replaced, kept in the
+    helpers."""
+
+    @settings(max_examples=400)
+    @given(st.integers(0, 2**32))
+    def test_random_sets_equal_the_reference(self, seed):
+        rng = random.Random(seed)
+        g = rand_isadmg(rng, n_out=rng.randint(2, 5), n_sel=rng.randint(0, 2),
+                        n_lat=rng.randint(0, 2), n_in=rng.randint(0, 1),
+                        p=rng.choice([0.3, 0.5, 0.7]))
+        ids = list(g.node_ids)
+        for _ in range(10):
+            nodes = set(rng.sample(ids, rng.randint(0, len(ids))))
+            R = set(rng.sample(sorted(nodes), rng.randint(0, len(nodes))))
+            if rng.random() < 0.2:
+                R.add(rng.choice(ids))
+            inside = sorted(e for e in g.edges if {e.a, e.b} <= nodes)
+            pool = inside if rng.random() < 0.8 else sorted(g.edges)
+            edges = tuple(e for e in pool if rng.random() < 0.6)
+            assert idf._is_cforest(g, nodes, edges, R) == (
+                is_cforest_reference(g, nodes, edges, R))
+
+    @settings(max_examples=150)
+    @given(reading_cases("MAG", max_out=5), st.integers(0, 2**32))
+    def test_hedge_forests_and_mutants_equal_the_reference(self, case, seed):
+        found = _failed_hedge(case)
+        if found is None:
+            return
+        wit, h, _A, _B = found
+        rng = random.Random(seed)
+        for nodes, edges in ((h.H, h.forest_edges),
+                             (h.Hprime, h.forest_prime_edges)):
+            assert idf._is_cforest(wit, nodes, edges, h.R)
+            for c in _cforest_mutants(rng, wit, nodes, edges, h.R):
+                assert idf._is_cforest(*c) == is_cforest_reference(*c), c
+
+    @staticmethod
+    def _both(g, A, B, h):
+        return (_said(verify_hedge, _fresh(g), A, B, h),
+                _said(verify_hedge_reference, _fresh(g), A, B, h))
+
+    @settings(max_examples=150)
+    @given(reading_cases("MAG", max_out=5), st.integers(0, 2**32))
+    def test_verify_hedge_equals_the_reference(self, case, seed):
+        # the hedge as found, for other outcomes and other treatments, and
+        # in a graph with a latent target, an invalid ADMG or a
+        # regime-node name
+        found = _failed_hedge(case)
+        if found is None:
+            return
+        wit, h, A, B = found
+        rng = random.Random(seed)
+        got, want = self._both(wit, A, B, h)
+        assert got == want == "True"
+        nodes = sorted(set(wit.node_ids) - B)
+        for _ in range(3):
+            A2 = set(rng.sample(nodes, rng.randint(1, min(3, len(nodes)))))
+            B2 = B | set(rng.sample(nodes, rng.randint(0, min(2, len(nodes))))) - A
+            for targets in ((A2, B), (A, B2), (A2, B2 - A2)):
+                got, want = self._both(wit, *targets, h)
+                assert got == want
+        outs = sorted(wit.outputs)
+        x, y = rng.sample(outs, 2)
+        odd = [(wit.edit(kinds={"l9": LATENT}), A, B | {"l9"}),
+               (wit.edit(add=[Edge(x, TAIL, y, TAIL)]), A, B),
+               (wit.edit(kinds={"I__x": OUTPUT}), A, B)]
+        for g, A2, B2 in odd:
+            got, want = self._both(g, A2, B2, h)
+            assert got == want and got[0] == "ValueError", got
+
+    def test_r_reaches_a_only_through_b(self):
+        # r --> b2 --> a: R is an ancestor of A, but not once B = {b1, b2}
+        # is hard-manipulated
+        g = parse_graph("node a output\nnode b1 output\nnode b2 output\n"
+                        "node r output\nedge b1 --> r\nedge b1 <-> r\n"
+                        "edge r --> b2\nedge b2 --> a\n")
+        h = Hedge(H=frozenset({"b1", "r"}), Hprime=frozenset({"r"}),
+                  R=frozenset({"r"}), forest_edges=(
+                      Edge("b1", TAIL, "r", ARROW),
+                      Edge("b1", ARROW, "r", ARROW)))
+        assert verify_hedge(g, {"a"}, {"b1"}, h)
+        assert not verify_hedge(g, {"a"}, {"b1", "b2"}, h)
+        assert not verify_hedge_reference(g, {"a"}, {"b1", "b2"}, h)
 
 
 class TestOrientation:

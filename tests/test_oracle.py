@@ -15,7 +15,8 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pagid.graph import INPUT, LATENT, OUTPUT, GraphClass, Mark, parse_graph
+from pagid.graph import (INPUT, LATENT, OUTPUT, GraphClass, Mark, NodeKind,
+                         parse_graph)
 from pagid.represent import mag_of
 from pagid.separate import d_separated
 from pagid import identify as idf
@@ -175,8 +176,21 @@ class TestScmValidation:
         scm = chain()
         assert scm.weights["b"] == {(0,): (3, 1), (1,): (1, 3)}
         assert scm.outputs == ("a", "b", "c") and scm.inputs == ()
-        assert "weights" not in repr(scm) and "_by_kind" not in repr(scm)
         assert scm == parse_scm(format_scm(scm))
+        g = rand_isadmg(random.Random(4), n_out=3, n_sel=1, n_in=2, p=0.7)
+        made = random_scm(g, random.Random(4))
+        public = DiscreteSCM(made.domains, dict(reversed(made.kinds.items())),
+                             made.parents, made.cpts)
+        for m in (scm, made, parse_scm(format_scm(made)), public):
+            for kind in NodeKind:
+                assert getattr(m, kind.value + "s") == tuple(
+                    sorted(v for v, k in m.kinds.items() if k is kind))
+            assert repr(m) == (
+                f"DiscreteSCM(domains={m.domains!r}, kinds={m.kinds!r}, "
+                f"parents={m.parents!r}, cpts={m.cpts!r})")
+        assert made.inputs and made.latents and made.selections
+        public.__dict__.update(weights={}, outputs=(), latents=())
+        assert public == made
 
     def test_selection_children_rejected(self):
         with pytest.raises(ScmError):

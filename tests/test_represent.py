@@ -4,9 +4,13 @@ including the reference witness searches kept in the test helpers."""
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pagid.graph import (
     ARROW,
+    CIRCLE,
+    INPUT,
+    OUTPUT,
     TAIL,
     Edge,
     GraphClass,
@@ -24,8 +28,10 @@ from pagid.represent import (
 )
 from pagid.separate import d_separated
 from helpers import (
+    enumerate_mags_reference,
     enumerate_represented,
     rand_isadmg,
+    rand_mixed_graph,
     separation_failure_witness,
 )
 
@@ -173,6 +179,29 @@ class TestEnumerateMags:
         p = parse_graph("node a output\nnode b output\nedge a o-> b\n")
         with pytest.raises(ValueError, match="unknown membership"):
             enumerate_mags(p, membership=lambda m: True)
+
+    @settings(max_examples=200)
+    @given(st.integers(0, 2**32))
+    def test_equals_the_reference(self, seed):
+        # a circle at an input offers only a tail; the MAGs, their order
+        # and the limit's test stay those of the filtering body
+        rng = random.Random(seed)
+        n = rng.randint(2, 5)
+        g = rand_mixed_graph(rng, n=n, p=rng.choice([0.4, 0.7]),
+                             marks=(TAIL, ARROW, CIRCLE, CIRCLE),
+                             kinds=[rng.choice([OUTPUT, OUTPUT, INPUT])
+                                    for _ in range(n)])
+        for membership in ("all", "copag"):
+            for limit in (8, 1 << 16):
+                try:
+                    got = enumerate_mags(g, limit, membership)
+                except ValueError as e:
+                    got = str(e)
+                try:
+                    want = enumerate_mags_reference(g, limit, membership)
+                except ValueError as e:
+                    want = str(e)
+                assert got == want
 
 
 class TestWitnesses:
