@@ -379,6 +379,8 @@ def scidp(p, A, B, C, cls: GraphClass | None = None):
 
 
 def _disjoint(*sets):
+    if sum(map(len, sets)) == len(frozenset().union(*sets)):
+        return
     for x, y in itertools.combinations(sets, 2):
         if x & y:
             raise ValueError(f"overlapping sets: {sorted(x & y)}")
@@ -396,9 +398,8 @@ def _rule(g, cls, rule, A, B, C, D, checked=False) -> bool:
     with D as dead ends (``separate``)."""
     soft = B if rule != 1 else B.intersection(g.outputs) - D
     mg, dead = manipulate_for_search(g, soft, D, cls, checked)
-    regimes = {regime_id(v) for v in soft}
-    sets = ((B, C | D | regimes) if rule == 1 else
-            (regimes, B | C | D if rule == 2 else C | D))
+    sets = ((B, C | D | mg.regime_ids) if rule == 1 else
+            (mg.regime_ids, B | C | D if rule == 2 else C | D))
     return _id_search(mg, A, *sets, checked, dead)[1] is None
 
 
@@ -431,7 +432,7 @@ def adjustment_check(g, A, B, C=(), D=(), J0=(), J1=(), H=(), cls=None):
         raise ValueError("A and B must be non-empty")
     J, checked = J0 | J1, read is g  # as in calculus_check
     mg, dead = manipulate_for_search(read, B, D, cls, checked)
-    regimes = frozenset(map(regime_id, B))
+    regimes = mg.regime_ids
     if not all(_id_search(mg, *sets, checked, dead)[1] is None for sets in (
             (J0 | H, regimes, C | D), (A, J1 | regimes, B | C | D | J0 | H),
             (H, B, regimes | C | D | J))):
@@ -656,7 +657,7 @@ def maximal_regime_separated(wit: MixedGraph, A, B):
     wit.check_nodes(A, B)
     go, S = _as_output_graph(wit), set(wit.selections)
     mg = manipulate(go, S, B, GraphClass.ADMG)
-    parent, hit = _id_search(mg, A, (), S | set(B) | set(mg.regime_ids))
+    parent, hit = _id_search(mg, A, (), S | set(B) | mg.regime_ids)
     if hit is not None:
         return frozenset()
     reached = {v for v, _e in parent}

@@ -6,6 +6,7 @@ graph core (``graph.is_visible``)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .graph import (
     ARROW,
@@ -35,16 +36,16 @@ class ManipulatedGraph:
     """A manipulation: the manipulated graph, its targets and the class it
     was manipulated as.  hard_targets have been turned into input-kind
     nodes with no incoming arrowheads; each soft target d kept its kind
-    but gained the regime indicator parent I__d."""
+    but gained the regime indicator parent I__d, one of regime_ids."""
 
     graph: MixedGraph
     hard_targets: tuple[str, ...] = ()
     soft_targets: tuple[str, ...] = ()
     base_class: GraphClass = GraphClass.MAG
 
-    @property
-    def regime_ids(self) -> tuple[str, ...]:
-        return tuple(map(regime_id, self.soft_targets))
+    @cached_property
+    def regime_ids(self) -> frozenset[str]:
+        return frozenset(map(regime_id, self.soft_targets))
 
 
 def _plain(g) -> MixedGraph:
@@ -174,10 +175,16 @@ def manipulate_for_search(g, D, T, cls: GraphClass, checked=False):
     reads and its dead ends: the soft manipulation and the non-input
     targets where those are dead ends (see ``separate``), else (on a raw
     graph, or one with latent or selection nodes) manipulate(g, D, T, cls)
-    and none.  Raises what manipulate(g, D, T, cls) raises."""
+    and none.  Raises what manipulate(g, D, T, cls) raises, in its order:
+    the node and overlap checks run here, those of D and the graph once
+    per build of the soft manipulation, which a repeat finds as the
+    graph's last; with no latent or selection node, T passes its kinds."""
     if cls is GraphClass.RAW or g.latents or g.selections:
         return manipulate(g, D, T, cls, checked), frozenset()
-    _check_targets(g, D, T, cls, checked)
+    if not checked:
+        g.check_nodes(D, T - set(map(regime_id, D)))
+    if D & T:
+        raise ValueError(f"overlapping targets {sorted(D & T)}")
     return manipulate(g, D, (), cls, True), T.difference(g.inputs)
 
 

@@ -35,14 +35,15 @@ from .manipulate import ManipulatedGraph, _plain
 
 
 def _id_search(g, A, B, C, checked=False, dead=frozenset()):
-    """The search for an id-open walk from A (see ``graph._walk``); checked
-    says that the graph has every node of the sets, and dead names nodes
-    of C read as dead ends: hard targets not yet manipulated (see above)."""
-    graph, cond = _plain(g), set(C)
+    """The search for an id-open walk from A (see ``graph._walk``), over
+    sets frozen once and the record's regime_ids; checked says that the
+    graph has every node of the sets, and dead names nodes of C read as
+    dead ends: hard targets not yet manipulated (see above)."""
+    graph, cond = _plain(g), frozenset(C)
     if not checked:
         graph.check_nodes(A, B, cond)
-    regimes = set(g.regime_ids) if isinstance(g, ManipulatedGraph) else set()
-    targets = (set(B) | set(graph.inputs)) - cond
+    regimes = g.regime_ids if isinstance(g, ManipulatedGraph) else frozenset()
+    targets = frozenset(B).union(graph.inputs) - cond
     closures = {}  # the collider sets, each computed at its first use
 
     def opens(v, possible):

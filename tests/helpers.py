@@ -1136,6 +1136,14 @@ def scidp_reference(p, A, B, C, cls=None):
     return idf.Condition(res, tuple(sorted(Cc)))
 
 
+def disjoint_reference(*sets):
+    """Reference for ``identify._disjoint``: every pair of sets in turn,
+    naming the overlap of the first pair that meets."""
+    for x, y in itertools.combinations(sets, 2):
+        if x & y:
+            raise ValueError(f"overlapping sets: {sorted(x & y)}")
+
+
 def rule_one_reference(g, cls, A, B, C=(), D=()) -> bool:
     """Reference for calculus rule 1 on g read as cls (``identify._rule``):
     A id-separated from B given C and D after the hard manipulation of D

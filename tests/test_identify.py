@@ -57,6 +57,7 @@ from pagid.identify import (
     Hedge,
 )
 from pagid.fci import fci, graph_oracle
+from pagid.manipulate import regime_id
 from pagid.represent import canonical_isadmg, mag_of
 from helpers import (
     _find_hedge,
@@ -64,6 +65,7 @@ from helpers import (
     adjustment_premises_reference,
     anterior_violation_reference,
     confounded_child_reference,
+    disjoint_reference,
     district_of,
     embed_front_door,
     enumerate_represented,
@@ -849,6 +851,114 @@ class TestHardTargetsAsDeadEnds:
         assert adjustment_check(g, ["a"], ["b"], D=["d"], cls="mag")[0]
         assert rule_reference(g, GraphClass.MAG, 3, frozenset("a"),
                               frozenset("b"), frozenset(), frozenset("d"))
+
+
+@st.composite
+def question_sequences(draw):
+    """One graph and a random sequence of questions on it: calculus rules 1
+    to 3, adjustment, causal relations, s-recoverability and scidp.  The
+    graph is a random isADMG with latent, selection and input nodes, read
+    through its MAG without a class or as an ADMG when it has no selection
+    node, or it is that MAG, or its FCI PAG.  Now and then a rule-2
+    question on some B is followed by questions on the same B with a bad
+    hard target added to D: an unknown node, a regime-node name, a node of
+    B, or a node that the reading projects out; and by s-recoverability,
+    which asks rule 1 with D = B."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = rand_isadmg(rng, n_out=draw(st.integers(3, 6)),
+                    n_sel=draw(st.integers(0, 2)),
+                    n_lat=draw(st.integers(0, 2)),
+                    n_in=draw(st.integers(0, 2)),
+                    p=draw(st.sampled_from([0.3, 0.5, 0.7])))
+    mag = mag_of(g)
+    readings = [(g, None), (mag, None), (mag, GraphClass.MAG),
+                (fci(graph_oracle(g)), None)]
+    if not g.selections:
+        readings.append((g, ADMG))
+    graph, cls = draw(st.sampled_from(readings))
+    read, _ = idf._reading(graph, cls)
+    nodes = sorted(set(read.outputs) | set(read.inputs))
+    lost = sorted(set(graph.node_ids) - set(read.node_ids))
+
+    def sets():
+        A = draw(st.lists(st.sampled_from(nodes), min_size=1, max_size=2,
+                          unique=True))
+        rest = [v for v in nodes if v not in A]
+        B = draw(st.lists(st.sampled_from(rest), min_size=1, max_size=2,
+                          unique=True))
+        rest = [v for v in rest if v not in B]
+        roles = draw(st.lists(st.sampled_from("CDJjH--"),
+                              min_size=len(rest), max_size=len(rest)))
+        return A, B, *([v for v, x in zip(rest, roles) if x == r]
+                       for r in "CDJjH")
+
+    calls = []
+    for _ in range(draw(st.integers(2, 6))):
+        A, B, C, D, J0, J1, H = sets()
+        kind = draw(st.sampled_from(["rule", "adjust", "relation",
+                                     "recover", "scidp"]))
+        if kind == "rule":
+            calls.append((calculus_check, draw(st.sampled_from([1, 2, 3])),
+                          A, B, C, D, cls))
+        elif kind == "adjust":
+            calls.append((adjustment_check, A, B, C, D, J0, J1, H, cls))
+        elif kind == "relation":
+            calls.append((causal_relation, A[0], B[0], draw(st.sampled_from(
+                ["direct", "total", "confounding"])), cls))
+        elif kind == "recover":
+            calls.append((s_recoverability_check, A, B, cls))
+        else:
+            calls.append((scidp, A, B, C, cls))
+        if draw(st.booleans()):
+            calls.append((calculus_check, 2, A, B, C, D, cls))
+            bad = ["zz", regime_id(B[0]), B[0], *lost]
+            for t in draw(st.lists(st.sampled_from(bad), max_size=3)):
+                calls.append((calculus_check, draw(st.sampled_from([1, 2, 3])),
+                              A, B, C, [*D, t], cls))
+                calls.append((adjustment_check, A, B, C, [*D, t], J0, J1, H,
+                              cls))
+            calls.append((s_recoverability_check, A, B, cls))
+    return graph, calls
+
+
+class TestMemoAnswers:
+    """What a graph keeps between questions (its readings and its last
+    manipulation) never changes an answer: each question of a sequence on
+    one graph is answered, errors and their texts included, as it is on a
+    fresh copy that has kept nothing."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(question_sequences())
+    def test_sequences_match_fresh_graphs(self, case):
+        graph, calls = case
+        for f, *args in calls:
+            assert _said(f, graph, *args) == _said(f, _fresh(graph), *args)
+
+
+class TestDisjoint:
+    """``_disjoint`` answers at once when the sizes of the sets add up to
+    the size of their union, and otherwise as the pairwise reference."""
+
+    @settings(max_examples=400)
+    @given(st.data())
+    def test_equals_the_pairwise_reference(self, data):
+        k = data.draw(st.integers(2, 7))
+        # each node in at most one set, then now and then in more
+        slots = data.draw(st.lists(st.integers(-1, k - 1), max_size=10))
+        sets = [{v for v, i in enumerate(slots) if i == j} for j in range(k)]
+        for _ in range(data.draw(st.integers(0, 3))):
+            sets[data.draw(st.integers(0, k - 1))].add(
+                data.draw(st.integers(0, 11)))
+        sets = [frozenset(f"v{v}" for v in s) for s in sets]
+        assert _outcome(idf._disjoint, *sets) == _outcome(
+            disjoint_reference, *sets)
+
+    def test_the_first_pair_is_named(self):
+        sets = [frozenset("ab"), frozenset("c"), frozenset("d"),
+                frozenset("bc"), frozenset("a")]
+        with pytest.raises(ValueError, match=r"overlapping sets: \['b'\]$"):
+            idf._disjoint(*sets)
+        assert idf._disjoint(*sets[:3]) is None
 
 
 def Trim(k, outputs):

@@ -28,6 +28,7 @@ from pagid.manipulate import (
     hard_manipulate,
     is_visible,
     manipulate,
+    manipulate_for_search,
     parse_manipulated,
     regime_id,
     soft_manipulate,
@@ -633,3 +634,89 @@ class TestCheapLastHit:
         assert manipulate(g, D, T, GraphClass.MAG) is first
         with pytest.raises(AssertionError, match="a hit did work"):
             manipulate(g, D, T, GraphClass.PAG)
+
+    def test_a_search_hit_checks_only_the_hard_targets(self, monkeypatch):
+        # a --> b --> c with an input x --> b: the search's graph is the soft
+        # manipulation on D; a repeat finds it as the graph's last and runs
+        # no check of the graph or of D, whatever its hard targets are
+        g = parse_graph("node a output\nnode b output\nnode c output\n"
+                        "node x input\nedge a --> b\nedge b --> c\n"
+                        "edge x --> b\n")
+        D = frozenset("a")
+        first, dead = manipulate_for_search(g, D, frozenset("c"),
+                                            GraphClass.MAG)
+        assert first == soft_manipulate(MixedGraph(g.nodes, g.edges), D,
+                                        GraphClass.MAG)
+        assert dead == frozenset("c")
+
+        def boom(*args, **kwargs):
+            raise AssertionError("a hit did work")
+
+        real_kind = MixedGraph.kind
+
+        def kind(graph, v):
+            if v in D:
+                boom()
+            return real_kind(graph, v)
+
+        for name in ("_check_targets", "_check_unmanipulated", "validate",
+                     "_infer_class"):
+            monkeypatch.setattr(manip_mod, name, boom)
+        monkeypatch.setattr(MixedGraph, "kind", kind)
+        monkeypatch.setattr(ManipulatedGraph, "__init__", boom)
+        for T, checked in [("c", False), ("bc", True), ("x", False),
+                           ((regime_id("a"),), False), ((), False)]:
+            mg, dead = manipulate_for_search(g, D, frozenset(T),
+                                             GraphClass.MAG, checked)
+            assert mg is first
+            assert dead == frozenset(T) - {"x"}
+        # the checks that read the hard targets still run, with their texts
+        with pytest.raises(KeyError) as exc:
+            manipulate_for_search(g, D, frozenset({"zz", "zb"}),
+                                  GraphClass.MAG)
+        assert exc.value.args == ("zb",)
+        with pytest.raises(ValueError, match=r"overlapping targets \['a'\]"):
+            manipulate_for_search(g, D, frozenset("ab"), GraphClass.MAG)
+        # another soft target is a miss, which checks and builds
+        with pytest.raises(AssertionError, match="a hit did work"):
+            manipulate_for_search(g, frozenset("b"), frozenset("c"),
+                                  GraphClass.MAG)
+
+
+class TestRegimeIds:
+    """A record's regime_ids is the frozenset of its soft targets' regime
+    ids, read once per record, and no field: it takes no part in equality,
+    hashing or the record's repr."""
+
+    def records(self):
+        g = parse_graph("node a output\nnode b output\nnode c output\n"
+                        "edge a --> b\nedge b --> c\n")
+        soft = soft_manipulate(g, ["a", "b"], GraphClass.MAG)
+        return [
+            manipulate(g, ["a"], ["c"], GraphClass.MAG),
+            manipulate(g, (), ["c"], GraphClass.MAG),
+            soft,
+            manipulate(soft, (), ["c"]),  # soft, then hard
+            parse_manipulated(format_manipulated(soft)),
+        ]
+
+    def test_the_regime_ids_of_the_soft_targets(self):
+        for mg in self.records():
+            want = frozenset(map(regime_id, mg.soft_targets))
+            assert mg.regime_ids == want
+            assert type(mg.regime_ids) is frozenset
+            assert mg.regime_ids is mg.regime_ids  # read once
+        assert self.records()[3].regime_ids == {regime_id("a"),
+                                                regime_id("b")}
+
+    def test_no_part_of_equality_hash_or_repr(self):
+        for mg in self.records():
+            twin = ManipulatedGraph(mg.graph, mg.hard_targets,
+                                    mg.soft_targets, mg.base_class)
+            before = repr(twin)
+            mg.regime_ids  # cached on mg alone
+            assert "regime_ids" in vars(mg)
+            assert "regime_ids" not in vars(twin)
+            assert mg == twin and hash(mg) == hash(twin)
+            assert repr(mg) == repr(twin) == before
+            assert "regime_ids" not in repr(mg)

@@ -5,6 +5,7 @@ given, before any other check: the first unknown node in sorted order is
 named by a KeyError, whatever else is wrong with the call.  With known
 nodes the answers equal the references."""
 
+import itertools
 import random
 import sys
 from unittest import mock
@@ -12,6 +13,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from pagid import manipulate as manip_mod
 from pagid.fci import fci, graph_oracle
 from pagid.graph import (
     OUTPUT,
@@ -285,3 +287,56 @@ class TestClosureChecks:
                         directed("m", "c")])
         assert self._checks(_id_search, g, {"a"}, {"b"}, {"c"}, True) == 0
         assert _id_search(g, {"a"}, {"b"}, {"c"}, True)[1] is not None
+
+
+class TestChecksPerBuild:
+    """Across the questions asked of one graph, the manipulation checks run
+    once per build of a soft manipulation.  A question whose soft
+    manipulation is the graph's last finds it unbuilt, and checks only its
+    hard targets."""
+
+    @staticmethod
+    def questions(g):
+        """Calculus, adjustment and relation questions on g, each with the
+        soft targets it manipulates; those on one B come in a row."""
+        outs = g.outputs
+        for a, b in itertools.permutations(outs, 2):
+            rest = [v for v in outs if v not in (a, b)]
+            for rule in (1, 2, 3):
+                yield {b}, (calculus_check, g, rule, [a], [b], rest[:1],
+                            rest[1:])
+            yield {b}, (adjustment_check, g, [a], [b], (), rest[-1:],
+                        rest[:1])
+            for relation in ("direct", "total", "confounding"):
+                yield {b}, (causal_relation, g, b, a, relation)
+
+    @pytest.mark.parametrize("kind", ["MAG", "PAG"])
+    def test_once_per_build(self, kind):
+        for seed in range(6):
+            a = rand_isadmg(random.Random(seed), n_out=4, n_sel=1, n_lat=1,
+                            n_in=1, p=0.3)
+            g = mag_of(a) if kind == "MAG" else fci(graph_oracle(a))
+            questions = list(self.questions(g))
+            # each question asked of a fresh copy, which has kept nothing
+            want = [outcome(f, MixedGraph(dict(g.nodes), g.edges), *args)
+                    for _, (f, _g, *args) in questions]
+            checks, builds = [], []
+            real_check, real_edit = manip_mod._check_targets, MixedGraph.edit
+
+            def check(*args, **kwargs):
+                checks.append(args)
+                return real_check(*args, **kwargs)
+
+            def edit(graph, *args, **kwargs):
+                if sys._getframe(1).f_code.co_name == "manipulate":
+                    builds.append(args)
+                return real_edit(graph, *args, **kwargs)
+
+            with mock.patch.object(manip_mod, "_check_targets", check), \
+                    mock.patch.object(MixedGraph, "edit", edit):
+                got = [outcome(f, *args) for _, (f, *args) in questions]
+            assert got == want
+            # one build each time the soft targets change, and no other
+            runs = 1 + sum(s != t for (s, _), (t, _)
+                           in zip(questions, questions[1:]))
+            assert len(builds) == len(checks) == runs < len(questions)
